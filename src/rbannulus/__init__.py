@@ -1,4 +1,10 @@
-"""Maximum-width rainbow-bisecting empty annuli over colored planar point sets."""
+"""Maximum-width rainbow-bisecting empty annuli over colored planar point sets.
+
+The package exports the solvers, the geometry types and instance I/O.
+Decision ops, interval helpers, candidate generators and query structures
+live in their modules (``rbannulus.rect``, ``rbannulus.circles``,
+``rbannulus.lcorridor``, ``rbannulus.squares``, ``rbannulus.strips``).
+"""
 
 from .core import (
     DEFAULT_EPS,
@@ -8,31 +14,15 @@ from .core import (
     LCorridor,
     L_ORIENTATIONS,
     Line,
-    QUADRANT_SIGNS,
     PointSet,
     RectAnnulus,
     Region,
     SquareAnnulus,
     Strip,
     classify,
-    is_rainbow,
-    offset_square,
     validate_solution,
 )
-from .circles import (
-    FAR_FIELD_SCALES,
-    CenterCandidate,
-    LiftedPoint,
-    best_annulus_at_center,
-    cir21_candidates,
-    cir22_candidates,
-    circle_plane,
-    far_field_candidates,
-    lift,
-    max_rbca,
-    max_rbca_on_line,
-    point_center_candidates,
-)
+from .circles import max_rbca, max_rbca_on_line
 from .instances import (
     GENERATOR_KINDS,
     InstanceError,
@@ -44,36 +34,11 @@ from .instances import (
     parse_instance,
     save_instance,
 )
-from .svg import render_svg
-from .lcorridor import (
-    GapTree,
-    MaxCoordTree,
-    Staircase,
-    boundary_points_query,
-    build_staircases,
-    max_rblc,
-    max_rblc_all,
-    max_xgap_query,
-    rainbow_range_query,
-)
-from .rect import (
-    ColorRangeTrees,
-    DecisionOutcome,
-    GapPointTree,
-    MinimalRainbowInterval,
-    SlabTrees,
-    WGap,
-    anchor_ordering,
-    build_slab_trees,
-    dp_decision,
-    dp_decision_fast,
-    max_anchored_rbra_for_top_point,
-    max_rbra,
-    minimal_rainbow_intervals,
-    relevant_w_gaps,
-)
-from .squares import best_annulus_on_segment, c3_center_segment, max_rbsa, max_rbsa_c3
+from .lcorridor import max_rblc, max_rblc_all
+from .rect import max_rbra
+from .squares import max_rbsa
 from .strips import max_rbes
+from .svg import render_svg
 
 __all__ = [
     "DEFAULT_EPS",
@@ -83,16 +48,20 @@ __all__ = [
     "LCorridor",
     "L_ORIENTATIONS",
     "Line",
-    "QUADRANT_SIGNS",
     "PointSet",
     "RectAnnulus",
     "Region",
     "SquareAnnulus",
     "Strip",
     "classify",
-    "is_rainbow",
-    "offset_square",
     "validate_solution",
+    "max_rbca",
+    "max_rbca_on_line",
+    "max_rbes",
+    "max_rblc",
+    "max_rblc_all",
+    "max_rbra",
+    "max_rbsa",
     "GENERATOR_KINDS",
     "InstanceError",
     "SolutionReport",
@@ -103,44 +72,4 @@ __all__ = [
     "parse_instance",
     "render_svg",
     "save_instance",
-    "FAR_FIELD_SCALES",
-    "CenterCandidate",
-    "LiftedPoint",
-    "best_annulus_at_center",
-    "cir21_candidates",
-    "cir22_candidates",
-    "circle_plane",
-    "far_field_candidates",
-    "lift",
-    "max_rbca",
-    "max_rbca_on_line",
-    "point_center_candidates",
-    "ColorRangeTrees",
-    "DecisionOutcome",
-    "GapPointTree",
-    "GapTree",
-    "MaxCoordTree",
-    "MinimalRainbowInterval",
-    "SlabTrees",
-    "Staircase",
-    "WGap",
-    "anchor_ordering",
-    "build_slab_trees",
-    "dp_decision",
-    "dp_decision_fast",
-    "max_anchored_rbra_for_top_point",
-    "max_rbra",
-    "minimal_rainbow_intervals",
-    "relevant_w_gaps",
-    "best_annulus_on_segment",
-    "boundary_points_query",
-    "build_staircases",
-    "c3_center_segment",
-    "max_rbes",
-    "max_rblc",
-    "max_rblc_all",
-    "max_rbsa",
-    "max_rbsa_c3",
-    "max_xgap_query",
-    "rainbow_range_query",
 ]

@@ -25,6 +25,7 @@ from .core import (
     Line,
     PointSet,
 )
+from .strips import rainbow_gaps, widest_rainbow_gap
 
 # multiples of the point-cloud span used for the far sentinel centers
 FAR_FIELD_SCALES = (16.0, 256.0, 4096.0)
@@ -193,53 +194,27 @@ def best_annulus_at_center(pointset: PointSet, center,
                            eps: float = DEFAULT_EPS) -> Optional[CircularAnnulus]:
     """Widest valid ring centered at the given point, or None.
 
-    Sorts the points by distance and scans consecutive-distance gaps;
-    a gap is usable when the near side already shows every color and the
+    Sorts the points by distance and takes the widest rainbow gap between
+    consecutive distances: the near side already shows every color and the
     far side still does.  Ties keep the smallest inner radius.
     """
     cx = float(center[0])
     cy = float(center[1])
     if not (math.isfinite(cx) and math.isfinite(cy)):
         return None
-    k = pointset.k
     order = sorted((math.hypot(p.x - cx, p.y - cy), p.color)
                    for p in pointset.points)
-    n = len(order)
-    seen = [0] * (k + 1)
-    have = 0
-    pref = [False] * n
-    for t in range(n):
-        c = order[t][1]
-        if seen[c] == 0:
-            have += 1
-        seen[c] += 1
-        pref[t] = have == k
-    seen = [0] * (k + 1)
-    have = 0
-    suff = [False] * n
-    for t in range(n - 1, -1, -1):
-        c = order[t][1]
-        if seen[c] == 0:
-            have += 1
-        seen[c] += 1
-        suff[t] = have == k
-    best = None
-    for t in range(n - 1):
-        if not pref[t] or not suff[t + 1]:
-            continue
-        w = order[t + 1][0] - order[t][0]
-        if w <= eps:
-            continue
-        if best is None or w > best[0]:
-            best = (w, order[t][0], order[t + 1][0])
-    if best is None:
+    t = widest_rainbow_gap([d for d, _ in order], [c for _, c in order],
+                           pointset.k, eps)
+    if t is None:
         return None
-    return CircularAnnulus(cx, cy, best[1], best[2])
+    return CircularAnnulus(cx, cy, order[t][0], order[t + 1][0])
 
 
 def _batch_widths(pointset: PointSet, cxs, cys, eps: float):
-    """Best ring width at each center, -inf where none.  Vectorized mirror
-    of best_annulus_at_center used only to shortlist candidates."""
+    """Best ring width at each center, -inf where none: the rainbow-gap
+    scan over each center's sorted distance row, in chunks of rows.  Used
+    to shortlist candidates; finalists are re-scored exactly."""
     X = np.array([p.x for p in pointset.points])
     Y = np.array([p.y for p in pointset.points])
     C = np.array([p.color for p in pointset.points])
@@ -255,22 +230,7 @@ def _batch_widths(pointset: PointSet, cxs, cys, eps: float):
         D = np.hypot(X[None, :] - cx, Y[None, :] - cy)
         ordidx = np.argsort(D, axis=1, kind="stable")
         Ds = np.take_along_axis(D, ordidx, axis=1)
-        Cs = C[ordidx]
-        m = Ds.shape[0]
-        # first index where every color has appeared, last where it still will
-        first = np.zeros(m, dtype=int)
-        last = np.full(m, n - 1, dtype=int)
-        cols = np.arange(n)
-        for c in range(1, k + 1):
-            hit = Cs == c
-            first = np.maximum(first, np.where(hit, cols, n).min(axis=1))
-            last = np.minimum(last, np.where(hit, cols, -1).max(axis=1))
-        gaps = Ds[:, 1:] - Ds[:, :-1]
-        t = cols[:-1]
-        ok = (t[None, :] >= first[:, None]) & (t[None, :] < last[:, None])
-        ok &= gaps > eps
-        w = np.where(ok, gaps, -np.inf).max(axis=1)
-        out[lo:lo + step] = w
+        out[lo:lo + step] = rainbow_gaps(Ds, C[ordidx], k, eps).max(axis=1)
     return out
 
 

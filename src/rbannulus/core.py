@@ -135,8 +135,6 @@ QUADRANT_SIGNS = {
     "up-left": (-1.0, -1.0),
 }
 
-_QUADRANT_SIGNS = QUADRANT_SIGNS
-
 L_ORIENTATIONS = tuple(QUADRANT_SIGNS)
 
 
@@ -156,16 +154,16 @@ class LCorridor:
     width: float
 
     def __post_init__(self):
-        if self.orientation not in _QUADRANT_SIGNS:
+        if self.orientation not in QUADRANT_SIGNS:
             raise ValueError("bad corridor orientation %r" % self.orientation)
 
     @property
     def inner_corner(self) -> tuple[float, float]:
-        sx, sy = _QUADRANT_SIGNS[self.orientation]
+        sx, sy = QUADRANT_SIGNS[self.orientation]
         return (self.corner_x + sx * self.width, self.corner_y - sy * self.width)
 
     def region_of(self, x: float, y: float, eps: float = DEFAULT_EPS) -> Region:
-        sx, sy = _QUADRANT_SIGNS[self.orientation]
+        sx, sy = QUADRANT_SIGNS[self.orientation]
         px, py = sx * x, sy * y
         ox, oy = sx * self.corner_x, sy * self.corner_y
         if px >= ox + self.width - eps and py <= oy - self.width + eps:

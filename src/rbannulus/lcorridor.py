@@ -15,16 +15,23 @@ vertical part; the second family is the first one after reflecting the
 plane across the antidiagonal (x, y) -> (-y, -x), which maps down-right
 corridors to down-right corridors with the two roles exchanged.
 
-The sweep leans on three queries, each O(log n):
+The sweep visits the distinct heights bottom-up as the inner top side y_i,
+activating each level's x-values in a GapTree, and leans on four
+primitives:
 
-* boundary pair lookup: for the i-th lowest point, the lowest point whose
-  y-gap strictly exceeds the best width so far, plus the rightmost point
-  strictly between those heights;
-* staircase evaluation: how far right the inner corner may sit while the
-  inside quadrant keeps all colors, and how far right the outer corner
-  must sit so the outside region keeps all colors;
-* widest x-gap among already-swept points inside a clamped interval, which
-  decides whether the vertical part fits.
+* ``_lower_breaks``: breakpoints of the lower staircase, read closed
+  (``bisect_right``, corner height y <= y_i): the rightmost inner-corner x
+  at height y_i that keeps the inside quadrant rainbow;
+* ``_upper_breaks``: breakpoints of the upper staircase, read strict
+  (``bisect_left``, corner height y < y_j): the leftmost outer-corner x at
+  outer-top height y_j that keeps the outside region (left arm union
+  everything above) rainbow;
+* ``MaxCoordTree.max_in_open_band``: the rightmost point strictly between
+  the two heights, which the left side of the vertical part must clear;
+* ``GapTree.query``: the widest x-gap among already-swept points inside
+  the clamped interval, which decides whether the vertical part fits.
+
+Each lookup is O(log n).
 """
 
 from __future__ import annotations
@@ -42,40 +49,11 @@ from .core import (
 )
 
 __all__ = [
-    "Staircase",
     "MaxCoordTree",
     "GapTree",
-    "build_staircases",
-    "boundary_points_query",
-    "rainbow_range_query",
-    "max_xgap_query",
     "max_rblc",
     "max_rblc_all",
 ]
-
-
-class Staircase:
-    """Monotone chain of corners (x and y both increase along the chain).
-
-    ``x_at(t)`` returns the x-value of the corner governing height ``t``:
-    the rightmost corner with y <= t (closed, the default) or y < t
-    (strict).  Below the first corner the staircase imposes nothing and the
-    sentinel -inf is returned.
-    """
-
-    __slots__ = ("corners", "_xs", "_ys")
-
-    def __init__(self, corners):
-        self.corners = tuple((float(x), float(y)) for x, y in corners)
-        self._xs = [c[0] for c in self.corners]
-        self._ys = [c[1] for c in self.corners]
-
-    def x_at(self, t: float, closed: bool = True) -> float:
-        cut = bisect_right(self._ys, t) if closed else bisect_left(self._ys, t)
-        return self._xs[cut - 1] if cut > 0 else -INF
-
-    def __repr__(self):
-        return f"Staircase({list(self.corners)!r})"
 
 
 def _lower_breaks(by_y, k):
@@ -131,21 +109,6 @@ def _upper_breaks(tp, k):
                 ts.append(t)
                 vs.append(run)
     return ts, vs
-
-
-def build_staircases(pointset: PointSet):
-    """Both coverage frontiers for the down-right frame.
-
-    Returns ``(s_bottom, s_top)``.  ``s_bottom.x_at(t)`` is the rightmost
-    inner-corner x at height t that keeps the inside quadrant rainbow;
-    ``s_top.x_at(T, closed=False)`` is the leftmost outer-corner x at
-    height T that keeps the outside region (left arm union everything
-    above) rainbow.
-    """
-    tp = [(p.x, p.y, p.color) for p in pointset.points]
-    bt, bv = _lower_breaks(sorted(tp, key=lambda p: (p[1], p[0])), pointset.k)
-    tt, tv = _upper_breaks(tp, pointset.k)
-    return Staircase(zip(bv, bt)), Staircase(zip(tv, tt))
 
 
 class MaxCoordTree:
@@ -301,50 +264,6 @@ class GapTree:
         if hi - mx > best:
             best, bl, br = hi - mx, mx, hi
         return best, bl, br
-
-
-def boundary_points_query(pointset: PointSet, i: int, w_best: float, tree: MaxCoordTree = None):
-    """Boundary pair lookup around the i-th point of the ascending-y order.
-
-    Returns (j, k): j indexes the lowest point whose y exceeds
-    y(p_i) + w_best, k the rightmost point strictly between the two
-    heights (None when that band is empty).  Returns None when no point
-    clears the gap.  Indices refer to ``pointset.by_y`` order.
-    """
-    pts = pointset.points
-    order = pointset.by_y
-    ys = [pts[t].y for t in order]
-    y_i = ys[i]
-    j = bisect_right(ys, y_i + w_best)
-    if j >= len(ys):
-        return None
-    if tree is None:
-        tree = MaxCoordTree((pts[t].x, pts[t].y, pos) for pos, t in enumerate(order))
-    _, k = tree.max_in_open_band(y_i, ys[j])
-    return j, k
-
-
-def rainbow_range_query(y_i: float, y_j: float, staircases):
-    """x-range the vertical part must respect, read off both staircases.
-
-    Returns ``(x_top, x_bottom)``: the horizontal line y = y_j meets the
-    upper staircase at x_top (left side of the vertical part goes right of
-    it) and y = y_i meets the lower staircase at x_bottom (right side goes
-    left of it).  A line missing a staircase yields the -inf sentinel.
-    Corner hits count as intersections.
-    """
-    s_bottom, s_top = staircases
-    return s_top.x_at(y_j, closed=True), s_bottom.x_at(y_i, closed=True)
-
-
-def max_xgap_query(tree: GapTree, lo: float, hi: float):
-    """Widest placement slot for the vertical part within [lo, hi].
-
-    Returns ``(gap, (left, right))`` where gap = right - left; boundary
-    points clamp but do not block.
-    """
-    g, l, r = tree.query(lo, hi)
-    return g, (l, r)
 
 
 def _sweep(tp, k, eps):

@@ -51,10 +51,10 @@ class MinimalRainbowInterval(NamedTuple):
 class ColorRangeTrees:
     """Per-color x-sorted coordinate arrays over one slab.
 
-    count() is a pure rank query.  The nearest_* queries optionally restrict
-    to a y band; the x-ordered tail is scanned until the band is hit, which is
-    constant work when the arrays are already band-pure (the solver builds
-    them that way) and linear only in the tail otherwise.
+    The nearest_* queries optionally restrict to a y band; the x-ordered
+    tail is scanned until the band is hit, which is constant work when the
+    arrays are already band-pure (the solver builds them that way) and
+    linear only in the tail otherwise.
     """
 
     __slots__ = ("k", "xs", "ys")
@@ -65,38 +65,14 @@ class ColorRangeTrees:
         self.ys = ys_by_color
 
     @classmethod
-    def build(cls, points, k: int) -> "ColorRangeTrees":
-        """points: iterable of (x, y, color) with colors in 1..k."""
-        buckets = [[] for _ in range(k + 1)]
-        for x, y, c in points:
-            buckets[c].append((float(x), float(y)))
-        xs = [None]
-        ys = [None]
-        for c in range(1, k + 1):
-            buckets[c].sort()
-            xs.append(np.array([p[0] for p in buckets[c]], dtype=float))
-            ys.append(np.array([p[1] for p in buckets[c]], dtype=float))
-        return cls(k, xs, ys)
-
-    @classmethod
     def from_sorted(cls, k, xs_by_color, ys_by_color):
         return cls(k, [None] + list(xs_by_color), [None] + list(ys_by_color))
 
-    def size(self, c: int) -> int:
-        return int(self.xs[c].size)
-
-    def count(self, c: int, x_lo: float, x_hi: float) -> int:
+    def nearest_right_in_band(self, c, x0, y_lo=-INF, y_hi=INF):
+        """Smallest x >= x0 among color-c points with y in [y_lo, y_hi],
+        or None."""
         a = self.xs[c]
-        lo = int(np.searchsorted(a, x_lo, side="left"))
-        hi = int(np.searchsorted(a, x_hi, side="right"))
-        return hi - lo
-
-    def nearest_right_in_band(self, c, x0, y_lo=-INF, y_hi=INF, strict=False):
-        """Smallest x >= x0 (or > x0) among color-c points with y in
-        [y_lo, y_hi], or None."""
-        a = self.xs[c]
-        side = "right" if strict else "left"
-        i0 = int(np.searchsorted(a, x0, side=side))
+        i0 = int(np.searchsorted(a, x0, side="left"))
         if i0 >= a.size:
             return None
         if y_lo == -INF and y_hi == INF:
@@ -124,9 +100,6 @@ class ColorRangeTrees:
     def rightmost_in_band(self, c, y_lo=-INF, y_hi=INF):
         return self.nearest_left_in_band(c, INF, y_lo, y_hi)
 
-    def leftmost_in_band(self, c, y_lo=-INF, y_hi=INF):
-        return self.nearest_right_in_band(c, -INF, y_lo, y_hi)
-
     def insert(self, c, x, y):
         """Add one point; the color's arrays are rebuilt locally."""
         a = self.xs[c]
@@ -140,7 +113,7 @@ class GapPointTree:
 
     Entry t is the maximal empty interval (gx[t], gr[t]); sentinel gaps run to
     both infinities.  A power-of-two max pyramid over the lengths answers
-    leftmost / rightmost gap-at-least-w queries by descent.
+    leftmost gap-at-least-w queries by descent.
     """
 
     __slots__ = ("gx", "gr", "glen", "_levels")
@@ -168,11 +141,8 @@ class GapPointTree:
     def gap(self, t: int):
         return float(self.gx[t]), float(self.gr[t])
 
-    def gap_len(self, t: int) -> float:
-        return float(self.glen[t])
-
-    def _scan(self, lo, hi, min_gap, leftmost):
-        # first (leftmost) or last index in [lo, hi) whose length >= min_gap
+    def _scan(self, lo, hi, min_gap):
+        # first index in [lo, hi) whose length >= min_gap
         if lo >= hi:
             return None
         levels = self._levels
@@ -186,12 +156,10 @@ class GapPointTree:
                 return None
             if level == 0:
                 return idx
-            first = 2 * idx if leftmost else 2 * idx + 1
-            second = 2 * idx + 1 if leftmost else 2 * idx
-            got = rec(level - 1, first)
+            got = rec(level - 1, 2 * idx)
             if got is not None:
                 return got
-            return rec(level - 1, second)
+            return rec(level - 1, 2 * idx + 1)
 
         return rec(top, 0)
 
@@ -200,12 +168,7 @@ class GapPointTree:
         >= min_gap, or None."""
         lo = int(np.searchsorted(self.gx, x_lo, side="left"))
         hi = int(np.searchsorted(self.gx, x_hi, side="right"))
-        return self._scan(lo, hi, min_gap, True)
-
-    def rightmost_in_region(self, x_lo, x_hi, min_gap):
-        lo = int(np.searchsorted(self.gx, x_lo, side="left"))
-        hi = int(np.searchsorted(self.gx, x_hi, side="right"))
-        return self._scan(lo, hi, min_gap, False)
+        return self._scan(lo, hi, min_gap)
 
     def index_of(self, x: float) -> int:
         """Gap containing x: the rightmost entry with start <= x."""
@@ -213,7 +176,7 @@ class GapPointTree:
 
     def next_at_least(self, t: int, min_gap: float):
         """First index after t with length >= min_gap."""
-        return self._scan(t + 1, len(self), min_gap, True)
+        return self._scan(t + 1, len(self), min_gap)
 
     def insert(self, x: float):
         """Add a projected point: the gap holding x splits in two."""
@@ -727,9 +690,9 @@ def minimal_rainbow_intervals(pointset: PointSet, i, j, left_pool, right_pool):
     if not lp or not rp or not all(colxs[1:]):
         return []
 
-    def nright(c, x, strict=False):
+    def nright(c, x):
         arr = colxs[c]
-        p = bisect.bisect_right(arr, x) if strict else bisect.bisect_left(arr, x)
+        p = bisect.bisect_left(arr, x)
         return arr[p] if p < len(arr) else None
 
     def nleft(c, x):

@@ -16,25 +16,22 @@ from conftest import random_instance
 from rbannulus import (
     INF,
     PointSet,
-    WGap,
-    best_annulus_at_center,
-    cir21_candidates,
-    cir22_candidates,
-    circle_plane,
-    dp_decision,
-    dp_decision_fast,
-    far_field_candidates,
     generate_instance,
-    lift,
     max_rbca,
     max_rbes,
     max_rblc_all,
     max_rbra,
     max_rbsa,
-    minimal_rainbow_intervals,
-    point_center_candidates,
-    relevant_w_gaps,
     validate_solution,
+)
+from rbannulus.circles import (
+    best_annulus_at_center,
+    cir21_candidates,
+    cir22_candidates,
+    circle_plane,
+    far_field_candidates,
+    lift,
+    point_center_candidates,
 )
 from rbannulus.oracle import (
     oracle_rbca,
@@ -44,7 +41,13 @@ from rbannulus.oracle import (
     oracle_rbsa,
 )
 from rbannulus.cli import main as cli_main
-from rbannulus.rect import anchor_ordering
+from rbannulus.rect import (
+    WGap,
+    anchor_ordering,
+    dp_decision,
+    minimal_rainbow_intervals,
+    relevant_w_gaps,
+)
 
 
 def _width(sol):

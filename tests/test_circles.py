@@ -6,21 +6,24 @@ import pytest
 from conftest import random_instance, rotate90
 
 from rbannulus import (
+    DEFAULT_EPS,
     CircularAnnulus,
     Line,
     PointSet,
+    max_rbca,
+    max_rbca_on_line,
+    validate_solution,
+)
+from rbannulus.circles import (
+    _batch_widths,
     best_annulus_at_center,
     cir21_candidates,
     cir22_candidates,
     circle_plane,
     far_field_candidates,
     lift,
-    max_rbca,
-    max_rbca_on_line,
     point_center_candidates,
-    validate_solution,
 )
-from rbannulus.circles import _batch_widths
 from rbannulus.oracle import oracle_rbca, oracle_rbca_on_line
 
 
@@ -163,9 +166,17 @@ def test_center_eval_no_valid_split():
 
 def test_center_eval_ties_keep_small_inner():
     ps = PointSet.build([(1, 0, 1), (-1, 0, 1), (3, 0, 1), (-5, 0, 1)], 1)
-    ann = best_annulus_at_center(ps, (0.0, 0.0))
-    # gaps 1->3 and 3->5 both have width 2; the nearer one wins
-    assert (ann.r_in, ann.r_out) == (1.0, 3.0)
+    # both colors on each of two equidistant circles, and on one circle only
+    two = PointSet.build([(1, 0, 1), (0, 1, 2), (2, 0, 1), (0, 2, 2)], 2)
+    one = PointSet.build([(1, 0, 1), (0, 1, 2), (-1, 0, 1), (0, -1, 2)], 2)
+    for eps in (DEFAULT_EPS, 0.0):
+        ann = best_annulus_at_center(ps, (0.0, 0.0), eps)
+        # gaps 1->3 and 3->5 both have width 2; the nearer one wins
+        assert (ann.r_in, ann.r_out) == (1.0, 3.0), eps
+        # zero gaps between equidistant points never count
+        ann = best_annulus_at_center(two, (0.0, 0.0), eps)
+        assert ann == CircularAnnulus(0.0, 0.0, 1.0, 2.0), eps
+        assert best_annulus_at_center(one, (0.0, 0.0), eps) is None, eps
 
 
 def test_batch_widths_match_scalar():

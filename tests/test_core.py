@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rbannulus
 from rbannulus import (
     INF,
     CircularAnnulus,
@@ -15,10 +16,29 @@ from rbannulus import (
     SquareAnnulus,
     Strip,
     classify,
-    is_rainbow,
-    offset_square,
     validate_solution,
 )
+from rbannulus.core import is_rainbow, offset_square
+
+# entry points, geometry types and I/O; helpers stay in their modules
+PUBLIC_NAMES = [
+    "DEFAULT_EPS", "INF",
+    "ColoredPoint", "PointSet", "Region", "Strip", "LCorridor",
+    "L_ORIENTATIONS", "SquareAnnulus", "RectAnnulus", "CircularAnnulus",
+    "Line",
+    "classify", "validate_solution",
+    "max_rbes", "max_rblc", "max_rblc_all", "max_rbsa", "max_rbra",
+    "max_rbca", "max_rbca_on_line",
+    "GENERATOR_KINDS", "InstanceError", "SolutionReport", "check_report",
+    "format_instance", "parse_instance", "load_instance", "save_instance",
+    "generate_instance", "render_svg",
+]
+
+
+def test_public_surface():
+    assert sorted(rbannulus.__all__) == sorted(PUBLIC_NAMES)
+    for name in rbannulus.__all__:
+        assert getattr(rbannulus, name) is not None, name
 
 
 def test_is_rainbow():

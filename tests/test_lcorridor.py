@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_left, bisect_right
 
 import pytest
 
@@ -8,13 +9,10 @@ from rbannulus import INF, L_ORIENTATIONS, PointSet, validate_solution
 from rbannulus.lcorridor import (
     GapTree,
     MaxCoordTree,
-    Staircase,
-    boundary_points_query,
-    build_staircases,
+    _lower_breaks,
+    _upper_breaks,
     max_rblc,
     max_rblc_all,
-    max_xgap_query,
-    rainbow_range_query,
 )
 from rbannulus.oracle import oracle_rblc
 
@@ -23,40 +21,53 @@ def diag_instance():
     return PointSet.build([(1, 1, 1), (2, 2, 2), (3, 3, 1), (4, 4, 2)], 2)
 
 
+def staircases(ps):
+    """(lower, upper) breakpoint lists, built as the down-right sweep does."""
+    tp = [(p.x, p.y, p.color) for p in ps.points]
+    by_y = sorted(tp, key=lambda p: (p[1], p[0]))
+    return _lower_breaks(by_y, ps.k), _upper_breaks(tp, ps.k)
+
+
+def inner_x(lower, t):
+    """Rightmost inner-corner x at height t; the sweep reads the lower
+    chain closed (corner heights <= t)."""
+    ts, vs = lower
+    cut = bisect_right(ts, t)
+    return vs[cut - 1] if cut else -INF
+
+
+def outer_x(upper, t):
+    """Leftmost outer-corner x at outer-top height t; the sweep reads the
+    upper chain strict (corner heights < t)."""
+    ts, vs = upper
+    cut = bisect_left(ts, t)
+    return vs[cut - 1] if cut else -INF
+
+
 def test_lower_staircase_on_diagonal_instance():
-    sb, _ = build_staircases(diag_instance())
-    assert sb.corners == ((1.0, 2.0), (2.0, 3.0), (3.0, 4.0))
+    lower, _ = staircases(diag_instance())
+    assert lower == ([2.0, 3.0, 4.0], [1.0, 2.0, 3.0])
 
 
 def test_upper_staircase_on_diagonal_instance():
-    _, st = build_staircases(diag_instance())
+    _, upper = staircases(diag_instance())
     # color 1 tops out at y=3 reaching left to x=1, color 2 at y=4, x=2
-    assert st.corners == ((1.0, 3.0), (2.0, 4.0))
+    assert upper == ([3.0, 4.0], [1.0, 2.0])
 
 
 def test_single_color_staircase():
     ps = PointSet.build([(1, 1, 1), (2, 2, 1)], 1)
-    sb, st = build_staircases(ps)
-    assert sb.corners == ((1.0, 1.0), (2.0, 2.0))
-    assert st.corners == ((1.0, 2.0),)
-
-
-def test_staircase_corner_hit_modes():
-    st = Staircase([(5, 5)])
-    assert st.x_at(5) == 5
-    assert st.x_at(5, closed=False) == -INF
-    assert st.x_at(6, closed=False) == 5
-    assert st.x_at(4) == -INF
+    lower, upper = staircases(ps)
+    assert lower == ([1.0, 2.0], [1.0, 2.0])
+    assert upper == ([2.0], [1.0])
 
 
 def test_rainbow_range_query_values():
-    stairs = build_staircases(diag_instance())
-    x_top, x_bottom = rainbow_range_query(4.0, 4.0, stairs)
-    assert x_top == 2.0  # corner hit on the upper chain
-    assert x_bottom == 3.0
-    x_top, x_bottom = rainbow_range_query(1.5, 2.5, stairs)
-    assert x_top == -INF  # line below every upper corner: no constraint
-    assert x_bottom == -INF  # inside quadrant cannot be rainbow this low
+    lower, upper = staircases(diag_instance())
+    assert outer_x(upper, 4.0) == 1.0  # the corner at y=4 itself is not hit
+    assert inner_x(lower, 4.0) == 3.0
+    assert outer_x(upper, 2.5) == -INF  # below every upper corner: no constraint
+    assert inner_x(lower, 1.5) == -INF  # inside quadrant cannot be rainbow this low
 
 
 def test_staircase_corners_are_tight():
@@ -65,13 +76,13 @@ def test_staircase_corners_are_tight():
         k = rng.randint(1, 3)
         n = rng.randint(2 * k, 12)
         ps = random_instance(rng, n, k, 0, 10)
-        sb, st = build_staircases(ps)
+        lower, upper = staircases(ps)
 
         def quad_rainbow(cx, cy):
             colors = {p.color for p in ps.points if p.x >= cx and p.y <= cy}
             return len(colors) == ps.k
 
-        for cx, cy in sb.corners:
+        for cy, cx in zip(*lower):
             assert quad_rainbow(cx, cy)
             assert not quad_rainbow(cx + 0.5, cy)
             assert not quad_rainbow(cx, cy - 0.5)
@@ -83,13 +94,13 @@ def test_staircase_corners_are_tight():
                 for c in range(1, ps.k + 1)
             )
 
-        for cx, cy in st.corners:
+        for cy, cx in zip(*upper):
             t = cy + 0.5
-            assert st.x_at(t, closed=False) >= cx
-            assert covered(st.x_at(t, closed=False), t)
+            assert outer_x(upper, t) >= cx
+            assert covered(outer_x(upper, t), t)
             assert not covered(cx - 0.5, t)
             # exactly at the corner height the color still reaches the top
-            assert covered(st.x_at(cy, closed=False), cy)
+            assert covered(outer_x(upper, cy), cy)
 
 
 def naive_gap(active_sorted, lo, hi):
@@ -129,9 +140,9 @@ def test_max_xgap_examples():
     tree = GapTree([0, 2, 7, 9])
     for x in (0, 2, 7, 9):
         tree.insert(x)
-    assert max_xgap_query(tree, 0, 9) == (5, (2, 7))
-    assert max_xgap_query(tree, 0, 5) == (3, (2, 5))
-    assert max_xgap_query(tree, 3, 6) == (3, (3, 6))
+    assert tree.query(0, 9) == (5, 2, 7)
+    assert tree.query(0, 5) == (3, 2, 5)
+    assert tree.query(3, 6) == (3, 3, 6)
 
 
 def test_gap_tree_empty_and_boundary_cases():
@@ -150,14 +161,6 @@ def test_max_coord_tree_open_band():
     assert tree.max_in_open_band(0, 3) == (9, "b")
     assert tree.max_in_open_band(1, 2) == (-INF, None)
     assert tree.max_in_open_band(2, 10) == (3, "c")
-
-
-def test_boundary_points_query():
-    ps = PointSet.build([(0, 0, 1), (1, 1, 1), (2, 3, 1), (3, 5, 1)], 1)
-    assert boundary_points_query(ps, 0, 2.0) == (2, 1)
-    assert boundary_points_query(ps, 0, 10.0) is None
-    j, k = boundary_points_query(ps, 1, 0.5)
-    assert (j, k) == (2, None)  # nothing strictly between y=1 and y=3
 
 
 def test_collinear_instance_recovers_strip():

@@ -2,7 +2,7 @@ import random
 
 from conftest import random_instance, rotate90
 
-from rbannulus import PointSet, Strip, validate_solution
+from rbannulus import DEFAULT_EPS, PointSet, Strip, validate_solution
 from rbannulus.oracle import oracle_rbes
 from rbannulus.strips import max_rbes
 
@@ -25,17 +25,25 @@ def test_basic_horizontal():
     assert max_rbes(ps, "horizontal") == Strip("horizontal", 1.0, 5.0)
 
 
+# eps = 0 is accepted by the CLI (RBA_EPSILON=0); equal coordinates must
+# still act as one group there, through the strict gap > eps test alone
+EPS_VALUES = (DEFAULT_EPS, 0.0)
+
+
 def test_tie_takes_smallest_lo():
     ps = PointSet.build([(0, 0, 1), (0, 1, 2), (4, 0, 1), (4, 1, 2), (8, 0, 1), (8, 1, 2)])
-    s = max_rbes(ps, "vertical")
-    assert (s.lo, s.hi) == (0.0, 4.0)
+    for eps in EPS_VALUES:
+        s = max_rbes(ps, "vertical", eps)
+        assert (s.lo, s.hi) == (0.0, 4.0), eps
 
 
 def test_duplicate_coordinates_never_candidates():
     # width-0 gaps between coincident coordinates must not surface
     ps = PointSet.build([(2, 0, 1), (2, 1, 2), (2, 5, 1), (3, 0, 2), (3, 1, 1)])
-    s = max_rbes(ps, "vertical")
-    assert s == Strip("vertical", 2.0, 3.0)
+    single = PointSet.build([(2, 0, 1), (2, 1, 2), (2, 5, 1), (2, 6, 2)])
+    for eps in EPS_VALUES:
+        assert max_rbes(ps, "vertical", eps) == Strip("vertical", 2.0, 3.0), eps
+        assert max_rbes(single, "vertical", eps) is None, eps
 
 
 def test_oracle_equivalence_random():
