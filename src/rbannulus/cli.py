@@ -84,7 +84,7 @@ def _epsilon() -> float:
 
 
 def solve_instance(shape: str, pointset: PointSet, eps: float,
-                   fast: bool = False, line: Line = None, workers: int = 1):
+                   line: Line = None, workers: int = 1):
     """(annulus_or_none, provenance) for one shape on one instance."""
     if shape == "strip":
         best = None
@@ -103,8 +103,7 @@ def solve_instance(shape: str, pointset: PointSet, eps: float,
         tags = {3: "strip family", 2: "corridor family"}
         return got, tags.get(len(got.infinite_sides), "bounded square")
     if shape == "rect":
-        got = max_rbra(pointset, fast=fast, eps=eps)
-        return got, "anchored walk" + (" (fast gap jumps)" if fast else "")
+        return max_rbra(pointset, eps=eps), "anchored walk (gap jumps)"
     if shape == "circle":
         if line is not None:
             got = max_rbca_on_line(pointset, line, eps, workers=workers)
@@ -137,7 +136,7 @@ def _cmd_solve(args) -> int:
         return 1
     t0 = time.perf_counter()
     annulus, provenance = solve_instance(
-        args.shape, ps, eps, fast=args.fast, line=line, workers=args.workers)
+        args.shape, ps, eps, line=line, workers=args.workers)
     wall_ms = (time.perf_counter() - t0) * 1000.0
     if args.svg:
         with open(args.svg, "w", encoding="utf-8") as fh:
@@ -194,7 +193,7 @@ def _cmd_bench(args) -> int:
             ps = generate_instance(n, args.k, args.dist,
                                    args.seed + 97 * n + trial)
             t0 = time.perf_counter()
-            annulus, _ = solve_instance(args.shape, ps, eps, fast=args.fast,
+            annulus, _ = solve_instance(args.shape, ps, eps,
                                         workers=args.workers)
             times.append((time.perf_counter() - t0) * 1000.0)
             if trial == 0:
@@ -228,8 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("solve", help="solve one instance for one shape")
     s.add_argument("--shape", choices=SHAPES, required=True)
     s.add_argument("--input", required=True)
-    s.add_argument("--fast", action="store_true",
-                   help="rect only: gap-jumping decision path")
     s.add_argument("--line", help='circle only: constrain centers to "ax+by=c"')
     s.add_argument("--svg", help="also render the result to this file")
     s.add_argument("--json", action="store_true",
@@ -251,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--k", type=int, default=3)
     b.add_argument("--dist", choices=GENERATOR_KINDS, default="uniform")
-    b.add_argument("--fast", action="store_true")
     b.add_argument("--workers", type=int, default=1)
     b.set_defaults(func=_cmd_bench)
     return ap

@@ -11,8 +11,6 @@ enumeration the solver itself uses).
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .core import (

@@ -10,10 +10,12 @@ one point on the outer top, walks candidate bottoms and widths in a staircase
 four axis directions by reflecting the input.
 
 The width-w feasibility question for a fixed anchor pair is answered by
-``dp_decision`` (plain scan) and ``dp_decision_fast`` (query structures).
-Both return the same witness: the reference scan visits candidate left gaps
-in x order and the fast scan jumps between the same gaps through a max
-pyramid, so their first feasible placement coincides.
+``dp_decision_fast``, which jumps between candidate left gaps through a max
+pyramid and is what ``max_rbra`` runs.  It first rejects, from the boundary
+bands alone, every decision that cannot succeed, and builds the slab's query
+structures only for the rest.  ``dp_decision`` (plain scan, ``fast=False``
+in ``max_rbra``) is the reference the tests compare against: it visits the
+same gaps in x order, so both return the same first feasible placement.
 """
 
 from __future__ import annotations
@@ -49,63 +51,34 @@ class MinimalRainbowInterval(NamedTuple):
 
 
 class ColorRangeTrees:
-    """Per-color x-sorted coordinate arrays over one slab.
+    """Per-color x-sorted coordinates of the middle-band points of one slab
+    (the points a uniform ring may hold inside its inner rectangle)."""
 
-    The nearest_* queries optionally restrict to a y band; the x-ordered
-    tail is scanned until the band is hit, which is constant work when the
-    arrays are already band-pure (the solver builds them that way) and
-    linear only in the tail otherwise.
-    """
+    __slots__ = ("k", "xs")
 
-    __slots__ = ("k", "xs", "ys")
-
-    def __init__(self, k, xs_by_color, ys_by_color):
+    def __init__(self, k, xs_by_color):
         self.k = k
         self.xs = xs_by_color  # index 0 unused
-        self.ys = ys_by_color
 
     @classmethod
-    def from_sorted(cls, k, xs_by_color, ys_by_color):
-        return cls(k, [None] + list(xs_by_color), [None] + list(ys_by_color))
+    def from_sorted(cls, k, xs_by_color):
+        return cls(k, [None] + list(xs_by_color))
 
-    def nearest_right_in_band(self, c, x0, y_lo=-INF, y_hi=INF):
-        """Smallest x >= x0 among color-c points with y in [y_lo, y_hi],
-        or None."""
+    def nearest_right_in_band(self, c, x0):
+        """Smallest x >= x0 among color-c points, or None."""
         a = self.xs[c]
         i0 = int(np.searchsorted(a, x0, side="left"))
-        if i0 >= a.size:
-            return None
-        if y_lo == -INF and y_hi == INF:
-            return float(a[i0])
-        t = self.ys[c][i0:]
-        mask = (t >= y_lo) & (t <= y_hi)
-        if not mask.any():
-            return None
-        return float(a[i0 + int(mask.argmax())])
+        return float(a[i0]) if i0 < a.size else None
 
-    def nearest_left_in_band(self, c, x0, y_lo=-INF, y_hi=INF):
-        """Largest x <= x0 among color-c points with y in [y_lo, y_hi]."""
+    def nearest_left_in_band(self, c, x0):
+        """Largest x <= x0 among color-c points, or None."""
         a = self.xs[c]
         i0 = int(np.searchsorted(a, x0, side="right"))
-        if i0 == 0:
-            return None
-        if y_lo == -INF and y_hi == INF:
-            return float(a[i0 - 1])
-        t = self.ys[c][:i0]
-        mask = (t >= y_lo) & (t <= y_hi)
-        if not mask.any():
-            return None
-        return float(a[i0 - 1 - int(mask[::-1].argmax())])
+        return float(a[i0 - 1]) if i0 else None
 
-    def rightmost_in_band(self, c, y_lo=-INF, y_hi=INF):
-        return self.nearest_left_in_band(c, INF, y_lo, y_hi)
-
-    def insert(self, c, x, y):
-        """Add one point; the color's arrays are rebuilt locally."""
+    def rightmost_in_band(self, c):
         a = self.xs[c]
-        p = int(np.searchsorted(a, x, side="right"))
-        self.xs[c] = np.insert(a, p, x)
-        self.ys[c] = np.insert(self.ys[c], p, y)
+        return float(a[-1]) if a.size else None
 
 
 class GapPointTree:
@@ -123,9 +96,6 @@ class GapPointTree:
         self.gx = np.concatenate((np.array([-INF]), xs))
         self.gr = np.concatenate((xs, np.array([INF])))
         self.glen = self.gr - self.gx
-        self._rebuild()
-
-    def _rebuild(self):
         lv = [self.glen]
         cur = self.glen
         while cur.size > 1:
@@ -178,30 +148,15 @@ class GapPointTree:
         """First index after t with length >= min_gap."""
         return self._scan(t + 1, len(self), min_gap)
 
-    def insert(self, x: float):
-        """Add a projected point: the gap holding x splits in two."""
-        t = self.index_of(x)
-        right = float(self.gr[t])
-        self.gx = np.insert(self.gx, t + 1, x)
-        self.gr = np.insert(self.gr, t + 1, right)
-        self.gr[t] = x
-        self.glen = self.gr - self.gx
-        self._rebuild()
-
-
-class SlabTrees(NamedTuple):
-    colors: ColorRangeTrees
-    gaps: GapPointTree
-
 
 # ---------------------------------------------------------------------------
 # internal frame: one orientation of the input, sorted top-down
 
 
 class _Frame:
-    __slots__ = ("n", "k", "X", "Y", "C", "negY", "xorder", "levels",
+    __slots__ = ("n", "k", "X", "Y", "C", "xorder", "levels",
                  "col_ymin", "col_ymax", "Xl", "Yl", "Cl", "negYl",
-                 "xorder_l", "levels_l")
+                 "xorder_l", "levels_l", "xsorted_l")
 
 
 def _make_frame(xs, ys, cs, k: int) -> _Frame:
@@ -215,7 +170,6 @@ def _make_frame(xs, ys, cs, k: int) -> _Frame:
     fr.X = X0[order]
     fr.Y = Y0[order]
     fr.C = C0[order]
-    fr.negY = -fr.Y
     fr.xorder = np.lexsort((np.arange(fr.n), fr.X))
     fr.levels = np.unique(fr.Y)
     ymin = np.full(k + 1, INF)
@@ -230,8 +184,9 @@ def _make_frame(xs, ys, cs, k: int) -> _Frame:
     fr.Xl = fr.X.tolist()
     fr.Yl = fr.Y.tolist()
     fr.Cl = fr.C.tolist()
-    fr.negYl = fr.negY.tolist()
+    fr.negYl = (-fr.Y).tolist()
     fr.xorder_l = fr.xorder.tolist()
+    fr.xsorted_l = fr.X[fr.xorder].tolist()
     fr.levels_l = fr.levels.tolist()
     return fr
 
@@ -244,11 +199,11 @@ def _frame_identity(pointset: PointSet) -> _Frame:
 
 def _first_below(fr: _Frame, v: float) -> int:
     """First index (top-down order) with y strictly below v."""
-    return int(np.searchsorted(fr.negY, -v, side="right"))
+    return bisect.bisect_right(fr.negYl, -v)
 
 
 def _first_at_most(fr: _Frame, v: float) -> int:
-    return int(np.searchsorted(fr.negY, -v, side="left"))
+    return bisect.bisect_left(fr.negYl, -v)
 
 
 def anchor_ordering(pointset: PointSet):
@@ -417,42 +372,13 @@ def _decide_slow(fr: _Frame, x_i, T, B, x_j, w):
 # width-w decision, tree-backed
 
 
-def _band_split_np(bx, bc, m, M, k):
-    lReq = -INF
-    rReq = INF
-    bsat = [False] * (k + 1)
-    if bx.size == 0:
-        return bsat, [(lReq, rReq)]
-    for c in range(1, k + 1):
-        bsat[c] = bool((bc == c).any())
-    if m < M:
-        if bool(((bx > m) & (bx < M)).any()):
-            return None
-        lo = bx[bx <= m]
-        hi = bx[bx >= M]
-        if lo.size:
-            lReq = float(lo.max())
-        if hi.size:
-            rReq = float(hi.min())
-        return bsat, [(lReq, rReq)]
-    lo = bx[bx < m]
-    hi = bx[bx > m]
-    if lo.size:
-        lReq = float(lo.max())
-    if hi.size:
-        rReq = float(hi.min())
-    if bool((bx == m).any()):
-        return bsat, [(m, rReq), (lReq, min(rReq, M))]
-    return bsat, [(lReq, rReq)]
-
-
-def _try_L(ctrees, gtree, y_lo, y_hi, satbase, M, w, L, rReq, k):
+def _try_L(ctrees, gtree, satbase, M, w, L, rReq, k):
     """Evaluate one left-arm position.  Status 0 = witness, 1 = try the next
     gap, 2 = no later gap can work either."""
     IL = L + w
     IRmin = -INF
     for c in range(1, k + 1):
-        v = ctrees.nearest_right_in_band(c, IL, y_lo, y_hi)
+        v = ctrees.nearest_right_in_band(c, IL)
         if v is None:
             return 2, None
         if v > IRmin:
@@ -461,9 +387,9 @@ def _try_L(ctrees, gtree, y_lo, y_hi, satbase, M, w, L, rReq, k):
     for c in range(1, k + 1):
         if satbase[c]:
             continue
-        if ctrees.nearest_left_in_band(c, L, y_lo, y_hi) is not None:
+        if ctrees.nearest_left_in_band(c, L) is not None:
             continue
-        rm = ctrees.rightmost_in_band(c, y_lo, y_hi)
+        rm = ctrees.rightmost_in_band(c)
         if rm is None:
             return 2, None
         if rm < caps:
@@ -494,10 +420,9 @@ def _first_R_tree(gtree, Rlo, Rhi, w):
     return gl2 + w
 
 
-def _scan_arms_tree(ctrees, gtree, y_lo, y_hi, satbase, m, M, w, lReq, rReq, k):
-    """Same gap order and outcome as _scan_arms_list, via the structures."""
-    if lReq > m or rReq < M or rReq - lReq < 2.0 * w:
-        return None
+def _scan_arms_tree(ctrees, gtree, satbase, m, M, w, lReq, rReq, k):
+    """Same gap order and outcome as _scan_arms_list, via the structures, for
+    a branch that passed the span test in _decide_fast_impl."""
     t = gtree.index_of(lReq)
     while t is not None:
         gl, gr = gtree.gap(t)
@@ -508,8 +433,7 @@ def _scan_arms_tree(ctrees, gtree, y_lo, y_hi, satbase, m, M, w, lReq, rReq, k):
         if m < lim:
             lim = m
         if L <= lim:
-            status, got = _try_L(ctrees, gtree, y_lo, y_hi, satbase, M, w, L,
-                                 rReq, k)
+            status, got = _try_L(ctrees, gtree, satbase, M, w, L, rReq, k)
             if status == 0:
                 return got
             if status == 2:
@@ -518,7 +442,34 @@ def _scan_arms_tree(ctrees, gtree, y_lo, y_hi, satbase, m, M, w, lReq, rReq, k):
     return None
 
 
-def _decide_fast_impl(fr: _Frame, x_i, T, B, x_j, w, trees=None):
+def _left_arm_fits(fr: _Frame, iT, iB, lReq, m, w):
+    """Does any gap take a left arm, as _scan_arms_tree tests it before its
+    first _try_L?  Walks the slab points (frame rows iT..iB-1) right of lReq
+    in x order on the frame's lists; when this fails the scan tries nothing
+    and the branch is infeasible."""
+    if lReq == -INF:
+        return True
+    xs, order = fr.xsorted_l, fr.xorder_l
+    L = lReq
+    for q in range(bisect.bisect_right(xs, lReq), len(xs)):
+        if not iT <= order[q] < iB:
+            continue
+        gr = xs[q]
+        lim = gr - w
+        if m < lim:
+            lim = m
+        if L <= lim:
+            return True
+        if gr > m:
+            return False
+        L = gr
+    return True
+
+
+def _decide_fast_impl(fr: _Frame, x_i, T, B, x_j, w):
+    """_decide_slow's verdict and witness.  The band split, the span test
+    and the left-arm test of each branch come first, on the frame's lists;
+    the slab structures are built only when some branch survives them."""
     finite = x_j is not None
     if finite and T - B < 2.0 * w:
         return None
@@ -535,41 +486,31 @@ def _decide_fast_impl(fr: _Frame, x_i, T, B, x_j, w, trees=None):
     jBw = _first_below(fr, Bw) if finite else iB
     if iTw >= jBw:
         return None
-    if finite:
-        bx = np.concatenate((fr.X[iT:iTw], fr.X[jBw:iB]))
-        bc = np.concatenate((fr.C[iT:iTw], fr.C[jBw:iB]))
-    else:
-        bx = fr.X[iT:iTw]
-        bc = fr.C[iT:iTw]
-    bands = _band_split_np(bx, bc, m, M, k)
+    Xl, Cl = fr.Xl, fr.Cl
+    bands = _band_split(Xl[iT:iTw] + Xl[jBw:iB], Cl[iT:iTw] + Cl[jBw:iB],
+                        m, M, k)
     if bands is None:
         return None
     bsat, branches = bands
+    branches = [(lReq, rReq) for lReq, rReq in branches
+                if not (lReq > m or rReq < M or rReq - lReq < 2.0 * w)
+                and _left_arm_fits(fr, iT, iB, lReq, m, w)]
+    if not branches:
+        return None
     satbase = [False] * (k + 1)
     for c in range(1, k + 1):
         satbase[c] = bool(bsat[c] or fr.col_ymax[c] >= T or fr.col_ymin[c] <= B)
-    if trees is None:
-        xo = fr.xorder
-        sel = xo[(xo >= iT) & (xo < iB)]
-        sxs = fr.X[sel]
-        sys_ = fr.Y[sel]
-        scs = fr.C[sel]
-        mm = (sys_ >= Bw) & (sys_ <= Tw)
-        mx = sxs[mm]
-        my = sys_[mm]
-        mc = scs[mm]
-        ctrees = ColorRangeTrees.from_sorted(
-            k, [mx[mc == c] for c in range(1, k + 1)],
-            [my[mc == c] for c in range(1, k + 1)])
-        gtree = GapPointTree(sxs)
-        y_lo, y_hi = -INF, INF
-    else:
-        ctrees, gtree = trees.colors, trees.gaps
-        y_lo, y_hi = Bw, Tw
+    xo = fr.xorder
+    sel = xo[(xo >= iT) & (xo < iB)]
+    mid = sel[(sel >= iTw) & (sel < jBw)]
+    mx = fr.X[mid]
+    mc = fr.C[mid]
+    ctrees = ColorRangeTrees.from_sorted(
+        k, [mx[mc == c] for c in range(1, k + 1)])
+    gtree = GapPointTree(fr.X[sel])
     best = None
     for lReq, rReq in branches:
-        got = _scan_arms_tree(ctrees, gtree, y_lo, y_hi, satbase, m, M, w,
-                              lReq, rReq, k)
+        got = _scan_arms_tree(ctrees, gtree, satbase, m, M, w, lReq, rReq, k)
         if got is not None and (best is None or got < best):
             best = got
     return best
@@ -628,29 +569,9 @@ def dp_decision(pointset: PointSet, i, j, w) -> DecisionOutcome:
     return DecisionOutcome(True, _witness_annulus(got[0], got[1], B, T, w))
 
 
-def build_slab_trees(pointset: PointSet, i, j) -> SlabTrees:
-    """Query structures over the open slab between anchors i and j, reusable
-    across widths in dp_decision_fast."""
-    fr = _frame_identity(pointset)
-    i, j = _validate_anchors(fr.n, i, j)
-    T = fr.Yl[i]
-    iT = _first_below(fr, T)
-    iB = fr.n if j is None else _first_at_most(fr, fr.Yl[j])
-    xo = fr.xorder
-    sel = xo[(xo >= iT) & (xo < iB)]
-    sxs = fr.X[sel]
-    sys_ = fr.Y[sel]
-    scs = fr.C[sel]
-    ctrees = ColorRangeTrees.from_sorted(
-        pointset.k, [sxs[scs == c] for c in range(1, pointset.k + 1)],
-        [sys_[scs == c] for c in range(1, pointset.k + 1)])
-    return SlabTrees(ctrees, GapPointTree(sxs))
-
-
-def dp_decision_fast(pointset: PointSet, i, j, w, trees=None) -> DecisionOutcome:
+def dp_decision_fast(pointset: PointSet, i, j, w) -> DecisionOutcome:
     """dp_decision through the slab query structures; same verdict and same
-    witness.  Pass trees=build_slab_trees(pointset, i, j) to amortize the
-    build across many widths for one anchor pair."""
+    witness."""
     w = _check_width(w)
     fr = _frame_identity(pointset)
     i, j = _validate_anchors(fr.n, i, j)
@@ -660,7 +581,7 @@ def dp_decision_fast(pointset: PointSet, i, j, w, trees=None) -> DecisionOutcome
         B, x_j = -INF, None
     else:
         B, x_j = fr.Yl[j], fr.Xl[j]
-    got = _decide_fast_impl(fr, x_i, T, B, x_j, w, trees=trees)
+    got = _decide_fast_impl(fr, x_i, T, B, x_j, w)
     if got is None:
         return DecisionOutcome(False, None)
     return DecisionOutcome(True, _witness_annulus(got[0], got[1], B, T, w))
@@ -957,14 +878,14 @@ def _orient_inverse(which, L, R, B, T):
     return (B, T, -R, -L)
 
 
-def max_rbra(pointset: PointSet, fast: bool = False,
+def max_rbra(pointset: PointSet, fast: bool = True,
              eps: float = DEFAULT_EPS):
     """Maximum-width empty rectangular annulus splitting the colors into two
     rainbow groups, or None when no ring wider than eps exists.
 
-    fast=True runs the same staircase through the query structures with
-    vectorized pruning of bottom anchors; verdict and width agree with the
-    plain walk, and ties resolve to the same outer rectangle.
+    The staircase runs through the slab query structures, with vectorized
+    pruning of bottom anchors.  fast=False runs the plain walk instead; it is
+    the reference the tests compare against and returns the same annulus.
     """
     pts = pointset.points
     n = len(pts)

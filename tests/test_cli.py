@@ -6,16 +6,19 @@ import sys
 import pytest
 
 from rbannulus import (
+    DEFAULT_EPS,
     InstanceError,
     PointSet,
     SolutionReport,
     format_instance,
     generate_instance,
     max_rbca,
+    max_rbra,
     parse_instance,
     render_svg,
 )
-from rbannulus.cli import main, parse_line_spec
+from rbannulus import rect
+from rbannulus.cli import main, parse_line_spec, solve_instance
 
 STRIP4 = "x,y,color\n0,0,1\n1,0,2\n5,0,1\n6,0,2\n"
 
@@ -135,16 +138,30 @@ def test_solve_parse_error_exit_1(tmp_path, capsys):
 
 
 def test_solve_rect_fast_matches_slow(tmp_path, capsys):
+    ps = generate_instance(16, 3, "clusters", seed=4)
     f = tmp_path / "inst.csv"
-    f.write_text(format_instance(generate_instance(16, 3, "clusters", seed=4)))
-    code1, out1, _ = run(capsys, ["solve", "--shape", "rect",
-                                  "--input", str(f), "--json"])
-    code2, out2, _ = run(capsys, ["solve", "--shape", "rect",
-                                  "--input", str(f), "--json", "--fast"])
-    assert code1 == code2 == 0
-    a, b = json.loads(out1), json.loads(out2)
-    assert a["width"] == b["width"]
-    assert a["geometry"] == b["geometry"]
+    f.write_text(format_instance(ps))
+    code, out, _ = run(capsys, ["solve", "--shape", "rect",
+                                "--input", str(f), "--json"])
+    assert code == 0
+    # the CLI runs the gap-jumping walk; the plain walk is the reference
+    ref = SolutionReport.for_annulus("rect", max_rbra(ps, fast=False), "", 0.0)
+    got = SolutionReport.from_json(out)
+    assert got.width == ref.width
+    assert got.geometry == ref.geometry
+
+
+def test_solve_instance_rect_runs_gap_walk(monkeypatch):
+    ps = generate_instance(16, 3, "uniform", seed=7)
+    ref = max_rbra(ps, fast=False)
+
+    def plain_walk(*args):
+        raise AssertionError("solve_instance ran the plain walk")
+
+    monkeypatch.setattr(rect, "_walk_slow", plain_walk)
+    got, _ = solve_instance("rect", ps, DEFAULT_EPS)
+    assert got is not None
+    assert got == ref
 
 
 def test_solve_circle_inactive_line_constraint(tmp_path, capsys):

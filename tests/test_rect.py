@@ -20,7 +20,6 @@ from rbannulus.rect import (
     MinimalRainbowInterval,
     WGap,
     anchor_ordering,
-    build_slab_trees,
     dp_decision,
     dp_decision_fast,
     max_anchored_rbra_for_top_point,
@@ -216,13 +215,10 @@ def test_dp_fast_equals_dp_random():
         k = rng.randint(1, min(3, n // 2))
         ps = random_instance(rng, n, k, lo=0, hi=10)  # many ties
         for i, j in anchor_pairs(ps, rng, 2):
-            trees = build_slab_trees(ps, i, j)
             for w in sample_widths(ps, i, j, rng):
                 ref = dp_decision(ps, i, j, w)
                 fast = dp_decision_fast(ps, i, j, w)
                 assert ref == fast, (ps.points, i, j, w)
-                reused = dp_decision_fast(ps, i, j, w, trees=trees)
-                assert reused == ref
 
 
 def test_dp_monotone_in_width():
@@ -277,21 +273,6 @@ def test_gap_point_tree_vs_naive():
                 assert gr - gl >= 2.0
 
 
-def test_gap_point_tree_insert_matches_rebuild():
-    rng = random.Random(405)
-    for _ in range(40):
-        xs = sorted(rng.randint(0, 40) for _ in range(6))
-        extra = [rng.randint(0, 40) for _ in range(5)]
-        tree = GapPointTree(xs)
-        acc = list(xs)
-        for x in extra:
-            tree.insert(float(x))
-            acc.append(x)
-            fresh = GapPointTree(sorted(acc))
-            assert [tree.gap(t) for t in range(len(tree))] == \
-                [fresh.gap(t) for t in range(len(fresh))]
-
-
 def test_color_range_trees_vs_naive():
     rng = random.Random(406)
     for _ in range(80):
@@ -299,29 +280,21 @@ def test_color_range_trees_vs_naive():
         pts = [(rng.randint(0, 20), rng.randint(0, 20), rng.randint(1, k))
                for _ in range(rng.randint(0, 14))]
         # per-color arrays sorted by x, as the solver slices them
-        rows = [sorted((x, y) for x, y, cc in pts if cc == c)
+        rows = [sorted(x for x, _, cc in pts if cc == c)
                 for c in range(1, k + 1)]
         trees = ColorRangeTrees.from_sorted(
-            k, [np.array([x for x, _ in r], dtype=float) for r in rows],
-            [np.array([y for _, y in r], dtype=float) for r in rows])
+            k, [np.array(r, dtype=float) for r in rows])
         for _ in range(8):
             c = rng.randint(1, k)
             x0 = rng.uniform(-2, 22)
-            y_lo = rng.uniform(-2, 12)
-            y_hi = y_lo + rng.uniform(0, 12)
-            band = [(x, y) for x, y, cc in pts
-                    if cc == c and y_lo <= y <= y_hi]
-            right = sorted(x for x, y in band if x >= x0)
-            left = sorted(x for x, y in band if x <= x0)
-            assert trees.nearest_right_in_band(c, x0, y_lo, y_hi) == \
+            xs = rows[c - 1]
+            right = [x for x in xs if x >= x0]
+            left = [x for x in xs if x <= x0]
+            assert trees.nearest_right_in_band(c, x0) == \
                 (right[0] if right else None)
-            assert trees.nearest_left_in_band(c, x0, y_lo, y_hi) == \
+            assert trees.nearest_left_in_band(c, x0) == \
                 (left[-1] if left else None)
-            assert trees.rightmost_in_band(c, y_lo, y_hi) == \
-                (max(x for x, _ in band) if band else None)
-        c = rng.randint(1, k)
-        trees.insert(c, 7.5, 3.0)
-        assert trees.nearest_right_in_band(c, 7.5, 3.0, 3.0) == 7.5
+            assert trees.rightmost_in_band(c) == (xs[-1] if xs else None)
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +526,7 @@ def test_max_rbra_fast_equals_slow():
             colors += [rng.randint(1, k) for _ in range(n - len(colors))]
             pts = [(rng.uniform(0, 50), rng.uniform(0, 50), c) for c in colors]
             ps = PointSet.build(pts, k)
-        slow = max_rbra(ps)
+        slow = max_rbra(ps, fast=False)
         fast = max_rbra(ps, fast=True)
         if slow is None:
             assert fast is None, ps.points

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import random_instance, rotate90
 
-from rbannulus import INF, PointSet, validate_solution
+from rbannulus import PointSet, validate_solution
 from rbannulus.oracle import oracle_rbsa
 from rbannulus.squares import (
     best_annulus_on_segment,
