@@ -6,16 +6,16 @@ center moves, that width is piecewise smooth; its attained maxima pin
 the center to an intersection of two perpendicular bisectors, to a line
 through two input points, or to an input point itself (inner radius
 zero), while unattained suprema run off toward infinity where ring
-widths approach empty-strip widths.  The solver therefore evaluates a
-finite stream of such centers, including far sentinels that dominate
-any bounded sampling of the plane, and keeps the best valid ring.
+widths approach empty-strip widths.  The solver therefore generates
+every such center as numpy arrays, from one line-crossing kernel, adds far
+sentinels that dominate any bounded sampling of the plane, scores them in
+batches and keeps the best valid ring.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from typing import Iterator, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -37,14 +37,6 @@ class LiftedPoint(NamedTuple):
     x: float
     y: float
     z: float
-
-
-class CenterCandidate(NamedTuple):
-    """A center worth evaluating, tagged with how it was produced."""
-
-    x: float
-    y: float
-    provenance: tuple
 
 
 def lift(point) -> LiftedPoint:
@@ -70,120 +62,105 @@ def circle_plane(center, radius: float) -> tuple[float, float, float]:
 
 # ---------------------------------------------------------------------------
 # candidate centers
+#
+# Each family returns its centers as two float64 arrays (xs, ys).  Lines are
+# coefficient arrays (a, b, c) of a*x + b*y = c, and every expression below
+# keeps the operand order of the scalar formula it implements, so centers
+# are bit-for-bit the values a per-candidate loop would compute
+# (tests/test_circles.py keeps that loop as the reference).
 
 
-def _bisector(p, q):
-    # locus of centers equidistant from p and q; None for coincident points
-    a = 2.0 * (q.x - p.x)
-    b = 2.0 * (q.y - p.y)
-    if a == 0.0 and b == 0.0:
-        return None
-    c = (q.x * q.x + q.y * q.y) - (p.x * p.x + p.y * p.y)
-    return (a, b, c)
+def _cross(a1, b1, c1, a2, b2, c2):
+    """Crossings of the lines a1*x + b1*y = c1 and a2*x + b2*y = c2, taken
+    elementwise with broadcasting.  Parallel lines (det == 0), which include
+    every degenerate line 0x + 0y = c, and non-finite crossings are dropped."""
+    with np.errstate(all="ignore"):
+        det = a1 * b2 - a2 * b1
+        x = (c1 * b2 - c2 * b1) / det
+        y = (a1 * c2 - a2 * c1) / det
+    keep = (det != 0.0) & np.isfinite(x) & np.isfinite(y)
+    return x[keep], y[keep]
 
 
-def _through(p, q):
-    # line through two points as (a, b, c) with a*x + b*y = c
-    a = q.y - p.y
-    b = p.x - q.x
-    if a == 0.0 and b == 0.0:
-        return None
-    return (a, b, a * p.x + b * p.y)
-
-
-def _cross(l1, l2):
-    a1, b1, c1 = l1
-    a2, b2, c2 = l2
-    det = a1 * b2 - a2 * b1
-    if det == 0.0:
-        return None
-    x = (c1 * b2 - c2 * b1) / det
-    y = (a1 * c2 - a2 * c1) / det
-    if not (math.isfinite(x) and math.isfinite(y)):
-        return None
-    return (x, y)
-
-
-def cir22_candidates(pointset: PointSet) -> Iterator[CenterCandidate]:
-    """Centers equidistant from one point pair and from another: the
-    intersection of the two perpendicular bisectors.  Pairs may share a
-    point (three points on one boundary circle land here).  Parallel
-    bisectors yield no candidate."""
+def _coords(pointset: PointSet):
     pts = pointset.points
-    pairs = list(itertools.combinations(range(len(pts)), 2))
-    bis = [_bisector(pts[i], pts[j]) for i, j in pairs]
-    for u, v in itertools.combinations(range(len(pairs)), 2):
-        if bis[u] is None or bis[v] is None:
-            continue
-        got = _cross(bis[u], bis[v])
-        if got is not None:
-            yield CenterCandidate(got[0], got[1],
-                                  ("two_pairs", pairs[u], pairs[v]))
+    return (np.array([p.x for p in pts], dtype=float),
+            np.array([p.y for p in pts], dtype=float))
 
 
-def cir21_candidates(pointset: PointSet) -> Iterator[CenterCandidate]:
+def _bisectors(X, Y):
+    """Perpendicular bisectors of every pair i < j, in np.triu_indices order:
+    the centers equidistant from points i and j."""
+    i, j = np.triu_indices(X.size, 1)
+    a = 2.0 * (X[j] - X[i])
+    b = 2.0 * (Y[j] - Y[i])
+    c = (X[j] * X[j] + Y[j] * Y[j]) - (X[i] * X[i] + Y[i] * Y[i])
+    return i, j, a, b, c
+
+
+def _concat(parts):
+    xs = [x for x, _ in parts]
+    ys = [y for _, y in parts]
+    return (np.concatenate(xs) if xs else np.empty(0),
+            np.concatenate(ys) if ys else np.empty(0))
+
+
+def cir22_candidates(pointset: PointSet):
+    """Centers equidistant from one point pair and from another: the
+    intersection of the two perpendicular bisectors, for every two pairs.
+    Pairs may share a point (three points on one boundary circle land
+    here).  Parallel bisectors yield no center.  Each bisector is crossed
+    with all later ones at a time, so a step holds O(n^2) values."""
+    _, _, a, b, c = _bisectors(*_coords(pointset))
+    return _concat([_cross(a[u], b[u], c[u], a[u + 1:], b[u + 1:], c[u + 1:])
+                    for u in range(a.size - 1)])
+
+
+def cir21_candidates(pointset: PointSet):
     """Centers equidistant from a pair with a third point collinear with
     the center and one pair member: bisector(p, q) crossed with the line
-    through p (or q) and the third point."""
-    pts = pointset.points
-    n = len(pts)
-    for i, j in itertools.combinations(range(n), 2):
-        bis = _bisector(pts[i], pts[j])
-        if bis is None:
-            continue
-        for r in range(n):
-            if r == i or r == j:
-                continue
-            for a in (i, j):
-                ray = _through(pts[a], pts[r])
-                if ray is None:
-                    continue
-                got = _cross(bis, ray)
-                if got is not None:
-                    yield CenterCandidate(got[0], got[1],
-                                          ("pair_and_ray", (i, j), (a, r)))
+    through p (or q) and every third point."""
+    X, Y = _coords(pointset)
+    i, j, a, b, c = _bisectors(X, Y)
+    # line through point s and point r: ta[s, r]*x + tb[s, r]*y = tc[s, r]
+    ta = Y[None, :] - Y[:, None]
+    tb = X[:, None] - X[None, :]
+    tc = ta * X[:, None] + tb * Y[:, None]
+    pair, third = np.nonzero((np.arange(X.size) != i[:, None])
+                             & (np.arange(X.size) != j[:, None]))
+    return _concat([_cross(a[pair], b[pair], c[pair],
+                           ta[end, third], tb[end, third], tc[end, third])
+                    for end in (i[pair], j[pair])])
 
 
-def point_center_candidates(pointset: PointSet) -> Iterator[CenterCandidate]:
+def point_center_candidates(pointset: PointSet):
     """The input points themselves.  A ring whose inner radius degenerates
     to zero has its center on a point, and small instances have no other
     pinned centers at all."""
-    for i, p in enumerate(pointset.points):
-        yield CenterCandidate(p.x, p.y, ("input_point", i))
+    return _coords(pointset)
 
 
-def _cloud_span(pts) -> float:
-    xs = [p.x for p in pts]
-    ys = [p.y for p in pts]
-    return max(max(xs) - min(xs), max(ys) - min(ys), 1.0)
-
-
-def far_field_candidates(pointset: PointSet) -> Iterator[CenterCandidate]:
+def far_field_candidates(pointset: PointSet):
     """Sentinel centers far outside the cloud.  Ring widths grow toward
     empty-strip widths as the center recedes, so any bounded sampling of
     the plane is dominated by centers far along the candidate strip
-    normals: the direction of a point pair and its perpendicular."""
-    pts = pointset.points
-    n = len(pts)
-    span = _cloud_span(pts)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            dx = pts[j].x - pts[i].x
-            dy = pts[j].y - pts[i].y
-            d = math.hypot(dx, dy)
-            if d == 0.0:
-                continue
-            ux, uy = dx / d, dy / d
-            for s in FAR_FIELD_SCALES:
-                back = s * span
-                yield CenterCandidate(pts[i].x - back * ux,
-                                      pts[i].y - back * uy,
-                                      ("far_along", i, j, s))
-                yield CenterCandidate(pts[i].x + back * uy,
-                                      pts[i].y - back * ux,
-                                      ("far_perp", i, j, s))
+    normals: the direction of a point pair and its perpendicular, at each
+    of FAR_FIELD_SCALES times the cloud span from the pair's first point."""
+    X, Y = _coords(pointset)
+    span = max(float(X.max() - X.min()), float(Y.max() - Y.min()), 1.0)
+    i, j = np.nonzero(~np.eye(X.size, dtype=bool))
+    dx = X[j] - X[i]
+    dy = Y[j] - Y[i]
+    # math.hypot, not np.hypot: the two differ in the last bit
+    d = np.array([math.hypot(u, v) for u, v in zip(dx.tolist(), dy.tolist())])
+    keep = d != 0.0
+    i, ux, uy = i[keep], dx[keep] / d[keep], dy[keep] / d[keep]
+    parts = []
+    for s in FAR_FIELD_SCALES:
+        back = s * span
+        parts.append((X[i] - back * ux, Y[i] - back * uy))
+        parts.append((X[i] + back * uy, Y[i] - back * ux))
+    return _concat(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +192,7 @@ def _batch_widths(pointset: PointSet, cxs, cys, eps: float):
     """Best ring width at each center, -inf where none: the rainbow-gap
     scan over each center's sorted distance row, in chunks of rows.  Used
     to shortlist candidates; finalists are re-scored exactly."""
-    X = np.array([p.x for p in pointset.points])
-    Y = np.array([p.y for p in pointset.points])
+    X, Y = _coords(pointset)
     C = np.array([p.color for p in pointset.points])
     k = pointset.k
     n = X.size
@@ -234,37 +210,15 @@ def _batch_widths(pointset: PointSet, cxs, cys, eps: float):
     return out
 
 
-def _widths_chunk(args):
-    ps, cxs, cys, eps = args
-    return _batch_widths(ps, cxs, cys, eps)
-
-
-def _pick_best(pointset: PointSet, centers, eps: float, workers: int = 1):
-    if not centers:
-        return None
-    cxs = [c[0] for c in centers]
-    cys = [c[1] for c in centers]
-    # below ~20k centers the pool spawn costs more than the evaluation
-    nw = min(int(workers), len(centers) // 20_000)
-    if nw > 1:
-        # chunk boundaries cannot change the result: widths are computed
-        # identically and the reduction below is global
-        import concurrent.futures
-
-        bounds = [len(centers) * t // nw for t in range(nw + 1)]
-        jobs = [(pointset, cxs[a:b], cys[a:b], eps)
-                for a, b in zip(bounds, bounds[1:]) if b > a]
-        with concurrent.futures.ProcessPoolExecutor(max_workers=nw) as pool:
-            w = np.concatenate(list(pool.map(_widths_chunk, jobs)))
-    else:
-        w = _batch_widths(pointset, cxs, cys, eps)
+def _pick_best(pointset: PointSet, cxs, cys, eps: float):
+    w = _batch_widths(pointset, cxs, cys, eps)
     top = w.max()
     if not np.isfinite(top):
         return None
     best = None
     key = None
     for idx in np.flatnonzero(w >= top - _FINALIST_SLACK):
-        ann = best_annulus_at_center(pointset, centers[idx], eps)
+        ann = best_annulus_at_center(pointset, (cxs[idx], cys[idx]), eps)
         if ann is None:
             continue
         cand = (-ann.width, ann.center_x, ann.center_y)
@@ -274,33 +228,23 @@ def _pick_best(pointset: PointSet, centers, eps: float, workers: int = 1):
     return best
 
 
-def max_rbca(pointset: PointSet, eps: float = DEFAULT_EPS,
-             workers: int = 1) -> Optional[CircularAnnulus]:
+def max_rbca(pointset: PointSet,
+             eps: float = DEFAULT_EPS) -> Optional[CircularAnnulus]:
     """Widest valid ring over every candidate center, or None.  Ties prefer
-    the lexicographically smaller center.  workers caps parallel candidate
-    scoring; the result is identical at any setting."""
-    centers = [(c.x, c.y) for c in itertools.chain(
-        point_center_candidates(pointset),
-        cir22_candidates(pointset),
-        cir21_candidates(pointset),
-        far_field_candidates(pointset),
-    )]
-    return _pick_best(pointset, centers, eps, workers)
+    the lexicographically smaller center."""
+    xs, ys = _concat([point_center_candidates(pointset),
+                      cir22_candidates(pointset),
+                      cir21_candidates(pointset),
+                      far_field_candidates(pointset)])
+    return _pick_best(pointset, xs, ys, eps)
 
 
 # ---------------------------------------------------------------------------
 # centers constrained to a line
 
 
-def _reflect(p, line: Line):
-    a, b, c = line.a, line.b, line.c
-    n2 = a * a + b * b
-    d = (a * p.x + b * p.y - c) / n2
-    return (p.x - 2.0 * d * a, p.y - 2.0 * d * b)
-
-
-def max_rbca_on_line(pointset: PointSet, line: Line, eps: float = DEFAULT_EPS,
-                     workers: int = 1) -> Optional[CircularAnnulus]:
+def max_rbca_on_line(pointset: PointSet, line: Line,
+                     eps: float = DEFAULT_EPS) -> Optional[CircularAnnulus]:
     """Widest valid ring whose center lies on the given line, or None.
 
     Candidate centers on the line: crossings with every perpendicular
@@ -310,38 +254,30 @@ def max_rbca_on_line(pointset: PointSet, line: Line, eps: float = DEFAULT_EPS,
     line), and far sentinels along the line for optima approached at
     infinity.
     """
-    pts = pointset.points
-    n = len(pts)
-    lref = (line.a, line.b, line.c)
-    centers = []
-    for i, j in itertools.combinations(range(n), 2):
-        bis = _bisector(pts[i], pts[j])
-        if bis is not None:
-            got = _cross(lref, bis)
-            if got is not None:
-                centers.append(got)
-        ray = _through(pts[i], pts[j])
-        if ray is not None:
-            got = _cross(lref, ray)
-            if got is not None:
-                centers.append(got)
-    for i in range(n):
-        mx, my = _reflect(pts[i], line)
-        for j in range(n):
-            if j == i:
-                continue
-            a = pts[j].y - my
-            b = mx - pts[j].x
-            if a == 0.0 and b == 0.0:
-                continue
-            got = _cross(lref, (a, b, a * mx + b * my))
-            if got is not None:
-                centers.append(got)
+    X, Y = _coords(pointset)
+    la, lb, lc = line.a, line.b, line.c
+    i, j, a, b, c = _bisectors(X, Y)
+    parts = [_cross(la, lb, lc, a, b, c)]
+    # line through points i and j
+    a = Y[j] - Y[i]
+    b = X[i] - X[j]
+    parts.append(_cross(la, lb, lc, a, b, a * X[i] + b * Y[i]))
+    # line through the mirror image (mx, my) of point i and point j != i
+    n2 = la * la + lb * lb
+    d = (la * X + lb * Y - lc) / n2
+    mx = X - 2.0 * d * la
+    my = Y - 2.0 * d * lb
+    i, j = np.nonzero(~np.eye(X.size, dtype=bool))
+    a = Y[j] - my[i]
+    b = mx[i] - X[j]
+    parts.append(_cross(la, lb, lc, a, b, a * mx[i] + b * my[i]))
     ox, oy = line.origin
     dx, dy = line.direction
-    ts = [(p.x - ox) * dx + (p.y - oy) * dy for p in pts]
-    span = max(max(ts) - min(ts), 1.0)
-    for s in FAR_FIELD_SCALES:
-        for t in (min(ts) - s * span, max(ts) + s * span):
-            centers.append((ox + t * dx, oy + t * dy))
-    return _pick_best(pointset, centers, eps, workers)
+    ts = (X - ox) * dx + (Y - oy) * dy
+    lo, hi = float(ts.min()), float(ts.max())
+    span = max(hi - lo, 1.0)
+    t = np.array([v for s in FAR_FIELD_SCALES
+                  for v in (lo - s * span, hi + s * span)])
+    parts.append((ox + t * dx, oy + t * dy))
+    xs, ys = _concat(parts)
+    return _pick_best(pointset, xs, ys, eps)

@@ -84,7 +84,7 @@ def _epsilon() -> float:
 
 
 def solve_instance(shape: str, pointset: PointSet, eps: float,
-                   line: Line = None, workers: int = 1):
+                   line: Line = None):
     """(annulus_or_none, provenance) for one shape on one instance."""
     if shape == "strip":
         best = None
@@ -106,9 +106,9 @@ def solve_instance(shape: str, pointset: PointSet, eps: float,
         return max_rbra(pointset, eps=eps), "anchored walk (gap jumps)"
     if shape == "circle":
         if line is not None:
-            got = max_rbca_on_line(pointset, line, eps, workers=workers)
+            got = max_rbca_on_line(pointset, line, eps)
             return got, "center search on %gx+%gy=%g" % (line.a, line.b, line.c)
-        return max_rbca(pointset, eps, workers=workers), "center search"
+        return max_rbca(pointset, eps), "center search"
     raise ValueError("unknown shape %r" % shape)
 
 
@@ -135,8 +135,7 @@ def _cmd_solve(args) -> int:
         print("solve: %s: %s" % (args.input, exc), file=sys.stderr)
         return 1
     t0 = time.perf_counter()
-    annulus, provenance = solve_instance(
-        args.shape, ps, eps, line=line, workers=args.workers)
+    annulus, provenance = solve_instance(args.shape, ps, eps, line=line)
     wall_ms = (time.perf_counter() - t0) * 1000.0
     if args.svg:
         with open(args.svg, "w", encoding="utf-8") as fh:
@@ -193,8 +192,7 @@ def _cmd_bench(args) -> int:
             ps = generate_instance(n, args.k, args.dist,
                                    args.seed + 97 * n + trial)
             t0 = time.perf_counter()
-            annulus, _ = solve_instance(args.shape, ps, eps,
-                                        workers=args.workers)
+            annulus, _ = solve_instance(args.shape, ps, eps)
             times.append((time.perf_counter() - t0) * 1000.0)
             if trial == 0:
                 width0 = 0.0 if annulus is None else annulus.width
@@ -231,8 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--svg", help="also render the result to this file")
     s.add_argument("--json", action="store_true",
                    help="emit the report as JSON")
-    s.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                   help="parallel candidate scoring where supported")
     s.set_defaults(func=_cmd_solve)
 
     c = sub.add_parser("check", help="re-validate a solution report")
@@ -248,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--k", type=int, default=3)
     b.add_argument("--dist", choices=GENERATOR_KINDS, default="uniform")
-    b.add_argument("--workers", type=int, default=1)
     b.set_defaults(func=_cmd_bench)
     return ap
 

@@ -313,13 +313,16 @@ class CircularAnnulus:
 
 @dataclass(frozen=True)
 class Line:
-    """Line a*x + b*y = c (not both coefficients zero)."""
+    """Line a*x + b*y = c (finite coefficients, not both a and b zero)."""
 
     a: float
     b: float
     c: float
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.a, self.b, self.c)):
+            raise ValueError("non-finite line %rx+%ry=%r"
+                             % (self.a, self.b, self.c))
         if self.a == 0 and self.b == 0:
             raise ValueError("degenerate line 0x+0y=c")
 

@@ -134,13 +134,13 @@ def test_criterion_04_rect_oracle_and_fast_slow():
 
 def _exhaustive_circle(ps, eps=1e-9):
     # scalar sweep of the full candidate families, no batch shortlist
-    centers = itertools.chain(
+    centers = itertools.chain.from_iterable(zip(xs, ys) for xs, ys in (
         point_center_candidates(ps), cir22_candidates(ps),
-        cir21_candidates(ps), far_field_candidates(ps))
+        cir21_candidates(ps), far_field_candidates(ps)))
     best = None
     key = None
     for c in centers:
-        ann = best_annulus_at_center(ps, (c.x, c.y), eps)
+        ann = best_annulus_at_center(ps, c, eps)
         if ann is None:
             continue
         kk = (-ann.width, ann.center_x, ann.center_y)

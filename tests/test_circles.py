@@ -1,6 +1,8 @@
+import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from conftest import random_instance, rotate90
@@ -14,7 +16,9 @@ from rbannulus import (
     max_rbca_on_line,
     validate_solution,
 )
+from rbannulus import circles
 from rbannulus.circles import (
+    FAR_FIELD_SCALES,
     _batch_widths,
     best_annulus_at_center,
     cir21_candidates,
@@ -72,71 +76,277 @@ def test_concentric_circles_parallel_planes():
 # candidate streams
 
 
+def _centres(got):
+    xs, ys = got
+    assert xs.dtype == ys.dtype == np.float64 and xs.shape == ys.shape
+    return list(zip(xs.tolist(), ys.tolist()))
+
+
+def _one_to_one(centres, expected, fits):
+    # every centre fits a distinct expected item, and no item is left over
+    left = list(expected)
+    for c in centres:
+        hit = next((t for t, e in enumerate(left) if fits(c, e)), None)
+        assert hit is not None, c
+        del left[hit]
+    assert left == [], left
+
+
+def _near(c, e, tol=1e-8):
+    return abs(c[0] - e[0]) <= tol and abs(c[1] - e[1]) <= tol
+
+
+def _bisector_pairs(ps):
+    # pairs of point pairs whose perpendicular bisectors are not parallel
+    pts = ps.points
+    pairs = itertools.combinations(range(len(pts)), 2)
+    return [((i, j), (s, t))
+            for (i, j), (s, t) in itertools.combinations(pairs, 2)
+            if (pts[j].x - pts[i].x) * (pts[t].y - pts[s].y)
+            != (pts[j].y - pts[i].y) * (pts[t].x - pts[s].x)]
+
+
+def _equidistant(ps):
+    xy = [(p.x, p.y) for p in ps.points]
+
+    def fits(c, pair_of_pairs):
+        (i, j), (s, t) = pair_of_pairs
+        return (abs(dist(c, xy[i]) - dist(c, xy[j])) <= 1e-6
+                and abs(dist(c, xy[s]) - dist(c, xy[t])) <= 1e-6)
+    return fits
+
+
+def _expected_cir21(ps):
+    # ((i, j), (a, r), centre) for every bisector(i, j) crossing the line
+    # through pair member a and third point r, by a 2x2 linear solve
+    pts = ps.points
+    out = []
+    for i, j in itertools.combinations(range(len(pts)), 2):
+        p, q = pts[i], pts[j]
+        for r in range(len(pts)):
+            if r in (i, j):
+                continue
+            for a in (i, j):
+                u, v = pts[a], pts[r]
+                # the ray is parallel to the bisector iff it is normal to pq
+                if (q.x - p.x) * (v.x - u.x) + (q.y - p.y) * (v.y - u.y) == 0:
+                    continue
+                A = np.array([[2 * (q.x - p.x), 2 * (q.y - p.y)],
+                              [v.y - u.y, u.x - v.x]])
+                rhs = np.array([q.x ** 2 + q.y ** 2 - p.x ** 2 - p.y ** 2,
+                                (v.y - u.y) * u.x + (u.x - v.x) * u.y])
+                out.append(((i, j), (a, r), tuple(np.linalg.solve(A, rhs))))
+    return out
+
+
 def test_cir22_symmetric_center():
     ps = PointSet.build([(-1, 0, 1), (1, 0, 1), (0, 3, 2), (0, -3, 2)], 2)
-    cands = list(cir22_candidates(ps))
-    assert any(abs(c.x) < 1e-12 and abs(c.y) < 1e-12 for c in cands)
-    for c in cands:
-        (i, j), (s, t) = c.provenance[1], c.provenance[2]
-        pts = ps.points
-        assert dist((c.x, c.y), (pts[i].x, pts[i].y)) == pytest.approx(
-            dist((c.x, c.y), (pts[j].x, pts[j].y)), abs=1e-6)
-        assert dist((c.x, c.y), (pts[s].x, pts[s].y)) == pytest.approx(
-            dist((c.x, c.y), (pts[t].x, pts[t].y)), abs=1e-6)
+    cands = _centres(cir22_candidates(ps))
+    assert any(abs(x) < 1e-12 and abs(y) < 1e-12 for x, y in cands)
+    # each centre lies on the bisectors of its own two pairs
+    _one_to_one(cands, _bisector_pairs(ps), _equidistant(ps))
 
 
 def test_cir22_parallel_bisectors_skipped():
     # both pairs are vertical with the same midline height
     ps = PointSet.build([(0, 0, 1), (0, 2, 1), (5, 0, 2), (5, 2, 2)], 2)
-    pairs = {(c.provenance[1], c.provenance[2]) for c in cir22_candidates(ps)}
-    assert ((0, 1), (2, 3)) not in pairs
+    crossing = _bisector_pairs(ps)
+    assert ((0, 1), (2, 3)) not in crossing
+    # 15 pairs of pairs, of which (0,1)/(2,3) and (0,2)/(1,3) are parallel
+    assert len(crossing) == 13
+    cands = _centres(cir22_candidates(ps))
+    assert all(math.isfinite(x) and math.isfinite(y) for x, y in cands)
+    _one_to_one(cands, crossing, _equidistant(ps))
 
 
 def test_cir22_matches_linear_solve():
-    import numpy as np
     rng = random.Random(421)
     pts = [(rng.uniform(0, 10), rng.uniform(0, 10), 1 + (i % 2))
            for i in range(4)]
     ps = PointSet.build(pts, 2)
-    for c in cir22_candidates(ps):
-        (i, j), (s, t) = c.provenance[1], c.provenance[2]
+    expected = []
+    for (i, j), (s, t) in _bisector_pairs(ps):
         p, q, u, v = ps.points[i], ps.points[j], ps.points[s], ps.points[t]
         A = np.array([[2 * (q.x - p.x), 2 * (q.y - p.y)],
                       [2 * (v.x - u.x), 2 * (v.y - u.y)]])
         rhs = np.array([q.x ** 2 + q.y ** 2 - p.x ** 2 - p.y ** 2,
                         v.x ** 2 + v.y ** 2 - u.x ** 2 - u.y ** 2])
-        got = np.linalg.solve(A, rhs)
-        assert got[0] == pytest.approx(c.x, abs=1e-8)
-        assert got[1] == pytest.approx(c.y, abs=1e-8)
+        expected.append(tuple(np.linalg.solve(A, rhs)))
+    cands = _centres(cir22_candidates(ps))
+    assert len(cands) == len(expected) == 15
+    _one_to_one(cands, expected, _near)
+    _one_to_one(expected, cands, _near)
 
 
 def test_cir21_collinear_example():
     ps = PointSet.build([(-1, 0, 1), (1, 0, 1), (0, 3, 2), (9, 9, 2)], 2)
-    cands = list(cir21_candidates(ps))
-    hits = [c for c in cands
-            if c.provenance[1] == (0, 1) and c.provenance[2][1] == 2]
-    # both rays from the pair through (0,3) cross the y-axis bisector there
+    cands = _centres(cir21_candidates(ps))
+    # both rays from the pair (0, 1) through (0, 3) cross the y-axis
+    # bisector there, and nothing else in the stream lands on it
+    hits = [c for c in cands if c == pytest.approx((0.0, 3.0), abs=1e-9)]
     assert len(hits) == 2
-    for c in hits:
-        assert (c.x, c.y) == pytest.approx((0.0, 3.0), abs=1e-9)
+    expected = _expected_cir21(ps)
+    assert [key for *key, c in expected if _near(c, (0.0, 3.0))] \
+        == [[(0, 1), (0, 2)], [(0, 1), (1, 2)]]
+    _one_to_one(cands, [c for *_, c in expected], _near)
 
 
 def test_cir21_parallel_ray_skipped():
     # bisector of the vertical pair is horizontal, as is the ray to (5,0)
     ps = PointSet.build([(0, 0, 1), (0, 2, 1), (5, 0, 2), (5, 2, 2)], 2)
-    provs = {c.provenance for c in cir21_candidates(ps)}
-    assert ("pair_and_ray", (0, 1), (0, 2)) not in provs
-    assert ("pair_and_ray", (0, 1), (1, 2)) in provs
+    expected = _expected_cir21(ps)
+    keys = [key for *key, _ in expected]
+    assert [(0, 1), (0, 2)] not in keys
+    assert [(0, 1), (1, 2)] in keys
+    # 6 pairs x 2 third points x 2 ends, of which 8 rays are parallel
+    assert len(expected) == 16
+    cands = _centres(cir21_candidates(ps))
+    assert (2.5, 1.0) in cands
+    _one_to_one(cands, [c for *_, c in expected], _near)
 
 
 def test_far_field_and_point_streams():
     ps = PointSet.build([(0, 0, 1), (4, 0, 1)], 1)
-    pcs = list(point_center_candidates(ps))
-    assert [(c.x, c.y) for c in pcs] == [(0.0, 0.0), (4.0, 0.0)]
-    fars = list(far_field_candidates(ps))
-    assert all(dist((c.x, c.y), (2, 0)) > 50 for c in fars)
-    kinds = {c.provenance[0] for c in fars}
-    assert kinds == {"far_along", "far_perp"}
+    assert _centres(point_center_candidates(ps)) == [(0.0, 0.0), (4.0, 0.0)]
+    fars = _centres(far_field_candidates(ps))
+    assert all(dist(c, (2, 0)) > 50 for c in fars)
+    # along the pair (on the x-axis) and perpendicular to it through a
+    # pair member, for 2 ordered pairs x 3 scales each, and nothing else
+    along = [c for c in fars if c[1] == 0.0]
+    perp = [c for c in fars if c[0] in (0.0, 4.0) and c[1] != 0.0]
+    assert len(along) == len(perp) == 6
+    assert len(fars) == 12
+
+
+def test_family_sizes_general_position():
+    # a family that is dropped or truncated shows up in its closed form
+    rng = random.Random(429)
+    n = 6
+    ps = PointSet.build([(rng.uniform(0, 10), rng.uniform(0, 10), 1 + i % 2)
+                         for i in range(n)], 2)
+    pairs = math.comb(n, 2)
+    sizes = {fam.__name__: len(_centres(fam(ps)))
+             for fam in (point_center_candidates, cir22_candidates,
+                         cir21_candidates, far_field_candidates)}
+    assert sizes == {
+        "point_center_candidates": n,
+        "cir22_candidates": math.comb(pairs, 2),
+        "cir21_candidates": pairs * (n - 2) * 2,
+        "far_field_candidates": 6 * n * (n - 1),
+    }
+
+
+def _scalar_cross(l1, l2):
+    a1, b1, c1 = l1
+    a2, b2, c2 = l2
+    det = a1 * b2 - a2 * b1
+    if det == 0.0:
+        return []
+    x = (c1 * b2 - c2 * b1) / det
+    y = (a1 * c2 - a2 * c1) / det
+    return [(x, y)] if math.isfinite(x) and math.isfinite(y) else []
+
+
+def _scalar_bisectors(pts):
+    pairs = list(itertools.combinations(range(len(pts)), 2))
+    return pairs, [(2.0 * (q.x - p.x), 2.0 * (q.y - p.y),
+                    (q.x * q.x + q.y * q.y) - (p.x * p.x + p.y * p.y))
+                   for p, q in ((pts[i], pts[j]) for i, j in pairs)]
+
+
+def _scalar_through(px, py, q):
+    a = q.y - py
+    b = px - q.x
+    return (a, b, a * px + b * py)
+
+
+# The per-candidate loops the array families replaced, kept as the
+# reference: the same operands in the same order give the same bits.
+
+def _scalar_centres(ps):
+    pts = ps.points
+    pairs, bis = _scalar_bisectors(pts)
+    out = [(p.x, p.y) for p in pts]
+    for u, v in itertools.combinations(range(len(bis)), 2):
+        out += _scalar_cross(bis[u], bis[v])
+    for (i, j), bij in zip(pairs, bis):
+        for r in range(len(pts)):
+            if r not in (i, j):
+                for a in (i, j):
+                    out += _scalar_cross(
+                        bij, _scalar_through(pts[a].x, pts[a].y, pts[r]))
+    return sorted(out + _scalar_far(ps))
+
+
+def _scalar_on_line(ps, line):
+    pts = ps.points
+    pairs, bis = _scalar_bisectors(pts)
+    lref = (line.a, line.b, line.c)
+    out = []
+    for (i, j), bij in zip(pairs, bis):
+        out += _scalar_cross(lref, bij)
+        out += _scalar_cross(lref, _scalar_through(pts[i].x, pts[i].y, pts[j]))
+    n2 = line.a * line.a + line.b * line.b
+    for i, p in enumerate(pts):
+        d = (line.a * p.x + line.b * p.y - line.c) / n2
+        mx, my = p.x - 2.0 * d * line.a, p.y - 2.0 * d * line.b
+        for j, q in enumerate(pts):
+            if j != i:
+                out += _scalar_cross(lref, _scalar_through(mx, my, q))
+    (ox, oy), (dx, dy) = line.origin, line.direction
+    ts = [(p.x - ox) * dx + (p.y - oy) * dy for p in pts]
+    span = max(max(ts) - min(ts), 1.0)
+    for s in FAR_FIELD_SCALES:
+        for t in (min(ts) - s * span, max(ts) + s * span):
+            out.append((ox + t * dx, oy + t * dy))
+    return sorted(out)
+
+
+def _scalar_far(ps):
+    pts = ps.points
+    span = max(max(p.x for p in pts) - min(p.x for p in pts),
+               max(p.y for p in pts) - min(p.y for p in pts), 1.0)
+    out = []
+    for i, j in itertools.permutations(range(len(pts)), 2):
+        dx, dy = pts[j].x - pts[i].x, pts[j].y - pts[i].y
+        d = math.hypot(dx, dy)
+        if d == 0.0:
+            continue
+        ux, uy = dx / d, dy / d
+        for s in FAR_FIELD_SCALES:
+            back = s * span
+            out.append((pts[i].x - back * ux, pts[i].y - back * uy))
+            out.append((pts[i].x + back * uy, pts[i].y - back * ux))
+    return sorted(out)
+
+
+def test_centres_match_scalar_reference(monkeypatch):
+    rng = random.Random(430)
+    scored = []
+    monkeypatch.setattr(circles, "_pick_best",
+                        lambda ps, xs, ys, eps: scored.append(
+                            sorted(zip(xs.tolist(), ys.tolist()))))
+    for trial in range(6):
+        n = rng.randint(4, 9)
+        ps = random_instance(rng, n, 2, lo=-40, hi=60)
+        if trial % 2:
+            # real coordinates, where the operand order shows in the bits
+            ps = PointSet.build([(rng.uniform(-40, 60), rng.uniform(-40, 60),
+                                  p.color) for p in ps.points], 2)
+        families = (point_center_candidates, cir22_candidates,
+                    cir21_candidates, far_field_candidates)
+        got = sorted(c for fam in families for c in _centres(fam(ps)))
+        assert got == _scalar_centres(ps)
+        max_rbca(ps)
+        assert scored.pop() == got
+        line = Line(rng.uniform(-1, 1), rng.uniform(0.2, 1),
+                    rng.uniform(-30, 30))
+        max_rbca_on_line(ps, line)
+        assert scored.pop() == _scalar_on_line(ps, line)
+    # enough pairs that a last-bit difference in the pair lengths shows
+    ps = PointSet.build([(rng.uniform(-40, 60), rng.uniform(-40, 60), 1)
+                         for _ in range(60)], 1)
+    assert sorted(_centres(far_field_candidates(ps))) == _scalar_far(ps)
 
 
 # ---------------------------------------------------------------------------

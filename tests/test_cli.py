@@ -185,6 +185,16 @@ def test_solve_line_requires_circle(tmp_path, capsys):
     assert "circle" in err
 
 
+def test_solve_non_finite_line_is_bad_input(tmp_path, capsys):
+    f = tmp_path / "inst.csv"
+    f.write_text("x,y,color\n1,0,1\n-1,0,2\n0,5,1\n0,-5,2\n")
+    for spec in ("x-y=inf", "x-y=nan", "x-y=1e400", "1e400x+y=0"):
+        code, out, err = run(capsys, ["solve", "--shape", "circle",
+                                      "--input", str(f), "--line", spec])
+        assert (code, out) == (1, ""), spec
+        assert "non-finite" in err, spec
+
+
 def test_solve_infeasible_exit_2(tmp_path, capsys):
     # collinear with the colors segregated: no gap sees both colors on
     # both of its sides

@@ -10,6 +10,7 @@ from rbannulus import (
     CircularAnnulus,
     ColoredPoint,
     LCorridor,
+    Line,
     PointSet,
     RectAnnulus,
     Region,
@@ -67,6 +68,15 @@ def test_pointset_build_rejects_bad_input():
         PointSet.build([(math.inf, 0, 1), (1, 1, 1)])
     with pytest.raises(ValueError):
         PointSet.build([(0, 0, 3), (1, 1, 3)], k=2)  # color out of range
+
+
+def test_line_rejects_bad_coefficients():
+    Line(1.0, -1.0, 0.0)  # finite: accepted
+    for bad in ((0.0, 0.0, 1.0), (math.inf, 1.0, 0.0), (1.0, math.nan, 0.0),
+                (1.0, -1.0, math.inf), (1.0, -1.0, -math.inf),
+                (1.0, -1.0, math.nan)):
+        with pytest.raises(ValueError):
+            Line(*bad)
 
 
 def test_classify_circular():
