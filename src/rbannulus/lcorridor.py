@@ -113,13 +113,13 @@ def _upper_breaks(tp, k):
 
 class MaxCoordTree:
     """Static segment tree over points ordered by y, answering max-x (with
-    a witness payload) on an open y-band."""
+    a witness payload) on an open y-band.  Takes (x, y, payload) rows that
+    are already in increasing (y, x) order; it does not sort them."""
 
     __slots__ = ("_ys", "_size", "_mx", "_arg")
 
-    def __init__(self, items, presorted: bool = False):
-        # items: iterable of (x, y, payload), ordered by (y, x) if presorted
-        rows = list(items) if presorted else sorted(items, key=lambda it: (it[1], it[0]))
+    def __init__(self, items):
+        rows = list(items)
         self._ys = [r[1] for r in rows]
         n = len(rows)
         size = 1
@@ -275,7 +275,7 @@ def _sweep(tp, k, eps):
     if not sb_t:
         return None
     st_t, st_v = _upper_breaks(tp, k)
-    band = MaxCoordTree(by_y, presorted=True)
+    band = MaxCoordTree(by_y)
     gaps = GapTree(sorted({p[0] for p in tp}))
 
     level_ys = []

@@ -549,42 +549,34 @@ def _witness_annulus(L, R, B, T, w) -> RectAnnulus:
     return RectAnnulus(*outer, *offset_square(outer, w), w)
 
 
+def _decision(pointset: PointSet, i, j, w, decide) -> DecisionOutcome:
+    w = _check_width(w)
+    fr = _frame_identity(pointset)
+    i, j = _validate_anchors(fr.n, i, j)
+    T = fr.Yl[i]
+    x_i = fr.Xl[i]
+    if j is None:
+        B, x_j = -INF, None
+    else:
+        B, x_j = fr.Yl[j], fr.Xl[j]
+    got = decide(fr, x_i, T, B, x_j, w)
+    if got is None:
+        return DecisionOutcome(False, None)
+    return DecisionOutcome(True, _witness_annulus(got[0], got[1], B, T, w))
+
+
 def dp_decision(pointset: PointSet, i, j, w) -> DecisionOutcome:
     """Does a uniform width-w rainbow ring exist with point i (descending-y
     order, see anchor_ordering) on the outer top side and point j on the
     outer bottom side?  j = None or +inf drops the bottom side to infinity.
     """
-    w = _check_width(w)
-    fr = _frame_identity(pointset)
-    i, j = _validate_anchors(fr.n, i, j)
-    T = fr.Yl[i]
-    x_i = fr.Xl[i]
-    if j is None:
-        B, x_j = -INF, None
-    else:
-        B, x_j = fr.Yl[j], fr.Xl[j]
-    got = _decide_slow(fr, x_i, T, B, x_j, w)
-    if got is None:
-        return DecisionOutcome(False, None)
-    return DecisionOutcome(True, _witness_annulus(got[0], got[1], B, T, w))
+    return _decision(pointset, i, j, w, _decide_slow)
 
 
 def dp_decision_fast(pointset: PointSet, i, j, w) -> DecisionOutcome:
     """dp_decision through the slab query structures; same verdict and same
     witness."""
-    w = _check_width(w)
-    fr = _frame_identity(pointset)
-    i, j = _validate_anchors(fr.n, i, j)
-    T = fr.Yl[i]
-    x_i = fr.Xl[i]
-    if j is None:
-        B, x_j = -INF, None
-    else:
-        B, x_j = fr.Yl[j], fr.Xl[j]
-    got = _decide_fast_impl(fr, x_i, T, B, x_j, w)
-    if got is None:
-        return DecisionOutcome(False, None)
-    return DecisionOutcome(True, _witness_annulus(got[0], got[1], B, T, w))
+    return _decision(pointset, i, j, w, _decide_fast_impl)
 
 
 # ---------------------------------------------------------------------------
@@ -841,8 +833,9 @@ def max_anchored_rbra_for_top_point(pointset: PointSet, i,
     """Widest uniform rainbow ring with point i (descending-y order) on the
     outer top side, over candidate widths drawn from the level differences
     below the anchor; None when none is feasible.  Ties prefer the smaller
-    (left, bottom).  A width pinned by horizontal clearances alone is picked
-    up by the rotated frames of the full search, not here."""
+    (left, bottom).  Runs the gap-jumping walk max_rbra runs per anchor.  A
+    width pinned by horizontal clearances alone is picked up by the rotated
+    frames of the full search, not here."""
     fr = _frame_identity(pointset)
     i, _ = _validate_anchors(fr.n, i, None)
     state = [None, None]
@@ -853,7 +846,7 @@ def max_anchored_rbra_for_top_point(pointset: PointSet, i,
             state[0] = _witness_annulus(L, R, B, T, w)
             state[1] = key
 
-    _walk_slow(fr, i, eps,
+    _walk_fast(fr, i, eps,
                lambda: None if state[0] is None else state[0].width, emit)
     return state[0]
 

@@ -8,17 +8,21 @@ solvers; the bounded case is searched directly here.
 
 For a pinned pair p_i (bottom outer side) and p_j (top outer side) the
 outer radius is forced to half their y-gap and the center is confined to a
-horizontal segment.  Sliding the center along that segment, the inner
-radius is the largest L-inf distance to a point strictly inside the outer
-square, a piecewise-linear function whose pieces change only where a point
-enters or leaves through the vertical sides.  Each such membership
-interval is scanned once; within it the best center is either an endpoint
-or the midpoint of the extreme inside x-coordinates.
+horizontal segment (c3_center_segment).  Sliding the center along that
+segment, the inner radius is the largest L-inf distance to a point
+strictly inside the outer square, a piecewise-linear function whose pieces
+change only where a point enters or leaves through the vertical sides.
+best_annulus_on_segment scans the segment in one pass over the x-ordered
+points strictly between the two pinning y values: in increasing center
+position it visits every such breakpoint and, between two of them, the
+midpoint of the extreme inside x-coordinates.  The bounded solver runs the
+same per-pair search for every pinned pair.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import deque
 
 from .core import DEFAULT_EPS, INF, QUADRANT_SIGNS, PointSet, SquareAnnulus
 from .lcorridor import max_rblc_all
@@ -59,78 +63,88 @@ def c3_center_segment(p_i, p_j):
     return (ax, y0), (bx, y0), r
 
 
-def _scan_segment(xs, dys, cols, totals, k, r, ax, bx, eps):
-    # xs/dys/cols: x-sorted points strictly inside the horizontal strip,
-    # dys their |y - y0|.  Slides the center t over [ax, bx] and returns
-    # the best (width, t); the x-window of inside points moves right with
-    # t, so presence counters update in O(1) per point.
-    m = len(xs)
-    cands = {ax, bx}
+def _strip(by_x, y_lo, y_hi):
+    # the (x, y, color) rows of by_x, which is in increasing x, lying
+    # strictly between the two pinning y values, as three parallel lists
+    rows = [p for p in by_x if y_lo < p[1] < y_hi]
+    return [p[0] for p in rows], [p[1] for p in rows], [p[2] for p in rows]
+
+
+def _scan_segment(xs, ys, cols, totals, k, y0, r, ax, bx, eps):
+    # xs/ys/cols: the strip in increasing x.  Slides the center (t, y0)
+    # over [ax, bx] and returns the best (width, t), or None.  One pass
+    # visits, in increasing t, each breakpoint (ax, bx and every x - r or
+    # x + r between them, where a point enters or leaves the outer square)
+    # and, inside each interval between two breakpoints, the t that
+    # centers the interval's window of inside points.  As t only grows,
+    # the first maximum met has the smallest t, and the window only moves
+    # right, so the color counters and the monotone deque of |y - y0|
+    # update in O(1) amortized per point.
+    bps = {ax, bx}
     for x in xs:
         for t in (x - r, x + r):
             if ax < t < bx:
-                cands.add(t)
-    cands = sorted(cands)
-    # per membership interval, the unconstrained optimum centers the
-    # window: probe the interval interior to find the extreme inside xs
-    extra = []
-    for a, b in zip(cands, cands[1:]):
-        probe = (a + b) / 2.0
-        lo = bisect_right(xs, probe - r)
-        hi = bisect_left(xs, probe + r) - 1
-        if lo <= hi:
-            t = (xs[lo] + xs[hi]) / 2.0
-            if a < t < b:
-                extra.append(t)
-    if extra:
-        cands = sorted(set(cands).union(extra))
-
+                bps.add(t)
     in_cnt = [0] * (k + 1)
     inside_present = 0
     outside_present = k
     wl, wr = 0, -1  # current window of inside points, indices into xs
-    # monotone deque over dys for the window maximum
-    dq_idx = []
-    dq_head = 0
+    dq = deque()  # (|y - y0|, index) of window points, first entries decreasing
     best = None
-    for t in cands:
-        nlo = bisect_right(xs, t - r)
-        nhi = bisect_left(xs, t + r) - 1
-        while wr < nhi:
-            wr += 1
-            c = cols[wr]
-            in_cnt[c] += 1
-            if in_cnt[c] == 1:
-                inside_present += 1
-            if in_cnt[c] == totals[c]:
-                outside_present -= 1
-            d = dys[wr]
-            while len(dq_idx) > dq_head and dys[dq_idx[-1]] <= d:
-                dq_idx.pop()
-            dq_idx.append(wr)
-        while wl < nlo:
-            c = cols[wl]
-            if in_cnt[c] == totals[c]:
-                outside_present += 1
-            in_cnt[c] -= 1
-            if in_cnt[c] == 0:
-                inside_present -= 1
-            wl += 1
-        while dq_head < len(dq_idx) and dq_idx[dq_head] < wl:
-            dq_head += 1
-        if nlo > nhi:
-            continue
-        if inside_present < k or outside_present < k:
-            continue
-        r_in = dys[dq_idx[dq_head]]
-        if t - xs[nlo] > r_in:
-            r_in = t - xs[nlo]
-        if xs[nhi] - t > r_in:
-            r_in = xs[nhi] - t
-        w = r - r_in
-        if w > eps and (best is None or w > best[0] or (w == best[0] and t < best[1])):
-            best = (w, t)
+    a = None
+    for b in sorted(bps):
+        ts = (b,)
+        if a is not None:
+            probe = (a + b) / 2.0
+            lo = bisect_right(xs, probe - r)
+            hi = bisect_left(xs, probe + r) - 1
+            if lo <= hi:
+                mid = (xs[lo] + xs[hi]) / 2.0
+                if a < mid < b:
+                    ts = (mid, b)
+        a = b
+        for t in ts:
+            nlo = bisect_right(xs, t - r)
+            nhi = bisect_left(xs, t + r) - 1
+            while wr < nhi:
+                wr += 1
+                c = cols[wr]
+                in_cnt[c] += 1
+                if in_cnt[c] == 1:
+                    inside_present += 1
+                if in_cnt[c] == totals[c]:
+                    outside_present -= 1
+                d = abs(ys[wr] - y0)
+                while dq and dq[-1][0] <= d:
+                    dq.pop()
+                dq.append((d, wr))
+            while wl < nlo:
+                c = cols[wl]
+                if in_cnt[c] == totals[c]:
+                    outside_present += 1
+                in_cnt[c] -= 1
+                if in_cnt[c] == 0:
+                    inside_present -= 1
+                wl += 1
+            while dq and dq[0][1] < wl:
+                dq.popleft()
+            if nlo > nhi:
+                continue
+            if inside_present < k or outside_present < k:
+                continue
+            r_in = dq[0][0]
+            if t - xs[nlo] > r_in:
+                r_in = t - xs[nlo]
+            if xs[nhi] - t > r_in:
+                r_in = xs[nhi] - t
+            w = r - r_in
+            if w > eps and (best is None or w > best[0]):
+                best = (w, t)
     return best
+
+
+def _square(w, cx, cy, r):
+    return SquareAnnulus(cx - r, cx + r, cy - r, cy + r, w)
 
 
 def best_annulus_on_segment(pointset: PointSet, p_i, p_j, eps: float = DEFAULT_EPS):
@@ -140,74 +154,50 @@ def best_annulus_on_segment(pointset: PointSet, p_i, p_j, eps: float = DEFAULT_E
     if seg is None:
         return None
     (ax, y0), (bx, _), r = seg
-    yi = y0 - r
-    yj = y0 + r
-    strip = sorted(
-        ((p.x, abs(p.y - y0), p.color) for p in pointset.points if yi < p.y < yj)
-    )
-    xs = [s[0] for s in strip]
-    dys = [s[1] for s in strip]
-    cols = [s[2] for s in strip]
+    pts = pointset.points
+    by_x = [(pts[i].x, pts[i].y, pts[i].color) for i in pointset.by_x]
+    strip = _strip(by_x, _xy(p_i)[1], _xy(p_j)[1])
     totals = (0,) + pointset.color_count
-    hit = _scan_segment(xs, dys, cols, totals, pointset.k, r, ax, bx, eps)
-    if hit is None:
-        return None
-    w, t = hit
-    return SquareAnnulus(t - r, t + r, yi, yj, w)
+    hit = _scan_segment(*strip, totals, pointset.k, y0, r, ax, bx, eps)
+    return None if hit is None else _square(hit[0], hit[1], y0, r)
 
 
 def _c3_family(rows, k, totals, eps):
     # rows: (x, y, color) tuples; best bounded annulus with the outer
     # bottom and top sides pinned by two of them.  Returns
     # (width, center_x, center_y, r) in this frame, or None.
-    by_y = sorted(rows, key=lambda p: (p[1], p[0]))
-    n = len(by_y)
-    levels = []  # (y, [points at this y]), ascending
-    starts = []  # index of first point of each level in by_y
-    for idx, p in enumerate(by_y):
-        if levels and levels[-1][0] == p[1]:
-            levels[-1][1].append(p)
-        else:
-            levels.append((p[1], [p]))
-            starts.append(idx)
-    L = len(levels)
+    by_x = sorted(rows)
+    levels = {}  # y -> [(x, color)] in increasing x
+    for x, y, c in by_x:
+        levels.setdefault(y, []).append((x, c))
+    ys = sorted(levels)
     best = None
-    for li in range(L - 1):
-        y_i = levels[li][0]
+    for li, y_i in enumerate(ys):
         strip_cnt = [0] * (k + 1)
         strip_present = 0
-        lo_idx = starts[li] + len(levels[li][1])
-        for lj in range(li + 1, L):
+        for lj in range(li + 1, len(ys)):
             if lj > li + 1:
-                for p in levels[lj - 1][1]:
-                    c = p[2]
+                for _, c in levels[ys[lj - 1]]:
                     strip_cnt[c] += 1
                     if strip_cnt[c] == 1:
                         strip_present += 1
             if strip_present < k:
                 continue
-            y_j = levels[lj][0]
-            r = (y_j - y_i) / 2.0
-            y0 = (y_i + y_j) / 2.0
-            strip = sorted(
-                (p[0], abs(p[1] - y0), p[2])
-                for p in by_y[lo_idx : starts[lj]]
-            )
-            xs = [s[0] for s in strip]
-            dys = [s[1] for s in strip]
-            cols = [s[2] for s in strip]
-            for xi, _, _ in levels[li][1]:
-                for xj, _, _ in levels[lj][1]:
-                    ax = (xi if xi >= xj else xj) - r
-                    bx = (xi if xi <= xj else xj) + r
-                    if ax > bx:
+            y_j = ys[lj]
+            strip = None
+            for xi, _ in levels[y_i]:
+                for xj, _ in levels[y_j]:
+                    seg = c3_center_segment((xi, y_i), (xj, y_j))
+                    if seg is None:
                         continue
-                    hit = _scan_segment(xs, dys, cols, totals, k, r, ax, bx, eps)
+                    (ax, y0), (bx, _), r = seg
+                    if strip is None:
+                        strip = _strip(by_x, y_i, y_j)
+                    hit = _scan_segment(*strip, totals, k, y0, r, ax, bx, eps)
                     if hit is None:
                         continue
                     w, t = hit
-                    key = (-w, t, y0)
-                    if best is None or key < (-best[0], best[1], best[2]):
+                    if best is None or (-w, t, y0) < (-best[0], best[1], best[2]):
                         best = (w, t, y0, r)
     return best
 
@@ -217,10 +207,7 @@ def max_rbsa_c3(pointset: PointSet, eps: float = DEFAULT_EPS):
     points, trying both the horizontal and the vertical pair families."""
     rows = [(p.x, p.y, p.color) for p in pointset.points]
     totals = (0,) + pointset.color_count
-    best = None  # (width, cx, cy, r) in the original frame
-    hit = _c3_family(rows, pointset.k, totals, eps)
-    if hit is not None:
-        best = hit
+    best = _c3_family(rows, pointset.k, totals, eps)  # (width, cx, cy, r)
     swapped = [(y, x, c) for x, y, c in rows]
     hit = _c3_family(swapped, pointset.k, totals, eps)
     if hit is not None:
@@ -228,10 +215,7 @@ def max_rbsa_c3(pointset: PointSet, eps: float = DEFAULT_EPS):
         cand = (w, cy, cx, r)  # undo the coordinate swap
         if best is None or (-cand[0], cand[1], cand[2]) < (-best[0], best[1], best[2]):
             best = cand
-    if best is None:
-        return None
-    w, cx, cy, r = best
-    return SquareAnnulus(cx - r, cx + r, cy - r, cy + r, w)
+    return None if best is None else _square(*best)
 
 
 def _strip_as_square(strip):

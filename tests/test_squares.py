@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import random_instance, rotate90
+from conftest import random_instance, random_real_instance, rotate90
 
 from rbannulus import PointSet, validate_solution
 from rbannulus.oracle import oracle_rbsa
@@ -54,6 +54,55 @@ def test_segment_solver_degenerate_segment():
     assert got.width == pytest.approx(1.0)
     assert got.center == (0.0, 1.0)
     assert validate_solution(got, ps)
+
+
+def test_segment_solver_strip_excludes_pins():
+    # y0 - r rounds to 0.09999999999999998 here, below the bottom pin: a
+    # strip bounded by y0 -+ r would count that pin as inside
+    ps = PointSet.build(
+        [(0, 0.1, 1), (0, 0.7, 2), (0, 0.4, 1), (0.03, 0.4, 2), (50, 50, 1), (50, 51, 2)],
+        2,
+    )
+    got = best_annulus_on_segment(ps, (0, 0.1), (0, 0.7))
+    assert got is not None
+    assert got.width == pytest.approx(0.285)
+    assert validate_solution(got, ps)
+
+
+def _best_over_pinned_pairs(ps):
+    best = None
+    for a in ps.points:
+        for b in ps.points:
+            if a.y < b.y:
+                got = best_annulus_on_segment(ps, a, b)
+                if got is not None:
+                    assert validate_solution(got, ps)
+                    if best is None or got.width > best:
+                        best = got.width
+    return best
+
+
+def test_solver_agrees_with_per_pair_search():
+    # the bounded solver's width is the best per-pair search over every
+    # pinned pair, horizontal pairs in the input frame and vertical pairs
+    # with x and y swapped
+    rng = random.Random(2718)
+    seen = 0
+    for it in range(60):
+        k = rng.randint(1, 3)
+        n = rng.randint(2 * k, 10)
+        ps = random_real_instance(rng, n, k, digits=None if it % 3 == 0 else 1 + it % 2)
+        swapped = PointSet.build([(p.y, p.x, p.color) for p in ps.points], k)
+        widths = [w for w in (_best_over_pinned_pairs(ps), _best_over_pinned_pairs(swapped))
+                  if w is not None]
+        got = max_rbsa_c3(ps)
+        if not widths:
+            assert got is None, ps.points
+            continue
+        seen += 1
+        assert got is not None, ps.points
+        assert got.width == max(widths), ps.points
+    assert seen >= 20
 
 
 def test_c3_infeasible_on_coincident_points():
