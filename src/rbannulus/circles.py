@@ -171,27 +171,27 @@ def best_annulus_at_center(pointset: PointSet, center,
                            eps: float = DEFAULT_EPS) -> Optional[CircularAnnulus]:
     """Widest valid ring centered at the given point, or None.
 
-    Sorts the points by distance and takes the widest rainbow gap between
-    consecutive distances: the near side already shows every color and the
-    far side still does.  Ties keep the smallest inner radius.
+    Takes the widest rainbow gap between consecutive sorted distances:
+    the near side already shows every color and the far side still does.
+    Ties keep the smallest inner radius.
     """
     cx = float(center[0])
     cy = float(center[1])
     if not (math.isfinite(cx) and math.isfinite(cy)):
         return None
-    order = sorted((math.hypot(p.x - cx, p.y - cy), p.color)
-                   for p in pointset.points)
-    t = widest_rainbow_gap([d for d, _ in order], [c for _, c in order],
-                           pointset.k, eps)
+    pts = pointset.points
+    ds = [math.hypot(p.x - cx, p.y - cy) for p in pts]
+    t = widest_rainbow_gap(ds, [p.color for p in pts], pointset.k, eps)
     if t is None:
         return None
-    return CircularAnnulus(cx, cy, order[t][0], order[t + 1][0])
+    ds.sort()
+    return CircularAnnulus(cx, cy, ds[t], ds[t + 1])
 
 
 def _batch_widths(pointset: PointSet, cxs, cys, eps: float):
     """Best ring width at each center, -inf where none: the rainbow-gap
-    scan over each center's sorted distance row, in chunks of rows.  Used
-    to shortlist candidates; finalists are re-scored exactly."""
+    scan over each center's row of distances, in chunks of rows.  Used to
+    shortlist candidates; finalists are re-scored exactly."""
     X, Y = _coords(pointset)
     C = np.array([p.color for p in pointset.points])
     k = pointset.k
@@ -204,9 +204,7 @@ def _batch_widths(pointset: PointSet, cxs, cys, eps: float):
         cx = np.asarray(cxs[lo:lo + step], dtype=float)[:, None]
         cy = np.asarray(cys[lo:lo + step], dtype=float)[:, None]
         D = np.hypot(X[None, :] - cx, Y[None, :] - cy)
-        ordidx = np.argsort(D, axis=1, kind="stable")
-        Ds = np.take_along_axis(D, ordidx, axis=1)
-        out[lo:lo + step] = rainbow_gaps(Ds, C[ordidx], k, eps).max(axis=1)
+        out[lo:lo + step] = rainbow_gaps(D, C, k, eps).max(axis=1)
     return out
 
 

@@ -138,8 +138,12 @@ def _cmd_solve(args) -> int:
     annulus, provenance = solve_instance(args.shape, ps, eps, line=line)
     wall_ms = (time.perf_counter() - t0) * 1000.0
     if args.svg:
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(render_svg(ps, annulus))
+        try:
+            with open(args.svg, "w", encoding="utf-8") as fh:
+                fh.write(render_svg(ps, annulus))
+        except OSError as exc:
+            print("solve: %s" % exc, file=sys.stderr)
+            return 1
     if annulus is None:
         print("infeasible: no annulus wider than %g" % eps)
         return 2
@@ -180,25 +184,28 @@ def _cmd_bench(args) -> int:
         sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
         if not sizes:
             raise ValueError("empty --sizes")
+        if args.trials < 1:
+            raise ValueError("--trials must be >= 1")
+        # every instance up front, so bad sizes or k stop before any output
+        pools = [[generate_instance(n, args.k, args.dist,
+                                    args.seed + 97 * n + trial)
+                  for trial in range(args.trials)] for n in sizes]
     except ValueError as exc:
         print("bench: %s" % exc, file=sys.stderr)
         return 1
     print("n,k,mean_ms,width")
     logs = []
-    for n in sizes:
+    for n, pool in zip(sizes, pools):
         times = []
-        width0 = None
-        for trial in range(args.trials):
-            ps = generate_instance(n, args.k, args.dist,
-                                   args.seed + 97 * n + trial)
+        widths = []
+        for ps in pool:
             t0 = time.perf_counter()
             annulus, _ = solve_instance(args.shape, ps, eps)
             times.append((time.perf_counter() - t0) * 1000.0)
-            if trial == 0:
-                width0 = 0.0 if annulus is None else annulus.width
+            widths.append(0.0 if annulus is None else annulus.width)
         mean_ms = sum(times) / len(times)
         logs.append((math.log(n), math.log(max(mean_ms, 1e-9))))
-        print("%d,%d,%.3f,%r" % (n, args.k, mean_ms, width0))
+        print("%d,%d,%.3f,%r" % (n, args.k, mean_ms, widths[0]))
     if len(logs) >= 2:
         import numpy as np
 

@@ -2,10 +2,13 @@
 with the circular solver.
 
 A strip is the fully degenerate annulus and a ring at a fixed center is a
-one-dimensional question, so both reduce to the same scan: in a sorted
-sequence of values (coordinates, or distances from the center), find the
+one-dimensional question, so both reduce to the same scan: in the sorted
+values of a row (coordinates, or distances from the center), find the
 widest gap between neighbours whose near side and far side each show
-every color.
+every color.  With rin the largest of the per-color minima and rout the
+smallest of the per-color maxima, the gap (S[t], S[t+1]) qualifies when
+S[t] >= rin and S[t+1] <= rout: a tie split across rin or rout leaves a
+zero gap, which eps >= 0 rejects, so colors never ride through the sort.
 """
 
 from __future__ import annotations
@@ -17,38 +20,34 @@ import numpy as np
 from .core import DEFAULT_EPS, PointSet, Strip
 
 
-def rainbow_gaps(V, C, k: int, eps: float):
-    """Usable gaps of each row of sorted values, -inf where unusable.
+def rainbow_gaps(V, colors, k: int, eps: float):
+    """Usable gaps of each row of V once sorted, -inf where unusable.
 
-    V is an (m, n) array whose rows ascend and C the (m, n) colors (1..k)
-    riding along.  Entry [r, t] is V[r, t+1] - V[r, t] when that gap is
-    wider than eps, every color occurs in C[r, :t+1] and every color occurs
-    in C[r, t+1:]; otherwise -inf.  Equal neighbours leave a zero gap,
-    which a nonnegative eps never admits.
+    V is an (m, n) array in any column order and colors the colors (1..k)
+    of its n columns.  Entry [r, t] is S[t+1] - S[t], for S row r sorted,
+    when that gap is wider than eps, S[t] >= rin and S[t+1] <= rout (see
+    the module docstring).  Raises ValueError unless eps >= 0.
     """
-    n = V.shape[1]
-    cols = np.arange(n)
-    # first index where every color has appeared, last where it still will
-    first = np.zeros(V.shape[0], dtype=int)
-    last = np.full(V.shape[0], n - 1, dtype=int)
-    for c in range(1, k + 1):
-        hit = C == c
-        first = np.maximum(first, np.where(hit, cols, n).min(axis=1))
-        last = np.minimum(last, np.where(hit, cols, -1).max(axis=1))
-    gaps = V[:, 1:] - V[:, :-1]
-    t = cols[:-1]
-    ok = (t[None, :] >= first[:, None]) & (t[None, :] < last[:, None])
+    if not eps >= 0:
+        raise ValueError("eps must be >= 0, got %r" % (eps,))
+    groups = [np.asarray(colors) == c for c in range(1, k + 1)]
+    # a color without a column makes rin inf, so no gap is usable
+    rin = np.max([V[:, g].min(axis=1, initial=np.inf) for g in groups], axis=0)
+    rout = np.min([V[:, g].max(axis=1, initial=-np.inf) for g in groups], axis=0)
+    S = np.sort(V, axis=1)
+    gaps = S[:, 1:] - S[:, :-1]
+    ok = (S[:, :-1] >= rin[:, None]) & (S[:, 1:] <= rout[:, None])
     ok &= gaps > eps
     return np.where(ok, gaps, -np.inf)
 
 
 def widest_rainbow_gap(values, colors, k: int, eps: float) -> Optional[int]:
-    """Index t of the widest usable gap (values[t], values[t+1]) of one
-    sorted sequence, the first one on ties; None when no gap is usable."""
+    """Index t of the widest usable gap (S[t], S[t+1]) of the values S
+    sorted ascending, the first one on ties; None when no gap is usable.
+    values need not be sorted; colors gives each value's color."""
     if len(values) < 2:
         return None
-    gaps = rainbow_gaps(np.array([values], dtype=float), np.array([colors]),
-                        k, eps)[0]
+    gaps = rainbow_gaps(np.array([values], dtype=float), colors, k, eps)[0]
     t = int(gaps.argmax())
     return t if gaps[t] > -np.inf else None
 
@@ -73,4 +72,6 @@ def max_rbes(pointset: PointSet, orientation: str, eps: float = DEFAULT_EPS):
                            pointset.k, eps)
     if t is None:
         return None
+    # coords already ascend, so they are the sorted row itself, each with
+    # its own sign of zero (a sort may reorder -0.0 and 0.0)
     return Strip(orientation, coords[t], coords[t + 1])

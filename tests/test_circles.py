@@ -464,6 +464,38 @@ def test_max_rbca_dominates_random_centers():
             assert best >= ann.width - 1e-9
 
 
+def test_max_rbca_beats_local_ascent():
+    # pattern search from random starts climbs to local maxima of the
+    # width at a fixed center, which no candidate center may fall short of
+    rng = random.Random(426)
+
+    def width(c):
+        ann = best_annulus_at_center(ps, c)
+        return -math.inf if ann is None else ann.width
+
+    for _ in range(40):
+        k = rng.randint(1, 3)
+        n = rng.randint(2 * k, 12)
+        ps = random_instance(rng, n, k, lo=0, hi=30)
+        ann = max_rbca(ps)
+        best = -math.inf if ann is None else ann.width
+        for _ in range(3):
+            c = (rng.uniform(-10, 40), rng.uniform(-10, 40))
+            w = width(c)
+            step = 8.0
+            for _ in range(500):
+                if step < 1e-3:
+                    break
+                moves = [(c[0] + dx * step, c[1] + dy * step)
+                         for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1))]
+                w_up, c_up = max((width(m), m) for m in moves)
+                if w_up > w:
+                    c, w = c_up, w_up
+                else:
+                    step /= 2
+            assert w <= best + 1e-9, (ps.points, c, w, best)
+
+
 def test_max_rbca_rigid_motion():
     rng = random.Random(425)
     for _ in range(10):

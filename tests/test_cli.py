@@ -259,6 +259,16 @@ def test_svg_one_annulus_group_n_glyphs(tmp_path, capsys):
     assert text.startswith("<svg ")
 
 
+def test_svg_unwritable_path_is_bad_input(tmp_path, capsys):
+    inst = tmp_path / "inst.csv"
+    inst.write_text(STRIP4)
+    code, out, err = run(capsys, ["solve", "--shape", "strip", "--input",
+                                  str(inst), "--svg",
+                                  str(tmp_path / "missing" / "out.svg")])
+    assert code == 1 and out == ""
+    assert err.startswith("solve: ") and "out.svg" in err
+
+
 def test_svg_infinite_sides_dashed():
     ps = PointSet.build([(0, 0, 1), (1, 0, 2), (5, 0, 1), (6, 0, 2)])
     from rbannulus import max_rbes
@@ -279,6 +289,16 @@ def test_bench_deterministic_widths(capsys):
     w2 = [line.split(",")[3] for line in out2.splitlines()[1:3]]
     assert w1 == w2
     assert out1.splitlines()[-1].startswith("# slope ")
+
+
+@pytest.mark.parametrize("flags", [
+    ["--trials", "0"], ["--sizes", "1"], ["--k", "0"],
+])
+def test_bench_bad_schedule_is_bad_input(flags, capsys):
+    argv = ["bench", "--shape", "strip", "--sizes", "30"] + flags
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.startswith("bench: ")
 
 
 def test_module_entry_point(tmp_path):

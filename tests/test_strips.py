@@ -1,10 +1,21 @@
+import math
 import random
 
+import numpy as np
+import pytest
 from conftest import random_instance, rotate90
 
-from rbannulus import DEFAULT_EPS, PointSet, Strip, validate_solution
+from rbannulus import (
+    DEFAULT_EPS,
+    PointSet,
+    Strip,
+    max_rbca,
+    max_rbsa,
+    validate_solution,
+)
+from rbannulus.circles import best_annulus_at_center
 from rbannulus.oracle import oracle_rbes
-from rbannulus.strips import max_rbes
+from rbannulus.strips import max_rbes, rainbow_gaps
 
 
 def test_basic_vertical():
@@ -44,6 +55,59 @@ def test_duplicate_coordinates_never_candidates():
     for eps in EPS_VALUES:
         assert max_rbes(ps, "vertical", eps) == Strip("vertical", 2.0, 3.0), eps
         assert max_rbes(single, "vertical", eps) is None, eps
+
+
+def test_negative_eps_rejected():
+    # a negative eps would admit the zero gaps between tied values
+    ps = PointSet.build([(2, 0, 1), (2, 1, 2), (2, 5, 1), (3, 0, 2), (3, 1, 1)])
+    eps = -1e-9
+    with pytest.raises(ValueError):
+        max_rbes(ps, "vertical", eps)
+    with pytest.raises(ValueError):
+        best_annulus_at_center(ps, (0.0, 0.0), eps)
+    with pytest.raises(ValueError):
+        max_rbca(ps, eps)
+    with pytest.raises(ValueError):
+        max_rbsa(ps, eps)
+
+
+def test_signed_zero_sides_keep_their_sign():
+    # np.sort puts -0.0 last among the tied zeros; by_x order puts 0.0 there
+    pts = [(0.0 if i % 2 else -0.0, float(i), 1 + i % 2) for i in range(40)]
+    ps = PointSet.build(pts + [(5, 0, 1), (5, 1, 2)])
+    s = max_rbes(ps, "vertical")
+    assert repr(s) == "Strip(orientation='vertical', lo=0.0, hi=5.0)"
+    assert math.copysign(1.0, s.lo) == 1.0
+
+
+def _brute_gaps(row, colors, k, eps):
+    """Usable gaps by definition: sort, then test each side's color set."""
+    pairs = sorted(zip(row.tolist(), colors.tolist()))
+    full = set(range(1, k + 1))
+    out = []
+    for t in range(len(pairs) - 1):
+        gap = pairs[t + 1][0] - pairs[t][0]
+        ok = (gap > eps and full <= {c for _, c in pairs[:t + 1]}
+              and full <= {c for _, c in pairs[t + 1:]})
+        out.append(gap if ok else -math.inf)
+    return out
+
+
+def test_rainbow_gaps_match_definition_in_any_column_order():
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        k = int(rng.integers(1, 4))
+        n = int(rng.integers(2, 11))
+        # tie-heavy values; some colors may be missing from a row's columns
+        V = rng.integers(0, 5, size=(4, n)).astype(float)
+        colors = rng.integers(1, k + 1, size=n)
+        perm = rng.permutation(n)
+        for eps in (0.0, 1e-9):
+            got = rainbow_gaps(V, colors, k, eps)
+            want = [_brute_gaps(row, colors, k, eps) for row in V]
+            assert np.array_equal(got, np.array(want))
+            assert np.array_equal(
+                rainbow_gaps(V[:, perm], colors[perm], k, eps), got)
 
 
 def test_oracle_equivalence_random():
