@@ -103,7 +103,7 @@ def solve_instance(shape: str, pointset: PointSet, eps: float,
         tags = {3: "strip family", 2: "corridor family"}
         return got, tags.get(len(got.infinite_sides), "bounded square")
     if shape == "rect":
-        return max_rbra(pointset, eps=eps), "anchored walk (gap jumps)"
+        return max_rbra(pointset, eps=eps), "anchored walk"
     if shape == "circle":
         if line is not None:
             got = max_rbca_on_line(pointset, line, eps)

@@ -96,6 +96,14 @@ def is_rainbow(counts) -> bool:
     return all(c >= 1 for c in counts)
 
 
+def check_eps(eps) -> None:
+    """The solvers' width threshold: raise ValueError unless eps >= 0.  A
+    negative eps would admit the zero gaps between tied values, and NaN
+    fails every comparison."""
+    if not eps >= 0:
+        raise ValueError("eps must be >= 0, got %r" % (eps,))
+
+
 @dataclass(frozen=True)
 class Strip:
     """Empty strip between two parallel axis-aligned lines.

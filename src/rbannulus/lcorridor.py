@@ -46,6 +46,7 @@ from .core import (
     LCorridor,
     PointSet,
     QUADRANT_SIGNS,
+    check_eps,
 )
 
 __all__ = [
@@ -112,11 +113,11 @@ def _upper_breaks(tp, k):
 
 
 class MaxCoordTree:
-    """Static segment tree over points ordered by y, answering max-x (with
-    a witness payload) on an open y-band.  Takes (x, y, payload) rows that
-    are already in increasing (y, x) order; it does not sort them."""
+    """Static segment tree over points ordered by y, answering max-x on an
+    open y-band.  Takes rows that start (x, y), already in increasing (y, x)
+    order; it does not sort them and ignores further fields."""
 
-    __slots__ = ("_ys", "_size", "_mx", "_arg")
+    __slots__ = ("_ys", "_size", "_mx")
 
     def __init__(self, items):
         rows = list(items)
@@ -126,38 +127,32 @@ class MaxCoordTree:
         while size < max(n, 1):
             size *= 2
         self._size = size
-        self._mx = [-INF] * (2 * size)
-        self._arg = [None] * (2 * size)
-        for leaf, (x, _, payload) in enumerate(rows):
-            self._mx[size + leaf] = x
-            self._arg[size + leaf] = payload
+        mx = self._mx = [-INF] * (2 * size)
+        for leaf, row in enumerate(rows):
+            mx[size + leaf] = row[0]
         for v in range(size - 1, 0, -1):
-            l, r = 2 * v, 2 * v + 1
-            if self._mx[l] >= self._mx[r]:
-                self._mx[v], self._arg[v] = self._mx[l], self._arg[l]
-            else:
-                self._mx[v], self._arg[v] = self._mx[r], self._arg[r]
+            mx[v] = max(mx[2 * v], mx[2 * v + 1])
 
-    def max_in_open_band(self, y_lo: float, y_hi: float):
-        """(max x, payload) over points with y_lo < y < y_hi, or (-inf, None)."""
+    def max_in_open_band(self, y_lo: float, y_hi: float) -> float:
+        """Max x over points with y_lo < y < y_hi, or -inf."""
         lo = bisect_right(self._ys, y_lo)
         hi = bisect_left(self._ys, y_hi)
-        mx, args = self._mx, self._arg
-        best, arg = -INF, None
+        mx = self._mx
+        best = -INF
         l = lo + self._size
         r = hi + self._size
         while l < r:
             if l & 1:
                 if mx[l] > best:
-                    best, arg = mx[l], args[l]
+                    best = mx[l]
                 l += 1
             if r & 1:
                 r -= 1
                 if mx[r] > best:
-                    best, arg = mx[r], args[r]
+                    best = mx[r]
             l >>= 1
             r >>= 1
-        return best, arg
+        return best
 
 
 class GapTree:
@@ -309,7 +304,7 @@ def _sweep(tp, k, eps):
                 continue
             gcut = bisect_left(st_t, y_j)
             lo = st_v[gcut - 1] if gcut > 0 else -INF
-            mid, _ = band.max_in_open_band(y_i, y_j)
+            mid = band.max_in_open_band(y_i, y_j)
             if mid > lo:
                 lo = mid
             if hi - lo < delta:
@@ -332,8 +327,9 @@ def max_rblc(pointset: PointSet, orientation: str, eps: float = DEFAULT_EPS):
     Runs the canonical sweep twice, once on the sign-normalized points and
     once after reflecting them across the antidiagonal, which exchanges the
     two ways a maximal corridor can be pinned.  Returns None if no corridor
-    of positive width exists.
+    of positive width exists.  Raises ValueError unless eps >= 0.
     """
+    check_eps(eps)
     sx, sy = QUADRANT_SIGNS[orientation]
     pts = [(sx * p.x, sy * p.y, p.color) for p in pointset.points]
     best = None

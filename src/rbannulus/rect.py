@@ -9,13 +9,13 @@ one point on the outer top, walks candidate bottoms and widths in a staircase
 (width never decreases, the bottom anchor only moves down), and repeats in the
 four axis directions by reflecting the input.
 
-The width-w feasibility question for a fixed anchor pair is answered by
-``dp_decision_fast``, which jumps between candidate left gaps through a max
-pyramid and is what ``max_rbra`` runs.  It first rejects, from the boundary
-bands alone, every decision that cannot succeed, and builds the slab's query
-structures only for the rest.  ``dp_decision`` (plain scan, ``fast=False``
-in ``max_rbra``) is the reference the tests compare against: it visits the
-same gaps in x order, so both return the same first feasible placement.
+The width-w feasibility question for a fixed anchor pair is answered by one
+arm scan, ``_scan_arms_list``, which visits the slab's gaps in x order and
+returns the first feasible placement.  ``dp_decision_fast``, which is what
+``max_rbra`` runs, first rejects from the boundary bands alone the decisions
+that cannot succeed, and gathers the slab for the scan only for the rest.
+``dp_decision`` (``fast=False`` in ``max_rbra``) gathers the slab for every
+decision and is the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import DEFAULT_EPS, INF, PointSet, RectAnnulus, offset_square
+from .core import (DEFAULT_EPS, INF, PointSet, RectAnnulus, check_eps,
+                   offset_square)
 
 
 class DecisionOutcome(NamedTuple):
@@ -48,105 +49,6 @@ class MinimalRainbowInterval(NamedTuple):
     a: float
     b: float
     color_counter: dict
-
-
-class ColorRangeTrees:
-    """Per-color x-sorted coordinates of the middle-band points of one slab
-    (the points a uniform ring may hold inside its inner rectangle)."""
-
-    __slots__ = ("k", "xs")
-
-    def __init__(self, k, xs_by_color):
-        self.k = k
-        self.xs = xs_by_color  # index 0 unused
-
-    @classmethod
-    def from_sorted(cls, k, xs_by_color):
-        return cls(k, [None] + list(xs_by_color))
-
-    def nearest_right_in_band(self, c, x0):
-        """Smallest x >= x0 among color-c points, or None."""
-        a = self.xs[c]
-        i0 = int(np.searchsorted(a, x0, side="left"))
-        return float(a[i0]) if i0 < a.size else None
-
-    def nearest_left_in_band(self, c, x0):
-        """Largest x <= x0 among color-c points, or None."""
-        a = self.xs[c]
-        i0 = int(np.searchsorted(a, x0, side="right"))
-        return float(a[i0 - 1]) if i0 else None
-
-    def rightmost_in_band(self, c):
-        a = self.xs[c]
-        return float(a[-1]) if a.size else None
-
-
-class GapPointTree:
-    """Gap-point index over an x-sorted slab projection.
-
-    Entry t is the maximal empty interval (gx[t], gr[t]); sentinel gaps run to
-    both infinities.  A power-of-two max pyramid over the lengths answers
-    leftmost gap-at-least-w queries by descent.
-    """
-
-    __slots__ = ("gx", "gr", "glen", "_levels")
-
-    def __init__(self, xs_sorted):
-        xs = np.asarray(xs_sorted, dtype=float)
-        self.gx = np.concatenate((np.array([-INF]), xs))
-        self.gr = np.concatenate((xs, np.array([INF])))
-        self.glen = self.gr - self.gx
-        lv = [self.glen]
-        cur = self.glen
-        while cur.size > 1:
-            if cur.size & 1:
-                cur = np.concatenate((cur, np.array([-1.0])))
-            cur = np.maximum(cur[0::2], cur[1::2])
-            lv.append(cur)
-        self._levels = lv
-
-    def __len__(self):
-        return int(self.gx.size)
-
-    def gap(self, t: int):
-        return float(self.gx[t]), float(self.gr[t])
-
-    def _scan(self, lo, hi, min_gap):
-        # first index in [lo, hi) whose length >= min_gap
-        if lo >= hi:
-            return None
-        levels = self._levels
-        top = len(levels) - 1
-
-        def rec(level, idx):
-            base = idx << level
-            if base >= hi or base + (1 << level) <= lo:
-                return None
-            if levels[level][idx] < min_gap:
-                return None
-            if level == 0:
-                return idx
-            got = rec(level - 1, 2 * idx)
-            if got is not None:
-                return got
-            return rec(level - 1, 2 * idx + 1)
-
-        return rec(top, 0)
-
-    def leftmost_in_region(self, x_lo, x_hi, min_gap):
-        """Index of the leftmost gap with x_lo <= start <= x_hi and length
-        >= min_gap, or None."""
-        lo = int(np.searchsorted(self.gx, x_lo, side="left"))
-        hi = int(np.searchsorted(self.gx, x_hi, side="right"))
-        return self._scan(lo, hi, min_gap)
-
-    def index_of(self, x: float) -> int:
-        """Gap containing x: the rightmost entry with start <= x."""
-        return int(np.searchsorted(self.gx, x, side="right")) - 1
-
-    def next_at_least(self, t: int, min_gap: float):
-        """First index after t with length >= min_gap."""
-        return self._scan(t + 1, len(self), min_gap)
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +115,7 @@ def anchor_ordering(pointset: PointSet):
 
 
 # ---------------------------------------------------------------------------
-# width-w decision, reference scan
+# width-w decision
 
 
 def _band_split(bxs, bcs, m, M, k):
@@ -357,6 +259,15 @@ def _decide_slow(fr: _Frame, x_i, T, B, x_j, w):
     if bands is None:
         return None
     bsat, branches = bands
+    return _scan_branches(fr, slabxs, mcol, bsat, branches, T, B, m, M, w)
+
+
+def _scan_branches(fr: _Frame, slabxs, mcol, bsat, branches, T, B, m, M, w):
+    """Smallest (L, R) that _scan_arms_list finds over the band split's
+    branches, or None.  A color is satisfied outside before any arm is
+    placed when a band point has it or a point lies on or beyond the outer
+    top or bottom."""
+    k = fr.k
     satbase = [False] * (k + 1)
     for c in range(1, k + 1):
         satbase[c] = bool(bsat[c] or fr.col_ymax[c] >= T or fr.col_ymin[c] <= B)
@@ -368,85 +279,11 @@ def _decide_slow(fr: _Frame, x_i, T, B, x_j, w):
     return best
 
 
-# ---------------------------------------------------------------------------
-# width-w decision, tree-backed
-
-
-def _try_L(ctrees, gtree, satbase, M, w, L, rReq, k):
-    """Evaluate one left-arm position.  Status 0 = witness, 1 = try the next
-    gap, 2 = no later gap can work either."""
-    IL = L + w
-    IRmin = -INF
-    for c in range(1, k + 1):
-        v = ctrees.nearest_right_in_band(c, IL)
-        if v is None:
-            return 2, None
-        if v > IRmin:
-            IRmin = v
-    caps = INF
-    for c in range(1, k + 1):
-        if satbase[c]:
-            continue
-        if ctrees.nearest_left_in_band(c, L) is not None:
-            continue
-        rm = ctrees.rightmost_in_band(c)
-        if rm is None:
-            return 2, None
-        if rm < caps:
-            caps = rm
-    Rlo = M
-    if IRmin + w > Rlo:
-        Rlo = IRmin + w
-    if L + 2.0 * w > Rlo:
-        Rlo = L + 2.0 * w
-    Rhi = rReq if rReq < caps else caps
-    if Rlo > Rhi:
-        return 1, None
-    R = _first_R_tree(gtree, Rlo, Rhi, w)
-    if R is None:
-        return 1, None
-    return 0, (L, R)
-
-
-def _first_R_tree(gtree, Rlo, Rhi, w):
-    t = gtree.index_of(Rlo - w)
-    gl, gr = gtree.gap(t)
-    if Rlo <= gr and Rlo <= Rhi:
-        return Rlo
-    t2 = gtree.leftmost_in_region(Rlo - w, Rhi - w, w)
-    if t2 is None:
-        return None
-    gl2, _ = gtree.gap(t2)
-    return gl2 + w
-
-
-def _scan_arms_tree(ctrees, gtree, satbase, m, M, w, lReq, rReq, k):
-    """Same gap order and outcome as _scan_arms_list, via the structures, for
-    a branch that passed the span test in _decide_fast_impl."""
-    t = gtree.index_of(lReq)
-    while t is not None:
-        gl, gr = gtree.gap(t)
-        if gl > m:
-            return None
-        L = gl if gl > lReq else lReq
-        lim = gr - w
-        if m < lim:
-            lim = m
-        if L <= lim:
-            status, got = _try_L(ctrees, gtree, satbase, M, w, L, rReq, k)
-            if status == 0:
-                return got
-            if status == 2:
-                return None
-        t = gtree.next_at_least(t, w)
-    return None
-
-
 def _left_arm_fits(fr: _Frame, iT, iB, lReq, m, w):
-    """Does any gap take a left arm, as _scan_arms_tree tests it before its
-    first _try_L?  Walks the slab points (frame rows iT..iB-1) right of lReq
-    in x order on the frame's lists; when this fails the scan tries nothing
-    and the branch is infeasible."""
+    """Does any gap take a left arm, as _scan_arms_list tests it before it
+    looks at the colors?  Walks the slab points (frame rows iT..iB-1) right
+    of lReq in x order on the frame's lists; when this fails the scan tries
+    nothing and the branch is infeasible."""
     if lReq == -INF:
         return True
     xs, order = fr.xsorted_l, fr.xorder_l
@@ -469,7 +306,8 @@ def _left_arm_fits(fr: _Frame, iT, iB, lReq, m, w):
 def _decide_fast_impl(fr: _Frame, x_i, T, B, x_j, w):
     """_decide_slow's verdict and witness.  The band split, the span test
     and the left-arm test of each branch come first, on the frame's lists;
-    the slab structures are built only when some branch survives them."""
+    only a branch that survives them gathers the slab and runs the
+    reference arm scan."""
     finite = x_j is not None
     if finite and T - B < 2.0 * w:
         return None
@@ -497,23 +335,14 @@ def _decide_fast_impl(fr: _Frame, x_i, T, B, x_j, w):
                 and _left_arm_fits(fr, iT, iB, lReq, m, w)]
     if not branches:
         return None
-    satbase = [False] * (k + 1)
-    for c in range(1, k + 1):
-        satbase[c] = bool(bsat[c] or fr.col_ymax[c] >= T or fr.col_ymin[c] <= B)
     xo = fr.xorder
     sel = xo[(xo >= iT) & (xo < iB)]
     mid = sel[(sel >= iTw) & (sel < jBw)]
     mx = fr.X[mid]
     mc = fr.C[mid]
-    ctrees = ColorRangeTrees.from_sorted(
-        k, [mx[mc == c] for c in range(1, k + 1)])
-    gtree = GapPointTree(fr.X[sel])
-    best = None
-    for lReq, rReq in branches:
-        got = _scan_arms_tree(ctrees, gtree, satbase, m, M, w, lReq, rReq, k)
-        if got is not None and (best is None or got < best):
-            best = got
-    return best
+    mcol = [None] + [mx[mc == c].tolist() for c in range(1, k + 1)]
+    return _scan_branches(fr, fr.X[sel].tolist(), mcol, bsat, branches,
+                          T, B, m, M, w)
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +403,7 @@ def dp_decision(pointset: PointSet, i, j, w) -> DecisionOutcome:
 
 
 def dp_decision_fast(pointset: PointSet, i, j, w) -> DecisionOutcome:
-    """dp_decision through the slab query structures; same verdict and same
+    """dp_decision behind the band pre-rejection; same verdict and same
     witness."""
     return _decision(pointset, i, j, w, _decide_fast_impl)
 
@@ -833,9 +662,11 @@ def max_anchored_rbra_for_top_point(pointset: PointSet, i,
     """Widest uniform rainbow ring with point i (descending-y order) on the
     outer top side, over candidate widths drawn from the level differences
     below the anchor; None when none is feasible.  Ties prefer the smaller
-    (left, bottom).  Runs the gap-jumping walk max_rbra runs per anchor.  A
+    (left, bottom).  Runs the walk max_rbra runs per anchor.  A
     width pinned by horizontal clearances alone is picked up by the rotated
-    frames of the full search, not here."""
+    frames of the full search, not here.  Raises ValueError unless
+    eps >= 0."""
+    check_eps(eps)
     fr = _frame_identity(pointset)
     i, _ = _validate_anchors(fr.n, i, None)
     state = [None, None]
@@ -876,10 +707,12 @@ def max_rbra(pointset: PointSet, fast: bool = True,
     """Maximum-width empty rectangular annulus splitting the colors into two
     rainbow groups, or None when no ring wider than eps exists.
 
-    The staircase runs through the slab query structures, with vectorized
-    pruning of bottom anchors.  fast=False runs the plain walk instead; it is
-    the reference the tests compare against and returns the same annulus.
+    The staircase prunes bottom anchors vectorized and pre-rejects each
+    decision from its boundary bands.  fast=False runs the plain walk
+    instead; it is the reference the tests compare against and returns the
+    same annulus.  Raises ValueError unless eps >= 0.
     """
+    check_eps(eps)
     pts = pointset.points
     n = len(pts)
     if n < 2:

@@ -24,7 +24,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import deque
 
-from .core import DEFAULT_EPS, INF, QUADRANT_SIGNS, PointSet, SquareAnnulus
+from .core import (DEFAULT_EPS, INF, QUADRANT_SIGNS, PointSet, SquareAnnulus,
+                   check_eps)
 from .lcorridor import max_rblc_all
 from .strips import max_rbes
 
@@ -149,7 +150,9 @@ def _square(w, cx, cy, r):
 
 def best_annulus_on_segment(pointset: PointSet, p_i, p_j, eps: float = DEFAULT_EPS):
     """Best square annulus whose outer square touches p_i with its bottom
-    side and p_j with its top side, or None."""
+    side and p_j with its top side, or None.  Raises ValueError unless
+    eps >= 0."""
+    check_eps(eps)
     seg = c3_center_segment(p_i, p_j)
     if seg is None:
         return None
@@ -204,7 +207,9 @@ def _c3_family(rows, k, totals, eps):
 
 def max_rbsa_c3(pointset: PointSet, eps: float = DEFAULT_EPS):
     """Widest bounded square annulus: two opposite outer sides pinned by
-    points, trying both the horizontal and the vertical pair families."""
+    points, trying both the horizontal and the vertical pair families.
+    Raises ValueError unless eps >= 0."""
+    check_eps(eps)
     rows = [(p.x, p.y, p.color) for p in pointset.points]
     totals = (0,) + pointset.color_count
     best = _c3_family(rows, pointset.k, totals, eps)  # (width, cx, cy, r)

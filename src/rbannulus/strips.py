@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DEFAULT_EPS, PointSet, Strip
+from .core import DEFAULT_EPS, PointSet, Strip, check_eps
 
 
 def rainbow_gaps(V, colors, k: int, eps: float):
@@ -28,8 +28,7 @@ def rainbow_gaps(V, colors, k: int, eps: float):
     when that gap is wider than eps, S[t] >= rin and S[t+1] <= rout (see
     the module docstring).  Raises ValueError unless eps >= 0.
     """
-    if not eps >= 0:
-        raise ValueError("eps must be >= 0, got %r" % (eps,))
+    check_eps(eps)
     groups = [np.asarray(colors) == c for c in range(1, k + 1)]
     # a color without a column makes rin inf, so no gap is usable
     rin = np.max([V[:, g].min(axis=1, initial=np.inf) for g in groups], axis=0)

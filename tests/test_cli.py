@@ -144,7 +144,7 @@ def test_solve_rect_fast_matches_slow(tmp_path, capsys):
     code, out, _ = run(capsys, ["solve", "--shape", "rect",
                                 "--input", str(f), "--json"])
     assert code == 0
-    # the CLI runs the gap-jumping walk; the plain walk is the reference
+    # the CLI runs the pruned walk; the plain walk is the reference
     ref = SolutionReport.for_annulus("rect", max_rbra(ps, fast=False), "", 0.0)
     got = SolutionReport.from_json(out)
     assert got.width == ref.width

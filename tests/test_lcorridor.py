@@ -158,9 +158,9 @@ def test_gap_tree_empty_and_boundary_cases():
 
 def test_max_coord_tree_open_band():
     tree = MaxCoordTree([(5, 1, "a"), (9, 2, "b"), (3, 3, "c")])
-    assert tree.max_in_open_band(0, 3) == (9, "b")
-    assert tree.max_in_open_band(1, 2) == (-INF, None)
-    assert tree.max_in_open_band(2, 10) == (3, "c")
+    assert tree.max_in_open_band(0, 3) == 9
+    assert tree.max_in_open_band(1, 2) == -INF
+    assert tree.max_in_open_band(2, 10) == 3
 
 
 def test_collinear_instance_recovers_strip():

@@ -1,10 +1,9 @@
 import math
 import random
 
-import numpy as np
 import pytest
 
-from conftest import random_instance, rotate90
+from conftest import random_instance, random_real_instance, rotate90
 
 from rbannulus import (
     INF,
@@ -15,8 +14,6 @@ from rbannulus import (
 )
 from rbannulus.core import offset_square
 from rbannulus.rect import (
-    ColorRangeTrees,
-    GapPointTree,
     MinimalRainbowInterval,
     WGap,
     anchor_ordering,
@@ -221,6 +218,22 @@ def test_dp_fast_equals_dp_random():
                 assert ref == fast, (ps.points, i, j, w)
 
 
+def test_fast_decision_keeps_a_rounded_gap():
+    # the gap (-0.36, -0.2) holds an arm of width 0.16 when the test is
+    # gl <= gr - w, although gr - gl rounds to 0.15999999999999998
+    ps = PointSet.build([(-0.19384609, -0.48, 1), (-0.36, -0.5, 1),
+                         (0.851602061, -0.1, 2), (0.27, -0.91, 2),
+                         (0.51, 0.32271988, 2), (-0.2, -0.45, 1),
+                         (0.43, 0.06, 2), (0.7, -0.5, 2)], 2)
+    assert repr(max_rbra(ps)) == repr(max_rbra(ps, fast=False))
+    xy = [(p.x, p.y) for p in anchor_ordering(ps)]
+    i, j = xy.index((0.43, 0.06)), xy.index((0.27, -0.91))
+    for bottom in (j, None):
+        ref = dp_decision(ps, i, bottom, 0.16)
+        assert ref.feasible
+        assert dp_decision_fast(ps, i, bottom, 0.16) == ref
+
+
 def test_dp_monotone_in_width():
     rng = random.Random(403)
     for _ in range(40):
@@ -235,66 +248,6 @@ def test_dp_monotone_in_width():
                 if not feas[a]:
                     assert not any(feas[a + 1:]), (ps.points, i, j, ws)
                     break
-
-
-# ---------------------------------------------------------------------------
-# slab structures
-
-
-def naive_gaps(xs):
-    s = sorted(xs)
-    return list(zip([-INF] + s, s + [INF]))
-
-
-def test_gap_point_tree_vs_naive():
-    rng = random.Random(404)
-    for _ in range(120):
-        xs = sorted(rng.randint(0, 30) for _ in range(rng.randint(0, 12)))
-        tree = GapPointTree(xs)
-        gaps = naive_gaps(xs)
-        assert len(tree) == len(gaps)
-        assert [tree.gap(t) for t in range(len(tree))] == gaps
-        for _ in range(6):
-            x_lo = rng.uniform(-5, 35) if rng.random() < 0.8 else -INF
-            x_hi = x_lo + rng.uniform(0, 30)
-            need = rng.choice([0.5, 1, 2, 5, 11])
-            want = [t for t, (gl, gr) in enumerate(gaps)
-                    if x_lo <= gl <= x_hi and gr - gl >= need]
-            got_l = tree.leftmost_in_region(x_lo, x_hi, need)
-            assert got_l == (want[0] if want else None)
-        if xs:
-            probe = rng.uniform(min(xs) - 2, max(xs) + 2)
-            t = tree.index_of(probe)
-            gl, gr = tree.gap(t)
-            assert gl <= probe and (t + 1 == len(tree) or probe < tree.gap(t + 1)[0])
-            nt = tree.next_at_least(rng.randrange(len(tree)), 2.0)
-            if nt is not None:
-                gl, gr = tree.gap(nt)
-                assert gr - gl >= 2.0
-
-
-def test_color_range_trees_vs_naive():
-    rng = random.Random(406)
-    for _ in range(80):
-        k = rng.randint(1, 3)
-        pts = [(rng.randint(0, 20), rng.randint(0, 20), rng.randint(1, k))
-               for _ in range(rng.randint(0, 14))]
-        # per-color arrays sorted by x, as the solver slices them
-        rows = [sorted(x for x, _, cc in pts if cc == c)
-                for c in range(1, k + 1)]
-        trees = ColorRangeTrees.from_sorted(
-            k, [np.array(r, dtype=float) for r in rows])
-        for _ in range(8):
-            c = rng.randint(1, k)
-            x0 = rng.uniform(-2, 22)
-            xs = rows[c - 1]
-            right = [x for x in xs if x >= x0]
-            left = [x for x in xs if x <= x0]
-            assert trees.nearest_right_in_band(c, x0) == \
-                (right[0] if right else None)
-            assert trees.nearest_left_in_band(c, x0) == \
-                (left[-1] if left else None)
-            assert trees.rightmost_in_band(c) == (xs[-1] if xs else None)
 
 
 # ---------------------------------------------------------------------------
@@ -516,11 +469,15 @@ def test_max_rbra_matches_oracle():
 
 def test_max_rbra_fast_equals_slow():
     rng = random.Random(411)
-    for _ in range(36):
+    for _ in range(54):
         n = rng.randint(4, 22)
         k = rng.randint(1, min(3, n // 2))
-        if rng.random() < 0.5:
+        kind = rng.randrange(3)
+        if kind == 0:
             ps = random_instance(rng, n, k, lo=0, hi=15)
+        elif kind == 1:
+            # one-decimal coordinates: gap ends and widths round
+            ps = random_real_instance(rng, n, k, digits=1)
         else:
             colors = [c for c in range(1, k + 1) for _ in (0, 1)]
             colors += [rng.randint(1, k) for _ in range(n - len(colors))]

@@ -10,11 +10,15 @@ from rbannulus import (
     PointSet,
     Strip,
     max_rbca,
+    max_rblc,
+    max_rbra,
     max_rbsa,
     validate_solution,
 )
 from rbannulus.circles import best_annulus_at_center
 from rbannulus.oracle import oracle_rbes
+from rbannulus.rect import max_anchored_rbra_for_top_point
+from rbannulus.squares import best_annulus_on_segment, max_rbsa_c3
 from rbannulus.strips import max_rbes, rainbow_gaps
 
 
@@ -60,15 +64,25 @@ def test_duplicate_coordinates_never_candidates():
 def test_negative_eps_rejected():
     # a negative eps would admit the zero gaps between tied values
     ps = PointSet.build([(2, 0, 1), (2, 1, 2), (2, 5, 1), (3, 0, 2), (3, 1, 1)])
-    eps = -1e-9
-    with pytest.raises(ValueError):
-        max_rbes(ps, "vertical", eps)
-    with pytest.raises(ValueError):
-        best_annulus_at_center(ps, (0.0, 0.0), eps)
-    with pytest.raises(ValueError):
-        max_rbca(ps, eps)
-    with pytest.raises(ValueError):
-        max_rbsa(ps, eps)
+    for eps in (-1e-9, math.nan):
+        with pytest.raises(ValueError):
+            max_rbes(ps, "vertical", eps)
+        with pytest.raises(ValueError):
+            best_annulus_at_center(ps, (0.0, 0.0), eps)
+        with pytest.raises(ValueError):
+            max_rbca(ps, eps)
+        with pytest.raises(ValueError):
+            max_rbsa(ps, eps)
+        with pytest.raises(ValueError):
+            max_rbsa_c3(ps, eps)
+        with pytest.raises(ValueError):
+            best_annulus_on_segment(ps, ps.points[0], ps.points[2], eps)
+        with pytest.raises(ValueError):
+            max_rblc(ps, "down-right", eps)
+        with pytest.raises(ValueError):
+            max_rbra(ps, eps=eps)
+        with pytest.raises(ValueError):
+            max_anchored_rbra_for_top_point(ps, 0, eps)
 
 
 def test_signed_zero_sides_keep_their_sign():
