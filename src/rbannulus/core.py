@@ -345,11 +345,6 @@ class Line:
         n2 = self.a * self.a + self.b * self.b
         return (self.a * self.c / n2, self.b * self.c / n2)
 
-    def point_at(self, t: float) -> tuple[float, float]:
-        ox, oy = self.origin
-        dx, dy = self.direction
-        return (ox + t * dx, oy + t * dy)
-
 
 def classify(point, annulus, eps: float = DEFAULT_EPS) -> Region:
     """Region membership of one point, uniformly over all shapes."""

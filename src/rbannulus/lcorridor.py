@@ -166,7 +166,7 @@ class GapTree:
     is closed there).
     """
 
-    __slots__ = ("_xs", "_size", "_mn", "_mx", "_gap", "_gl", "_gr", "_index", "_active")
+    __slots__ = ("_xs", "_size", "_mn", "_mx", "_gl", "_gr", "_index")
 
     def __init__(self, xs):
         self._xs = list(xs)
@@ -177,19 +177,16 @@ class GapTree:
         self._size = size
         self._mn = [INF] * (2 * size)
         self._mx = [-INF] * (2 * size)
-        self._gap = [-INF] * (2 * size)
+        # a node's widest gap is gr - gl, -inf while it has none
         self._gl = [0.0] * (2 * size)
-        self._gr = [0.0] * (2 * size)
+        self._gr = [-INF] * (2 * size)
         self._index = {x: i for i, x in enumerate(self._xs)}
-        self._active = [False] * m
 
     def insert(self, x: float) -> None:
-        i = self._index[x]
-        if self._active[i]:
-            return
-        self._active[i] = True
-        mn, mx, gap, gls, grs = self._mn, self._mx, self._gap, self._gl, self._gr
-        v = i + self._size
+        mn, mx, gls, grs = self._mn, self._mx, self._gl, self._gr
+        v = self._index[x] + self._size
+        if mn[v] == x:
+            return  # already active: keep the first sign of a zero
         mn[v] = mx[v] = x
         v >>= 1
         while v:
@@ -199,14 +196,15 @@ class GapTree:
             rmn = mn[r]
             mn[v] = mn[l] if mn[l] <= rmn else rmn
             mx[v] = lmx if lmx >= mx[r] else mx[r]
-            g, gl, gr = gap[l], gls[l], grs[l]
+            gl, gr = gls[l], grs[l]
+            g = gr - gl
             if lmx > -INF and rmn < INF:
                 cross = rmn - lmx
                 if cross > g:
                     g, gl, gr = cross, lmx, rmn
-            if gap[r] > g:
-                g, gl, gr = gap[r], gls[r], grs[r]
-            gap[v], gls[v], grs[v] = g, gl, gr
+            if grs[r] - gls[r] > g:
+                gl, gr = gls[r], grs[r]
+            gls[v], grs[v] = gl, gr
             v >>= 1
 
     def _range(self, li, ri):
@@ -226,7 +224,7 @@ class GapTree:
             l >>= 1
             r >>= 1
         rights.reverse()
-        mns, mxs, gaps, gls, grs = self._mn, self._mx, self._gap, self._gl, self._gr
+        mns, mxs, gls, grs = self._mn, self._mx, self._gl, self._gr
         mn, mx = INF, -INF
         g, gl, gr = -INF, 0.0, 0.0
         for v in lefts + rights:
@@ -235,7 +233,7 @@ class GapTree:
                 cross = vmn - mx
                 if cross > g:
                     g, gl, gr = cross, mx, vmn
-            vg = gaps[v]
+            vg = grs[v] - gls[v]
             if vg > g:
                 g, gl, gr = vg, gls[v], grs[v]
             if vmn < mn:

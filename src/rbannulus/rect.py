@@ -470,31 +470,17 @@ def minimal_rainbow_intervals(pointset: PointSet, i, j, left_pool, right_pool):
                 areq = u
         return areq
 
-    # Climb a -> down(req_left(up(req_right(a)))).  The step never moves a
-    # left (every color meets [a, up(req_right(a))]), so iterating from the
-    # smallest pool value past the last emitted interval lands on exactly
-    # the next mutually-minimal pair, and a sweeps left_pool at most once.
+    # a is the left end of a minimal interval exactly when the shortest
+    # rainbow interval from a, b = up(req_right(a)), leads back to it.
+    # req_left(b) >= a as every color meets [a, b], and both steps are
+    # monotone, so once either runs off its pool it stays off.
     out = []
-    a = lp[0]
-    steps = 0
-    while True:
-        steps += 1
-        if steps > 2 * len(lp) + 4:
-            raise RuntimeError("interval chain failed to advance")
+    for a in lp:
         breq = req_right(a)
-        if breq is None:
-            break
-        b = up(breq)
+        b = None if breq is None else up(breq)
         if b is None:
             break
-        areq = req_left(b)
-        if areq is None:
-            break
-        a2 = down(areq)
-        if a2 is None or a2 < a:
-            break
-        if a2 != a:
-            a = a2
+        if down(req_left(b)) != a:
             continue
         counter = {}
         for c in range(1, k + 1):
@@ -502,10 +488,6 @@ def minimal_rainbow_intervals(pointset: PointSet, i, j, left_pool, right_pool):
             counter[c] = (bisect.bisect_right(arr, b)
                           - bisect.bisect_left(arr, a))
         out.append(MinimalRainbowInterval(a, b, counter))
-        p = bisect.bisect_right(lp, a)
-        if p >= len(lp):
-            break
-        a = lp[p]
     return out
 
 
@@ -595,14 +577,7 @@ def _walk_fast(fr: _Frame, i, eps, bar_fn, emit):
         return
     ws = (T - fr.levels[:lo])[::-1]  # ascending candidate widths
     nws = int(ws.size)
-    barw = bar_fn()
-    if barw is not None and float(ws[-1]) < barw:
-        return
-    wp = int(np.searchsorted(ws, eps, side="right"))
-    if barw is not None:
-        wp2 = int(np.searchsorted(ws, barw, side="left"))
-        if wp2 > wp:
-            wp = wp2
+    wp = _start_wp_list(ws, bar_fn(), eps)
     if wp >= nws:
         return
     iT = _first_below(fr, T)

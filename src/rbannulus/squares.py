@@ -21,7 +21,6 @@ same per-pair search for every pinned pair.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from collections import deque
 
 from .core import (DEFAULT_EPS, INF, QUADRANT_SIGNS, PointSet, SquareAnnulus,
@@ -78,9 +77,13 @@ def _scan_segment(xs, ys, cols, totals, k, y0, r, ax, bx, eps):
     # x + r between them, where a point enters or leaves the outer square)
     # and, inside each interval between two breakpoints, the t that
     # centers the interval's window of inside points.  As t only grows,
-    # the first maximum met has the smallest t, and the window only moves
-    # right, so the color counters and the monotone deque of |y - y0|
-    # update in O(1) amortized per point.
+    # the first maximum met has the smallest t.  The state is the window
+    # [wl, wr] of the points with t - r < x < t + r: both ends only move
+    # right, by comparison, so the color counters and the monotone deque
+    # of |y - y0| update in O(1) amortized per point.  The probe that
+    # finds an interval's centering t reads ahead on copies of wl and wr,
+    # so every visited t is scored on its own window.
+    npts = len(xs)
     bps = {ax, bx}
     for x in xs:
         for t in (x - r, x + r):
@@ -89,7 +92,7 @@ def _scan_segment(xs, ys, cols, totals, k, y0, r, ax, bx, eps):
     in_cnt = [0] * (k + 1)
     inside_present = 0
     outside_present = k
-    wl, wr = 0, -1  # current window of inside points, indices into xs
+    wl, wr = 0, -1
     dq = deque()  # (|y - y0|, index) of window points, first entries decreasing
     best = None
     a = None
@@ -97,17 +100,18 @@ def _scan_segment(xs, ys, cols, totals, k, y0, r, ax, bx, eps):
         ts = (b,)
         if a is not None:
             probe = (a + b) / 2.0
-            lo = bisect_right(xs, probe - r)
-            hi = bisect_left(xs, probe + r) - 1
+            lo, hi = wl, wr
+            while hi + 1 < npts and xs[hi + 1] < probe + r:
+                hi += 1
+            while lo < npts and xs[lo] <= probe - r:
+                lo += 1
             if lo <= hi:
                 mid = (xs[lo] + xs[hi]) / 2.0
                 if a < mid < b:
                     ts = (mid, b)
         a = b
         for t in ts:
-            nlo = bisect_right(xs, t - r)
-            nhi = bisect_left(xs, t + r) - 1
-            while wr < nhi:
+            while wr + 1 < npts and xs[wr + 1] < t + r:
                 wr += 1
                 c = cols[wr]
                 in_cnt[c] += 1
@@ -119,7 +123,7 @@ def _scan_segment(xs, ys, cols, totals, k, y0, r, ax, bx, eps):
                 while dq and dq[-1][0] <= d:
                     dq.pop()
                 dq.append((d, wr))
-            while wl < nlo:
+            while wl < npts and xs[wl] <= t - r:
                 c = cols[wl]
                 if in_cnt[c] == totals[c]:
                     outside_present += 1
@@ -129,15 +133,15 @@ def _scan_segment(xs, ys, cols, totals, k, y0, r, ax, bx, eps):
                 wl += 1
             while dq and dq[0][1] < wl:
                 dq.popleft()
-            if nlo > nhi:
+            if wl > wr:
                 continue
             if inside_present < k or outside_present < k:
                 continue
             r_in = dq[0][0]
-            if t - xs[nlo] > r_in:
-                r_in = t - xs[nlo]
-            if xs[nhi] - t > r_in:
-                r_in = xs[nhi] - t
+            if t - xs[wl] > r_in:
+                r_in = t - xs[wl]
+            if xs[wr] - t > r_in:
+                r_in = xs[wr] - t
             w = r - r_in
             if w > eps and (best is None or w > best[0]):
                 best = (w, t)
@@ -168,40 +172,26 @@ def best_annulus_on_segment(pointset: PointSet, p_i, p_j, eps: float = DEFAULT_E
 def _c3_family(rows, k, totals, eps):
     # rows: (x, y, color) tuples; best bounded annulus with the outer
     # bottom and top sides pinned by two of them.  Returns
-    # (width, center_x, center_y, r) in this frame, or None.
+    # (width, center_x, center_y, r) in this frame, or None.  Pairs are
+    # met in increasing bottom y; pairs with equal bottom y that tie on
+    # (-width, t, y0) share the top y too, so the same r.
     by_x = sorted(rows)
-    levels = {}  # y -> [(x, color)] in increasing x
-    for x, y, c in by_x:
-        levels.setdefault(y, []).append((x, c))
-    ys = sorted(levels)
+    by_y = sorted(by_x, key=lambda p: p[1])  # (y, x, color) order
     best = None
-    for li, y_i in enumerate(ys):
-        strip_cnt = [0] * (k + 1)
-        strip_present = 0
-        for lj in range(li + 1, len(ys)):
-            if lj > li + 1:
-                for _, c in levels[ys[lj - 1]]:
-                    strip_cnt[c] += 1
-                    if strip_cnt[c] == 1:
-                        strip_present += 1
-            if strip_present < k:
+    for i, (xi, y_i, _) in enumerate(by_y):
+        for xj, y_j, _ in by_y[i + 1:]:
+            if y_j == y_i:
                 continue
-            y_j = ys[lj]
-            strip = None
-            for xi, _ in levels[y_i]:
-                for xj, _ in levels[y_j]:
-                    seg = c3_center_segment((xi, y_i), (xj, y_j))
-                    if seg is None:
-                        continue
-                    (ax, y0), (bx, _), r = seg
-                    if strip is None:
-                        strip = _strip(by_x, y_i, y_j)
-                    hit = _scan_segment(*strip, totals, k, y0, r, ax, bx, eps)
-                    if hit is None:
-                        continue
-                    w, t = hit
-                    if best is None or (-w, t, y0) < (-best[0], best[1], best[2]):
-                        best = (w, t, y0, r)
+            seg = c3_center_segment((xi, y_i), (xj, y_j))
+            if seg is None:
+                continue
+            (ax, y0), (bx, _), r = seg
+            hit = _scan_segment(*_strip(by_x, y_i, y_j), totals, k, y0, r, ax, bx, eps)
+            if hit is None:
+                continue
+            w, t = hit
+            if best is None or (-w, t, y0) < (-best[0], best[1], best[2]):
+                best = (w, t, y0, r)
     return best
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 from bisect import bisect_left, bisect_right
 
@@ -134,6 +135,15 @@ def test_gap_tree_matches_naive_reference():
                 assert tree.query(lo, hi) == naive_gap(active, lo, hi)
                 checked += 1
     assert checked >= 10_000
+
+
+def test_gap_tree_reinsert_keeps_first_zero():
+    # 0.0 and -0.0 are one universe value; the sign activated first stays,
+    # so a corridor side read from the tree keeps its input's sign
+    tree = GapTree([-1.0, 0.0, 1.0])
+    tree.insert(0.0)
+    tree.insert(-0.0)
+    assert math.copysign(1.0, tree.query(-0.5, 0.5)[2]) == 1.0
 
 
 def test_max_xgap_examples():

@@ -85,13 +85,17 @@ def _best_over_pinned_pairs(ps):
 def test_solver_agrees_with_per_pair_search():
     # the bounded solver's width is the best per-pair search over every
     # pinned pair, horizontal pairs in the input frame and vertical pairs
-    # with x and y swapped
+    # with x and y swapped; every fourth instance is integer and tie-heavy,
+    # with many points per level
     rng = random.Random(2718)
     seen = 0
-    for it in range(60):
+    for it in range(80):
         k = rng.randint(1, 3)
         n = rng.randint(2 * k, 10)
-        ps = random_real_instance(rng, n, k, digits=None if it % 3 == 0 else 1 + it % 2)
+        if it % 4 == 3:
+            ps = random_instance(rng, n, k, 0, 4)
+        else:
+            ps = random_real_instance(rng, n, k, digits=None if it % 3 == 0 else 1 + it % 2)
         swapped = PointSet.build([(p.y, p.x, p.color) for p in ps.points], k)
         widths = [w for w in (_best_over_pinned_pairs(ps), _best_over_pinned_pairs(swapped))
                   if w is not None]
