@@ -15,13 +15,17 @@ change only where a point enters or leaves through the vertical sides.
 best_annulus_on_segment scans the segment in one pass over the x-ordered
 points strictly between the two pinning y values: in increasing center
 position it visits every such breakpoint and, between two of them, the
-midpoint of the extreme inside x-coordinates.  The bounded solver runs the
-same per-pair search for every pinned pair.
+midpoint of the extreme inside x-coordinates.  The bounded solver bounds
+the width of every pinned pair from above, with one numpy pass per bottom
+point, and runs the same per-pair search on the pairs in decreasing bound
+until no remaining bound can reach the best width found.
 """
 
 from __future__ import annotations
 
 from collections import deque
+
+import numpy as np
 
 from .core import (DEFAULT_EPS, INF, QUADRANT_SIGNS, PointSet, SquareAnnulus,
                    check_eps)
@@ -169,30 +173,115 @@ def best_annulus_on_segment(pointset: PointSet, p_i, p_j, eps: float = DEFAULT_E
     return None if hit is None else _square(hit[0], hit[1], y0, r)
 
 
-def _c3_family(rows, k, totals, eps):
+def _pair_bounds(by_y, k, eps):
+    # by_y: (x, y, color) rows in (y, x, color) order.  Returns numpy
+    # arrays (bound, bottom, top) over the pinned pairs by_y[bottom] (outer
+    # bottom side), by_y[top] (outer top side) whose bound exceeds eps, in
+    # increasing (bottom, top); _scan_segment returns None on every other
+    # pair, and at most the bound on these.  For each bottom row i the
+    # pairs are the rows j with y_j > y_i and a non-empty segment; r, y0,
+    # ax and bx come from the float operations of c3_center_segment, and
+    # the columns, the points that may be strictly inside, are the same
+    # rows.
+    #   core: the largest |y - y0| over strip points with
+    #     bx - r < x < ax + r;
+    #   color: over the colors, the largest per-color minimum of
+    #     max(|y - y0|, x-distance to [ax, bx]) over that color's strip
+    #     points (infinite, so the pair is dropped, when a color is
+    #     missing from the strip);
+    #   bound = r - max(core, color).
+    # Why w <= bound holds bit for bit: every t the scan visits lies in
+    # [ax, bx], and float rounding is monotone.  So fl(t + r) >= fl(ax + r)
+    # and fl(t - r) <= fl(bx - r): a core point passes both window tests at
+    # every t, and the scan's r_in is at least its |y - y0|, the same
+    # subtraction.  The window holds a point of every color, and r_in is at
+    # least fl(t - xs[wl]) and fl(xs[wr] - t) over the window's extreme x,
+    # so at least fl(|x - t|) for each window point; for x < ax that is at
+    # least fl(ax - x), for x > bx at least fl(x - bx).  So r_in >=
+    # max(core, color), and w = fl(r - r_in) <= fl(r - max(core, color)).
+    n = len(by_y)
+    xs = np.array([p[0] for p in by_y], dtype=float)
+    ys = np.array([p[1] for p in by_y], dtype=float)
+    cols = np.array([p[2] for p in by_y])
+    bounds, bottoms, tops = [np.empty(0)], [np.empty(0, dtype=int)], [np.empty(0, dtype=int)]
+    for i in range(n - 1):
+        xi, yi = xs[i], ys[i]
+        above = int(np.searchsorted(ys, yi, side="right"))  # first y > yi
+        xm, ym = xs[above:], ys[above:]
+        r = (ym - yi) / 2.0
+        ax = np.maximum(xi, xm) - r
+        bx = np.minimum(xi, xm) + r
+        seg = np.flatnonzero(ax <= bx)
+        if not len(seg):
+            continue
+        r, ax, bx = r[seg], ax[seg], bx[seg]
+        y0 = (yi + ym[seg]) / 2.0
+        inside = ym < ym[seg][:, None]
+        dy = np.abs(ym - y0[:, None])
+        core_pts = inside & (xm > (bx - r)[:, None]) & (xm < (ax + r)[:, None])
+        core = np.max(dy, axis=1, where=core_pts, initial=0.0)
+        # max(|y - y0|, ax - x, x - bx) is max(|y - y0|, x-distance)
+        d = np.maximum(dy, ax[:, None] - xm, out=dy)
+        np.maximum(d, xm - bx[:, None], out=d)
+        np.putmask(d, ~inside, INF)
+        groups = [cols[above:] == c for c in range(1, k + 1)]
+        color = np.max([d[:, g].min(axis=1, initial=INF) for g in groups], axis=0)
+        bound = r - np.maximum(core, color)
+        keep = bound > eps
+        bounds.append(bound[keep])
+        bottoms.append(np.full(np.count_nonzero(keep), i))
+        tops.append(above + seg[keep])
+    return np.concatenate(bounds), np.concatenate(bottoms), np.concatenate(tops)
+
+
+def _c3_family(rows, k, totals, eps, floor):
     # rows: (x, y, color) tuples; best bounded annulus with the outer
     # bottom and top sides pinned by two of them.  Returns
-    # (width, center_x, center_y, r) in this frame, or None.  Pairs are
-    # met in increasing bottom y; pairs with equal bottom y that tie on
-    # (-width, t, y0) share the top y too, so the same r.
+    # (width, center_x, center_y, r) in this frame, or None, whenever the
+    # best width is at least floor; below floor the result may be None or
+    # a narrower annulus.  Every pair is bounded (_pair_bounds) and pairs
+    # are scanned in decreasing bound, stopping at the first bound strictly
+    # below the best width so far (or floor): a pair whose bound equals it
+    # may still win the tie.  Pairs tied on (-width, t, y0) can differ in
+    # r, so the key ends with the pair's position in (y, x, color) order:
+    # the winner is the first best pair in that order, as when every pair
+    # is scanned in it, whatever the order of visits.
     by_x = sorted(rows)
     by_y = sorted(by_x, key=lambda p: p[1])  # (y, x, color) order
-    best = None
-    for i, (xi, y_i, _) in enumerate(by_y):
-        for xj, y_j, _ in by_y[i + 1:]:
-            if y_j == y_i:
-                continue
-            seg = c3_center_segment((xi, y_i), (xj, y_j))
-            if seg is None:
-                continue
-            (ax, y0), (bx, _), r = seg
-            hit = _scan_segment(*_strip(by_x, y_i, y_j), totals, k, y0, r, ax, bx, eps)
-            if hit is None:
-                continue
-            w, t = hit
-            if best is None or (-w, t, y0) < (-best[0], best[1], best[2]):
-                best = (w, t, y0, r)
+    bound, bottom, top = _pair_bounds(by_y, k, eps)
+    best = key = None
+    limit = floor
+    for q in np.argsort(-bound, kind="stable"):
+        if bound[q] < limit:
+            break
+        (xi, y_i, _), (xj, y_j, _) = by_y[bottom[q]], by_y[top[q]]
+        (ax, y0), (bx, _), r = c3_center_segment((xi, y_i), (xj, y_j))
+        hit = _scan_segment(*_strip(by_x, y_i, y_j), totals, k, y0, r, ax, bx, eps)
+        if hit is None:
+            continue
+        w, t = hit
+        if key is None or (-w, t, y0, q) < key:
+            best, key = (w, t, y0, r), (-w, t, y0, q)
+            limit = max(limit, w)
     return best
+
+
+def _bounded(pointset, eps, floor):
+    # max_rbsa_c3's answer whenever its width is at least floor; below
+    # floor, None or a narrower annulus.
+    rows = [(p.x, p.y, p.color) for p in pointset.points]
+    totals = (0,) + pointset.color_count
+    best = _c3_family(rows, pointset.k, totals, eps, floor)  # (width, cx, cy, r)
+    swapped = [(y, x, c) for x, y, c in rows]
+    # the swapped family wins only with a width at least best's
+    floor = floor if best is None else max(floor, best[0])
+    hit = _c3_family(swapped, pointset.k, totals, eps, floor)
+    if hit is not None:
+        w, cx, cy, r = hit
+        cand = (w, cy, cx, r)  # undo the coordinate swap
+        if best is None or (-cand[0], cand[1], cand[2]) < (-best[0], best[1], best[2]):
+            best = cand
+    return None if best is None else _square(*best)
 
 
 def max_rbsa_c3(pointset: PointSet, eps: float = DEFAULT_EPS):
@@ -200,17 +289,7 @@ def max_rbsa_c3(pointset: PointSet, eps: float = DEFAULT_EPS):
     points, trying both the horizontal and the vertical pair families.
     Raises ValueError unless eps >= 0."""
     check_eps(eps)
-    rows = [(p.x, p.y, p.color) for p in pointset.points]
-    totals = (0,) + pointset.color_count
-    best = _c3_family(rows, pointset.k, totals, eps)  # (width, cx, cy, r)
-    swapped = [(y, x, c) for x, y, c in rows]
-    hit = _c3_family(swapped, pointset.k, totals, eps)
-    if hit is not None:
-        w, cx, cy, r = hit
-        cand = (w, cy, cx, r)  # undo the coordinate swap
-        if best is None or (-cand[0], cand[1], cand[2]) < (-best[0], best[1], best[2]):
-            best = cand
-    return None if best is None else _square(*best)
+    return _bounded(pointset, eps, -INF)
 
 
 def _strip_as_square(strip):
@@ -239,14 +318,19 @@ def max_rbsa(pointset: PointSet, eps: float = DEFAULT_EPS):
     one with two); the bounded family is searched directly.  Ties keep the
     earlier, more degenerate candidate.
     """
+    check_eps(eps)
     candidates = [
         _strip_as_square(max_rbes(pointset, "vertical", eps)),
         _strip_as_square(max_rbes(pointset, "horizontal", eps)),
         _corridor_as_square(max_rblc_all(pointset, eps)),
-        max_rbsa_c3(pointset, eps),
     ]
     best = None
     for cand in candidates:
         if cand is not None and (best is None or cand.width > best.width):
             best = cand
+    # the bounded family is taken only when strictly wider, so its search
+    # may stop below the best degenerate width
+    cand = _bounded(pointset, eps, -INF if best is None else best.width)
+    if cand is not None and (best is None or cand.width > best.width):
+        best = cand
     return best

@@ -1,17 +1,25 @@
+import math
 import random
 
 import pytest
 
 from conftest import random_instance, random_real_instance, rotate90
 
-from rbannulus import PointSet, validate_solution
+from rbannulus import DEFAULT_EPS, PointSet, SquareAnnulus, validate_solution
+from rbannulus.lcorridor import max_rblc_all
 from rbannulus.oracle import oracle_rbsa
 from rbannulus.squares import (
+    _corridor_as_square,
+    _pair_bounds,
+    _scan_segment,
+    _strip,
+    _strip_as_square,
     best_annulus_on_segment,
     c3_center_segment,
     max_rbsa,
     max_rbsa_c3,
 )
+from rbannulus.strips import max_rbes
 
 
 def test_center_segment_symmetric_pair():
@@ -266,3 +274,155 @@ def test_width_invariant_under_rotation():
         else:
             assert b is not None
             assert b.width == pytest.approx(a.width, abs=1e-9)
+
+
+def _frames(ps):
+    # (x, y, color) rows in the input frame and with x and y swapped, each
+    # as (by_x, by_y) the way the bounded search orders them
+    rows = [(p.x, p.y, p.color) for p in ps.points]
+    for frame in (rows, [(y, x, c) for x, y, c in rows]):
+        by_x = sorted(frame)
+        yield by_x, sorted(by_x, key=lambda p: p[1])
+
+
+def _pinned_pairs(by_y):
+    # (bottom, top) positions in by_y of every pair _c3_family may pin,
+    # in its (y, x, color) order, with the pair's c3_center_segment
+    for i, (xi, y_i, _) in enumerate(by_y):
+        for j in range(i + 1, len(by_y)):
+            xj, y_j, _ = by_y[j]
+            if y_j != y_i:
+                seg = c3_center_segment((xi, y_i), (xj, y_j))
+                if seg is not None:
+                    yield i, j, seg
+
+
+def _bound_instances(rng):
+    # first, pins (0.01, 0.28) and (0.2, 1.25): r = 0.485 and bx = 0.495,
+    # but fl(bx - r) = 0.010000000000000009, so at t = bx the point one ulp
+    # right of the bottom pin has left the window, and a core taken as the
+    # points strictly between the pins' x values would be too large
+    yield PointSet.build([(0.01, 0.28, 1), (0.2, 1.25, 1),
+                          (math.nextafter(0.01, 1), 1.249, 1), (0.105, 0.765, 1)], 1)
+    for it in range(48):
+        k = rng.randint(1, 3)
+        n = rng.randint(2 * k, 10)
+        if it % 4 == 0:
+            ps = random_instance(rng, n, k, 0, 4)
+        else:
+            ps = random_real_instance(rng, n, k, digits=(1, 2, None)[it % 4 - 1])
+        yield ps
+        yield PointSet.build([(p.x * 1e6 + 1e7, p.y * 1e6 - 1e7, p.color)
+                              for p in ps.points], k)
+
+
+def test_pair_bound_holds_on_every_pinned_pair():
+    # the bound the solver searches by is at least every width
+    # _scan_segment returns, and a pair it drops scans to None; integer
+    # tie-heavy and real instances, each also scaled by 10**6 and moved by
+    # (10**7, -10**7), in both frames
+    scanned = dropped = tight = 0
+    for ps in _bound_instances(random.Random(8080)):
+        totals = (0,) + ps.color_count
+        for by_x, by_y in _frames(ps):
+            bound, bottom, top = _pair_bounds(by_y, ps.k, DEFAULT_EPS)
+            bounds = dict(zip(zip(bottom.tolist(), top.tolist()), bound.tolist()))
+            for i, j, ((ax, y0), (bx, _), r) in _pinned_pairs(by_y):
+                strip = _strip(by_x, by_y[i][1], by_y[j][1])
+                hit = _scan_segment(*strip, totals, ps.k, y0, r, ax, bx, DEFAULT_EPS)
+                if (i, j) not in bounds:
+                    dropped += 1
+                    assert hit is None, (ps.points, i, j)
+                elif hit is not None:
+                    scanned += 1
+                    assert hit[0] <= bounds[i, j], (ps.points, i, j)
+                    tight += hit[0] == bounds[i, j]
+    assert scanned >= 200 and dropped >= 200 and tight >= 20
+
+
+def _c3_family_all_pairs(by_x, by_y, k, totals, eps):
+    # the bounded family as _c3_family searched it before pairs were
+    # bounded: every pinned pair, scanned in (y, x, color) order, with the
+    # first pair that is best by (-width, t, y0) kept
+    best = None
+    for i, j, ((ax, y0), (bx, _), r) in _pinned_pairs(by_y):
+        hit = _scan_segment(*_strip(by_x, by_y[i][1], by_y[j][1]), totals, k, y0, r, ax, bx, eps)
+        if hit is None:
+            continue
+        w, t = hit
+        if best is None or (-w, t, y0) < (-best[0], best[1], best[2]):
+            best = (w, t, y0, r)
+    return best
+
+
+def _rbsa_c3_all_pairs(ps, eps=DEFAULT_EPS):
+    totals = (0,) + ps.color_count
+    best, hit = (_c3_family_all_pairs(by_x, by_y, ps.k, totals, eps)
+                 for by_x, by_y in _frames(ps))
+    if hit is not None:
+        w, cx, cy, r = hit
+        cand = (w, cy, cx, r)
+        if best is None or (-cand[0], cand[1], cand[2]) < (-best[0], best[1], best[2]):
+            best = cand
+    if best is None:
+        return None
+    w, cx, cy, r = best
+    return SquareAnnulus(cx - r, cx + r, cy - r, cy + r, w)
+
+
+def _rbsa_all_pairs(ps, eps=DEFAULT_EPS):
+    best = None
+    for cand in (_strip_as_square(max_rbes(ps, "vertical", eps)),
+                 _strip_as_square(max_rbes(ps, "horizontal", eps)),
+                 _corridor_as_square(max_rblc_all(ps, eps)),
+                 _rbsa_c3_all_pairs(ps, eps)):
+        if cand is not None and (best is None or cand.width > best.width):
+            best = cand
+    return best
+
+
+def test_best_first_search_keeps_every_witness():
+    # best-first search with the bound returns, bit for bit, what scanning
+    # every pair in order returns; tie-heavy integers, real coordinates
+    # and instances with signed zeros
+    rng = random.Random(31337)
+    bounded = 0
+    for it in range(320):
+        k = rng.randint(1, 3)
+        n = rng.randint(2 * k, 11)
+        if it % 2 == 0:
+            ps = random_instance(rng, n, k, 0, rng.randint(3, 6))
+        else:
+            ps = random_real_instance(rng, n, k, digits=(1, 2, None)[it % 3])
+        if it % 8 == 5:
+            ps = PointSet.build([(rng.choice((0.0, -0.0, p.x)), rng.choice((0.0, -0.0, p.y)),
+                                  p.color) for p in ps.points], k)
+        ref = _rbsa_c3_all_pairs(ps)
+        bounded += ref is not None
+        assert repr(max_rbsa_c3(ps)) == repr(ref), ps.points
+        assert repr(max_rbsa(ps)) == repr(_rbsa_all_pairs(ps)), ps.points
+    assert bounded >= 200
+
+
+def test_pair_with_bound_equal_to_best_still_wins_on_t():
+    # by_y is (0, 0), (1, 0), (0, 2), (0, 3).  Pairs (0, 0)-(0, 3) and
+    # (1, 0)-(0, 3) both have bound 1.0 and width 1.0.  The first, scanned
+    # first, reaches it at t = 0; the second reaches it at t = -0.5 and
+    # wins the tie, so the search stops only at a bound strictly below the
+    # best width
+    ps = PointSet.build([(0, 0, 1), (1, 0, 1), (0, 3, 1), (0, 2, 1)], 1)
+    _, by_y = next(_frames(ps))
+    bound, bottom, top = _pair_bounds(by_y, 1, DEFAULT_EPS)
+    bounds = dict(zip(zip(bottom.tolist(), top.tolist()), bound.tolist()))
+    assert bounds[0, 3] == bounds[1, 3] == 1.0
+    assert max_rbsa_c3(ps) == SquareAnnulus(-2.0, 1.0, 0.0, 3.0, 1.0)
+
+
+def test_pairs_tied_on_width_center_keep_the_first_in_order():
+    # (5, -5)-(-5, 5) and (0, -3)-(1, 3) both reach width 2 at the center
+    # (0, 0), with r = 5 and r = 3.  The second has bound 3 and is scanned
+    # first; the first has bound 2 and comes first in (y, x, color) order,
+    # where scanning every pair keeps it
+    ps = PointSet.build([(-1, 0, 1), (0, -1, 1), (5, -5, 1), (-5, 5, 1),
+                         (2, 3, 1), (1, 3, 1), (0, -3, 1), (-3, 1, 1)], 1)
+    assert max_rbsa_c3(ps) == SquareAnnulus(-5.0, 5.0, -5.0, 5.0, 2.0)
