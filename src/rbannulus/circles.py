@@ -10,6 +10,13 @@ widths approach empty-strip widths.  The solver therefore generates
 every such center as numpy arrays, from one line-crossing kernel, adds far
 sentinels that dominate any bounded sampling of the plane, scores them in
 batches and keeps the best valid ring.
+
+Scoring has three passes.  A screen scores every center from cheap
+sqrt(dx*dx + dy*dy) distances, with a rigorous bound on how far each score
+can be from the exact one.  The exact np.hypot scores are then computed
+only for the centers whose bound can still reach the shortlist, which is
+the same as when every center is scored exactly.  The shortlist's centers
+are re-scored one by one with math.hypot, which picks the witness.
 """
 
 from __future__ import annotations
@@ -30,7 +37,14 @@ from .strips import rainbow_gaps, widest_rainbow_gap
 # multiples of the point-cloud span used for the far sentinel centers
 FAR_FIELD_SCALES = (16.0, 256.0, 4096.0)
 
+# The shortlist: centers whose exact batch score is within this of the best
+# one.  Each is re-scored by best_annulus_at_center (math.hypot, which can
+# differ from np.hypot in the last bit), so the witness does not depend on
+# the batch arithmetic.
 _FINALIST_SLACK = 1e-9
+
+# distances per chunk of rows scored at once
+_CHUNK = 125_000
 
 
 class LiftedPoint(NamedTuple):
@@ -188,34 +202,110 @@ def best_annulus_at_center(pointset: PointSet, center,
     return CircularAnnulus(cx, cy, ds[t], ds[t + 1])
 
 
-def _batch_widths(pointset: PointSet, cxs, cys, eps: float):
-    """Best ring width at each center, -inf where none: the rainbow-gap
-    scan over each center's row of distances, in chunks of rows.  Used to
-    shortlist candidates; finalists are re-scored exactly."""
+def _hypot_rows(X, Y, cx, cy):
+    return np.hypot(X - cx, Y - cy)
+
+
+def _sqrt_rows(X, Y, cx, cy):
+    D = X - cx
+    D *= D
+    T = Y - cy
+    T *= T
+    D += T
+    return np.sqrt(D, out=D)
+
+
+def _row_widths(pointset: PointSet, cxs, cys, eps: float, distances):
+    # the rainbow-gap scan over each center's row of distances, in chunks
+    # of rows; -inf where a row has no usable gap.  The columns are grouped
+    # by color once, for every chunk.
     X, Y = _coords(pointset)
     C = np.array([p.color for p in pointset.points])
-    k = pointset.k
-    n = X.size
+    order = np.argsort(C, kind="stable")
+    X, Y, C = X[order], Y[order], C[order]
     out = np.full(len(cxs), -np.inf)
-    if n < 2:
+    if X.size < 2:
         return out
-    step = max(1, 1_000_000 // max(n, 1))
+    step = max(1, _CHUNK // X.size)
     for lo in range(0, len(cxs), step):
         cx = np.asarray(cxs[lo:lo + step], dtype=float)[:, None]
         cy = np.asarray(cys[lo:lo + step], dtype=float)[:, None]
-        D = np.hypot(X[None, :] - cx, Y[None, :] - cy)
-        out[lo:lo + step] = rainbow_gaps(D, C, k, eps).max(axis=1)
+        D = distances(X, Y, cx, cy)
+        out[lo:lo + step] = rainbow_gaps(D, C, pointset.k, eps).max(axis=1)
     return out
 
 
+def _batch_widths(pointset: PointSet, cxs, cys, eps: float):
+    """Best ring width at each center, -inf where none, from np.hypot
+    distances: the exact scores the shortlist is taken from.  Finalists
+    are re-scored by best_annulus_at_center."""
+    return _row_widths(pointset, cxs, cys, eps, _hypot_rows)
+
+
+def _screen(pointset: PointSet, cxs, cys, eps: float):
+    """(w, e) per center: w the best ring width from sqrt(dx*dx + dy*dy)
+    distances (-inf where none) and e a bound on how far it can be from the
+    exact score w_x of _batch_widths.  Where both are finite, |w - w_x| <= e;
+    where either is -inf, the same holds with eps in its place, so
+    max(w, eps) + e bounds w_x from above, and w_x >= w - e once w - e > eps.
+    Centers whose rows would leave the safe exponent range are not screened:
+    w = -inf and e = inf there."""
+    # Why: B, the L1 distance to the far corner of the bounding box, is at
+    # least |dx| + |dy| for every point of the row, with dx and dy the same
+    # float subtractions both passes make (rounding is monotone), so B(1+u)
+    # bounds every distance d of the row, u = 2^-53.  Both distance
+    # formulas are within a few ulps of sqrt(dx^2 + dy^2) (np.hypot within
+    # two ulps, 4u*d; the sqrt form within about 2.5u*d), so every entry of
+    # the row moves by at most delta <= 7u*B from one pass to the other.
+    # That moves the widest usable gap by at most 2*delta.  Take the best
+    # gap (a, b) of one pass: no value lies strictly between a and b, and
+    # every color has a value <= a and one >= b.  In the other pass every
+    # value is <= a + delta or >= b - delta (rin and rout move by at most
+    # delta), so the largest value <= a + delta and the smallest >= b - delta
+    # are neighbours with every color on each side: a usable gap at least
+    # b - a - 2*delta wide (gaps are >= 0, so b - a <= 2*delta needs
+    # nothing).  Each pass rounds its gap's subtraction (u*B each), and the
+    # caller's sums and differences of w, e and eps round by u*(B + e) each,
+    # eps counting only where it is below the gap (a gap is at most B).
+    # That totals at most 20u*B; e = 2^-47 * B = 64u*B.  With B <= 2^510 no
+    # square overflows, and with B >= 2^-450 the absolute error of a square
+    # that underflows (sqrt(2^-1074) ~ 2^-537 in d) is far below e.
+    pts = pointset.points
+    x0, x1 = pts[pointset.by_x[0]].x, pts[pointset.by_x[-1]].x
+    y0, y1 = pts[pointset.by_y[0]].y, pts[pointset.by_y[-1]].y
+    with np.errstate(over="ignore", invalid="ignore"):
+        B = (np.maximum(np.abs(cxs - x0), np.abs(cxs - x1))
+             + np.maximum(np.abs(cys - y0), np.abs(cys - y1)))
+    safe = (B >= 2.0 ** -450) & (B <= 2.0 ** 510)
+    e = np.full(len(cxs), np.inf)
+    e[safe] = B[safe] * 2.0 ** -47
+    w = np.full(len(cxs), -np.inf)
+    w[safe] = _row_widths(pointset, cxs[safe], cys[safe], eps, _sqrt_rows)
+    return w, e
+
+
 def _pick_best(pointset: PointSet, cxs, cys, eps: float):
-    w = _batch_widths(pointset, cxs, cys, eps)
+    # The shortlist is every center whose exact score is within
+    # _FINALIST_SLACK of the best exact score.  The screen's lower bounds
+    # give t_lo <= that best, so a center whose upper bound is below
+    # t_lo - _FINALIST_SLACK is on no shortlist and is not scored exactly.
+    # Every other center is, with _batch_widths as before, so the shortlist
+    # and its order are the same as when every center is scored exactly.
+    w, e = _screen(pointset, cxs, cys, eps)
+    lower = w - e
+    lower = lower[lower > eps]
+    if lower.size:
+        rows = np.flatnonzero(np.maximum(w, eps) + e
+                              >= lower.max() - _FINALIST_SLACK)
+    else:
+        rows = np.arange(len(cxs))
+    w = _batch_widths(pointset, cxs[rows], cys[rows], eps)
     top = w.max()
     if not np.isfinite(top):
         return None
     best = None
     key = None
-    for idx in np.flatnonzero(w >= top - _FINALIST_SLACK):
+    for idx in rows[w >= top - _FINALIST_SLACK]:
         ann = best_annulus_at_center(pointset, (cxs[idx], cys[idx]), eps)
         if ann is None:
             continue

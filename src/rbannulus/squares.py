@@ -23,7 +23,9 @@ until no remaining bound can reach the best width found.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import deque
+from operator import itemgetter
 
 import numpy as np
 
@@ -67,10 +69,16 @@ def c3_center_segment(p_i, p_j):
     return (ax, y0), (bx, y0), r
 
 
-def _strip(by_x, y_lo, y_hi):
-    # the (x, y, color) rows of by_x, which is in increasing x, lying
-    # strictly between the two pinning y values, as three parallel lists
-    rows = [p for p in by_x if y_lo < p[1] < y_hi]
+def _strip(by_y, y_lo, y_hi):
+    # the (x, y, color) rows lying strictly between the two pinning y
+    # values, in increasing x, as three parallel lists.  by_y is in
+    # increasing y and, among equal y, in the order of the x sort (by_x),
+    # so the rows are a contiguous run of it, and a stable sort by x puts
+    # them in by_x order, ties and the sign of each zero included.
+    y = itemgetter(1)
+    lo = bisect_right(by_y, y_lo, key=y)
+    hi = bisect_left(by_y, y_hi, lo, key=y)
+    rows = sorted(by_y[lo:hi], key=itemgetter(0))
     return [p[0] for p in rows], [p[1] for p in rows], [p[2] for p in rows]
 
 
@@ -166,8 +174,9 @@ def best_annulus_on_segment(pointset: PointSet, p_i, p_j, eps: float = DEFAULT_E
         return None
     (ax, y0), (bx, _), r = seg
     pts = pointset.points
-    by_x = [(pts[i].x, pts[i].y, pts[i].color) for i in pointset.by_x]
-    strip = _strip(by_x, _xy(p_i)[1], _xy(p_j)[1])
+    # pointset.by_y sorts by (y, x), which among equal y is the by_x order
+    by_y = [(pts[i].x, pts[i].y, pts[i].color) for i in pointset.by_y]
+    strip = _strip(by_y, _xy(p_i)[1], _xy(p_j)[1])
     totals = (0,) + pointset.color_count
     hit = _scan_segment(*strip, totals, pointset.k, y0, r, ax, bx, eps)
     return None if hit is None else _square(hit[0], hit[1], y0, r)
@@ -246,8 +255,7 @@ def _c3_family(rows, k, totals, eps, floor):
     # r, so the key ends with the pair's position in (y, x, color) order:
     # the winner is the first best pair in that order, as when every pair
     # is scanned in it, whatever the order of visits.
-    by_x = sorted(rows)
-    by_y = sorted(by_x, key=lambda p: p[1])  # (y, x, color) order
+    by_y = sorted(sorted(rows), key=lambda p: p[1])  # (y, x, color) order
     bound, bottom, top = _pair_bounds(by_y, k, eps)
     best = key = None
     limit = floor
@@ -256,7 +264,7 @@ def _c3_family(rows, k, totals, eps, floor):
             break
         (xi, y_i, _), (xj, y_j, _) = by_y[bottom[q]], by_y[top[q]]
         (ax, y0), (bx, _), r = c3_center_segment((xi, y_i), (xj, y_j))
-        hit = _scan_segment(*_strip(by_x, y_i, y_j), totals, k, y0, r, ax, bx, eps)
+        hit = _scan_segment(*_strip(by_y, y_i, y_j), totals, k, y0, r, ax, bx, eps)
         if hit is None:
             continue
         w, t = hit

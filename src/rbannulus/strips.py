@@ -26,18 +26,30 @@ def rainbow_gaps(V, colors, k: int, eps: float):
     V is an (m, n) array in any column order and colors the colors (1..k)
     of its n columns.  Entry [r, t] is S[t+1] - S[t], for S row r sorted,
     when that gap is wider than eps, S[t] >= rin and S[t+1] <= rout (see
-    the module docstring).  Raises ValueError unless eps >= 0.
+    the module docstring).  V is left as it is.  Raises ValueError unless
+    eps >= 0.
     """
     check_eps(eps)
-    groups = [np.asarray(colors) == c for c in range(1, k + 1)]
-    # a color without a column makes rin inf, so no gap is usable
-    rin = np.max([V[:, g].min(axis=1, initial=np.inf) for g in groups], axis=0)
-    rout = np.min([V[:, g].max(axis=1, initial=-np.inf) for g in groups], axis=0)
+    colors = np.asarray(colors)
+    if np.any(colors[1:] < colors[:-1]):
+        # group the columns by color, once
+        order = np.argsort(colors, kind="stable")
+        V, colors = V[:, order], colors[order]
     S = np.sort(V, axis=1)
     gaps = S[:, 1:] - S[:, :-1]
-    ok = (S[:, :-1] >= rin[:, None]) & (S[:, 1:] <= rout[:, None])
+    want = np.arange(1, k + 1)
+    starts = np.searchsorted(colors, want)
+    if np.any(np.searchsorted(colors, want, side="right") == starts):
+        # a color without a column makes rin inf, so no gap is usable
+        gaps.fill(-np.inf)
+        return gaps
+    rin = np.minimum.reduceat(V, starts, axis=1).max(axis=1)
+    rout = np.maximum.reduceat(V, starts, axis=1).min(axis=1)
+    ok = S[:, :-1] >= rin[:, None]
+    ok &= S[:, 1:] <= rout[:, None]
     ok &= gaps > eps
-    return np.where(ok, gaps, -np.inf)
+    np.putmask(gaps, ~ok, -np.inf)
+    return gaps
 
 
 def widest_rainbow_gap(values, colors, k: int, eps: float) -> Optional[int]:

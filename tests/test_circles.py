@@ -1,11 +1,12 @@
 import itertools
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
 
-from conftest import random_instance, rotate90
+from conftest import random_instance, random_real_instance, rotate90
 
 from rbannulus import (
     DEFAULT_EPS,
@@ -19,7 +20,9 @@ from rbannulus import (
 from rbannulus import circles
 from rbannulus.circles import (
     FAR_FIELD_SCALES,
+    _FINALIST_SLACK,
     _batch_widths,
+    _screen,
     best_annulus_at_center,
     cir21_candidates,
     cir22_candidates,
@@ -406,6 +409,152 @@ def test_batch_widths_match_scalar():
                 assert ws[t] == -math.inf
             else:
                 assert ws[t] == pytest.approx(ann.width, abs=1e-9)
+
+
+# A desk-scale instance with far cir22 centres near 2e15, where np.hypot
+# and sqrt(dx*dx + dy*dy) give widths more than _FINALIST_SLACK apart.
+# Scoring every centre by the sqrt form alone puts such a centre on top of
+# the shortlist and answers None, where the exact answer is the ring
+# centred near (0.133, -0.833).
+FAR_CIR22 = PointSet.build([(0.4, -0.3, 1), (0.0, -0.7, 2), (0.5, -0.9, 2),
+                            (1.0, 0.6, 1), (0.3, -0.5, 1), (0.8, 0.9, 1),
+                            (-0.7, 0.6, 2), (0.7, 0.3, 1)], 2)
+# The other way round: here the exact answer is a far cir22 centre near
+# (5.2e15, 6.5e15), whose width 1.0 only rounding makes, and the sqrt form
+# finds no usable gap there, so only the eps in max(w, eps) + e keeps that
+# centre among those scored exactly.
+FAR_TOP = PointSet.build([(0.1, -0.7, 2), (-0.9, 0.1, 1), (-0.9, 1.0, 1),
+                          (0.1, 0.2, 2), (-0.0, -0.2, 1), (0.2, -0.8, 1)], 2)
+
+
+def _screen_instances(rng, count):
+    # tie-heavy integer and real instances, some scaled by 1e200 or
+    # 2**-1000 (where rows that would overflow or underflow skip the
+    # screen) or with coordinates replaced by +-0.0
+    yield FAR_CIR22
+    yield FAR_TOP
+    for it in range(count):
+        k = rng.randint(1, 3)
+        n = rng.randint(2 * k, 10)
+        if it % 3 == 0:
+            ps = random_instance(rng, n, k, 0, rng.randint(3, 10))
+        else:
+            ps = random_real_instance(rng, n, k, digits=(1, 2, None)[it % 3])
+        yield ps
+        if it % 4 == 0:
+            scale = (1e200, 2.0 ** -1000)[it // 4 % 2]
+            yield PointSet.build([(p.x * scale, p.y * scale, p.color)
+                                  for p in ps.points], k)
+        if it % 8 == 1:
+            yield PointSet.build([(rng.choice((0.0, -0.0, p.x)),
+                                   rng.choice((0.0, -0.0, p.y)), p.color)
+                                  for p in ps.points], k)
+
+
+def _all_centres(ps):
+    # at 1e200 the squares in the bisector constants overflow, with a
+    # RuntimeWarning, and those crossings are dropped as non-finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return circles._concat([point_center_candidates(ps), cir22_candidates(ps),
+                                cir21_candidates(ps), far_field_candidates(ps)])
+
+
+def test_screen_bounds_the_exact_score():
+    # every candidate centre, far-field and far cir22 ones included: where
+    # the screen runs, its width is within e of the exact one, with eps for
+    # -inf; where it does not, e is inf
+    rng = random.Random(431)
+    far = both_inf = one_inf = unscreened = 0
+    for ps in _screen_instances(rng, 60):
+        xs, ys = _all_centres(ps)
+        for eps in (DEFAULT_EPS, 0.0):
+            w, e = _screen(ps, xs, ys, eps)
+            exact = _batch_widths(ps, xs, ys, eps)
+            screened = np.isfinite(e)
+            unscreened += np.count_nonzero(~screened)
+            assert np.all(w[~screened] == -np.inf)
+            w, e, exact = w[screened], e[screened], exact[screened]
+            up, up_x = np.maximum(w, eps), np.maximum(exact, eps)
+            assert np.all(up_x <= up + e) and np.all(up <= up_x + e), ps.points
+            lower = w - e > eps
+            assert np.all(exact[lower] >= w[lower] - e[lower])
+            finite = np.isfinite(w) & np.isfinite(exact)
+            assert np.all(np.abs(w[finite] - exact[finite]) <= e[finite])
+            far += np.count_nonzero(np.abs(up - up_x) > _FINALIST_SLACK)
+            both_inf += np.count_nonzero(~np.isfinite(w) & ~np.isfinite(exact))
+            one_inf += np.count_nonzero(np.isfinite(w) != np.isfinite(exact))
+    # rows where the two formulas differ by more than the slack, rows
+    # where one pass has no usable gap, and rows out of range all occur
+    assert far > 0 and both_inf > 0 and one_inf > 0 and unscreened > 0
+
+
+def test_screen_raises_no_warning_at_any_scale():
+    rng = random.Random(432)
+    for scale in (1e200, 1e100, 2.0 ** -1000, 2.0 ** -400, 1.0):
+        ps = random_real_instance(rng, 9, 2, digits=None)
+        ps = PointSet.build([(p.x * scale, p.y * scale, p.color)
+                             for p in ps.points], 2)
+        xs, ys = _all_centres(ps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w, e = _screen(ps, xs, ys, DEFAULT_EPS)
+        # rows that would overflow, or whose distances would underflow
+        # (the centres on the points come first), are not screened
+        if scale == 1e200:
+            assert np.all(e == np.inf)
+        elif scale == 2.0 ** -1000:
+            assert np.all(e[:9] == np.inf)
+        else:
+            assert np.all(np.isfinite(e))
+
+
+def _pick_best_every_row(ps, cxs, cys, eps):
+    # _pick_best as it was before the screen: every centre scored exactly
+    w = _batch_widths(ps, cxs, cys, eps)
+    top = w.max()
+    if not np.isfinite(top):
+        return None
+    best = key = None
+    for idx in np.flatnonzero(w >= top - _FINALIST_SLACK):
+        ann = best_annulus_at_center(ps, (cxs[idx], cys[idx]), eps)
+        if ann is None:
+            continue
+        cand = (-ann.width, ann.center_x, ann.center_y)
+        if key is None or cand < key:
+            key, best = cand, ann
+    return best
+
+
+def test_screened_pick_matches_every_row_reference(monkeypatch):
+    pick = circles._pick_best
+    centres = []
+
+    def both(ps, xs, ys, eps):
+        got = pick(ps, xs, ys, eps)
+        assert repr(got) == repr(_pick_best_every_row(ps, xs, ys, eps)), ps.points
+        centres.append(len(xs))
+        return got
+
+    monkeypatch.setattr(circles, "_pick_best", both)
+    rows = []
+    monkeypatch.setattr(circles, "_batch_widths",
+                        lambda ps, xs, ys, eps: rows.append(len(xs))
+                        or _batch_widths(ps, xs, ys, eps))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert max_rbca(FAR_CIR22).center_x < 1.0
+        assert max_rbca(FAR_TOP).center_x > 1e15
+        rng = random.Random(433)
+        for ps in _screen_instances(rng, 100):
+            max_rbca(ps)
+            mx = sum(p.x for p in ps.points) / len(ps.points)
+            my = sum(p.y for p in ps.points) / len(ps.points)
+            a, b = rng.uniform(-1, 1), rng.uniform(0.2, 1)
+            max_rbca_on_line(ps, Line(a, b, a * mx + b * my))
+    # the screened pick scores only its candidates exactly
+    assert len(rows) == len(centres) == 2 * 140 + 2
+    assert sum(rows) < sum(centres) / 4
 
 
 # ---------------------------------------------------------------------------

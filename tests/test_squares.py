@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -328,7 +329,7 @@ def test_pair_bound_holds_on_every_pinned_pair():
             bound, bottom, top = _pair_bounds(by_y, ps.k, DEFAULT_EPS)
             bounds = dict(zip(zip(bottom.tolist(), top.tolist()), bound.tolist()))
             for i, j, ((ax, y0), (bx, _), r) in _pinned_pairs(by_y):
-                strip = _strip(by_x, by_y[i][1], by_y[j][1])
+                strip = _strip(by_y, by_y[i][1], by_y[j][1])
                 hit = _scan_segment(*strip, totals, ps.k, y0, r, ax, bx, DEFAULT_EPS)
                 if (i, j) not in bounds:
                     dropped += 1
@@ -340,13 +341,21 @@ def test_pair_bound_holds_on_every_pinned_pair():
     assert scanned >= 200 and dropped >= 200 and tight >= 20
 
 
+def _strip_by_filter(by_x, y_lo, y_hi):
+    # the rows of by_x strictly between the two y values, by one pass
+    rows = [p for p in by_x if y_lo < p[1] < y_hi]
+    return [p[0] for p in rows], [p[1] for p in rows], [p[2] for p in rows]
+
+
 def _c3_family_all_pairs(by_x, by_y, k, totals, eps):
     # the bounded family as _c3_family searched it before pairs were
     # bounded: every pinned pair, scanned in (y, x, color) order, with the
-    # first pair that is best by (-width, t, y0) kept
+    # first pair that is best by (-width, t, y0) kept, each strip filtered
+    # from by_x
     best = None
     for i, j, ((ax, y0), (bx, _), r) in _pinned_pairs(by_y):
-        hit = _scan_segment(*_strip(by_x, by_y[i][1], by_y[j][1]), totals, k, y0, r, ax, bx, eps)
+        strip = _strip_by_filter(by_x, by_y[i][1], by_y[j][1])
+        hit = _scan_segment(*strip, totals, k, y0, r, ax, bx, eps)
         if hit is None:
             continue
         w, t = hit
@@ -402,6 +411,26 @@ def test_best_first_search_keeps_every_witness():
         assert repr(max_rbsa_c3(ps)) == repr(ref), ps.points
         assert repr(max_rbsa(ps)) == repr(_rbsa_all_pairs(ps)), ps.points
     assert bounded >= 200
+
+
+def test_strip_is_the_by_x_filter():
+    # the bisected run, sorted by x, holds the rows of the one-pass filter
+    # over by_x in the same order, each zero with its sign; in the solver's
+    # frames and in the PointSet's own orders (best_annulus_on_segment)
+    rng = random.Random(4242)
+    for it in range(60):
+        k = rng.randint(1, 3)
+        n = rng.randint(2 * k, 14)
+        ps = random_instance(rng, n, k, -2, 2)
+        ps = PointSet.build([(rng.choice((-0.0, p.x)), rng.choice((-0.0, p.y)), p.color)
+                             for p in ps.points], k)
+        pts = ps.points
+        rows = [(p.x, p.y, p.color) for p in pts]
+        orders = list(_frames(ps)) + [([rows[i] for i in ps.by_x], [rows[i] for i in ps.by_y])]
+        for by_x, by_y in orders:
+            ys = sorted({p[1] for p in by_y})
+            for lo, hi in itertools.combinations(ys, 2):
+                assert repr(_strip(by_y, lo, hi)) == repr(_strip_by_filter(by_x, lo, hi))
 
 
 def test_pair_with_bound_equal_to_best_still_wins_on_t():

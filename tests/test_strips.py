@@ -124,6 +124,34 @@ def test_rainbow_gaps_match_definition_in_any_column_order():
                 rainbow_gaps(V[:, perm], colors[perm], k, eps), got)
 
 
+def test_rainbow_gaps_leave_their_input_alone():
+    rng = np.random.default_rng(6)
+    V = rng.integers(-3, 4, size=(5, 9)).astype(float)
+    V[V == 0] = -0.0
+    before = V.tobytes()
+    for colors in (np.array([1, 1, 1, 2, 2, 2, 3, 3, 3]),
+                   np.array([2, 1, 3, 1, 2, 3, 3, 2, 1])):
+        rainbow_gaps(V, colors, 3, 0.0)
+        assert V.tobytes() == before
+
+
+def test_rainbow_gaps_with_a_missing_color_in_any_column_order():
+    # every gap is unusable whether the columns come grouped by color or not
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        n = int(rng.integers(2, 9))
+        V = rng.integers(0, 5, size=(3, n)).astype(float)
+        grouped = np.sort(rng.choice([1, 3], size=n))  # color 2 missing
+        perm = rng.permutation(n)
+        for eps in (0.0, 1e-9):
+            got = rainbow_gaps(V, grouped, 3, eps)
+            assert got.shape == (3, n - 1) and np.all(got == -np.inf)
+            assert np.array_equal(
+                rainbow_gaps(V[:, perm], grouped[perm], 3, eps), got)
+            assert np.array_equal(
+                got, np.array([_brute_gaps(row, grouped, 3, eps) for row in V]))
+
+
 def test_oracle_equivalence_random():
     rng = random.Random(7)
     for _ in range(200):
