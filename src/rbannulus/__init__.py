@@ -1,9 +1,12 @@
 """Maximum-width rainbow-bisecting empty annuli over colored planar point sets.
 
 The package exports the solvers, the geometry types and instance I/O.
-Decision ops, interval helpers, candidate generators and query structures
-live in their modules (``rbannulus.rect``, ``rbannulus.circles``,
-``rbannulus.lcorridor``, ``rbannulus.squares``, ``rbannulus.strips``).
+Decision ops, candidate generators and query structures live in their
+modules (``rbannulus.rect``, ``rbannulus.circles``, ``rbannulus.lcorridor``,
+``rbannulus.squares``, ``rbannulus.strips``).  ``rbannulus.oracle`` (brute
+force) and ``rbannulus.reference`` (the plain rect walk and the paper's
+interval and lift constructions) are what the tests compare against; the
+package does not import them.
 """
 
 from .core import (

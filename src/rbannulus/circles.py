@@ -22,7 +22,7 @@ are re-scored one by one with math.hypot, which picks the witness.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -45,33 +45,6 @@ _FINALIST_SLACK = 1e-9
 
 # distances per chunk of rows scored at once
 _CHUNK = 125_000
-
-
-class LiftedPoint(NamedTuple):
-    x: float
-    y: float
-    z: float
-
-
-def lift(point) -> LiftedPoint:
-    """Vertical projection onto the paraboloid z = x^2 + y^2."""
-    if hasattr(point, "x"):
-        x, y = float(point.x), float(point.y)
-    else:
-        x, y = float(point[0]), float(point[1])
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise ValueError("non-finite point")
-    return LiftedPoint(x, y, x * x + y * y)
-
-
-def circle_plane(center, radius: float) -> tuple[float, float, float]:
-    """Coefficients (a, b, c) of the plane z = a*x + b*y + c that cuts the
-    lift paraboloid exactly over the circle |p - center| = radius.  A point
-    is inside the circle iff its lift lies strictly below this plane, and
-    concentric circles share (a, b)."""
-    cx, cy = float(center[0]), float(center[1])
-    r = float(radius)
-    return (2.0 * cx, 2.0 * cy, r * r - cx * cx - cy * cy)
 
 
 # ---------------------------------------------------------------------------

@@ -164,6 +164,13 @@ def _dec(v):
     return v
 
 
+def _number(v, what):
+    v = _dec(v)
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValueError("report %s must be a number, got %r" % (what, v))
+    return v
+
+
 @dataclasses.dataclass(frozen=True)
 class SolutionReport:
     shape: str
@@ -201,17 +208,23 @@ class SolutionReport:
     @classmethod
     def from_json(cls, text: str) -> "SolutionReport":
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError("report must be a JSON object")
         for key in ("shape", "width", "geometry"):
             if key not in doc:
                 raise ValueError("report missing %r" % key)
-        if doc["shape"] not in _SHAPE_TYPES:
-            raise ValueError("unknown shape %r" % doc["shape"])
+        shape = doc["shape"]
+        if not isinstance(shape, str) or shape not in _SHAPE_TYPES:
+            raise ValueError("unknown shape %r" % shape)
+        if not isinstance(doc["geometry"], dict):
+            raise ValueError("report geometry must be a JSON object")
         return cls(
-            doc["shape"],
-            float(_dec(doc["width"])),
-            {k: _dec(v) for k, v in doc["geometry"].items()},
+            shape,
+            float(_number(doc["width"], "width")),
+            {k: v if k == "orientation" else _number(v, k)
+             for k, v in doc["geometry"].items()},
             doc.get("provenance", ""),
-            float(doc.get("wall_ms", 0.0)),
+            float(_number(doc.get("wall_ms", 0.0), "wall_ms")),
         )
 
 
@@ -220,9 +233,9 @@ def check_report(report: SolutionReport, pointset: PointSet,
     """(ok, message) after rebuilding and re-validating the report."""
     try:
         ann = report.annulus()
+        got = ann.width
     except (TypeError, ValueError) as exc:
         return False, "cannot rebuild geometry: %s" % exc
-    got = ann.width
     if not math.isclose(got, report.width, rel_tol=1e-9, abs_tol=1e-9):
         return False, "reported width %r but geometry gives %r" % (
             report.width, got)

@@ -11,11 +11,11 @@ four axis directions by reflecting the input.
 
 The width-w feasibility question for a fixed anchor pair is answered by one
 arm scan, ``_scan_arms_list``, which visits the slab's gaps in x order and
-returns the first feasible placement.  ``dp_decision_fast``, which is what
+returns the first feasible placement.  ``dp_decision``, the decision
 ``max_rbra`` runs, first rejects from the boundary bands alone the decisions
 that cannot succeed, and gathers the slab for the scan only for the rest.
-``dp_decision`` (``fast=False`` in ``max_rbra``) gathers the slab for every
-decision and is the reference the tests compare against.
+The plain walk, which gathers the slab for every decision, is the tests'
+reference and lives in ``rbannulus.reference``.
 """
 
 from __future__ import annotations
@@ -35,22 +35,6 @@ class DecisionOutcome(NamedTuple):
     witness: Optional[RectAnnulus]
 
 
-class WGap(NamedTuple):
-    """Maximal point-free x interval of a slab projection, at least w wide."""
-
-    left_x: float
-    right_x: float
-
-
-class MinimalRainbowInterval(NamedTuple):
-    """Inclusion-minimal [a, b] whose slab points cover every color, with a
-    drawn from the left candidate pool and b from the right one."""
-
-    a: float
-    b: float
-    color_counter: dict
-
-
 # ---------------------------------------------------------------------------
 # internal frame: one orientation of the input, sorted top-down
 
@@ -58,7 +42,7 @@ class MinimalRainbowInterval(NamedTuple):
 class _Frame:
     __slots__ = ("n", "k", "X", "Y", "C", "xorder", "levels",
                  "col_ymin", "col_ymax", "Xl", "Yl", "Cl", "negYl",
-                 "xorder_l", "levels_l", "xsorted_l")
+                 "xorder_l", "xsorted_l")
 
 
 def _make_frame(xs, ys, cs, k: int) -> _Frame:
@@ -89,7 +73,6 @@ def _make_frame(xs, ys, cs, k: int) -> _Frame:
     fr.negYl = (-fr.Y).tolist()
     fr.xorder_l = fr.xorder.tolist()
     fr.xsorted_l = fr.X[fr.xorder].tolist()
-    fr.levels_l = fr.levels.tolist()
     return fr
 
 
@@ -224,44 +207,6 @@ def _scan_arms_list(slabxs, mcol, satbase, m, M, w, lReq, rReq, k):
     return None
 
 
-def _decide_slow(fr: _Frame, x_i, T, B, x_j, w):
-    """Exact width-w decision for outer top T (anchor column x_i on it) and
-    outer bottom B holding column x_j; B = -INF / x_j = None for the open
-    bottom.  Returns the leftmost witness (L, R) or None."""
-    finite = x_j is not None
-    if finite and T - B < 2.0 * w:
-        return None
-    Tw = T - w
-    Bw = B + w if finite else -INF
-    if finite:
-        m, M = (x_i, x_j) if x_i <= x_j else (x_j, x_i)
-    else:
-        m = M = x_i
-    Xl, Yl, Cl, k = fr.Xl, fr.Yl, fr.Cl, fr.k
-    slabxs = []
-    bxs = []
-    bcs = []
-    mcol = [None] + [[] for _ in range(k)]
-    for t in fr.xorder_l:
-        y = Yl[t]
-        if y >= T or y <= B:
-            continue
-        x = Xl[t]
-        slabxs.append(x)
-        if y > Tw or y < Bw:
-            bxs.append(x)
-            bcs.append(Cl[t])
-        else:
-            mcol[Cl[t]].append(x)
-    if not any(mcol[1:]):
-        return None
-    bands = _band_split(bxs, bcs, m, M, k)
-    if bands is None:
-        return None
-    bsat, branches = bands
-    return _scan_branches(fr, slabxs, mcol, bsat, branches, T, B, m, M, w)
-
-
 def _scan_branches(fr: _Frame, slabxs, mcol, bsat, branches, T, B, m, M, w):
     """Smallest (L, R) that _scan_arms_list finds over the band split's
     branches, or None.  A color is satisfied outside before any arm is
@@ -304,10 +249,12 @@ def _left_arm_fits(fr: _Frame, iT, iB, lReq, m, w):
 
 
 def _decide_fast_impl(fr: _Frame, x_i, T, B, x_j, w):
-    """_decide_slow's verdict and witness.  The band split, the span test
-    and the left-arm test of each branch come first, on the frame's lists;
-    only a branch that survives them gathers the slab and runs the
-    reference arm scan."""
+    """Exact width-w decision for outer top T (anchor column x_i on it) and
+    outer bottom B holding column x_j; B = -INF / x_j = None for the open
+    bottom.  Returns the leftmost witness (L, R) or None.  The band split,
+    the span test and the left-arm test of each branch come first, on the
+    frame's lists; only a branch that survives them gathers the slab and
+    runs the arm scan."""
     finite = x_j is not None
     if finite and T - B < 2.0 * w:
         return None
@@ -399,125 +346,7 @@ def dp_decision(pointset: PointSet, i, j, w) -> DecisionOutcome:
     order, see anchor_ordering) on the outer top side and point j on the
     outer bottom side?  j = None or +inf drops the bottom side to infinity.
     """
-    return _decision(pointset, i, j, w, _decide_slow)
-
-
-def dp_decision_fast(pointset: PointSet, i, j, w) -> DecisionOutcome:
-    """dp_decision behind the band pre-rejection; same verdict and same
-    witness."""
     return _decision(pointset, i, j, w, _decide_fast_impl)
-
-
-# ---------------------------------------------------------------------------
-# minimal rainbow intervals and relevant gaps
-
-
-def minimal_rainbow_intervals(pointset: PointSet, i, j, left_pool, right_pool):
-    """Inclusion-minimal rainbow intervals of the slab between anchors i and
-    j, with endpoints restricted to the given x pools.  Ordered left to
-    right; empty when some color is missing from the slab or a pool is empty.
-    """
-    fr = _frame_identity(pointset)
-    i, j = _validate_anchors(fr.n, i, j)
-    T = fr.Yl[i]
-    B = -INF if j is None else fr.Yl[j]
-    k = fr.k
-    colxs = [None] + [[] for _ in range(k)]
-    for t in fr.xorder_l:
-        y = fr.Yl[t]
-        if B < y < T:
-            colxs[fr.Cl[t]].append(fr.Xl[t])
-    lp = sorted({float(v) for v in left_pool})
-    rp = sorted({float(v) for v in right_pool})
-    if not lp or not rp or not all(colxs[1:]):
-        return []
-
-    def nright(c, x):
-        arr = colxs[c]
-        p = bisect.bisect_left(arr, x)
-        return arr[p] if p < len(arr) else None
-
-    def nleft(c, x):
-        arr = colxs[c]
-        p = bisect.bisect_right(arr, x)
-        return arr[p - 1] if p else None
-
-    def up(x):
-        p = bisect.bisect_left(rp, x)
-        return rp[p] if p < len(rp) else None
-
-    def down(x):
-        p = bisect.bisect_right(lp, x)
-        return lp[p - 1] if p else None
-
-    def req_right(a):
-        breq = -INF
-        for c in range(1, k + 1):
-            v = nright(c, a)
-            if v is None:
-                return None
-            if v > breq:
-                breq = v
-        return breq
-
-    def req_left(b):
-        areq = INF
-        for c in range(1, k + 1):
-            u = nleft(c, b)
-            if u is None:
-                return None
-            if u < areq:
-                areq = u
-        return areq
-
-    # a is the left end of a minimal interval exactly when the shortest
-    # rainbow interval from a, b = up(req_right(a)), leads back to it.
-    # req_left(b) >= a as every color meets [a, b], and both steps are
-    # monotone, so once either runs off its pool it stays off.
-    out = []
-    for a in lp:
-        breq = req_right(a)
-        b = None if breq is None else up(breq)
-        if b is None:
-            break
-        if down(req_left(b)) != a:
-            continue
-        counter = {}
-        for c in range(1, k + 1):
-            arr = colxs[c]
-            counter[c] = (bisect.bisect_right(arr, b)
-                          - bisect.bisect_left(arr, a))
-        out.append(MinimalRainbowInterval(a, b, counter))
-    return out
-
-
-def _as_wgap(g) -> WGap:
-    if isinstance(g, WGap):
-        return g
-    return WGap(float(g[0]), float(g[1]))
-
-
-def relevant_w_gaps(intervals, left_gaps, right_gaps):
-    """For each minimal interval, the rightmost left gap ending at or before
-    its a and the leftmost right gap starting at or after its b.  Deduplicated
-    and in interval order; at most two gaps survive per interval."""
-    lgs = sorted((_as_wgap(g) for g in left_gaps), key=lambda g: g.right_x)
-    rgs = sorted((_as_wgap(g) for g in right_gaps), key=lambda g: g.left_x)
-    lre = [g.right_x for g in lgs]
-    rle = [g.left_x for g in rgs]
-    out = []
-    seen = set()
-    for iv in intervals:
-        a, b = iv[0], iv[1]
-        p = bisect.bisect_right(lre, a) - 1
-        if p >= 0 and lgs[p] not in seen:
-            seen.add(lgs[p])
-            out.append(lgs[p])
-        q = bisect.bisect_left(rle, b)
-        if q < len(rgs) and rgs[q] not in seen:
-            seen.add(rgs[q])
-            out.append(rgs[q])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -531,42 +360,6 @@ def _start_wp_list(ws, barw, eps):
         if wp2 > wp:
             wp = wp2
     return wp
-
-
-def _walk_slow(fr: _Frame, i, eps, bar_fn, emit):
-    T = fr.Yl[i]
-    x_i = fr.Xl[i]
-    lo = bisect.bisect_left(fr.levels_l, T)
-    if lo == 0:
-        return
-    ws = [T - fr.levels_l[t] for t in range(lo - 1, -1, -1)]
-    wp = _start_wp_list(ws, bar_fn(), eps)
-    nws = len(ws)
-    if wp >= nws:
-        return
-    pos = _first_below(fr, T)
-    n = fr.n
-    while wp < nws:
-        w = ws[wp]
-        if pos < n:
-            # everything shallower than 2w from the top fails outright
-            t2 = bisect.bisect_left(fr.negYl, -(T - 2.0 * w))
-            if t2 > pos:
-                pos = t2
-        if pos >= n:
-            got = _decide_slow(fr, x_i, T, -INF, None, w)
-            if got is None:
-                break
-            emit(got[0], got[1], -INF, T, w)
-            wp = bisect.bisect_right(ws, w)
-        else:
-            B = fr.Yl[pos]
-            got = _decide_slow(fr, x_i, T, B, fr.Xl[pos], w)
-            if got is None:
-                pos += 1
-            else:
-                emit(got[0], got[1], B, T, w)
-                wp = bisect.bisect_right(ws, w)
 
 
 def _walk_fast(fr: _Frame, i, eps, bar_fn, emit):
@@ -632,6 +425,22 @@ def _walk_fast(fr: _Frame, i, eps, bar_fn, emit):
         wp = int(np.searchsorted(ws, w, side="right"))
 
 
+class _Best:
+    """The widest witness emitted so far; ties keep the smaller (left,
+    bottom)."""
+
+    annulus = None
+    key = None
+
+    def width(self):
+        return None if self.annulus is None else self.annulus.width
+
+    def emit(self, L, R, B, T, w):
+        key = (-w, L, B)
+        if self.key is None or key < self.key:
+            self.annulus, self.key = _witness_annulus(L, R, B, T, w), key
+
+
 def max_anchored_rbra_for_top_point(pointset: PointSet, i,
                                     eps: float = DEFAULT_EPS):
     """Widest uniform rainbow ring with point i (descending-y order) on the
@@ -644,17 +453,9 @@ def max_anchored_rbra_for_top_point(pointset: PointSet, i,
     check_eps(eps)
     fr = _frame_identity(pointset)
     i, _ = _validate_anchors(fr.n, i, None)
-    state = [None, None]
-
-    def emit(L, R, B, T, w):
-        key = (-w, L, B)
-        if state[1] is None or key < state[1]:
-            state[0] = _witness_annulus(L, R, B, T, w)
-            state[1] = key
-
-    _walk_fast(fr, i, eps,
-               lambda: None if state[0] is None else state[0].width, emit)
-    return state[0]
+    best = _Best()
+    _walk_fast(fr, i, eps, best.width, best.emit)
+    return best.annulus
 
 
 def _orient_arrays(xs, ys, which):
@@ -677,41 +478,34 @@ def _orient_inverse(which, L, R, B, T):
     return (B, T, -R, -L)
 
 
-def max_rbra(pointset: PointSet, fast: bool = True,
-             eps: float = DEFAULT_EPS):
-    """Maximum-width empty rectangular annulus splitting the colors into two
-    rainbow groups, or None when no ring wider than eps exists.
-
-    The staircase prunes bottom anchors vectorized and pre-rejects each
-    decision from its boundary bands.  fast=False runs the plain walk
-    instead; it is the reference the tests compare against and returns the
-    same annulus.  Raises ValueError unless eps >= 0.
-    """
+def _search(pointset: PointSet, eps, walk):
+    """Runs walk from every anchor in each of the four orientations and
+    keeps the best witness, mapped back to the input frame."""
     check_eps(eps)
     pts = pointset.points
-    n = len(pts)
-    if n < 2:
+    if len(pts) < 2:
         return None
     xs0 = np.array([p.x for p in pts], dtype=float)
     ys0 = np.array([p.y for p in pts], dtype=float)
     cs0 = [p.color for p in pts]
-    best = [None, None]
-
-    def bar():
-        return None if best[0] is None else best[0].width
-
-    walker = _walk_fast if fast else _walk_slow
+    best = _Best()
     for which in range(4):
         tx, ty = _orient_arrays(xs0, ys0, which)
         fr = _make_frame(tx, ty, cs0, pointset.k)
 
         def emit(L, R, B, T, w, _o=which):
-            ol, orr, ob, ot = _orient_inverse(_o, L, R, B, T)
-            key = (-w, ol, ob)
-            if best[1] is None or key < best[1]:
-                best[0] = _witness_annulus(ol, orr, ob, ot, w)
-                best[1] = key
+            best.emit(*_orient_inverse(_o, L, R, B, T), w)
 
         for i in range(fr.n):
-            walker(fr, i, eps, bar, emit)
-    return best[0]
+            walk(fr, i, eps, best.width, emit)
+    return best.annulus
+
+
+def max_rbra(pointset: PointSet, eps: float = DEFAULT_EPS):
+    """Maximum-width empty rectangular annulus splitting the colors into two
+    rainbow groups, or None when no ring wider than eps exists.
+
+    The staircase prunes bottom anchors vectorized and pre-rejects each
+    decision from its boundary bands.  Raises ValueError unless eps >= 0.
+    """
+    return _search(pointset, eps, _walk_fast)

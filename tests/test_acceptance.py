@@ -28,9 +28,7 @@ from rbannulus.circles import (
     best_annulus_at_center,
     cir21_candidates,
     cir22_candidates,
-    circle_plane,
     far_field_candidates,
-    lift,
     point_center_candidates,
 )
 from rbannulus.oracle import (
@@ -41,10 +39,12 @@ from rbannulus.oracle import (
     oracle_rbsa,
 )
 from rbannulus.cli import main as cli_main
-from rbannulus.rect import (
+from rbannulus.rect import anchor_ordering, dp_decision
+from rbannulus.reference import (
     WGap,
-    anchor_ordering,
-    dp_decision,
+    circle_plane,
+    lift,
+    max_rbra_reference,
     minimal_rainbow_intervals,
     relevant_w_gaps,
 )
@@ -114,8 +114,8 @@ def test_criterion_04_rect_oracle_and_fast_slow():
         k = rng.randint(1, 3)
         n = rng.randint(max(4, 2 * k), 12)
         ps = random_instance(rng, n, k)
-        slow = max_rbra(ps, fast=False)
-        fast = max_rbra(ps, fast=True)
+        slow = max_rbra_reference(ps)
+        fast = max_rbra(ps)
         ref = oracle_rbra(ps)
         assert _width(slow) == _width(ref), (ps.points, slow, ref)
         assert _width(fast) == _width(ref), (ps.points, fast, ref)
@@ -126,10 +126,11 @@ def test_criterion_04_rect_oracle_and_fast_slow():
         k = rng.randint(1, 3)
         n = rng.randint(max(4, 2 * k), 40)
         ps = random_instance(rng, n, k)
-        assert max_rbra(ps, fast=True) == max_rbra(ps, fast=False), ps.points
+        assert max_rbra(ps) == max_rbra_reference(ps), ps.points
     dt = time.perf_counter() - t0
-    _report("criterion 4 (rect oracle equivalence, fast == slow)", dt < 120.0,
-            "100 oracle + 200 fast/slow instances, %.1fs" % dt)
+    _report("criterion 4 (rect oracle equivalence, solver == reference)",
+            dt < 120.0, "100 oracle + 200 solver/reference instances, %.1fs"
+            % dt)
 
 
 def _exhaustive_circle(ps, eps=1e-9):
@@ -306,12 +307,11 @@ def test_criterion_09_scaling_probes():
                                 [t[1] for t in logs], 1)[0])
 
     s_corr = slope(max_rblc_all, (1000, 2000, 4000, 8000, 16000), 900)
-    s_rect = slope(lambda ps: max_rbra(ps, fast=True),
-                   (100, 200, 400, 800, 1600), 901)
+    s_rect = slope(max_rbra, (100, 200, 400, 800, 1600), 901)
     dt = time.perf_counter() - t0
     _report("criterion 9 (scaling probes)",
             s_corr <= 1.3 and s_rect <= 2.5 and dt < 600.0,
-            "corridor slope %.2f (<= 1.3), rect fast slope %.2f (<= 2.5), %.0fs"
+            "corridor slope %.2f (<= 1.3), rect slope %.2f (<= 2.5), %.0fs"
             % (s_corr, s_rect, dt))
 
 

@@ -26,12 +26,11 @@ from rbannulus.circles import (
     best_annulus_at_center,
     cir21_candidates,
     cir22_candidates,
-    circle_plane,
     far_field_candidates,
-    lift,
     point_center_candidates,
 )
 from rbannulus.oracle import oracle_rbca, oracle_rbca_on_line
+from rbannulus.reference import circle_plane, lift
 
 
 def dist(a, b):

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -17,8 +18,9 @@ from rbannulus import (
     parse_instance,
     render_svg,
 )
-from rbannulus import rect
+import rbannulus
 from rbannulus.cli import main, parse_line_spec, solve_instance
+from rbannulus.reference import max_rbra_reference
 
 STRIP4 = "x,y,color\n0,0,1\n1,0,2\n5,0,1\n6,0,2\n"
 
@@ -137,7 +139,7 @@ def test_solve_parse_error_exit_1(tmp_path, capsys):
     assert "line 3" in err
 
 
-def test_solve_rect_fast_matches_slow(tmp_path, capsys):
+def test_solve_rect_matches_reference(tmp_path, capsys):
     ps = generate_instance(16, 3, "clusters", seed=4)
     f = tmp_path / "inst.csv"
     f.write_text(format_instance(ps))
@@ -145,23 +147,27 @@ def test_solve_rect_fast_matches_slow(tmp_path, capsys):
                                 "--input", str(f), "--json"])
     assert code == 0
     # the CLI runs the pruned walk; the plain walk is the reference
-    ref = SolutionReport.for_annulus("rect", max_rbra(ps, fast=False), "", 0.0)
+    ref = SolutionReport.for_annulus("rect", max_rbra_reference(ps), "", 0.0)
     got = SolutionReport.from_json(out)
     assert got.width == ref.width
     assert got.geometry == ref.geometry
 
 
-def test_solve_instance_rect_runs_gap_walk(monkeypatch):
+def test_solve_instance_rect_runs_gap_walk():
+    # the package and the CLI load neither the reference walk nor the
+    # oracles, so no solve can run them
+    src = os.path.dirname(os.path.dirname(rbannulus.__file__))
+    probe = ("import sys, rbannulus, rbannulus.cli; "
+             "print(sorted(m for m in ('rbannulus.reference', "
+             "'rbannulus.oracle') if m in sys.modules))")
+    got = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert got.returncode == 0, got.stderr
+    assert got.stdout.strip() == "[]"
     ps = generate_instance(16, 3, "uniform", seed=7)
-    ref = max_rbra(ps, fast=False)
-
-    def plain_walk(*args):
-        raise AssertionError("solve_instance ran the plain walk")
-
-    monkeypatch.setattr(rect, "_walk_slow", plain_walk)
     got, _ = solve_instance("rect", ps, DEFAULT_EPS)
     assert got is not None
-    assert got == ref
+    assert got == max_rbra_reference(ps)
 
 
 def test_solve_circle_inactive_line_constraint(tmp_path, capsys):
@@ -243,6 +249,27 @@ def test_check_valid_tampered_and_injected(tmp_path, capsys):
     code, _, err = run(capsys, ["check", "--input", str(poked),
                                 "--solution", str(sol)])
     assert code == 1 and "not a valid" in err
+
+
+@pytest.mark.parametrize("body", [
+    '5',
+    '{"shape": "strip", "width": null, "geometry": {}}',
+    '{"shape": "strip", "width": 1.0, "geometry": 5}',
+    '{"shape": "strip", "width": 1.0, "geometry": '
+    '{"orientation": "vertical", "lo": "0", "hi": "1"}}',
+    '{"shape": "circle", "width": 1.0, "geometry": '
+    '{"center_x": null, "center_y": 0.0, "r_in": 1.0, "r_out": 2.0}}',
+], ids=["not-object", "null-width", "scalar-geometry", "string-sides",
+        "null-center"])
+def test_check_malformed_report_is_bad_input(body, tmp_path, capsys):
+    inst = tmp_path / "inst.csv"
+    inst.write_text(STRIP4)
+    sol = tmp_path / "sol.json"
+    sol.write_text(body)
+    code, out, err = run(capsys, ["check", "--input", str(inst),
+                                  "--solution", str(sol)])
+    assert code == 1 and out == ""
+    assert err.startswith("check: ")
 
 
 def test_svg_one_annulus_group_n_glyphs(tmp_path, capsys):

@@ -14,16 +14,19 @@ from rbannulus import (
 )
 from rbannulus.core import offset_square
 from rbannulus.rect import (
-    MinimalRainbowInterval,
-    WGap,
     anchor_ordering,
     dp_decision,
-    dp_decision_fast,
     max_anchored_rbra_for_top_point,
+)
+from rbannulus.oracle import oracle_rbra
+from rbannulus.reference import (
+    MinimalRainbowInterval,
+    WGap,
+    dp_decision_reference,
+    max_rbra_reference,
     minimal_rainbow_intervals,
     relevant_w_gaps,
 )
-from rbannulus.oracle import oracle_rbra
 
 
 def brute_decision(ps, i, j, w):
@@ -213,8 +216,8 @@ def test_dp_fast_equals_dp_random():
         ps = random_instance(rng, n, k, lo=0, hi=10)  # many ties
         for i, j in anchor_pairs(ps, rng, 2):
             for w in sample_widths(ps, i, j, rng):
-                ref = dp_decision(ps, i, j, w)
-                fast = dp_decision_fast(ps, i, j, w)
+                ref = dp_decision_reference(ps, i, j, w)
+                fast = dp_decision(ps, i, j, w)
                 assert ref == fast, (ps.points, i, j, w)
 
 
@@ -225,13 +228,13 @@ def test_fast_decision_keeps_a_rounded_gap():
                          (0.851602061, -0.1, 2), (0.27, -0.91, 2),
                          (0.51, 0.32271988, 2), (-0.2, -0.45, 1),
                          (0.43, 0.06, 2), (0.7, -0.5, 2)], 2)
-    assert repr(max_rbra(ps)) == repr(max_rbra(ps, fast=False))
+    assert repr(max_rbra(ps)) == repr(max_rbra_reference(ps))
     xy = [(p.x, p.y) for p in anchor_ordering(ps)]
     i, j = xy.index((0.43, 0.06)), xy.index((0.27, -0.91))
     for bottom in (j, None):
-        ref = dp_decision(ps, i, bottom, 0.16)
+        ref = dp_decision_reference(ps, i, bottom, 0.16)
         assert ref.feasible
-        assert dp_decision_fast(ps, i, bottom, 0.16) == ref
+        assert dp_decision(ps, i, bottom, 0.16) == ref
 
 
 def test_dp_monotone_in_width():
@@ -483,8 +486,8 @@ def test_max_rbra_fast_equals_slow():
             colors += [rng.randint(1, k) for _ in range(n - len(colors))]
             pts = [(rng.uniform(0, 50), rng.uniform(0, 50), c) for c in colors]
             ps = PointSet.build(pts, k)
-        slow = max_rbra(ps, fast=False)
-        fast = max_rbra(ps, fast=True)
+        slow = max_rbra_reference(ps)
+        fast = max_rbra(ps)
         if slow is None:
             assert fast is None, ps.points
         else:
@@ -498,8 +501,7 @@ def test_max_rbra_collinear_halfplane():
     assert ann is not None and ann.width == 3.0
     assert validate_solution(ann, ps)
     assert INF in (abs(s) for s in ann.outer_sides)
-    fast = max_rbra(ps, fast=True)
-    assert fast == ann
+    assert max_rbra_reference(ps) == ann
     want = oracle_rbra(ps)
     assert want.width == 3.0
 
@@ -522,9 +524,9 @@ def test_max_rbra_degenerate():
     # coincident points: any separating ring has zero width
     ps = PointSet.build([(0, 0, 1), (0, 0, 1)], 1)
     assert max_rbra(ps) is None
-    assert max_rbra(ps, fast=True) is None
+    assert max_rbra_reference(ps) is None
     ps2 = PointSet.build([(0, 0, 1), (3, 4, 1)], 1)
     ann = max_rbra(ps2)
     assert ann is not None and validate_solution(ann, ps2)
     assert ann.width == 4.0  # horizontal or vertical strip between them
-    assert max_rbra(ps2, fast=True) == ann
+    assert max_rbra_reference(ps2) == ann

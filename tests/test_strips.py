@@ -9,6 +9,7 @@ from rbannulus import (
     DEFAULT_EPS,
     PointSet,
     Strip,
+    generate_instance,
     max_rbca,
     max_rblc,
     max_rbra,
@@ -80,9 +81,13 @@ def test_negative_eps_rejected():
         with pytest.raises(ValueError):
             max_rblc(ps, "down-right", eps)
         with pytest.raises(ValueError):
-            max_rbra(ps, eps=eps)
+            max_rbra(ps, eps)
         with pytest.raises(ValueError):
             max_anchored_rbra_for_top_point(ps, 0, eps)
+    # eps is the second argument of every solver: no ring is wider than 1e9
+    wide = generate_instance(16, 3, "uniform", 7)
+    assert max_rbsa(wide, 1e9) is None
+    assert max_rbra(wide, 1e9) is None
 
 
 def test_signed_zero_sides_keep_their_sign():
