@@ -46,6 +46,10 @@ _FINALIST_SLACK = 1e-9
 # distances per chunk of rows scored at once
 _CHUNK = 125_000
 
+# Crossings multiply three coordinates, which overflows from about 2^340;
+# cir22 and cir21 centers of larger inputs come from scaled coordinates.
+_BIG = 2.0 ** 300
+
 
 # ---------------------------------------------------------------------------
 # candidate centers
@@ -75,6 +79,30 @@ def _coords(pointset: PointSet):
             np.array([p.y for p in pts], dtype=float))
 
 
+def _frame(pointset: PointSet):
+    """(X, Y, e): the points' coordinates times 2^-e.  e is 0 while every
+    magnitude is below _BIG, and otherwise brings the largest into
+    [0.5, 1).  Scaling by a power of two is exact, and so is every center
+    computed from the scaled coordinates, scaled back by _unscale."""
+    X, Y = _coords(pointset)
+    top = max(float(np.abs(X).max()), float(np.abs(Y).max()))
+    if top < _BIG:
+        return X, Y, 0
+    e = math.frexp(top)[1]
+    return np.ldexp(X, -e), np.ldexp(Y, -e), e
+
+
+def _unscale(centers, e):
+    """Centers computed in _frame's scaled coordinates, back in the
+    input's, without those that leave the float range."""
+    if e == 0:
+        return centers
+    with np.errstate(over="ignore"):
+        xs, ys = np.ldexp(centers[0], e), np.ldexp(centers[1], e)
+    keep = np.isfinite(xs) & np.isfinite(ys)
+    return xs[keep], ys[keep]
+
+
 def _bisectors(X, Y):
     """Perpendicular bisectors of every pair i < j, in np.triu_indices order:
     the centers equidistant from points i and j."""
@@ -98,16 +126,17 @@ def cir22_candidates(pointset: PointSet):
     Pairs may share a point (three points on one boundary circle land
     here).  Parallel bisectors yield no center.  Each bisector is crossed
     with all later ones at a time, so a step holds O(n^2) values."""
-    _, _, a, b, c = _bisectors(*_coords(pointset))
-    return _concat([_cross(a[u], b[u], c[u], a[u + 1:], b[u + 1:], c[u + 1:])
-                    for u in range(a.size - 1)])
+    X, Y, e = _frame(pointset)
+    _, _, a, b, c = _bisectors(X, Y)
+    return _unscale(_concat([_cross(a[u], b[u], c[u], a[u + 1:], b[u + 1:], c[u + 1:])
+                             for u in range(a.size - 1)]), e)
 
 
 def cir21_candidates(pointset: PointSet):
     """Centers equidistant from a pair with a third point collinear with
     the center and one pair member: bisector(p, q) crossed with the line
     through p (or q) and every third point."""
-    X, Y = _coords(pointset)
+    X, Y, e = _frame(pointset)
     i, j, a, b, c = _bisectors(X, Y)
     # line through point s and point r: ta[s, r]*x + tb[s, r]*y = tc[s, r]
     ta = Y[None, :] - Y[:, None]
@@ -115,9 +144,9 @@ def cir21_candidates(pointset: PointSet):
     tc = ta * X[:, None] + tb * Y[:, None]
     pair, third = np.nonzero((np.arange(X.size) != i[:, None])
                              & (np.arange(X.size) != j[:, None]))
-    return _concat([_cross(a[pair], b[pair], c[pair],
-                           ta[end, third], tb[end, third], tc[end, third])
-                    for end in (i[pair], j[pair])])
+    return _unscale(_concat([_cross(a[pair], b[pair], c[pair],
+                                    ta[end, third], tb[end, third], tc[end, third])
+                             for end in (i[pair], j[pair])]), e)
 
 
 def point_center_candidates(pointset: PointSet):

@@ -15,16 +15,21 @@ change only where a point enters or leaves through the vertical sides.
 best_annulus_on_segment scans the segment in one pass over the x-ordered
 points strictly between the two pinning y values: in increasing center
 position it visits every such breakpoint and, between two of them, the
-midpoint of the extreme inside x-coordinates.  The bounded solver bounds
-the width of every pinned pair from above, with one numpy pass per bottom
-point, and runs the same per-pair search on the pairs in decreasing bound
-until no remaining bound can reach the best width found.
+midpoint of the extreme inside x-coordinates.
+
+The bounded solver runs that search on few pairs.  It bounds the width of
+every pinned pair from above, in numpy over chunks of pairs.  It then
+takes the pairs in decreasing bound until no bound can reach the best
+width so far, and decides each chunk of them at that width first: a
+color-free test, in numpy, of whether any center on the segment can
+reach it.  Only the pairs the decision keeps are scanned, best first.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import deque
+from heapq import merge
 from operator import itemgetter
 
 import numpy as np
@@ -33,6 +38,10 @@ from .core import (DEFAULT_EPS, INF, QUADRANT_SIGNS, PointSet, SquareAnnulus,
                    check_eps)
 from .lcorridor import max_rblc_all
 from .strips import max_rbes
+
+# strip cells (pairs times points) per chunk of pairs bounded or decided
+# at once
+_CELLS = 2 ** 13
 
 __all__ = [
     "c3_center_segment",
@@ -96,11 +105,14 @@ def _scan_segment(xs, ys, cols, totals, k, y0, r, ax, bx, eps):
     # finds an interval's centering t reads ahead on copies of wl and wr,
     # so every visited t is scored on its own window.
     npts = len(xs)
-    bps = {ax, bx}
-    for x in xs:
-        for t in (x - r, x + r):
-            if ax < t < bx:
-                bps.add(t)
+    # the breakpoints in increasing order without repeats: x - r and x + r
+    # each come sorted, as xs is
+    bps = [ax]
+    for t in merge([x - r for x in xs], [x + r for x in xs]):
+        if bps[-1] < t < bx:
+            bps.append(t)
+    if bps[-1] < bx:
+        bps.append(bx)
     in_cnt = [0] * (k + 1)
     inside_present = 0
     outside_present = k
@@ -108,7 +120,7 @@ def _scan_segment(xs, ys, cols, totals, k, y0, r, ax, bx, eps):
     dq = deque()  # (|y - y0|, index) of window points, first entries decreasing
     best = None
     a = None
-    for b in sorted(bps):
+    for b in bps:
         ts = (b,)
         if a is not None:
             probe = (a + b) / 2.0
@@ -182,16 +194,34 @@ def best_annulus_on_segment(pointset: PointSet, p_i, p_j, eps: float = DEFAULT_E
     return None if hit is None else _square(hit[0], hit[1], y0, r)
 
 
+def _pair_strips(xs, ys, bottom, top):
+    # xs, ys: the x and y columns of by_y.  For the pinned pairs
+    # by_y[bottom] (outer bottom side), by_y[top] (outer top side): r, y0,
+    # ax and bx by the float operations of c3_center_segment, and each
+    # pair's strip, the rows strictly between the two pinning y values (a
+    # run of by_y, as _strip takes it), as row indices padded to the
+    # longest with row 0, and pad, the mask of the padding.
+    yi, yj = ys[bottom], ys[top]
+    r = (yj - yi) / 2.0
+    y0 = (yi + yj) / 2.0
+    ax = np.maximum(xs[bottom], xs[top]) - r
+    bx = np.minimum(xs[bottom], xs[top]) + r
+    lo = np.searchsorted(ys, yi, side="right")
+    hi = np.searchsorted(ys, yj, side="left")
+    strip = lo[:, None] + np.arange((hi - lo).max(initial=0))
+    pad = strip >= hi[:, None]
+    strip[pad] = 0
+    return r, y0, ax, bx, strip, pad
+
+
 def _pair_bounds(by_y, k, eps):
     # by_y: (x, y, color) rows in (y, x, color) order.  Returns numpy
     # arrays (bound, bottom, top) over the pinned pairs by_y[bottom] (outer
     # bottom side), by_y[top] (outer top side) whose bound exceeds eps, in
     # increasing (bottom, top); _scan_segment returns None on every other
     # pair, and at most the bound on these.  For each bottom row i the
-    # pairs are the rows j with y_j > y_i and a non-empty segment; r, y0,
-    # ax and bx come from the float operations of c3_center_segment, and
-    # the columns, the points that may be strictly inside, are the same
-    # rows.
+    # pairs are the rows j with y_j > y_i and a non-empty segment; they are
+    # bounded in chunks, over their strips (_pair_strips).
     #   core: the largest |y - y0| over strip points with
     #     bx - r < x < ax + r;
     #   color: over the colors, the largest per-color minimum of
@@ -211,36 +241,96 @@ def _pair_bounds(by_y, k, eps):
     n = len(by_y)
     xs = np.array([p[0] for p in by_y], dtype=float)
     ys = np.array([p[1] for p in by_y], dtype=float)
-    cols = np.array([p[2] for p in by_y])
-    bounds, bottoms, tops = [np.empty(0)], [np.empty(0, dtype=int)], [np.empty(0, dtype=int)]
+    cols = np.array([p[2] for p in by_y], dtype=int)
+    # the pairs: for each bottom row i, the rows j with y_j > y_i and ax <= bx
+    bottom, top = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)]
     for i in range(n - 1):
-        xi, yi = xs[i], ys[i]
-        above = int(np.searchsorted(ys, yi, side="right"))  # first y > yi
-        xm, ym = xs[above:], ys[above:]
-        r = (ym - yi) / 2.0
-        ax = np.maximum(xi, xm) - r
-        bx = np.minimum(xi, xm) + r
-        seg = np.flatnonzero(ax <= bx)
-        if not len(seg):
-            continue
-        r, ax, bx = r[seg], ax[seg], bx[seg]
-        y0 = (yi + ym[seg]) / 2.0
-        inside = ym < ym[seg][:, None]
-        dy = np.abs(ym - y0[:, None])
-        core_pts = inside & (xm > (bx - r)[:, None]) & (xm < (ax + r)[:, None])
-        core = np.max(dy, axis=1, where=core_pts, initial=0.0)
+        above = int(np.searchsorted(ys, ys[i], side="right"))  # first y > y_i
+        r = (ys[above:] - ys[i]) / 2.0
+        seg = np.flatnonzero(np.maximum(xs[i], xs[above:]) - r
+                             <= np.minimum(xs[i], xs[above:]) + r)
+        bottom.append(np.full(len(seg), i))
+        top.append(above + seg)
+    bottom, top = np.concatenate(bottom), np.concatenate(top)
+    bound = np.empty(len(bottom))
+    # pairs in increasing strip length, in chunks of at most _CELLS cells
+    sizes = np.searchsorted(ys, ys[top], side="left") - np.searchsorted(ys, ys[bottom], side="right")
+    by_size = np.argsort(sizes, kind="stable")
+    sizes = np.maximum(sizes[by_size], 1)
+    lo = 0
+    while lo < len(by_size):
+        ahead = sizes[lo:lo + _CELLS // sizes[lo]]  # no more pairs fit
+        cells = np.arange(1, len(ahead) + 1) * ahead
+        hi = lo + max(1, int(np.searchsorted(cells, _CELLS, side="right")))
+        chunk = by_size[lo:hi]
+        lo = hi
+        r, y0, ax, bx, strip, pad = _pair_strips(xs, ys, bottom[chunk], top[chunk])
+        r, ax, bx = r[:, None], ax[:, None], bx[:, None]
+        x = xs[strip]
+        dy = np.abs(ys[strip] - y0[:, None])
+        core = np.where(~pad & (x > bx - r) & (x < ax + r), dy, 0.0).max(axis=1, initial=0.0)
         # max(|y - y0|, ax - x, x - bx) is max(|y - y0|, x-distance)
-        d = np.maximum(dy, ax[:, None] - xm, out=dy)
-        np.maximum(d, xm - bx[:, None], out=d)
-        np.putmask(d, ~inside, INF)
-        groups = [cols[above:] == c for c in range(1, k + 1)]
-        color = np.max([d[:, g].min(axis=1, initial=INF) for g in groups], axis=0)
-        bound = r - np.maximum(core, color)
-        keep = bound > eps
-        bounds.append(bound[keep])
-        bottoms.append(np.full(np.count_nonzero(keep), i))
-        tops.append(above + seg[keep])
-    return np.concatenate(bounds), np.concatenate(bottoms), np.concatenate(tops)
+        d = np.maximum(dy, ax - x, out=dy)
+        np.maximum(d, x - bx, out=d)
+        d[pad] = INF
+        colors = cols[strip]
+        color = np.max([np.where(colors == c, d, INF).min(axis=1, initial=INF)
+                        for c in range(1, k + 1)], axis=0)
+        bound[chunk] = r[:, 0] - np.maximum(core, color)
+    keep = bound > eps
+    return bound[keep], bottom[keep], top[keep]
+
+
+def _reaching(xs, ys, bottom, top, limit):
+    # xs, ys: the x and y columns of by_y; limit: a finite width.  Returns
+    # a boolean mask over the pinned pairs by_y[bottom], by_y[top], True on
+    # every pair whose _scan_segment returns a width >= limit.  The test
+    # drops the colors: a center t can reach limit only when every strip
+    # point p in its window has
+    #   fl(r - |y_p - y0|) >= limit, or p is tall and rules out every t in
+    #     (x_p - r, x_p + r);
+    #   |x_p - t| <= r - limit, which rules out (x_p - r, x_p - r + limit)
+    #     and (x_p + r - limit, x_p + r).
+    # A pair is kept when some t in [ax, bx] lies in no ruled-out open
+    # interval.  The smallest such t is ax or an interval's right end: with
+    # the intervals sorted by left end and H_q the largest of ax and the
+    # first q right ends, it is some H_q <= bx that no later left end
+    # undercuts.
+    # Why no pair whose scan reaches limit is dropped: let t be a center
+    # the scan visits with width >= limit, M = max(|ax|, |bx|) + r (so
+    # |t -+ r| <= M) and u = 2^-53.  The window holds p exactly when
+    # fl(t - r) < x_p < fl(t + r), so whenever x_p - r + uM < t <
+    # x_p + r - uM.  For each window point the scan's r_in is at least
+    # fl(|y_p - y0|), the same subtraction as here (so no tall point is in
+    # the window), and fl(|t - x_p|) (as in _pair_bounds), so |t - x_p| <=
+    # r - limit + 2uM.  A point with ax - r < x_p < bx + r has |x_p| <= M:
+    # its interval ends take at most three roundings of values below 3M
+    # and are moved inwards by delta = 2^-48 M, more than their error, so
+    # each interval lies inside the real one it stands for, and t is in
+    # none.  Any other point's intervals end at or before ax, or start at
+    # or after bx, by monotone rounding (short points have limit <= r).
+    # The 2^-1060 term covers the absolute error of subnormal results, and
+    # a pair whose delta overflows is kept.
+    r, y0, ax, bx, strip, pad = _pair_strips(xs, ys, bottom, top)
+    delta = (np.maximum(np.abs(ax), np.abs(bx)) + r) * 2.0 ** -48 + 2.0 ** -1060
+    keep = ~np.isfinite(delta)
+    r, y0, delta = r[:, None], y0[:, None], delta[:, None]
+    x = xs[strip]
+    x[pad] = INF
+    tall = r - np.abs(ys[strip] - y0) < limit
+    left, right = x - r, x + r
+    # two open intervals (a, b) per point; one whose a is INF (a tall
+    # point's second, and those of the padding) is empty and sorts last
+    a = np.hstack([left + delta, right - limit + delta])
+    a[:, x.shape[1]:][tall] = INF
+    b = np.hstack([np.where(tall, right, left + limit) - delta, right - delta])
+    order = np.argsort(a, axis=1)
+    a = np.take_along_axis(a, order, axis=1)
+    b = np.take_along_axis(b, order, axis=1)
+    h = np.maximum.accumulate(np.hstack([ax[:, None], b]), axis=1)  # H_0 .. H_m
+    after = np.hstack([a, np.full((len(a), 1), INF)])  # the next left end
+    free = (h <= bx[:, None]) & (after >= h)
+    return free.any(axis=1) | keep
 
 
 def _c3_family(rows, k, totals, eps, floor):
@@ -248,29 +338,43 @@ def _c3_family(rows, k, totals, eps, floor):
     # bottom and top sides pinned by two of them.  Returns
     # (width, center_x, center_y, r) in this frame, or None, whenever the
     # best width is at least floor; below floor the result may be None or
-    # a narrower annulus.  Every pair is bounded (_pair_bounds) and pairs
-    # are scanned in decreasing bound, stopping at the first bound strictly
-    # below the best width so far (or floor): a pair whose bound equals it
-    # may still win the tie.  Pairs tied on (-width, t, y0) can differ in
-    # r, so the key ends with the pair's position in (y, x, color) order:
-    # the winner is the first best pair in that order, as when every pair
-    # is scanned in it, whatever the order of visits.
+    # a narrower annulus.  Every pair is bounded (_pair_bounds); pairs are
+    # then taken in decreasing bound, a chunk at a time, decided at the
+    # current limit, the best width so far (or floor, or eps), and only the
+    # pairs the decision keeps (_reaching) are scanned.  The search stops
+    # at the first bound strictly below the limit: a pair whose bound or
+    # width equals it may still win the tie.  When a scan raises the limit,
+    # the chunk's unscanned pairs are decided again at the new one.  Pairs
+    # tied on (-width, t, y0) can differ in r, so the key ends with the
+    # pair's position in (y, x, color) order: the winner is the first best
+    # pair in that order, as when every pair is scanned in it, whatever the
+    # order of visits.
     by_y = sorted(sorted(rows), key=lambda p: p[1])  # (y, x, color) order
     bound, bottom, top = _pair_bounds(by_y, k, eps)
+    xs = np.array([p[0] for p in by_y], dtype=float)
+    ys = np.array([p[1] for p in by_y], dtype=float)
+    step = max(1, _CELLS // (2 * len(by_y)))  # two intervals per strip point
     best = key = None
     limit = floor
-    for q in np.argsort(-bound, kind="stable"):
-        if bound[q] < limit:
-            break
-        (xi, y_i, _), (xj, y_j, _) = by_y[bottom[q]], by_y[top[q]]
-        (ax, y0), (bx, _), r = c3_center_segment((xi, y_i), (xj, y_j))
-        hit = _scan_segment(*_strip(by_y, y_i, y_j), totals, k, y0, r, ax, bx, eps)
-        if hit is None:
-            continue
-        w, t = hit
-        if key is None or (-w, t, y0, q) < key:
-            best, key = (w, t, y0, r), (-w, t, y0, q)
-            limit = max(limit, w)
+    todo = np.argsort(-bound, kind="stable")
+    while len(todo) and bound[todo[0]] >= limit:
+        head = todo[:step]
+        head = head[bound[head] >= limit]
+        todo = todo[len(head):]
+        kept = head[_reaching(xs, ys, bottom[head], top[head], max(limit, eps))]
+        for pos, q in enumerate(kept):
+            (xi, y_i, _), (xj, y_j, _) = by_y[bottom[q]], by_y[top[q]]
+            (ax, y0), (bx, _), r = c3_center_segment((xi, y_i), (xj, y_j))
+            hit = _scan_segment(*_strip(by_y, y_i, y_j), totals, k, y0, r, ax, bx, eps)
+            if hit is None:
+                continue
+            w, t = hit
+            if key is None or (-w, t, y0, q) < key:
+                best, key = (w, t, y0, r), (-w, t, y0, q)
+                if w > limit:
+                    limit = w
+                    todo = np.concatenate([kept[pos + 1:], todo])
+                    break
     return best
 
 
@@ -324,7 +428,7 @@ def max_rbsa(pointset: PointSet, eps: float = DEFAULT_EPS):
     The degenerate families come from the strip and corridor solvers (a
     strip is a square annulus with three sides at infinity, an L-corridor
     one with two); the bounded family is searched directly.  Ties keep the
-    earlier, more degenerate candidate.
+    earlier, more degenerate candidate.  Raises ValueError unless eps >= 0.
     """
     check_eps(eps)
     candidates = [

@@ -29,6 +29,7 @@ from rbannulus.circles import (
     far_field_candidates,
     point_center_candidates,
 )
+from rbannulus.instances import generate_instance
 from rbannulus.oracle import oracle_rbca, oracle_rbca_on_line
 from rbannulus.reference import circle_plane, lift
 
@@ -236,6 +237,23 @@ def test_family_sizes_general_position():
         "cir21_candidates": pairs * (n - 2) * 2,
         "far_field_candidates": 6 * n * (n - 1),
     }
+
+
+def test_pinned_centres_scale_exactly_at_large_magnitudes():
+    # the crossings multiply three coordinates, which overflowed from about
+    # 2^340 and left both families empty; scaled by a power of two, every
+    # centre is the desk-scale centre times the scale, with no warning
+    ps = generate_instance(9, 3, "uniform", 5)
+    base = [cir22_candidates(ps), cir21_candidates(ps)]
+    assert [len(xs) for xs, _ in base] == [630, 504]
+    for scale in (2.0 ** 400, 2.0 ** 530, 2.0 ** 600):
+        big = PointSet.build([(p.x * scale, p.y * scale, p.color) for p in ps.points], 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [cir22_candidates(big), cir21_candidates(big)]
+        for (xs, ys), (bxs, bys) in zip(got, base):
+            assert len(xs) == len(bxs)
+            assert np.array_equal(xs, bxs * scale) and np.array_equal(ys, bys * scale)
 
 
 def _scalar_cross(l1, l2):

@@ -2,16 +2,19 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from conftest import random_instance, random_real_instance, rotate90
 
 from rbannulus import DEFAULT_EPS, PointSet, SquareAnnulus, validate_solution
+from rbannulus.core import INF
 from rbannulus.lcorridor import max_rblc_all
 from rbannulus.oracle import oracle_rbsa
 from rbannulus.squares import (
     _corridor_as_square,
     _pair_bounds,
+    _reaching,
     _scan_segment,
     _strip,
     _strip_as_square,
@@ -339,6 +342,58 @@ def test_pair_bound_holds_on_every_pinned_pair():
                     assert hit[0] <= bounds[i, j], (ps.points, i, j)
                     tight += hit[0] == bounds[i, j]
     assert scanned >= 200 and dropped >= 200 and tight >= 20
+
+
+def _decision_instances(rng):
+    # the ulp-edge instance of _bound_instances, then integer tie-heavy,
+    # real and signed-zero instances, each also scaled by 10**6 and moved
+    # by (10**7, -10**7)
+    yield next(_bound_instances(rng))
+    for it in range(36):
+        k = rng.randint(1, 3)
+        n = rng.randint(2 * k, 10)
+        if it % 3 == 0:
+            ps = random_instance(rng, n, k, 0, 4)
+        else:
+            ps = random_real_instance(rng, n, k, digits=(1, 2, None)[it % 3])
+        if it % 4 == 1:
+            ps = PointSet.build([(rng.choice((0.0, -0.0, p.x)), rng.choice((0.0, -0.0, p.y)),
+                                  p.color) for p in ps.points], k)
+        yield ps
+        yield PointSet.build([(p.x * 1e6 + 1e7, p.y * 1e6 - 1e7, p.color)
+                              for p in ps.points], k)
+
+
+def test_decision_keeps_every_pair_that_reaches_the_limit():
+    # at a limit set to each pair's own scanned width, and to the next
+    # float above and below it, _reaching keeps every pinned pair whose
+    # _scan_segment width is at least the limit, in both frames and at
+    # eps 0 and the default eps; it drops enough pairs to matter
+    reached = dropped = 0
+    for ps in _decision_instances(random.Random(9090)):
+        totals = (0,) + ps.color_count
+        for eps in (0.0, DEFAULT_EPS):
+            for _, by_y in _frames(ps):
+                xs = np.array([p[0] for p in by_y])
+                ys = np.array([p[1] for p in by_y])
+                bottom, top, widths = [], [], []
+                for i, j, ((ax, y0), (bx, _), r) in _pinned_pairs(by_y):
+                    strip = _strip(by_y, by_y[i][1], by_y[j][1])
+                    hit = _scan_segment(*strip, totals, ps.k, y0, r, ax, bx, eps)
+                    bottom.append(i)
+                    top.append(j)
+                    widths.append(-INF if hit is None else hit[0])
+                if not widths:
+                    continue
+                bottom, top, widths = np.array(bottom), np.array(top), np.array(widths)
+                for w in widths[widths > -INF]:
+                    for limit in (math.nextafter(w, -INF), w, math.nextafter(w, INF)):
+                        keep = _reaching(xs, ys, bottom, top, limit)
+                        reach = widths >= limit
+                        assert keep[reach].all(), (ps.points, eps, limit)
+                        reached += int(reach.sum())
+                        dropped += int((~keep).sum())
+    assert reached >= 2000 and dropped >= 2000
 
 
 def _strip_by_filter(by_x, y_lo, y_hi):
