@@ -11,7 +11,11 @@ every such center as numpy arrays, from one line-crossing kernel, adds far
 sentinels that dominate any bounded sampling of the plane, scores them in
 batches and keeps the best valid ring.
 
-Scoring has three passes.  A screen scores every center from cheap
+Scoring has four passes.  The centers near the points are ordered in Z
+order and cut into cells, coarse to fine; a cell is skipped whole when one
+screened center and the cell's radius prove, by the 2-Lipschitz bound on
+ring widths, that no member can reach the shortlist.  A screen scores the
+centers of every surviving finest cell, and every far one, from cheap
 sqrt(dx*dx + dy*dy) distances, with a rigorous bound on how far each score
 can be from the exact one.  The exact np.hypot scores are then computed
 only for the centers whose bound can still reach the shortlist, which is
@@ -22,7 +26,7 @@ are re-scored one by one with math.hypot, which picks the witness.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -45,6 +49,11 @@ _FINALIST_SLACK = 1e-9
 
 # distances per chunk of rows scored at once
 _CHUNK = 125_000
+
+# centers per cell of the pruning pass (_shortlist_rows), coarse to fine,
+# and the side of the grid the cells are ordered on (_cell_order)
+_CELLS = (512, 64, 8)
+_GRID = 65535.0
 
 # Crossings multiply three coordinates, which overflows from about 2^340;
 # cir22 and cir21 centers of larger inputs come from scaled coordinates.
@@ -204,36 +213,58 @@ def best_annulus_at_center(pointset: PointSet, center,
     return CircularAnnulus(cx, cy, ds[t], ds[t + 1])
 
 
-def _hypot_rows(X, Y, cx, cy):
-    return np.hypot(X - cx, Y - cy)
+class _Columns(NamedTuple):
+    """The points as columns grouped by color, with what every scoring
+    pass of one search shares: k and the bounding box."""
+    X: np.ndarray
+    Y: np.ndarray
+    C: np.ndarray
+    k: int
+    box: tuple  # (x0, x1, y0, y1)
 
 
-def _sqrt_rows(X, Y, cx, cy):
-    D = X - cx
+def _columns(pointset: PointSet) -> _Columns:
+    X, Y = _coords(pointset)
+    C = np.array([p.color for p in pointset.points])
+    order = np.argsort(C, kind="stable")
+    pts = pointset.points
+    box = (pts[pointset.by_x[0]].x, pts[pointset.by_x[-1]].x,
+           pts[pointset.by_y[0]].y, pts[pointset.by_y[-1]].y)
+    return _Columns(X[order], Y[order], C[order], pointset.k, box)
+
+
+def _hypot_rows(X, Y, cx, cy, D, T):
+    np.subtract(X, cx, out=D)
+    np.subtract(Y, cy, out=T)
+    return np.hypot(D, T, out=D)
+
+
+def _sqrt_rows(X, Y, cx, cy, D, T):
+    np.subtract(X, cx, out=D)
     D *= D
-    T = Y - cy
+    np.subtract(Y, cy, out=T)
     T *= T
     D += T
     return np.sqrt(D, out=D)
 
 
-def _row_widths(pointset: PointSet, cxs, cys, eps: float, distances):
+def _row_widths(cols: _Columns, cxs, cys, eps: float, distances):
     # the rainbow-gap scan over each center's row of distances, in chunks
-    # of rows; -inf where a row has no usable gap.  The columns are grouped
-    # by color once, for every chunk.
-    X, Y = _coords(pointset)
-    C = np.array([p.color for p in pointset.points])
-    order = np.argsort(C, kind="stable")
-    X, Y, C = X[order], Y[order], C[order]
+    # of rows that share two distance buffers; -inf where a row has no
+    # usable gap
     out = np.full(len(cxs), -np.inf)
-    if X.size < 2:
+    n = cols.X.size
+    if n < 2:
         return out
-    step = max(1, _CHUNK // X.size)
+    step = max(1, _CHUNK // n)
+    D = np.empty((min(step, len(cxs)), n))
+    T = np.empty_like(D)
     for lo in range(0, len(cxs), step):
         cx = np.asarray(cxs[lo:lo + step], dtype=float)[:, None]
         cy = np.asarray(cys[lo:lo + step], dtype=float)[:, None]
-        D = distances(X, Y, cx, cy)
-        out[lo:lo + step] = rainbow_gaps(D, C, pointset.k, eps).max(axis=1)
+        m = len(cx)
+        V = distances(cols.X, cols.Y, cx, cy, D[:m], T[:m])
+        out[lo:lo + m] = rainbow_gaps(V, cols.C, cols.k, eps).max(axis=1)
     return out
 
 
@@ -241,17 +272,18 @@ def _batch_widths(pointset: PointSet, cxs, cys, eps: float):
     """Best ring width at each center, -inf where none, from np.hypot
     distances: the exact scores the shortlist is taken from.  Finalists
     are re-scored by best_annulus_at_center."""
-    return _row_widths(pointset, cxs, cys, eps, _hypot_rows)
+    return _row_widths(_columns(pointset), cxs, cys, eps, _hypot_rows)
 
 
-def _screen(pointset: PointSet, cxs, cys, eps: float):
+def _screen(pointset: PointSet, cxs, cys, eps: float, cols=None):
     """(w, e) per center: w the best ring width from sqrt(dx*dx + dy*dy)
     distances (-inf where none) and e a bound on how far it can be from the
     exact score w_x of _batch_widths.  Where both are finite, |w - w_x| <= e;
     where either is -inf, the same holds with eps in its place, so
     max(w, eps) + e bounds w_x from above, and w_x >= w - e once w - e > eps.
     Centers whose rows would leave the safe exponent range are not screened:
-    w = -inf and e = inf there."""
+    w = -inf and e = inf there.  cols is _columns(pointset), which a search
+    that screens several times builds once."""
     # Why: B, the L1 distance to the far corner of the bounding box, is at
     # least |dx| + |dy| for every point of the row, with dx and dy the same
     # float subtractions both passes make (rounding is monotone), so B(1+u)
@@ -272,9 +304,9 @@ def _screen(pointset: PointSet, cxs, cys, eps: float):
     # That totals at most 20u*B; e = 2^-47 * B = 64u*B.  With B <= 2^510 no
     # square overflows, and with B >= 2^-450 the absolute error of a square
     # that underflows (sqrt(2^-1074) ~ 2^-537 in d) is far below e.
-    pts = pointset.points
-    x0, x1 = pts[pointset.by_x[0]].x, pts[pointset.by_x[-1]].x
-    y0, y1 = pts[pointset.by_y[0]].y, pts[pointset.by_y[-1]].y
+    if cols is None:
+        cols = _columns(pointset)
+    x0, x1, y0, y1 = cols.box
     with np.errstate(over="ignore", invalid="ignore"):
         B = (np.maximum(np.abs(cxs - x0), np.abs(cxs - x1))
              + np.maximum(np.abs(cys - y0), np.abs(cys - y1)))
@@ -282,25 +314,141 @@ def _screen(pointset: PointSet, cxs, cys, eps: float):
     e = np.full(len(cxs), np.inf)
     e[safe] = B[safe] * 2.0 ** -47
     w = np.full(len(cxs), -np.inf)
-    w[safe] = _row_widths(pointset, cxs[safe], cys[safe], eps, _sqrt_rows)
+    w[safe] = _row_widths(cols, cxs[safe], cys[safe], eps, _sqrt_rows)
     return w, e
 
 
+def _spread(q):
+    # q, floats in [0, 2^16), as uint32 with bit i of each moved to bit 2i
+    q = q.astype(np.uint32)
+    q = (q | (q << 8)) & 0x00FF00FF
+    q = (q | (q << 4)) & 0x0F0F0F0F
+    q = (q | (q << 2)) & 0x33333333
+    return (q | (q << 1)) & 0x55555555
+
+
+def _cell_order(cxs, cys, box):
+    """Indices of the centers near the points, in Z order: those inside the
+    bounding box grown by its larger side on every side, sorted by the
+    interleaved bits of their coordinates on a 2^16 by 2^16 grid over that
+    region.  Consecutive runs of the order are the cells of _shortlist_rows;
+    any order is correct there, and a spatial one lets cells be pruned."""
+    x0, x1, y0, y1 = box
+    pad = max(x1 - x0, y1 - y0)
+    lo_x, hi_x, lo_y, hi_y = x0 - pad, x1 + pad, y0 - pad, y1 + pad
+    if not pad > 0.0:
+        return np.empty(0, dtype=np.intp)
+    sx, sy = _GRID / (hi_x - lo_x), _GRID / (hi_y - lo_y)
+    if not (0.0 < sx < math.inf and 0.0 < sy < math.inf):
+        return np.empty(0, dtype=np.intp)
+    idx = np.flatnonzero((cxs >= lo_x) & (cxs <= hi_x)
+                         & (cys >= lo_y) & (cys <= hi_y))
+    key = (_spread((cxs[idx] - lo_x) * sx)
+           | (_spread((cys[idx] - lo_y) * sy) << 1))
+    return idx[np.argsort(key)]
+
+
+def _cell_bounds(cxs, cys, members, rep, w0, e0, eps: float):
+    """Per cell, an upper bound on max(w_x(c), eps) over its members c,
+    w_x being the exact score of _batch_widths: members[i] are the indices
+    of cell i's centers and rep[i] its representative, which _screen scored
+    as (w0[i], e0[i]).  The bound is inf where e0 is."""
+    # Why: every distance is 1-Lipschitz in the center, so moving the
+    # center from c0 to c moves every entry of an exact row by at most
+    # |c - c0| plus the np.hypot error at c and at c0 (the subtraction and
+    # the hypot, 4u*B at each, with B and u as in _screen).  By _screen's
+    # gap argument the exact score then moves by at most twice that, with
+    # -inf read as eps, plus each gap's rounding (u*B at each):
+    #   max(w_x(c), eps) <= max(w_x(c0), eps) + 2|c - c0| + 9u*(B(c) + B(c0)),
+    # and B(c) <= B(c0) + sqrt(2)*|c - c0|.  rho, the largest
+    # sqrt(dx*dx + dy*dy) over the coordinate differences from c0 to a
+    # member, is within 3u of |c - c0|; times 1 + 2^-50 (rounded, still
+    # above 1 + 6u) it is at least |c - c0|.  With _screen's bound at c0,
+    #   max(w_x(c), eps) <= max(w0, eps) + e0 + 2*rho + 18u*B0 + 13u*rho,
+    # and the three roundings of the sum below add at most
+    # u*(3*B0 + 6*rho), eps counting only where it is below the gap (a gap
+    # at c is at most B(c)).  The sum adds e0 = 64u*B0 once more and
+    # 2*rho*2^-47 (over 120u*rho after rounding), which covers both.  e0
+    # is finite only where B0 >= 2^-450, so the absolute errors of results
+    # that underflow (about 2^-537 for rho, 2^-1074 for a distance) are far
+    # below it.  Where a square overflows, rho is inf, and so is the bound.
+    with np.errstate(over="ignore", invalid="ignore"):
+        dx = cxs[members] - cxs[rep][:, None]
+        dy = cys[members] - cys[rep][:, None]
+        dx *= dx
+        dy *= dy
+        dx += dy
+        rho = np.sqrt(dx.max(axis=1)) * (1.0 + 2.0 ** -50)
+        return ((np.maximum(w0, eps) + 2.0 * e0)
+                + 2.0 * (rho * (1.0 + 2.0 ** -47)))
+
+
+def _shortlist_rows(pointset: PointSet, cxs, cys, eps: float):
+    """Indices, ascending, of every center whose exact score can reach the
+    shortlist, which then needs no other center scored exactly.
+
+    The centers near the points are cut into cells (_cell_order), pruned
+    coarse to fine from one screened representative each, and the cells
+    that survive the finest level are screened whole; the other centers
+    are always screened.  Of the screened centers, those whose upper
+    bound can reach t_lo - _FINALIST_SLACK are returned, t_lo being the
+    best lower bound the screen found."""
+    # A center whose exact score is below fl(t_lo - _FINALIST_SLACK), which
+    # is at most fl(top - _FINALIST_SLACK), is on no shortlist; a skipped
+    # cell's members all are, by _cell_bounds.
+    cols = _columns(pointset)
+    w = np.full(len(cxs), -np.inf)
+    e = np.full(len(cxs), np.inf)
+    seen = np.zeros(len(cxs), dtype=bool)
+    t_lo = -np.inf
+
+    def screen(rows):
+        nonlocal t_lo
+        rows = rows[~seen[rows]]
+        if not rows.size:
+            return
+        seen[rows] = True
+        w[rows], e[rows] = _screen(pointset, cxs[rows], cys[rows], eps, cols)
+        lower = w[rows] - e[rows]
+        lower = lower[lower > eps]
+        if lower.size:
+            t_lo = max(t_lo, lower.max())
+
+    order = _cell_order(cxs, cys, cols.box)
+    far = np.ones(len(cxs), dtype=bool)
+    far[order] = False
+    screen(np.flatnonzero(far))
+    # cells are runs of positions in order, and ox, oy their coordinates
+    m = order.size
+    ox, oy = cxs[order], cys[order]
+    cells = np.arange(-(-m // _CELLS[0]))
+    for size, finer in zip(_CELLS, _CELLS[1:] + (1,)):
+        first = cells * size
+        last = np.minimum(first + size, m) - 1
+        mid = (first + last) // 2
+        rep = order[mid]
+        screen(rep)
+        if t_lo > -np.inf:
+            members = np.minimum(first[:, None] + np.arange(size), last[:, None])
+            bound = _cell_bounds(ox, oy, members, mid, w[rep], e[rep], eps)
+            cells = cells[~(bound < t_lo - _FINALIST_SLACK)]
+        # the next level's cells; after the last, the surviving positions
+        per = size // finer
+        cells = (cells[:, None] * per + np.arange(per)).ravel()
+        cells = cells[cells * finer < m]
+    screen(order[cells])
+    if t_lo == -np.inf:
+        # nothing was skipped, and no lower bound rules anything out
+        return np.arange(len(cxs))
+    return np.flatnonzero(seen & (np.maximum(w, eps) + e
+                                  >= t_lo - _FINALIST_SLACK))
+
+
 def _pick_best(pointset: PointSet, cxs, cys, eps: float):
-    # The shortlist is every center whose exact score is within
-    # _FINALIST_SLACK of the best exact score.  The screen's lower bounds
-    # give t_lo <= that best, so a center whose upper bound is below
-    # t_lo - _FINALIST_SLACK is on no shortlist and is not scored exactly.
-    # Every other center is, with _batch_widths as before, so the shortlist
-    # and its order are the same as when every center is scored exactly.
-    w, e = _screen(pointset, cxs, cys, eps)
-    lower = w - e
-    lower = lower[lower > eps]
-    if lower.size:
-        rows = np.flatnonzero(np.maximum(w, eps) + e
-                              >= lower.max() - _FINALIST_SLACK)
-    else:
-        rows = np.arange(len(cxs))
+    # Every center whose exact score is within _FINALIST_SLACK of the best
+    # is among _shortlist_rows, so scoring those exactly with _batch_widths
+    # gives the same shortlist, in the same order, as scoring every center.
+    rows = _shortlist_rows(pointset, cxs, cys, eps)
     w = _batch_widths(pointset, cxs[rows], cys[rows], eps)
     top = w.max()
     if not np.isfinite(top):
@@ -344,8 +492,11 @@ def max_rbca_on_line(pointset: PointSet, line: Line,
     line), and far sentinels along the line for optima approached at
     infinity.
     """
-    X, Y = _coords(pointset)
-    la, lb, lc = line.a, line.b, line.c
+    # the crossings come from _frame's scaled coordinates, with c scaled
+    # alike; the far sentinels, whose max(span, 1.0) is not scale-exact,
+    # from the input's
+    X, Y, e = _frame(pointset)
+    la, lb, lc = line.a, line.b, math.ldexp(line.c, -e)
     i, j, a, b, c = _bisectors(X, Y)
     parts = [_cross(la, lb, lc, a, b, c)]
     # line through points i and j
@@ -361,6 +512,8 @@ def max_rbca_on_line(pointset: PointSet, line: Line,
     a = Y[j] - my[i]
     b = mx[i] - X[j]
     parts.append(_cross(la, lb, lc, a, b, a * mx[i] + b * my[i]))
+    parts = [_unscale(_concat(parts), e)]
+    X, Y = _coords(pointset)
     ox, oy = line.origin
     dx, dy = line.direction
     ts = (X - ox) * dx + (Y - oy) * dy

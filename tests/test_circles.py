@@ -574,6 +574,141 @@ def test_screened_pick_matches_every_row_reference(monkeypatch):
     assert sum(rows) < sum(centres) / 4
 
 
+def test_scores_do_not_depend_on_the_chunking(monkeypatch):
+    # chunks share their distance buffers; a short last chunk reuses a
+    # prefix of them, and no row keeps another chunk's distances
+    rng = random.Random(435)
+    ps = random_real_instance(rng, 9, 2, digits=None)
+    xs, ys = _all_centres(ps)
+    whole = [_batch_widths(ps, xs, ys, DEFAULT_EPS), _screen(ps, xs, ys, DEFAULT_EPS)]
+    monkeypatch.setattr(circles, "_CHUNK", 9 * 8)
+    chunked = [_batch_widths(ps, xs, ys, DEFAULT_EPS), _screen(ps, xs, ys, DEFAULT_EPS)]
+    assert len(xs) % 8 and np.isfinite(whole[0]).sum() > 100
+    assert np.array_equal(whole[0], chunked[0])
+    assert all(np.array_equal(a, b) for a, b in zip(whole[1], chunked[1]))
+
+
+def _cell_instances(rng, count):
+    # the screen's instances, with every third desk-scale one also scaled
+    # by 1e6 and moved by (1e7, -1e7)
+    for it, ps in enumerate(_screen_instances(rng, count)):
+        yield ps
+        if it % 3 == 0 and max(max(abs(p.x), abs(p.y)) for p in ps.points) <= 10:
+            yield PointSet.build([(p.x * 1e6 + 1e7, p.y * 1e6 - 1e7, p.color)
+                                  for p in ps.points], ps.k)
+
+
+def _cells_of(order, size):
+    # the solver's cells of one level: runs of `size` positions of order,
+    # the last one padded with its last member, and their middle centres
+    first = np.arange(0, order.size, size)
+    last = np.minimum(first + size, order.size) - 1
+    members = order[np.minimum(first[:, None] + np.arange(size), last[:, None])]
+    return members, order[(first + last) // 2]
+
+
+def test_cell_bound_covers_every_exact_score():
+    # _cell_bounds, from the screen at one centre, is above the exact score
+    # of every member: on the solver's cells of every level, on random
+    # groups that mix far and near centres, and on runs of the centres in
+    # x, y order, where equal centres computed apart are an ulp or so away
+    # and rounding, not distance, tells their scores apart.  It holds for
+    # the screen's (w, e) and for the worst screen e allows, w = w_x - e.
+    rng = random.Random(434)
+    cells = lipschitz = rounding = worst = 0
+    for ps in _cell_instances(rng, 60):
+        xs, ys = _all_centres(ps)
+        order = circles._cell_order(xs, ys, circles._columns(ps).box)
+        groups = [_cells_of(order, size) for size in circles._CELLS]
+        shuffled = np.array(rng.sample(range(len(xs)), len(xs)))
+        members, _ = _cells_of(shuffled, 8)
+        groups.append((members, members[:, 0]))
+        by_xy = np.lexsort((ys, xs))
+        groups += [_cells_of(by_xy, 2), _cells_of(by_xy, 8)]
+        for eps in (DEFAULT_EPS, 0.0):
+            exact = _batch_widths(ps, xs, ys, eps)
+            w, e = _screen(ps, xs, ys, eps)
+            worst_w = np.where(np.isfinite(exact) & np.isfinite(e), exact - e, w)
+            exact = np.maximum(exact, eps)
+            for members, rep in groups:
+                top = exact[members].max(axis=1)
+                for w0 in (w[rep], worst_w[rep]):
+                    bound = circles._cell_bounds(xs, ys, members, rep, w0, e[rep], eps)
+                    assert np.all(top <= bound), ps.points
+                cells += len(rep)
+                # cells whose bound needs the distance term, cells whose
+                # bound needs the screen's error term, and cells where the
+                # worst screen needs more than e and the distance term
+                up = np.maximum(w[rep], eps)
+                lipschitz += np.count_nonzero(top > up + 2.0 * e[rep])
+                rounding += np.count_nonzero(top > up)
+                # the distance term alone: the bound at w0 = e0 = eps = 0
+                zero = np.zeros(len(rep))
+                moved = circles._cell_bounds(xs, ys, members, rep, zero, zero, 0.0)
+                up = np.maximum(worst_w[rep], eps) + e[rep]
+                worst += np.count_nonzero(top > up + moved)
+    assert cells > 10_000 and lipschitz > 1_000 and rounding > 100 and worst > 10
+
+
+def test_pruned_pick_matches_every_row_reference(monkeypatch):
+    # on instances large enough that whole cells are skipped, the pick is
+    # the every-row pick, for both searches and three distributions
+    pick, screen = circles._pick_best, circles._screen
+    seen = {"rbca": [0, 0], "line": [0, 0]}
+    rows = []
+
+    def both(ps, xs, ys, eps):
+        del rows[:]
+        got = pick(ps, xs, ys, eps)
+        assert repr(got) == repr(_pick_best_every_row(ps, xs, ys, eps)), ps.points
+        seen[search][0] += len(xs)
+        seen[search][1] += sum(rows)
+        return got
+
+    monkeypatch.setattr(circles, "_pick_best", both)
+    monkeypatch.setattr(circles, "_screen",
+                        lambda ps, xs, ys, eps, cols=None: rows.append(len(xs))
+                        or screen(ps, xs, ys, eps, cols))
+    for dist in ("rings", "uniform", "clusters"):
+        for seed, n in enumerate((20, 26)):
+            search = "rbca"
+            assert max_rbca(generate_instance(n, 3, dist, seed)) is not None
+        for seed, n in enumerate((40, 60)):
+            search = "line"
+            ps = generate_instance(n, 3, dist, seed)
+            max_rbca_on_line(ps, Line(1.0, -1.0, 0.0))
+            max_rbca_on_line(ps, Line(0.3, 1.0, 0.3 * ps.points[0].x + ps.points[0].y))
+    # each search screens under half of its centres: the rest were skipped
+    for centres, screened in seen.values():
+        assert 0 < screened < centres / 2
+
+
+def test_on_line_centres_scale_exactly_at_large_magnitudes(monkeypatch):
+    # the crossings on the line multiply three coordinates, which overflowed
+    # from about 2^340; scaled by a power of two, every centre and the answer
+    # are the desk-scale ones times the scale, with no warning
+    pick = circles._pick_best
+    centres = []
+    monkeypatch.setattr(circles, "_pick_best",
+                        lambda ps, xs, ys, eps: centres.append((xs, ys))
+                        or pick(ps, xs, ys, eps))
+    ps = generate_instance(9, 3, "uniform", 5)
+    line = Line(1.0, -1.0, 0.0)
+    base = max_rbca_on_line(ps, line)
+    (bxs, bys), = centres
+    assert base.width == pytest.approx(18.0899, abs=1e-4)
+    for scale in (2.0 ** 400, 2.0 ** 530, 2.0 ** 600):
+        del centres[:]
+        big = PointSet.build([(p.x * scale, p.y * scale, p.color) for p in ps.points], 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ann = max_rbca_on_line(big, line)
+        (xs, ys), = centres
+        assert np.array_equal(xs, bxs * scale) and np.array_equal(ys, bys * scale)
+        assert ann == CircularAnnulus(base.center_x * scale, base.center_y * scale,
+                                      base.r_in * scale, base.r_out * scale)
+
+
 # ---------------------------------------------------------------------------
 # full search
 
