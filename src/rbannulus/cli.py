@@ -31,7 +31,8 @@ from .svg import render_svg
 
 SHAPES = ("strip", "lcorridor", "square", "rect", "circle")
 
-_TERM = re.compile(r"([+-]?[^+-]+)")
+# a sign right after e or E belongs to an exponent, not to the next term
+_TERM = re.compile(r"([+-]?(?:[eE][+-]|[^+-])+)")
 
 
 def parse_line_spec(spec: str) -> Line:

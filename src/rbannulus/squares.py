@@ -18,11 +18,14 @@ position it visits every such breakpoint and, between two of them, the
 midpoint of the extreme inside x-coordinates.
 
 The bounded solver runs that search on few pairs.  It bounds the width of
-every pinned pair from above, in numpy over chunks of pairs.  It then
-takes the pairs in decreasing bound until no bound can reach the best
-width so far, and decides each chunk of them at that width first: a
-color-free test, in numpy, of whether any center on the segment can
-reach it.  Only the pairs the decision keeps are scanned, best first.
+every pinned pair from above, in numpy over chunks of pairs, by r minus
+the largest |y - y0| of the points inside the outer square at every center
+on the segment; the bound ignores the colors.  It then takes the pairs in
+decreasing bound until no bound can reach the best width so far, and
+decides each chunk of them at that width first: a color-free test, in
+numpy, of whether any center on the segment can reach it.  Only the pairs
+the decision keeps are scanned, best first, and the scan checks the
+colors exactly.
 """
 
 from __future__ import annotations
@@ -214,44 +217,27 @@ def _pair_strips(xs, ys, bottom, top):
     return r, y0, ax, bx, strip, pad
 
 
-def _pair_bounds(by_y, k, eps):
-    # by_y: (x, y, color) rows in (y, x, color) order.  Returns numpy
-    # arrays (bound, bottom, top) over the pinned pairs by_y[bottom] (outer
-    # bottom side), by_y[top] (outer top side) whose bound exceeds eps, in
-    # increasing (bottom, top); _scan_segment returns None on every other
-    # pair, and at most the bound on these.  For each bottom row i the
-    # pairs are the rows j with y_j > y_i and a non-empty segment; they are
-    # bounded in chunks, over their strips (_pair_strips).
-    #   core: the largest |y - y0| over strip points with
-    #     bx - r < x < ax + r;
-    #   color: over the colors, the largest per-color minimum of
-    #     max(|y - y0|, x-distance to [ax, bx]) over that color's strip
-    #     points (infinite, so the pair is dropped, when a color is
-    #     missing from the strip);
-    #   bound = r - max(core, color).
+def _pair_bounds(xs, ys, eps):
+    # xs, ys: the x and y columns of by_y.  Returns numpy arrays (bound,
+    # bottom, top) over the pinned pairs by_y[bottom] (outer bottom side),
+    # by_y[top] (outer top side) whose bound exceeds eps, in increasing
+    # (bottom, top); _scan_segment returns None on every other pair, and at
+    # most the bound on these.  The pairs are those with y_top > y_bottom
+    # and a non-empty segment; they are bounded in chunks, over their
+    # strips (_pair_strips), by r - core, where core is the largest
+    # |y - y0| over strip points with bx - r < x < ax + r.  The bound
+    # leaves the colors to _reaching and _scan_segment.
     # Why w <= bound holds bit for bit: every t the scan visits lies in
     # [ax, bx], and float rounding is monotone.  So fl(t + r) >= fl(ax + r)
     # and fl(t - r) <= fl(bx - r): a core point passes both window tests at
     # every t, and the scan's r_in is at least its |y - y0|, the same
-    # subtraction.  The window holds a point of every color, and r_in is at
-    # least fl(t - xs[wl]) and fl(xs[wr] - t) over the window's extreme x,
-    # so at least fl(|x - t|) for each window point; for x < ax that is at
-    # least fl(ax - x), for x > bx at least fl(x - bx).  So r_in >=
-    # max(core, color), and w = fl(r - r_in) <= fl(r - max(core, color)).
-    n = len(by_y)
-    xs = np.array([p[0] for p in by_y], dtype=float)
-    ys = np.array([p[1] for p in by_y], dtype=float)
-    cols = np.array([p[2] for p in by_y], dtype=int)
-    # the pairs: for each bottom row i, the rows j with y_j > y_i and ax <= bx
-    bottom, top = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)]
-    for i in range(n - 1):
-        above = int(np.searchsorted(ys, ys[i], side="right"))  # first y > y_i
-        r = (ys[above:] - ys[i]) / 2.0
-        seg = np.flatnonzero(np.maximum(xs[i], xs[above:]) - r
-                             <= np.minimum(xs[i], xs[above:]) + r)
-        bottom.append(np.full(len(seg), i))
-        top.append(above + seg)
-    bottom, top = np.concatenate(bottom), np.concatenate(top)
+    # subtraction.  So r_in >= core, and w = fl(r - r_in) <= fl(r - core).
+    bottom, top = np.triu_indices(len(xs), 1)
+    r = (ys[top] - ys[bottom]) / 2.0
+    # compare the ys, not r > 0: r underflows to 0 on subnormal gaps
+    pinned = (ys[top] > ys[bottom]) & (np.maximum(xs[bottom], xs[top]) - r
+                                       <= np.minimum(xs[bottom], xs[top]) + r)
+    bottom, top = bottom[pinned], top[pinned]
     bound = np.empty(len(bottom))
     # pairs in increasing strip length, in chunks of at most _CELLS cells
     sizes = np.searchsorted(ys, ys[top], side="left") - np.searchsorted(ys, ys[bottom], side="right")
@@ -267,16 +253,9 @@ def _pair_bounds(by_y, k, eps):
         r, y0, ax, bx, strip, pad = _pair_strips(xs, ys, bottom[chunk], top[chunk])
         r, ax, bx = r[:, None], ax[:, None], bx[:, None]
         x = xs[strip]
-        dy = np.abs(ys[strip] - y0[:, None])
-        core = np.where(~pad & (x > bx - r) & (x < ax + r), dy, 0.0).max(axis=1, initial=0.0)
-        # max(|y - y0|, ax - x, x - bx) is max(|y - y0|, x-distance)
-        d = np.maximum(dy, ax - x, out=dy)
-        np.maximum(d, x - bx, out=d)
-        d[pad] = INF
-        colors = cols[strip]
-        color = np.max([np.where(colors == c, d, INF).min(axis=1, initial=INF)
-                        for c in range(1, k + 1)], axis=0)
-        bound[chunk] = r[:, 0] - np.maximum(core, color)
+        core = np.where(~pad & (x > bx - r) & (x < ax + r),
+                        np.abs(ys[strip] - y0[:, None]), 0.0).max(axis=1, initial=0.0)
+        bound[chunk] = r[:, 0] - core
     keep = bound > eps
     return bound[keep], bottom[keep], top[keep]
 
@@ -302,7 +281,8 @@ def _reaching(xs, ys, bottom, top, limit):
     # fl(t - r) < x_p < fl(t + r), so whenever x_p - r + uM < t <
     # x_p + r - uM.  For each window point the scan's r_in is at least
     # fl(|y_p - y0|), the same subtraction as here (so no tall point is in
-    # the window), and fl(|t - x_p|) (as in _pair_bounds), so |t - x_p| <=
+    # the window), and fl(|t - x_p|), as it is at least fl(t - xs[wl]) and
+    # fl(xs[wr] - t) over the window's extreme x; so |t - x_p| <=
     # r - limit + 2uM.  A point with ax - r < x_p < bx + r has |x_p| <= M:
     # its interval ends take at most three roundings of values below 3M
     # and are moved inwards by delta = 2^-48 M, more than their error, so
@@ -350,9 +330,9 @@ def _c3_family(rows, k, totals, eps, floor):
     # pair in that order, as when every pair is scanned in it, whatever the
     # order of visits.
     by_y = sorted(sorted(rows), key=lambda p: p[1])  # (y, x, color) order
-    bound, bottom, top = _pair_bounds(by_y, k, eps)
     xs = np.array([p[0] for p in by_y], dtype=float)
     ys = np.array([p[1] for p in by_y], dtype=float)
+    bound, bottom, top = _pair_bounds(xs, ys, eps)
     step = max(1, _CELLS // (2 * len(by_y)))  # two intervals per strip point
     best = key = None
     limit = floor

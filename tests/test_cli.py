@@ -100,6 +100,8 @@ def test_parse_line_spec():
     assert abc("2x-3y=6") == (2.0, -3.0, 6.0)
     assert abc("x = -1") == (1.0, 0.0, -1.0)
     assert abc("-x+y=2") == (-1.0, 1.0, 2.0)
+    assert abc("1e-5x+y=0") == (1e-5, 1.0, 0.0)
+    assert abc("2.5e+3x-y=1") == (2500.0, -1.0, 1.0)
     for bad in ("y", "0x+0y=1", "2z=1", "x+=1"):
         with pytest.raises(ValueError):
             parse_line_spec(bad)

@@ -10,7 +10,9 @@ give perfbench's square-uniform pool.  Each instance is solved once with
 max_rbsa.  For each pair family of the bounded search (h: the input frame,
 v: x and y swapped) the script prints
 
-  bounded  pairs whose width bound exceeds eps (_pair_bounds)
+  bounded  pairs whose width bound exceeds eps (_pair_bounds): r minus
+           the largest |y - y0| of the strip points that are inside the
+           outer square at every center, with no color test
   floor    of those, the pairs whose bound reaches the family's floor
   kept     pairs the color-free decision keeps (_reaching), summed over
            its rounds; '-' when the checkout has no decision
@@ -47,8 +49,8 @@ def install_counters(counts):
             counts[-1]["kept"] = "-"
         return c3_family(rows, k, totals, eps, floor)
 
-    def bounds(by_y, k, eps):
-        out = pair_bounds(by_y, k, eps)
+    def bounds(xs, ys, eps):
+        out = pair_bounds(xs, ys, eps)
         floor = counts[-1]["floor_value"]
         counts[-1]["bounded"] += len(out[0])
         counts[-1]["floor"] += int((out[0] >= floor).sum())
