@@ -31,7 +31,12 @@ primitives:
 * ``GapTree.query``: the widest x-gap among already-swept points inside
   the clamped interval, which decides whether the vertical part fits.
 
-Each lookup is O(log n).
+The sweep only asks whether a gap wider than its best width so far
+exists, so it hands that width to the GapTree as a floor.  Once every gap
+between active values is no wider than the floor, an insert strictly
+inside their hull returns at once and a query is answered in O(1) from the
+two hull ends; otherwise an insert or a gap query costs O(log n), as does
+every band lookup.
 """
 
 from __future__ import annotations
@@ -164,6 +169,13 @@ class GapTree:
     ``(length, left, right)``.  Ties prefer the leftmost gap.  Active
     values sitting exactly at lo or hi never block (the corridor boundary
     is closed there).
+
+    Both methods take an optional ``floor``, for a caller that only needs
+    gaps wider than it.  The floors a tree is given, over all its insert
+    and query calls in order, must never decrease.  Then a query answer
+    longer than its floor is exactly the answer without floors (same
+    tuple, same leftmost tie), and any other answer has a length <= the
+    floor.  The default floor, -inf, keeps every answer exact.
     """
 
     __slots__ = ("_xs", "_size", "_mn", "_mx", "_gl", "_gr", "_index")
@@ -182,8 +194,26 @@ class GapTree:
         self._gr = [-INF] * (2 * size)
         self._index = {x: i for i, x in enumerate(self._xs)}
 
-    def insert(self, x: float) -> None:
+    # Why the floor is safe.  Call a value "skipped" when insert returned
+    # early for it.  It lay strictly inside the hull [mn, mx] of the active
+    # values, in a gap (a, b) between two of them with b - a <= the root's
+    # widest gap <= the floor of that call.  Inserts outside the hull are
+    # never skipped, so the hull stays that of all inserted values, and a
+    # and b stay active: whatever gap of the tree holds a skipped value
+    # lies inside [a, b].  Rounding is monotone, so a sub-interval, or a
+    # piece of it clamped to [lo, hi], is never wider than b - a, hence
+    # never wider than any later floor.  The gaps wider than the floor are
+    # therefore the same intervals, with the same stored endpoints, with
+    # and without the skips; a skipped zero whose other sign arrives later
+    # only ever bounds gaps inside its [a, b].  The fold and the hull ends
+    # compute a length as the same difference of the same two values, so
+    # an answer wider than the floor is the exact one, and the leftmost of
+    # the widest is the same gap.
+
+    def insert(self, x: float, floor: float = -INF) -> None:
         mn, mx, gls, grs = self._mn, self._mx, self._gl, self._gr
+        if mn[1] < x < mx[1] and grs[1] - gls[1] <= floor:
+            return  # splits a gap no wider than the floor
         v = self._index[x] + self._size
         if mn[v] == x:
             return  # already active: keep the first sign of a zero
@@ -243,7 +273,23 @@ class GapTree:
                 mx = vmx
         return mn, mx, g, gl, gr
 
-    def query(self, lo: float, hi: float):
+    def query(self, lo: float, hi: float, floor: float = -INF):
+        if self._gr[1] - self._gl[1] <= floor:
+            # Every gap between active values is no wider than the floor,
+            # so only the two clamped end gaps can beat it.  When the hull
+            # meets (lo, hi), mn is the first wall after lo if lo < mn,
+            # and mx the last before hi if mx < hi; any other gap inside
+            # [lo, hi] is a piece of an inner gap.  -inf stands for "no
+            # end gap".  With the default floor this runs only while at
+            # most one value is active, where it is exact.
+            mn, mx = self._mn[1], self._mx[1]
+            if mn < hi and mx > lo:
+                best, bl, br = -INF, lo, hi
+                if lo < mn:
+                    best, bl, br = mn - lo, lo, mn
+                if mx < hi and hi - mx > best:
+                    best, bl, br = hi - mx, mx, hi
+                return best, bl, br
         li = bisect_right(self._xs, lo)
         ri = bisect_left(self._xs, hi) - 1
         if li > ri:
@@ -285,8 +331,10 @@ def _sweep(tp, k, eps):
     w_best = eps
     for li in range(m):
         y_i = level_ys[li]
+        # w_best is the GapTree floor: only gaps wider than it can win,
+        # and it never decreases, as the floor must not
         for x in level_xs[li]:
-            gaps.insert(x)
+            gaps.insert(x, w_best)
         cut = bisect_right(sb_t, y_i)
         if cut == 0:
             continue
@@ -307,7 +355,7 @@ def _sweep(tp, k, eps):
                 lo = mid
             if hi - lo < delta:
                 break
-            length, gl, gr = gaps.query(lo, hi)
+            length, gl, gr = gaps.query(lo, hi, w_best)
             if length < delta:
                 # Raising y_j only grows delta and pushes lo rightward
                 # while hi stays put, so later candidates fail too.
@@ -325,9 +373,12 @@ def max_rblc(pointset: PointSet, orientation: str, eps: float = DEFAULT_EPS):
     Runs the canonical sweep twice, once on the sign-normalized points and
     once after reflecting them across the antidiagonal, which exchanges the
     two ways a maximal corridor can be pinned.  Returns None if no corridor
-    of positive width exists.  Raises ValueError unless eps >= 0.
+    wider than eps exists.  Raises ValueError unless eps >= 0, or for an
+    orientation outside L_ORIENTATIONS.
     """
     check_eps(eps)
+    if orientation not in L_ORIENTATIONS:
+        raise ValueError("bad orientation %r" % orientation)
     sx, sy = QUADRANT_SIGNS[orientation]
     pts = [(sx * p.x, sy * p.y, p.color) for p in pointset.points]
     best = None

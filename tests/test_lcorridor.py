@@ -4,7 +4,7 @@ from bisect import bisect_left, bisect_right
 
 import pytest
 
-from conftest import random_instance, reflect_x, rotate90
+from conftest import random_instance, random_real_instance, reflect_x, rotate90
 
 from rbannulus import INF, L_ORIENTATIONS, PointSet, validate_solution
 from rbannulus.lcorridor import (
@@ -135,6 +135,100 @@ def test_gap_tree_matches_naive_reference():
                 assert tree.query(lo, hi) == naive_gap(active, lo, hi)
                 checked += 1
     assert checked >= 10_000
+
+
+def test_gap_tree_floor_contract():
+    # Under nondecreasing floors an answer longer than its floor is the
+    # exact one, and any other answer is no longer than the floor.  The
+    # queries reach past the hull on both sides, where only the exact
+    # path may answer.
+    rng = random.Random(15)
+    checked = skipped = 0
+    for trial in range(60):
+        if trial % 2:
+            universe = sorted({rng.randint(0, 60) for _ in range(rng.randint(1, 40))})
+        else:
+            universe = sorted({round(rng.uniform(-1, 1), rng.choice((1, 2, 17)))
+                               for _ in range(rng.randint(1, 40))})
+        tree = GapTree(universe)
+        active = {}  # value -> the sign of zero inserted first
+        order = universe[:]
+        rng.shuffle(order)
+        span = universe[-1] - universe[0]
+        floor = -INF
+        for x in order:
+            if x == 0 and rng.random() < 0.5:
+                x = -x
+            if rng.random() < 0.4:
+                floor = max(floor, rng.uniform(0, span / 3))
+            tree.insert(x, floor)
+            active.setdefault(x, x)
+            leaf = tree._mn[tree._index[x] + tree._size]
+            skipped += leaf == INF
+            walls = sorted(active.values())
+            for _ in range(12):
+                lo, hi = (universe[0] + rng.uniform(-0.2, 1.2) * span for _ in "lh")
+                lo = -INF if rng.random() < 0.1 else lo
+                hi = INF if rng.random() < 0.1 else hi
+                if hi < lo:
+                    lo, hi = hi, lo
+                if rng.random() < 0.2:
+                    floor = max(floor, rng.uniform(0, span / 3))
+                got = tree.query(lo, hi, floor)
+                want = naive_gap(walls, lo, hi)
+                if got[0] > floor or want[0] > floor:
+                    assert repr(got) == repr(want), (universe, lo, hi, floor)
+                else:
+                    assert got[0] <= floor
+                checked += 1
+    assert checked >= 10_000
+    assert skipped >= 100  # the floor did skip inserts
+
+
+def test_sweep_floor_changes_no_answer(monkeypatch):
+    # Tie-heavy, repeated and signed-zero instances give the same answer,
+    # down to the sign of a zero, when the GapTree ignores the floor.
+    rng = random.Random(151)
+    instances = [PointSet.build([(0.0, 0.0, 1), (-0.0, 2.0, 1), (3.0, 1.0, 1)], 1)]
+    for i in range(150):
+        k = rng.randint(1, 3)
+        n = rng.randint(2 * k, 60 if i % 5 == 0 else 14)
+        if i % 3 == 0:
+            ps = random_instance(rng, n, k, 0, 6)
+        elif i % 3 == 1:
+            pick = (-0.0, 0.0, 1.0, 2.0, -3.0)
+            ps = random_instance(rng, n, k)
+            ps = PointSet.build([(rng.choice(pick), rng.choice(pick), p.color)
+                                 for p in ps.points], k)
+        else:
+            ps = random_real_instance(rng, n, k, digits=1)
+        if rng.random() < 0.3:
+            ps = PointSet.build(ps.points + ps.points[: rng.randint(1, n)], k)
+        instances.append(ps)
+
+    insert, query = GapTree.insert, GapTree.query
+    skipped = [0]
+
+    def counting_insert(self, x, floor=-INF):
+        insert(self, x, floor)
+        skipped[0] += self._mn[self._index[x] + self._size] == INF
+
+    monkeypatch.setattr(GapTree, "insert", counting_insert)
+    with_floor = [repr(max_rblc_all(ps, eps))
+                  for ps in instances for eps in (1e-9, 0.0)]
+    assert skipped[0] > 0
+    monkeypatch.setattr(GapTree, "insert", lambda self, x, floor=-INF: insert(self, x))
+    monkeypatch.setattr(GapTree, "query",
+                        lambda self, lo, hi, floor=-INF: query(self, lo, hi))
+    assert with_floor == [repr(max_rblc_all(ps, eps))
+                          for ps in instances for eps in (1e-9, 0.0)]
+    assert with_floor[0] == (
+        "LCorridor(orientation='down-right', corner_x=-0.0, corner_y=4.0, width=3.0)")
+
+
+def test_bad_orientation_is_rejected():
+    with pytest.raises(ValueError, match="bad orientation"):
+        max_rblc(diag_instance(), "sideways")
 
 
 def test_gap_tree_reinsert_keeps_first_zero():
