@@ -437,9 +437,6 @@ def _shortlist_rows(pointset: PointSet, cxs, cys, eps: float):
         cells = (cells[:, None] * per + np.arange(per)).ravel()
         cells = cells[cells * finer < m]
     screen(order[cells])
-    if t_lo == -np.inf:
-        # nothing was skipped, and no lower bound rules anything out
-        return np.arange(len(cxs))
     return np.flatnonzero(seen & (np.maximum(w, eps) + e
                                   >= t_lo - _FINALIST_SLACK))
 

@@ -6,6 +6,11 @@ counts toward the outside region, and a point strictly between the two
 boundaries violates emptiness.  Comparisons use an absolute tolerance
 (DEFAULT_EPS); inputs are desk-scale doubles, exact predicates are out
 of scope.
+
+The axis-parallel types (Strip, LCorridor, SquareAnnulus, RectAnnulus)
+each give an outer and an inner box, (left, right, bottom, top) with an
+unbounded side at -INF or INF, and ``_box_region`` is the one place that
+applies these semantics to them.
 """
 
 from __future__ import annotations
@@ -109,7 +114,8 @@ class Strip:
     """Empty strip between two parallel axis-aligned lines.
 
     The lo side is the inside region.  A vertical strip separates on x,
-    a horizontal one on y.
+    a horizontal one on y.  Its outer and inner boxes (outer_sides,
+    inner_sides) have three sides at infinity.
     """
 
     orientation: str
@@ -124,13 +130,21 @@ class Strip:
     def width(self) -> float:
         return self.hi - self.lo
 
+    def _sides(self, v):
+        if self.orientation == "vertical":
+            return (-INF, v, -INF, INF)
+        return (-INF, INF, -INF, v)
+
+    @property
+    def outer_sides(self) -> tuple[float, float, float, float]:
+        return self._sides(self.hi)
+
+    @property
+    def inner_sides(self) -> tuple[float, float, float, float]:
+        return self._sides(self.lo)
+
     def region_of(self, x: float, y: float, eps: float = DEFAULT_EPS) -> Region:
-        c = x if self.orientation == "vertical" else y
-        if c <= self.lo + eps:
-            return Region.INSIDE
-        if c >= self.hi - eps:
-            return Region.OUTSIDE
-        return Region.INTERIOR
+        return _box_region(self.inner_sides, self.outer_sides, x, y, eps)
 
 
 # Per corridor orientation, the sign pair (sx, sy) such that the map
@@ -153,7 +167,8 @@ class LCorridor:
     (corner_x, corner_y) is the outer corner.  For the down-right
     orientation the inside region is the closed quadrant below-right of
     the inner corner and the outside region is everything left of or
-    above the outer boundary.
+    above the outer boundary.  Its outer and inner boxes (outer_sides,
+    inner_sides) have two sides at infinity.
     """
 
     orientation: str
@@ -170,15 +185,34 @@ class LCorridor:
         sx, sy = QUADRANT_SIGNS[self.orientation]
         return (self.corner_x + sx * self.width, self.corner_y - sy * self.width)
 
-    def region_of(self, x: float, y: float, eps: float = DEFAULT_EPS) -> Region:
+    def _sides(self, x, y):
         sx, sy = QUADRANT_SIGNS[self.orientation]
-        px, py = sx * x, sy * y
-        ox, oy = sx * self.corner_x, sy * self.corner_y
-        if px >= ox + self.width - eps and py <= oy - self.width + eps:
-            return Region.INSIDE
-        if px <= ox + eps or py >= oy - eps:
-            return Region.OUTSIDE
-        return Region.INTERIOR
+        return (((x, INF) if sx > 0 else (-INF, x))
+                + ((-INF, y) if sy > 0 else (y, INF)))
+
+    @property
+    def outer_sides(self) -> tuple[float, float, float, float]:
+        return self._sides(self.corner_x, self.corner_y)
+
+    @property
+    def inner_sides(self) -> tuple[float, float, float, float]:
+        return self._sides(*self.inner_corner)
+
+    def region_of(self, x: float, y: float, eps: float = DEFAULT_EPS) -> Region:
+        return _box_region(self.inner_sides, self.outer_sides, x, y, eps)
+
+
+def _box_region(inner, outer, x, y, eps) -> Region:
+    """Region of (x, y) for the ring between the boxes outer and inner,
+    each (left, right, bottom, top); a side at infinity never touches a
+    finite point."""
+    il, ir, ib, it = inner
+    if il - eps <= x <= ir + eps and ib - eps <= y <= it + eps:
+        return Region.INSIDE
+    ol, orr, ob, ot = outer
+    if x <= ol + eps or x >= orr - eps or y <= ob + eps or y >= ot - eps:
+        return Region.OUTSIDE
+    return Region.INTERIOR
 
 
 def offset_square(sides, delta):
@@ -240,13 +274,7 @@ class SquareAnnulus:
         return (self.right - self.left) / 2.0
 
     def region_of(self, x: float, y: float, eps: float = DEFAULT_EPS) -> Region:
-        il, ir, ib, it = self.inner_sides
-        if il - eps <= x <= ir + eps and ib - eps <= y <= it + eps:
-            return Region.INSIDE
-        if (x <= self.left + eps or x >= self.right - eps
-                or y <= self.bottom + eps or y >= self.top - eps):
-            return Region.OUTSIDE
-        return Region.INTERIOR
+        return _box_region(self.inner_sides, self.outer_sides, x, y, eps)
 
 
 @dataclass(frozen=True)
@@ -290,13 +318,7 @@ class RectAnnulus:
         )
 
     def region_of(self, x: float, y: float, eps: float = DEFAULT_EPS) -> Region:
-        if (self.inner_left - eps <= x <= self.inner_right + eps
-                and self.inner_bottom - eps <= y <= self.inner_top + eps):
-            return Region.INSIDE
-        if (x <= self.outer_left + eps or x >= self.outer_right - eps
-                or y <= self.outer_bottom + eps or y >= self.outer_top - eps):
-            return Region.OUTSIDE
-        return Region.INTERIOR
+        return _box_region(self.inner_sides, self.outer_sides, x, y, eps)
 
 
 @dataclass(frozen=True)

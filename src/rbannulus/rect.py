@@ -7,7 +7,8 @@ A finite-width optimum can always be normalized so that some point touches the
 outer top side and the ring has uniform width; the search therefore anchors
 one point on the outer top, walks candidate bottoms and widths in a staircase
 (width never decreases, the bottom anchor only moves down), and repeats in the
-four axis directions by reflecting the input.
+four axis directions by reflecting the input.  The open bottom is the walk's
+last bottom anchor: B = -INF in the top anchor's own column.
 
 The width-w feasibility question for a fixed anchor pair is answered by one
 arm scan, ``_scan_arms_list``, which visits the slab's gaps in x order and
@@ -40,7 +41,7 @@ class DecisionOutcome(NamedTuple):
 
 
 class _Frame:
-    __slots__ = ("n", "k", "X", "Y", "C", "xorder", "levels",
+    __slots__ = ("n", "k", "X", "Y", "Yb", "C", "xorder", "levels",
                  "col_ymin", "col_ymax", "Xl", "Yl", "Cl", "negYl",
                  "xorder_l", "xsorted_l")
 
@@ -55,6 +56,7 @@ def _make_frame(xs, ys, cs, k: int) -> _Frame:
     fr.k = k
     fr.X = X0[order]
     fr.Y = Y0[order]
+    fr.Yb = np.append(fr.Y, -INF)  # bottom-anchor heights, open bottom last
     fr.C = C0[order]
     fr.xorder = np.lexsort((np.arange(fr.n), fr.X))
     fr.levels = np.unique(fr.Y)
@@ -250,25 +252,21 @@ def _left_arm_fits(fr: _Frame, iT, iB, lReq, m, w):
 
 def _decide_fast_impl(fr: _Frame, x_i, T, B, x_j, w):
     """Exact width-w decision for outer top T (anchor column x_i on it) and
-    outer bottom B holding column x_j; B = -INF / x_j = None for the open
-    bottom.  Returns the leftmost witness (L, R) or None.  The band split,
-    the span test and the left-arm test of each branch come first, on the
-    frame's lists; only a branch that survives them gathers the slab and
-    runs the arm scan."""
-    finite = x_j is not None
-    if finite and T - B < 2.0 * w:
+    outer bottom B holding column x_j; the open bottom is B = -INF with
+    x_j = x_i.  Returns the leftmost witness (L, R) or None.  The band
+    split, the span test and the left-arm test of each branch come first,
+    on the frame's lists; only a branch that survives them gathers the
+    slab and runs the arm scan."""
+    if T - B < 2.0 * w:
         return None
     Tw = T - w
-    Bw = B + w if finite else -INF
-    if finite:
-        m, M = (x_i, x_j) if x_i <= x_j else (x_j, x_i)
-    else:
-        m = M = x_i
+    Bw = B + w
+    m, M = (x_i, x_j) if x_i <= x_j else (x_j, x_i)
     k = fr.k
     iT = _first_below(fr, T)
-    iB = _first_at_most(fr, B) if finite else fr.n
+    iB = _first_at_most(fr, B)
     iTw = _first_at_most(fr, Tw)
-    jBw = _first_below(fr, Bw) if finite else iB
+    jBw = _first_below(fr, Bw)
     if iTw >= jBw:
         return None
     Xl, Cl = fr.Xl, fr.Cl
@@ -332,7 +330,7 @@ def _decision(pointset: PointSet, i, j, w, decide) -> DecisionOutcome:
     T = fr.Yl[i]
     x_i = fr.Xl[i]
     if j is None:
-        B, x_j = -INF, None
+        B, x_j = -INF, x_i
     else:
         B, x_j = fr.Yl[j], fr.Xl[j]
     got = decide(fr, x_i, T, B, x_j, w)
@@ -374,11 +372,12 @@ def _walk_fast(fr: _Frame, i, eps, bar_fn, emit):
     if wp >= nws:
         return
     iT = _first_below(fr, T)
-    xj = fr.X[iT:]
-    yj = fr.Y[iT:]
+    # the bottom anchors below the top, then the open bottom, tried last
+    xj = np.concatenate((fr.X[iT:], (x_i,)))
+    yj = fr.Yb[iT:]
     mj = np.minimum(xj, x_i)
     Mj = np.maximum(xj, x_i)
-    alive = np.ones(fr.n - iT, dtype=bool)
+    alive = np.ones(xj.size, dtype=bool)
     while wp < nws and alive.any():
         w = float(ws[wp])
         # a bottom closer than 2w to the top can never work again
@@ -416,13 +415,6 @@ def _walk_fast(fr: _Frame, i, eps, bar_fn, emit):
             break
         if success:
             wp = int(np.searchsorted(ws, w, side="right"))
-    while wp < nws:
-        w = float(ws[wp])
-        got = _decide_fast_impl(fr, x_i, T, -INF, None, w)
-        if got is None:
-            break
-        emit(got[0], got[1], -INF, T, w)
-        wp = int(np.searchsorted(ws, w, side="right"))
 
 
 class _Best:

@@ -29,17 +29,13 @@ from .rect import (DecisionOutcome, _band_split, _decision, _first_below,
 
 def _decide_slow(fr: _Frame, x_i, T, B, x_j, w):
     """Exact width-w decision for outer top T (anchor column x_i on it) and
-    outer bottom B holding column x_j; B = -INF / x_j = None for the open
-    bottom.  Returns the leftmost witness (L, R) or None."""
-    finite = x_j is not None
-    if finite and T - B < 2.0 * w:
+    outer bottom B holding column x_j; the open bottom is B = -INF with
+    x_j = x_i.  Returns the leftmost witness (L, R) or None."""
+    if T - B < 2.0 * w:
         return None
     Tw = T - w
-    Bw = B + w if finite else -INF
-    if finite:
-        m, M = (x_i, x_j) if x_i <= x_j else (x_j, x_i)
-    else:
-        m = M = x_i
+    Bw = B + w
+    m, M = (x_i, x_j) if x_i <= x_j else (x_j, x_i)
     Xl, Yl, Cl, k = fr.Xl, fr.Yl, fr.Cl, fr.k
     slabxs, bxs, bcs = [], [], []
     mcol = [None] + [[] for _ in range(k)]
@@ -75,29 +71,23 @@ def _walk_slow(fr: _Frame, i, eps, bar_fn, emit):
     nws = len(ws)
     if wp >= nws:
         return
+    # bottom anchors top-down, the open bottom (row n) last
+    Yl, Xl = fr.Yl + [-INF], fr.Xl + [x_i]
     pos = _first_below(fr, T)
     n = fr.n
-    while wp < nws:
+    while wp < nws and pos <= n:
         w = ws[wp]
-        if pos < n:
-            # everything shallower than 2w from the top fails outright
-            t2 = bisect.bisect_left(fr.negYl, -(T - 2.0 * w))
-            if t2 > pos:
-                pos = t2
-        if pos >= n:
-            got = _decide_slow(fr, x_i, T, -INF, None, w)
-            if got is None:
-                break
-            emit(got[0], got[1], -INF, T, w)
-            wp = bisect.bisect_right(ws, w)
+        # everything shallower than 2w from the top fails outright
+        t2 = bisect.bisect_left(fr.negYl, -(T - 2.0 * w))
+        if t2 > pos:
+            pos = t2
+        B = Yl[pos]
+        got = _decide_slow(fr, x_i, T, B, Xl[pos], w)
+        if got is None:
+            pos += 1
         else:
-            B = fr.Yl[pos]
-            got = _decide_slow(fr, x_i, T, B, fr.Xl[pos], w)
-            if got is None:
-                pos += 1
-            else:
-                emit(got[0], got[1], B, T, w)
-                wp = bisect.bisect_right(ws, w)
+            emit(got[0], got[1], B, T, w)
+            wp = bisect.bisect_right(ws, w)
 
 
 def max_rbra_reference(pointset: PointSet, eps: float = DEFAULT_EPS):

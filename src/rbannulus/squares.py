@@ -37,8 +37,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .core import (DEFAULT_EPS, INF, QUADRANT_SIGNS, PointSet, SquareAnnulus,
-                   check_eps)
+from .core import DEFAULT_EPS, INF, PointSet, SquareAnnulus, check_eps
 from .lcorridor import max_rblc_all
 from .strips import max_rbes
 
@@ -384,22 +383,9 @@ def max_rbsa_c3(pointset: PointSet, eps: float = DEFAULT_EPS):
     return _bounded(pointset, eps, -INF)
 
 
-def _strip_as_square(strip):
-    if strip is None:
-        return None
-    if strip.orientation == "vertical":
-        return SquareAnnulus(-INF, strip.hi, -INF, INF, strip.width)
-    return SquareAnnulus(-INF, INF, -INF, strip.hi, strip.width)
-
-
-def _corridor_as_square(cor):
-    if cor is None:
-        return None
-    sx, sy = QUADRANT_SIGNS[cor.orientation]
-    cx, cy = cor.corner_x, cor.corner_y
-    left, right = (cx, INF) if sx > 0 else (-INF, cx)
-    bottom, top = (-INF, cy) if sy > 0 else (cy, INF)
-    return SquareAnnulus(left, right, bottom, top, cor.width)
+def _as_square(ann):
+    """A strip or L-corridor as the square annulus with its outer sides."""
+    return None if ann is None else SquareAnnulus(*ann.outer_sides, ann.width)
 
 
 def max_rbsa(pointset: PointSet, eps: float = DEFAULT_EPS):
@@ -412,9 +398,9 @@ def max_rbsa(pointset: PointSet, eps: float = DEFAULT_EPS):
     """
     check_eps(eps)
     candidates = [
-        _strip_as_square(max_rbes(pointset, "vertical", eps)),
-        _strip_as_square(max_rbes(pointset, "horizontal", eps)),
-        _corridor_as_square(max_rblc_all(pointset, eps)),
+        _as_square(max_rbes(pointset, "vertical", eps)),
+        _as_square(max_rbes(pointset, "horizontal", eps)),
+        _as_square(max_rblc_all(pointset, eps)),
     ]
     best = None
     for cand in candidates:

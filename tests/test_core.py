@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -160,6 +161,63 @@ def test_square_annulus_corridor_embedding():
     a = SquareAnnulus(0.0, INF, -INF, 10.0, 2.0)
     for p in [(2, 8), (5, -100), (0, 0), (-3, 5), (100, 11), (1, 0), (50, 9)]:
         assert classify(p, a) is classify(p, c)
+
+
+# the canonical-frame formulas the box test must reproduce; per corridor
+# orientation, the signs that carry it into the down-right frame, where
+# inside = {x >= inner x, y <= inner y}
+_CORRIDOR_SIGNS = {"down-right": (1.0, 1.0), "down-left": (-1.0, 1.0),
+                   "up-right": (1.0, -1.0), "up-left": (-1.0, -1.0)}
+
+
+def _strip_reference(s, x, y, eps):
+    c = x if s.orientation == "vertical" else y
+    if c <= s.lo + eps:
+        return Region.INSIDE
+    if c >= s.hi - eps:
+        return Region.OUTSIDE
+    return Region.INTERIOR
+
+
+def _corridor_reference(c, x, y, eps):
+    sx, sy = _CORRIDOR_SIGNS[c.orientation]
+    px, py = sx * x, sy * y
+    ox, oy = sx * c.corner_x, sy * c.corner_y
+    if px >= ox + c.width - eps and py <= oy - c.width + eps:
+        return Region.INSIDE
+    if px <= ox + eps or py >= oy - eps:
+        return Region.OUTSIDE
+    return Region.INTERIOR
+
+
+def test_strip_and_corridor_boxes_match_canonical_frame():
+    # every finite point gets the canonical-frame verdict: points on a
+    # side, at +-eps from it and one ulp past that, signed zeros, and
+    # magnitudes up to 2^300
+    rng = random.Random(2305)
+    for _ in range(150):
+        scale = 2.0 ** rng.choice([-20, 0, 1, 40, 300])
+        eps = rng.choice([0.0, 1e-9, 0.5])
+        a = rng.choice([0.0, -0.0, rng.uniform(-4.0, 4.0) * scale])
+        b = rng.choice([-0.0, rng.uniform(-4.0, 4.0) * scale])
+        w = rng.choice([eps, 1.0, rng.uniform(0.0, 4.0) * scale])
+        cases = [(Strip(o, min(a, b), max(a, b)), _strip_reference)
+                 for o in ("vertical", "horizontal")]
+        cases += [(LCorridor(o, a, b, w), _corridor_reference)
+                  for o in _CORRIDOR_SIGNS]
+        sides = {0.0, -0.0, rng.uniform(-8.0, 8.0) * scale}
+        for ann, _ in cases:
+            sides.update(v for v in ann.outer_sides + ann.inner_sides
+                         if math.isfinite(v))
+        near = [0.0, -0.0]
+        for v in sides:
+            for u in (v, v - eps, v + eps):
+                near += [u, math.nextafter(u, -INF), math.nextafter(u, INF)]
+        for _ in range(60):
+            x, y = rng.choice(near), rng.choice(near)
+            for ann, reference in cases:
+                assert classify((x, y), ann, eps) is reference(ann, x, y, eps), (
+                    ann, x, y, eps)
 
 
 def test_offset_square_composes():

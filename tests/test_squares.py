@@ -12,12 +12,11 @@ from rbannulus.core import INF
 from rbannulus.lcorridor import max_rblc_all
 from rbannulus.oracle import oracle_rbsa
 from rbannulus.squares import (
-    _corridor_as_square,
+    _as_square,
     _pair_bounds,
     _reaching,
     _scan_segment,
     _strip,
-    _strip_as_square,
     best_annulus_on_segment,
     c3_center_segment,
     max_rbsa,
@@ -451,9 +450,9 @@ def _rbsa_c3_all_pairs(ps, eps=DEFAULT_EPS):
 
 def _rbsa_all_pairs(ps, eps=DEFAULT_EPS):
     best = None
-    for cand in (_strip_as_square(max_rbes(ps, "vertical", eps)),
-                 _strip_as_square(max_rbes(ps, "horizontal", eps)),
-                 _corridor_as_square(max_rblc_all(ps, eps)),
+    for cand in (_as_square(max_rbes(ps, "vertical", eps)),
+                 _as_square(max_rbes(ps, "horizontal", eps)),
+                 _as_square(max_rblc_all(ps, eps)),
                  _rbsa_c3_all_pairs(ps, eps)):
         if cand is not None and (best is None or cand.width > best.width):
             best = cand

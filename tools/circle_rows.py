@@ -15,8 +15,7 @@ max_rbca_on_line when --line is given.  Per instance the script prints
   screened  rows _screen scores, over all its calls
   pruned    cells skipped whole: those whose _cell_bounds bound is below
             t_lo - _FINALIST_SLACK, t_lo being the best lower bound
-            w - e > eps of the rows screened before them; '-' when the
-            checkout has no cells
+            w - e > eps of the rows screened before them
   exact     rows _batch_widths scores
 
 It counts by wrapping the solver's private functions in this process; the
@@ -42,14 +41,12 @@ def install_counters(counts):
     """Wrap the private functions of circles; counts[-1] is the search
     being run, and its "t_lo" the best lower bound screened so far."""
     pick, screen, batch = circles._pick_best, circles._screen, circles._batch_widths
-    cell_bounds = getattr(circles, "_cell_bounds", None)
+    cell_bounds = circles._cell_bounds
 
     def picked(ps, xs, ys, eps):
         counts.append(dict.fromkeys(FIELDS, 0))
         counts[-1]["centres"] = len(xs)
         counts[-1]["t_lo"] = -float("inf")
-        if cell_bounds is None:
-            counts[-1]["pruned"] = "-"
         return pick(ps, xs, ys, eps)
 
     def screened(ps, xs, ys, eps, *rest):
@@ -72,9 +69,7 @@ def install_counters(counts):
         return batch(ps, xs, ys, eps)
 
     circles._pick_best, circles._screen = picked, screened
-    circles._batch_widths = exact
-    if cell_bounds is not None:
-        circles._cell_bounds = bounded
+    circles._batch_widths, circles._cell_bounds = exact, bounded
 
 
 def main(argv=None):
@@ -102,10 +97,10 @@ def main(argv=None):
         else:
             circles.max_rbca_on_line(ps, line)
         c = counts[0]
-        print("%-8d %9d %9d %8s %8d" % ((seed,) + tuple(c[f] for f in FIELDS)))
+        print("%-8d %9d %9d %8d %8d" % ((seed,) + tuple(c[f] for f in FIELDS)))
         for f in FIELDS:
-            totals[f] = "-" if c[f] == "-" else totals[f] + c[f]
-    print("%-8s %9d %9d %8s %8d" % (("total",) + tuple(totals[f] for f in FIELDS)))
+            totals[f] += c[f]
+    print("%-8s %9d %9d %8d %8d" % (("total",) + tuple(totals[f] for f in FIELDS)))
     if totals["centres"]:
         print("screened %.1f%% of centres, scored %.4f%% exactly"
               % (100.0 * totals["screened"] / totals["centres"],

@@ -15,7 +15,7 @@ v: x and y swapped) the script prints
            outer square at every center, with no color test
   floor    of those, the pairs whose bound reaches the family's floor
   kept     pairs the color-free decision keeps (_reaching), summed over
-           its rounds; '-' when the checkout has no decision
+           its rounds
   scanned  pairs _scan_segment runs on
 
 It counts by wrapping the solver's private functions in this process; the
@@ -40,13 +40,11 @@ def install_counters(counts):
     """Wrap the private functions of squares; counts[-1] is the family
     being searched."""
     pair_bounds, c3_family = squares._pair_bounds, squares._c3_family
-    scan, reaching = squares._scan_segment, getattr(squares, "_reaching", None)
+    scan, reaching = squares._scan_segment, squares._reaching
 
     def family(rows, k, totals, eps, floor):
         counts.append(dict.fromkeys(FIELDS, 0))
         counts[-1]["floor_value"] = floor
-        if reaching is None:
-            counts[-1]["kept"] = "-"
         return c3_family(rows, k, totals, eps, floor)
 
     def bounds(xs, ys, eps):
@@ -66,9 +64,7 @@ def install_counters(counts):
         return scan(*args)
 
     squares._c3_family, squares._pair_bounds = family, bounds
-    squares._scan_segment = scanned
-    if reaching is not None:
-        squares._reaching = decide
+    squares._scan_segment, squares._reaching = scanned, decide
 
 
 def main(argv=None):
@@ -90,10 +86,10 @@ def main(argv=None):
         del counts[:]
         squares.max_rbsa(ps)
         for fam, c in zip("hv", counts):
-            print("%-8d %-3s %8d %8d %8s %8d" % ((seed, fam) + tuple(c[f] for f in FIELDS)))
+            print("%-8d %-3s %8d %8d %8d %8d" % ((seed, fam) + tuple(c[f] for f in FIELDS)))
             for f in FIELDS:
-                totals[f] = "-" if c[f] == "-" else totals[f] + c[f]
-    print("%-8s %-3s %8d %8d %8s %8d" % (("total", "") + tuple(totals[f] for f in FIELDS)))
+                totals[f] += c[f]
+    print("%-8s %-3s %8d %8d %8d %8d" % (("total", "") + tuple(totals[f] for f in FIELDS)))
 
 
 if __name__ == "__main__":
