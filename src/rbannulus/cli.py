@@ -6,6 +6,7 @@ seeded through flags, so equal invocations produce equal bytes.
 """
 
 import argparse
+import json
 import math
 import os
 import re
@@ -196,6 +197,7 @@ def _cmd_bench(args) -> int:
         return 1
     print("n,k,mean_ms,width")
     logs = []
+    rows = []
     for n, pool in zip(sizes, pools):
         times = []
         widths = []
@@ -206,13 +208,27 @@ def _cmd_bench(args) -> int:
             widths.append(0.0 if annulus is None else annulus.width)
         mean_ms = sum(times) / len(times)
         logs.append((math.log(n), math.log(max(mean_ms, 1e-9))))
+        rows.append({"n": n, "min_ms": min(times), "mean_ms": mean_ms,
+                     "width": widths[0]})
         print("%d,%d,%.3f,%r" % (n, args.k, mean_ms, widths[0]))
+    slope = None
     if len(logs) >= 2:
         import numpy as np
 
         slope = float(np.polyfit([t[0] for t in logs],
                                  [t[1] for t in logs], 1)[0])
         print("# slope %.3f" % slope)
+    if args.json:
+        report = {"shape": args.shape, "k": args.k, "dist": args.dist,
+                  "seed": args.seed, "trials": args.trials, "sizes": rows,
+                  "slope": slope}
+        try:
+            with open(args.json, "w", encoding="utf-8") as fh:
+                json.dump(report, fh, indent=1)
+                fh.write("\n")
+        except OSError as exc:
+            print("bench: %s" % exc, file=sys.stderr)
+            return 1
     return 0
 
 
@@ -252,6 +268,9 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--k", type=int, default=3)
     b.add_argument("--dist", choices=GENERATOR_KINDS, default="uniform")
+    b.add_argument("--json", metavar="PATH",
+                   help="also write each size's min and mean ms and the "
+                        "fitted slope of the mean to PATH as JSON")
     b.set_defaults(func=_cmd_bench)
     return ap
 

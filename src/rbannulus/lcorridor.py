@@ -34,15 +34,48 @@ primitives:
 The sweep only asks whether a gap wider than its best width so far
 exists, so it hands that width to the GapTree as a floor.  Once every gap
 between active values is no wider than the floor, an insert strictly
-inside their hull returns at once and a query is answered in O(1) from the
-two hull ends; otherwise an insert or a gap query costs O(log n), as does
-every band lookup.
+inside their hull returns at once and a query is answered from the two
+hull ends.
+
+A pass over more than ``_SHORT`` points is set up with numpy and swept in
+chunks of ``_CHUNK`` levels.  ``_LevelFilter`` evaluates, in one numpy pass
+per chunk at the best width w at the chunk's start, two tests, each of
+which shows that the per-level loop stops at a level's first candidate
+y_j (the lowest level with y_j - y_i > w, stepped as the loop steps;
+delta = y_j - y_i):
+
+* the break test: hi - lo < delta, with the band maximum taken from a
+  sparse table over the chunk's level maxima;
+* the floor test: once no gap between the x-values inserted through the
+  level is wider than w, the gap query answers from the two hull-end gaps,
+  so it fails when the hull meets (lo, hi) and both end gaps are shorter
+  than delta.  The widest gap is bounded from the sorted values at an
+  earlier row, widened by the hull's growth since.
+
+Only the levels where neither test holds go to the per-level loop, in
+order, with the inserts before them.  The inserts the floor would skip
+(strictly inside the hull of the earlier values, with no gap wider than
+w) are dropped in numpy.
+
+Both tests are monotone in w: a larger w moves the first candidate up,
+which grows delta and lo and leaves hi as it is, and a hull stops meeting
+(lo, hi) only once hi - lo has fallen below delta.  So a chunk filtered at
+its starting width stays filtered while the best width rises inside it,
+and nothing is recomputed on a raise.  The filter only compares values and
+hands none to the loop, so the sign of a zero cannot matter there.  Where
+a numpy value does reach an answer, the upper staircase's min x, a zero
+min takes the sign of its color's first zero, as the Python pass does;
+``np.minimum.at`` would keep the last one.  A shorter pass is set up in
+plain Python and visits every level: at that size numpy's cost per call
+outweighs the work it saves.
 """
 
 from __future__ import annotations
 
 import heapq
 from bisect import bisect_left, bisect_right
+
+import numpy as np
 
 from .core import (
     DEFAULT_EPS,
@@ -103,7 +136,12 @@ def _upper_breaks(tp, k):
             max_y[c] = y
         if x < min_x[c]:
             min_x[c] = x
-    pairs = sorted((max_y[c], min_x[c]) for c in range(1, k + 1))
+    return _upper_chain(max_y[1:], min_x[1:])
+
+
+def _upper_chain(max_y, min_x):
+    # g's breakpoints from each color's max y and min x, colors in order
+    pairs = sorted(zip(max_y, min_x))
     ts, vs = [], []
     run = -INF
     for t, v in pairs:
@@ -117,26 +155,92 @@ def _upper_breaks(tp, k):
     return ts, vs
 
 
+def _lower_breaks_arrays(xs, ys, cs, rank, k):
+    # _lower_breaks over the rows in (y, x) order as arrays, with rank the
+    # dense rank of each x.  h can change only at a "record": a row whose x
+    # beats every earlier x of its color.  numpy finds the records (a
+    # running max of color * (n + 1) + rank over the rows grouped by
+    # color); the lazy-deletion heap walks only them, in row order.
+    n = len(xs)
+    grp = np.argsort(cs, kind="stable")
+    key = cs[grp].astype(np.int64) * (n + 1) + rank[grp]
+    rec = np.empty(n, dtype=bool)
+    rec[0] = True
+    np.greater(key[1:], np.maximum.accumulate(key)[:-1], out=rec[1:])
+    rows = np.sort(grp[rec])
+    first = np.searchsorted(ys, ys[rows])  # first row of each record's level
+    level_y = ys[first].tolist()
+    first = first.tolist()
+    rx = xs[rows].tolist()
+    rc = cs[rows].tolist()
+    maxx = [-INF] * (k + 1)
+    seen = 0
+    heap = []
+    ts, vs = [], []
+    last = len(first) - 1
+    for i, (x, c) in enumerate(zip(rx, rc)):
+        if maxx[c] == -INF:
+            seen += 1
+        maxx[c] = x
+        heapq.heappush(heap, (x, c))
+        if i < last and first[i + 1] == first[i]:
+            continue  # the level has more records
+        if seen == k:
+            while heap[0][0] != maxx[heap[0][1]]:
+                heapq.heappop(heap)
+            v = heap[0][0]
+            if not vs or v > vs[-1]:
+                ts.append(level_y[i])
+                vs.append(v)
+    return ts, vs
+
+
+def _upper_breaks_arrays(xs, ys, cs, k):
+    # _upper_breaks over the points as arrays, in the order given.  A max y
+    # is only ever compared.  A min x other than zero is one float
+    # whichever row it comes from; a zero takes the sign of the first of
+    # its color's rows, in the order given, at zero.
+    max_y = np.full(k + 1, -INF)
+    np.maximum.at(max_y, cs, ys)
+    min_x = np.full(k + 1, INF)
+    np.minimum.at(min_x, cs, xs)
+    zero = np.flatnonzero((xs == 0.0) & (min_x[cs] == 0.0))
+    if len(zero):
+        _, first = np.unique(cs[zero], return_index=True)
+        min_x[cs[zero[first]]] = xs[zero[first]]
+    return _upper_chain(max_y[1:].tolist(), min_x[1:].tolist())
+
+
 class MaxCoordTree:
     """Static segment tree over points ordered by y, answering max-x on an
-    open y-band.  Takes rows that start (x, y), already in increasing (y, x)
-    order; it does not sort them and ignores further fields."""
+    open y-band.  Takes the points' x and y as two sequences, already in
+    increasing (y, x) order; it does not sort them.  An x given as a numpy
+    array, for a long pass, is built into the tree with numpy."""
 
     __slots__ = ("_ys", "_size", "_mx")
 
-    def __init__(self, items):
-        rows = list(items)
-        self._ys = [r[1] for r in rows]
-        n = len(rows)
+    def __init__(self, xs, ys):
+        n = len(ys)
         size = 1
         while size < max(n, 1):
             size *= 2
         self._size = size
-        mx = self._mx = [-INF] * (2 * size)
-        for leaf, row in enumerate(rows):
-            mx[size + leaf] = row[0]
-        for v in range(size - 1, 0, -1):
-            mx[v] = max(mx[2 * v], mx[2 * v + 1])
+        if isinstance(xs, np.ndarray):
+            # a long pass: numpy fills one tree level at a time
+            mx = np.full(2 * size, -INF)  # node v has children 2v and 2v + 1
+            mx[size:size + n] = xs
+            while size > 1:
+                left, right = mx[size:2 * size:2], mx[size + 1:2 * size:2]
+                # the left child on a tie, as max() does: a zero keeps its sign
+                mx[size // 2:size] = np.where(right > left, right, left)
+                size //= 2
+            self._mx = mx.tolist()
+        else:
+            mx = self._mx = [-INF] * (2 * size)
+            mx[size:size + n] = xs
+            for v in range(size - 1, 0, -1):
+                mx[v] = max(mx[2 * v], mx[2 * v + 1])
+        self._ys = list(ys)
 
     def max_in_open_band(self, y_lo: float, y_hi: float) -> float:
         """Max x over points with y_lo < y < y_hi, or -inf."""
@@ -178,7 +282,7 @@ class GapTree:
     floor.  The default floor, -inf, keeps every answer exact.
     """
 
-    __slots__ = ("_xs", "_size", "_mn", "_mx", "_gl", "_gr", "_index")
+    __slots__ = ("_xs", "_size", "_mn", "_mx", "_gl", "_gr")
 
     def __init__(self, xs):
         self._xs = list(xs)
@@ -192,7 +296,6 @@ class GapTree:
         # a node's widest gap is gr - gl, -inf while it has none
         self._gl = [0.0] * (2 * size)
         self._gr = [-INF] * (2 * size)
-        self._index = {x: i for i, x in enumerate(self._xs)}
 
     # Why the floor is safe.  Call a value "skipped" when insert returned
     # early for it.  It lay strictly inside the hull [mn, mx] of the active
@@ -214,7 +317,7 @@ class GapTree:
         mn, mx, gls, grs = self._mn, self._mx, self._gl, self._gr
         if mn[1] < x < mx[1] and grs[1] - gls[1] <= floor:
             return  # splits a gap no wider than the floor
-        v = self._index[x] + self._size
+        v = bisect_left(self._xs, x) + self._size
         if mn[v] == x:
             return  # already active: keep the first sign of a zero
         mn[v] = mx[v] = x
@@ -305,18 +408,149 @@ class GapTree:
         return best, bl, br
 
 
-def _sweep(tp, k, eps):
-    # One canonical pass: finds the widest down-right corridor whose width
-    # is pinned by the y-gap between an inner-top point and an outer-top
-    # point.  Returns (width, outer_x, outer_y) or None.
-    by_y = sorted(tp, key=lambda p: (p[1], p[0]))
-    sb_t, sb_v = _lower_breaks(by_y, k)
-    if not sb_t:
-        return None
-    st_t, st_v = _upper_breaks(tp, k)
-    band = MaxCoordTree(by_y)
-    gaps = GapTree(sorted({p[0] for p in tp}))
+# Levels per chunk of a long pass.
+_CHUNK = 256
+# A pass over at most this many points is short: it is set up in plain
+# Python and runs every level through the per-level loop, with no numpy
+# call.  Below about 1.5 chunks, numpy's cost per call and a first chunk
+# filtered at width eps cost more than the filter saves.
+_SHORT = 384
 
+
+class _LevelFilter:
+    """Batched rejection of a sweep's levels, one chunk of levels at a time.
+
+    ``split(a, b, w)`` looks at levels a..b-1 at width w and returns
+    ``(kept, pending, rest)``.  ``kept`` lists the levels where the
+    per-level loop, run at any best width >= w, might get past its first
+    candidate.  ``pending[i]`` holds the x-values to insert before level
+    ``kept[i]`` is swept, ``rest`` those after the last kept level: the
+    values, in row order, whose ``GapTree.insert`` call might activate
+    one.  Every other level stops at its first candidate, and every other
+    insert would be skipped under the floor.  Chunks must come in
+    increasing order; one chunk may be split again at another width.
+    """
+
+    def __init__(self, xs, starts, level_ys, lower, upper):
+        self._xs = xs
+        self._starts = np.append(starts, len(xs))
+        self._ly = level_ys
+        self._lmx = np.maximum.reduceat(xs, starts)  # each level's max x
+        self._sb_t, self._sb_v = (np.asarray(v, dtype=float) for v in lower)
+        self._st_t = np.asarray(upper[0], dtype=float)
+        self._st_v = np.concatenate(([-INF], upper[1]))
+        # hull of the rows before row _ph
+        self._ph, self._mn, self._mx = 0, INF, -INF
+        # the sorted x of the rows before row _pg, its widest inner gap
+        # and its hull ends
+        self._pg, self._srt = 0, np.empty(0)
+        self._g, self._gmn, self._gmx = -INF, INF, -INF
+
+    def _gap_bound(self, p0, mn1, mx1, w):
+        # An upper bound on the widest inner gap of the rows before t, for
+        # every t from p0 up to the chunk's end, whose rows' hull is
+        # [mn1, mx1].  Inside the hull of the rows before _pg a gap only
+        # splits; outside it, any gap lies within [mx(_pg), mx1] or
+        # [mn1, mn(_pg)].  Rounding is monotone, so each float difference
+        # below bounds the computed length of any gap it contains.
+        u = max(self._g, mx1 - self._gmx, self._gmn - mn1)
+        if u > w and self._pg < p0:
+            new = np.sort(self._xs[self._pg:p0])
+            srt = self._srt = np.insert(
+                self._srt, np.searchsorted(self._srt, new), new)
+            self._pg = p0
+            self._g = float(np.diff(srt).max()) if len(srt) > 1 else -INF
+            self._gmn, self._gmx = srt[0], srt[-1]
+            u = max(self._g, mx1 - self._gmx, self._gmn - mn1)
+        return u
+
+    def _band_max(self, l, r):
+        # max of the level maxima over levels l..r-1, -inf where r <= l,
+        # from a sparse table over the chunk's span of levels: row j holds
+        # the max over 2**j levels from each start
+        length = r - l
+        out = np.full(len(l), -INF)
+        top = int(length.max())
+        if top <= 0:
+            return out
+        s0 = int(l[0])
+        table = np.full((top.bit_length(), int(r.max()) - s0), -INF)
+        table[0] = self._lmx[s0:s0 + table.shape[1]]
+        for j in range(1, len(table)):
+            h = 1 << (j - 1)
+            np.maximum(table[j - 1, :-h], table[j - 1, h:], out=table[j, :-h])
+        on = length > 0
+        j = np.frexp(length[on])[1] - 1  # floor(log2(length))
+        out[on] = np.maximum(table[j, l[on] - s0], table[j, r[on] - s0 - (1 << j)])
+        return out
+
+    def split(self, a, b, w):
+        ly = self._ly
+        m = len(ly)
+        p0, p1 = int(self._starts[a]), int(self._starts[b])
+        if self._ph < p0:
+            gone = self._xs[self._ph:p0]
+            self._mn = min(self._mn, float(gone.min()))
+            self._mx = max(self._mx, float(gone.max()))
+            self._ph = p0
+        xc = self._xs[p0:p1]
+        # hull of the rows through each row of the chunk
+        cmn = np.minimum(np.minimum.accumulate(xc), self._mn)
+        cmx = np.maximum(np.maximum.accumulate(xc), self._mx)
+
+        # Test 1, the break test at the first candidate level lj
+        yi = ly[a:b]
+        lj = np.searchsorted(ly, yi + w, "right")
+        while True:
+            # step as the loop does while rounding leaves delta <= w
+            step = lj < m
+            step[step] = ly[lj[step]] - yi[step] <= w
+            if not step.any():
+                break
+            lj += step
+        cut = np.searchsorted(self._sb_t, yi, "right")
+        keep = (lj < m) & (cut > 0)
+        lj = np.minimum(lj, m - 1)
+        y_j = ly[lj]
+        delta = y_j - yi
+        hi = self._sb_v[cut - 1]
+        lo = self._st_v[np.searchsorted(self._st_t, y_j, "left")]
+        mid = self._band_max(np.arange(a + 1, b + 1), lj)
+        lo = np.where(mid > lo, mid, lo)
+        keep &= hi - lo >= delta
+
+        # Test 2, the floor test: the query's floor branch answers from
+        # the two hull-end gaps once no inner gap beats the floor
+        ends = self._starts[a + 1:b + 1] - p0  # each level's end in xc
+        if self._gap_bound(p0, cmn[-1], cmx[-1], w) <= w:
+            mn, mx = cmn[ends - 1], cmx[ends - 1]
+            left = np.where(lo < mn, mn - lo, -INF)
+            right = np.where(mx < hi, hi - mx, -INF)
+            keep &= ~((mn < hi) & (mx > lo) & (left < delta) & (right < delta))
+            # insert's own skip: strictly inside the hull of earlier rows
+            inside = (xc > np.concatenate(([self._mn], cmn[:-1]))) & (
+                xc < np.concatenate(([self._mx], cmx[:-1])))
+            rows = np.flatnonzero(~inside)
+        else:
+            rows = np.arange(p1 - p0)
+        kept = np.flatnonzero(keep)
+        ins = xc[rows].tolist()
+        pending = []
+        r = 0
+        for end in np.searchsorted(rows, ends[kept]).tolist():
+            pending.append(ins[r:end])
+            r = end
+        return (a + kept).tolist(), pending, ins[r:]
+
+
+def _rows_setup(tp, k):
+    # What the sweep of one canonical pass reads, built in plain Python from
+    # (x, y, color) rows, for a short pass; None when no inside quadrant is
+    # ever rainbow.
+    by_y = sorted(tp, key=lambda p: (p[1], p[0]))
+    lower = _lower_breaks(by_y, k)
+    if not lower[0]:
+        return None
     level_ys = []
     level_xs = []
     for x, y, _ in by_y:
@@ -325,45 +559,87 @@ def _sweep(tp, k, eps):
         else:
             level_ys.append(y)
             level_xs.append([x])
-    m = len(level_ys)
+    band = MaxCoordTree([p[0] for p in by_y], [p[1] for p in by_y])
+    gaps = GapTree(sorted({p[0] for p in tp}))
 
+    def split(a, b, w):
+        return range(a, b), level_xs[a:b], ()
+
+    return level_ys, lower, _upper_breaks(tp, k), band, gaps, split
+
+
+def _arrays_setup(pts, k):
+    # The same from the points as x, y and color arrays, for a longer pass:
+    # numpy sorts, groups and builds, and a _LevelFilter splits the levels.
+    xs, ys, cs = pts
+    upper = _upper_breaks_arrays(xs, ys, cs, k)
+    order = np.lexsort((xs, ys))
+    xs, ys, cs = xs[order], ys[order], cs[order]
+    universe = np.unique(xs)
+    lower = _lower_breaks_arrays(xs, ys, cs, np.searchsorted(universe, xs), k)
+    if not lower[0]:
+        return None
+    fresh = np.empty(len(ys), dtype=bool)
+    fresh[0] = True
+    np.not_equal(ys[1:], ys[:-1], out=fresh[1:])
+    starts = np.flatnonzero(fresh)
+    filt = _LevelFilter(xs, starts, ys[starts], lower, upper)
+    row_ys = ys.tolist()
+    # with no tied heights the levels are the rows: share the floats
+    level_ys = row_ys if len(starts) == len(row_ys) else ys[starts].tolist()
+    return (level_ys, lower, upper, MaxCoordTree(xs, row_ys),
+            GapTree(universe.tolist()), filt.split)
+
+
+def _sweep(setup, eps):
+    # One canonical pass: finds the widest down-right corridor whose width
+    # is pinned by the y-gap between an inner-top point and an outer-top
+    # point.  Returns (width, outer_x, outer_y) or None.
+    if setup is None:
+        return None
+    level_ys, (sb_t, sb_v), (st_t, st_v), band, gaps, split = setup
+    m = len(level_ys)
     best = None
     w_best = eps
-    for li in range(m):
-        y_i = level_ys[li]
-        # w_best is the GapTree floor: only gaps wider than it can win,
-        # and it never decreases, as the floor must not
-        for x in level_xs[li]:
-            gaps.insert(x, w_best)
-        cut = bisect_right(sb_t, y_i)
-        if cut == 0:
-            continue
-        hi = sb_v[cut - 1]
-        lj = bisect_right(level_ys, y_i + w_best)
-        while lj < m:
-            y_j = level_ys[lj]
-            delta = y_j - y_i
-            if delta <= w_best:
-                # float rounding can land y_i + w_best short of the level
-                # just used; step until the width strictly improves
-                lj += 1
+    for a in range(0, m, _CHUNK):
+        kept, pending, rest = split(a, min(a + _CHUNK, m), w_best)
+        for li, xs_in in zip(kept, pending):
+            # w_best is the GapTree floor: only gaps wider than it can
+            # win, and it never decreases, as the floor must not
+            for x in xs_in:
+                gaps.insert(x, w_best)
+            y_i = level_ys[li]
+            cut = bisect_right(sb_t, y_i)
+            if cut == 0:
                 continue
-            gcut = bisect_left(st_t, y_j)
-            lo = st_v[gcut - 1] if gcut > 0 else -INF
-            mid = band.max_in_open_band(y_i, y_j)
-            if mid > lo:
-                lo = mid
-            if hi - lo < delta:
-                break
-            length, gl, gr = gaps.query(lo, hi, w_best)
-            if length < delta:
-                # Raising y_j only grows delta and pushes lo rightward
-                # while hi stays put, so later candidates fail too.
-                break
-            outer_x = gl if gl > -INF else gr - delta
-            best = (delta, outer_x, y_j)
-            w_best = delta
-            lj = bisect_right(level_ys, y_i + w_best, lj + 1)
+            hi = sb_v[cut - 1]
+            lj = bisect_right(level_ys, y_i + w_best)
+            while lj < m:
+                y_j = level_ys[lj]
+                delta = y_j - y_i
+                if delta <= w_best:
+                    # float rounding can land y_i + w_best short of the
+                    # level just used; step until the width strictly improves
+                    lj += 1
+                    continue
+                gcut = bisect_left(st_t, y_j)
+                lo = st_v[gcut - 1] if gcut > 0 else -INF
+                mid = band.max_in_open_band(y_i, y_j)
+                if mid > lo:
+                    lo = mid
+                if hi - lo < delta:
+                    break
+                length, gl, gr = gaps.query(lo, hi, w_best)
+                if length < delta:
+                    # Raising y_j only grows delta and pushes lo rightward
+                    # while hi stays put, so later candidates fail too.
+                    break
+                outer_x = gl if gl > -INF else gr - delta
+                best = (delta, outer_x, y_j)
+                w_best = delta
+                lj = bisect_right(level_ys, y_i + w_best, lj + 1)
+        for x in rest:
+            gaps.insert(x, w_best)
     return best
 
 
@@ -380,16 +656,26 @@ def max_rblc(pointset: PointSet, orientation: str, eps: float = DEFAULT_EPS):
     if orientation not in L_ORIENTATIONS:
         raise ValueError("bad orientation %r" % orientation)
     sx, sy = QUADRANT_SIGNS[orientation]
-    pts = [(sx * p.x, sy * p.y, p.color) for p in pointset.points]
+    pts = pointset.points
+    n = len(pts)
+    # the second pass reflects the first across the antidiagonal,
+    # (x, y) -> (-y, -x)
+    if n > _SHORT:
+        xs = sx * np.fromiter((p.x for p in pts), dtype=float, count=n)
+        ys = sy * np.fromiter((p.y for p in pts), dtype=float, count=n)
+        cs = np.fromiter((p.color for p in pts), dtype=np.intp, count=n)
+        setup, first, second = _arrays_setup, (xs, ys, cs), (-ys, -xs, cs)
+    else:
+        first = [(sx * p.x, sy * p.y, p.color) for p in pts]
+        setup, second = _rows_setup, [(-y, -x, c) for x, y, c in first]
     best = None
 
-    hit = _sweep(pts, pointset.k, eps)
+    hit = _sweep(setup(first, pointset.k), eps)
     if hit is not None:
         delta, ox, oy = hit
         best = LCorridor(orientation, sx * ox, sy * oy, delta)
 
-    anti = [(-y, -x, c) for x, y, c in pts]
-    hit = _sweep(anti, pointset.k, eps)
+    hit = _sweep(setup(second, pointset.k), eps)
     if hit is not None and (best is None or hit[0] > best.width):
         delta, ox, oy = hit
         # undo the antidiagonal reflection, then the sign flips

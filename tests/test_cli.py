@@ -320,6 +320,31 @@ def test_bench_deterministic_widths(capsys):
     assert out1.splitlines()[-1].startswith("# slope ")
 
 
+def test_bench_json_report(capsys, tmp_path):
+    path = tmp_path / "bench.json"
+    argv = ["bench", "--shape", "strip", "--sizes", "30,60", "--trials", "2",
+            "--seed", "7", "--json", str(path)]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    got = json.loads(path.read_text())
+    assert (got["shape"], got["k"], got["dist"], got["seed"], got["trials"]) == (
+        "strip", 3, "uniform", 7, 2)
+    assert [row["n"] for row in got["sizes"]] == [30, 60]
+    for row, line in zip(got["sizes"], out.splitlines()[1:3]):
+        n, k, mean_ms, width = line.split(",")
+        assert 0 <= row["min_ms"] <= row["mean_ms"]
+        assert "%.3f" % row["mean_ms"] == mean_ms
+        assert repr(row["width"]) == width
+    assert out.splitlines()[-1] == "# slope %.3f" % got["slope"]
+
+
+def test_bench_json_unwritable_path_is_bad_input(capsys, tmp_path):
+    argv = ["bench", "--shape", "strip", "--sizes", "30", "--trials", "1",
+            "--json", str(tmp_path / "missing" / "bench.json")]
+    code, _, err = run(capsys, argv)
+    assert code == 1 and err.startswith("bench: ")
+
+
 @pytest.mark.parametrize("flags", [
     ["--trials", "0"], ["--sizes", "1"], ["--k", "0"],
 ])

@@ -2,11 +2,13 @@ import math
 import random
 from bisect import bisect_left, bisect_right
 
+import numpy as np
 import pytest
 
 from conftest import random_instance, random_real_instance, reflect_x, rotate90
 
-from rbannulus import INF, L_ORIENTATIONS, PointSet, validate_solution
+from rbannulus import INF, L_ORIENTATIONS, PointSet, lcorridor, validate_solution
+from rbannulus.core import QUADRANT_SIGNS
 from rbannulus.lcorridor import (
     GapTree,
     MaxCoordTree,
@@ -16,6 +18,7 @@ from rbannulus.lcorridor import (
     max_rblc_all,
 )
 from rbannulus.oracle import oracle_rblc
+from rbannulus.reference import _sweep as reference_sweep
 
 
 def diag_instance():
@@ -163,7 +166,7 @@ def test_gap_tree_floor_contract():
                 floor = max(floor, rng.uniform(0, span / 3))
             tree.insert(x, floor)
             active.setdefault(x, x)
-            leaf = tree._mn[tree._index[x] + tree._size]
+            leaf = tree._mn[bisect_left(tree._xs, x) + tree._size]
             skipped += leaf == INF
             walls = sorted(active.values())
             for _ in range(12):
@@ -211,7 +214,7 @@ def test_sweep_floor_changes_no_answer(monkeypatch):
 
     def counting_insert(self, x, floor=-INF):
         insert(self, x, floor)
-        skipped[0] += self._mn[self._index[x] + self._size] == INF
+        skipped[0] += self._mn[bisect_left(self._xs, x) + self._size] == INF
 
     monkeypatch.setattr(GapTree, "insert", counting_insert)
     with_floor = [repr(max_rblc_all(ps, eps))
@@ -261,7 +264,7 @@ def test_gap_tree_empty_and_boundary_cases():
 
 
 def test_max_coord_tree_open_band():
-    tree = MaxCoordTree([(5, 1, "a"), (9, 2, "b"), (3, 3, "c")])
+    tree = MaxCoordTree([5, 9, 3], [1, 2, 3])
     assert tree.max_in_open_band(0, 3) == 9
     assert tree.max_in_open_band(1, 2) == -INF
     assert tree.max_in_open_band(2, 10) == 3
@@ -341,3 +344,179 @@ def test_width_invariant_under_symmetries():
             else:
                 assert other is not None
                 assert other.width == pytest.approx(base.width, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# long passes: numpy set-up and the chunk filter against the per-level sweep
+
+# A colour's min x is a zero that comes first as -0.0: np.minimum.at keeps
+# the later 0.0, and a pass whose corner sits there reads the sign.
+SIGNED_ZERO_MIN = PointSet.build(
+    [(2.0, -0.0, 1), (0.0, 0.0, 1), (2.0, 0.0, 2), (2.0, -3.0, 2),
+     (-3.0, -0.0, 2), (-0.0, -3.0, 1), (1.0, -0.0, 2)], 2)
+
+
+def corridor_corpus(seed, count):
+    """Tie-heavy instances: integer grids, +-0.0 picks, one-digit reals and
+    copies scaled by 1e6 and moved, some with repeated points."""
+    rng = random.Random(seed)
+    out = [SIGNED_ZERO_MIN]
+    for i in range(count):
+        k = rng.randint(1, 3)
+        n = rng.randint(2 * k, 90 if i % 4 == 0 else 40)
+        kind = i % 4
+        if kind == 0:
+            ps = random_instance(rng, n, k, 0, 8)
+        elif kind == 1:
+            pick = (-0.0, 0.0, 1.0, 2.0, -3.0)
+            ps = random_instance(rng, n, k)
+            ps = PointSet.build([(rng.choice(pick), rng.choice(pick), p.color)
+                                 for p in ps.points], k)
+        elif kind == 2:
+            ps = random_real_instance(rng, n, k, digits=1)
+        else:
+            ps = random_real_instance(rng, n, k, digits=2)
+            ps = PointSet.build([(p.x * 1e6 + 3e6, p.y * 1e6 - 1e6, p.color)
+                                 for p in ps.points], k)
+        if rng.random() < 0.3:
+            ps = PointSet.build(ps.points + ps.points[: rng.randint(1, n)], k)
+        out.append(ps)
+    return out
+
+
+def canonical_passes(ps):
+    """Both canonical passes of every orientation, as (x, y, color) rows
+    and as the x, y and color arrays a long pass is set up from."""
+    for sx, sy in QUADRANT_SIGNS.values():
+        tp = [(sx * p.x, sy * p.y, p.color) for p in ps.points]
+        for rows in (tp, [(-y, -x, c) for x, y, c in tp]):
+            yield rows, tuple(np.array(col) for col in zip(*rows))
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 16])
+def test_chunked_sweep_matches_per_level_sweep(monkeypatch, chunk):
+    # Every pass of every orientation gives the per-level sweep's answer,
+    # down to the sign of a zero, whichever way it is set up, with passes
+    # spanning several chunks.
+    monkeypatch.setattr(lcorridor, "_CHUNK", chunk)
+    split = lcorridor._LevelFilter.split
+    seen = {"levels": 0, "kept": 0}
+
+    def counting_split(self, a, b, w):
+        got = split(self, a, b, w)
+        seen["levels"] += b - a
+        seen["kept"] += len(got[0])
+        return got
+
+    monkeypatch.setattr(lcorridor._LevelFilter, "split", counting_split)
+    checked = 0
+    for ps in corridor_corpus(chunk, 60):
+        for eps in (1e-9, 0.0):
+            for rows, arrays in canonical_passes(ps):
+                want = repr(reference_sweep(rows, ps.k, eps))
+                got = lcorridor._sweep(lcorridor._arrays_setup(arrays, ps.k), eps)
+                assert repr(got) == want, (rows, eps)
+                got = lcorridor._sweep(lcorridor._rows_setup(rows, ps.k), eps)
+                assert repr(got) == want, (rows, eps)
+                checked += 1
+            # and the public answer, with every pass taken as long
+            want = repr(max_rblc_all(ps, eps))
+            with monkeypatch.context() as m:
+                m.setattr(lcorridor, "_SHORT", 0)
+                assert repr(max_rblc_all(ps, eps)) == want, (ps.points, eps)
+    assert checked == 8 * 2 * 61
+    assert 0 < seen["kept"] < 0.9 * seen["levels"]  # the filter did reject
+
+
+def test_array_staircases_match_row_staircases():
+    for ps in corridor_corpus(5, 80):
+        for rows, (xs, ys, cs) in canonical_passes(ps):
+            by_y = sorted(rows, key=lambda p: (p[1], p[0]))
+            order = np.lexsort((xs, ys))
+            sx, sy, sc = xs[order], ys[order], cs[order]
+            rank = np.searchsorted(np.unique(sx), sx)
+            got = lcorridor._lower_breaks_arrays(sx, sy, sc, rank, ps.k)
+            assert repr(got) == repr(_lower_breaks(by_y, ps.k)), rows
+            got_t, got_v = lcorridor._upper_breaks_arrays(xs, ys, cs, ps.k)
+            want_t, want_v = _upper_breaks(rows, ps.k)
+            assert repr(got_v) == repr(want_v), rows  # min x keeps its zero's sign
+            assert got_t == want_t, rows  # max y is only compared
+
+
+def loop_rejects(rows, li, w):
+    """True when the per-level loop, at best width w, stops at level li's
+    first candidate because the break test fails or because the gap query
+    answers from its floor branch with no gap of width delta; written out
+    from the rows."""
+    by_y = sorted(rows, key=lambda p: (p[1], p[0]))
+    level_ys = sorted({y for _, y, _ in rows})
+    y_i = level_ys[li]
+    lj = bisect_right(level_ys, y_i + w)
+    while lj < len(level_ys) and level_ys[lj] - y_i <= w:
+        lj += 1
+    sb_t, sb_v = _lower_breaks(by_y, max(c for _, _, c in rows))
+    cut = bisect_right(sb_t, y_i)
+    if lj == len(level_ys) or cut == 0:
+        return True
+    y_j = level_ys[lj]
+    delta = y_j - y_i
+    hi = sb_v[cut - 1]
+    st_t, st_v = _upper_breaks(rows, max(c for _, _, c in rows))
+    gcut = bisect_left(st_t, y_j)
+    lo = max([st_v[gcut - 1] if gcut else -INF]
+             + [x for x, y, _ in rows if y_i < y < y_j])
+    if hi - lo < delta:
+        return True
+    active = sorted({x for x, y, _ in rows if y <= y_i})
+    if max((b - a for a, b in zip(active, active[1:])), default=-INF) > w:
+        return False  # the query folds the tree: no claim
+    mn, mx = active[0], active[-1]
+    ends = [mn - lo] if lo < mn else []
+    ends += [hi - mx] if mx < hi else []
+    return mn < hi and mx > lo and all(g < delta for g in ends)
+
+
+def test_chunk_filter_rejects_only_what_the_loop_would(monkeypatch):
+    monkeypatch.setattr(lcorridor, "_CHUNK", 4)
+    rejected = skipped = 0
+    for ps in corridor_corpus(17, 24):
+        k = ps.k
+        for rows, arrays in canonical_passes(ps):
+            setup = lcorridor._arrays_setup(arrays, k)
+            if setup is None:
+                continue
+            level_ys, split = setup[0], setup[-1]
+            hit = reference_sweep(rows, k, 1e-9)
+            top = hit[0] if hit else 1.0
+            floors = (1e-9, top / 4, top / 2, top, 2 * top)
+            by_y = sorted(rows, key=lambda p: (p[1], p[0]))
+            row_ys = [p[1] for p in by_y]
+            m = len(level_ys)
+            for a in range(0, m, 4):
+                b = min(a + 4, m)
+                first = bisect_left(row_ys, level_ys[a])
+                chunk = by_y[first:bisect_right(row_ys, level_ys[b - 1])]
+                kept_before = set(range(a, b))
+                for w in floors:
+                    kept, pending, rest = split(a, b, w)
+                    # a level rejected at w stays rejected at any larger w
+                    assert set(kept) <= kept_before, (rows, a, w)
+                    kept_before = set(kept)
+                    for li in set(range(a, b)) - set(kept):
+                        assert loop_rejects(rows, li, w), (rows, li, w)
+                        rejected += 1
+                    # the values left out are ones insert would skip:
+                    # strictly inside the hull of the earlier rows, whose
+                    # gaps are no wider than w
+                    inserted = [x for xs in pending for x in xs] + rest
+                    i = 0
+                    for j, (x, _, _) in enumerate(chunk):
+                        if i < len(inserted) and repr(inserted[i]) == repr(x):
+                            i += 1
+                            continue
+                        earlier = sorted({p[0] for p in by_y[:first + j]})
+                        assert earlier[0] < x < earlier[-1], (rows, x)
+                        assert max(b2 - a2 for a2, b2 in zip(earlier, earlier[1:])) <= w
+                        skipped += 1
+                    assert i == len(inserted)
+    assert rejected > 100 and skipped > 100

@@ -9,8 +9,11 @@ give perfbench's corridor-large pool.  Each instance is solved once with
 max_rblc_all (four orientations, two sweeps each).  Per instance the
 script prints
 
-  inserts    GapTree.insert calls
-  performed  of those, the calls that activated a value in the tree; the
+  calls      GapTree.insert calls.  A pass over more than lcorridor._SHORT
+             points calls it only for the values its chunk filter could
+             not show insert would skip; a shorter pass calls it for
+             every point.
+  activated  of those, the calls that activated a value in the tree; the
              rest were skipped under the floor or repeated a value
   queries    GapTree.query calls
   folded     of those, the queries the tree fold answered (GapTree._range);
@@ -24,6 +27,7 @@ keeps no counter.  Standard library only.
 import argparse
 import os
 import sys
+from bisect import bisect_left
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 "..", "src"))
@@ -33,7 +37,7 @@ from rbannulus.instances import (format_instance, generate_instance,  # noqa: E4
                                  parse_instance)
 from rbannulus.lcorridor import GapTree, max_rblc_all  # noqa: E402
 
-FIELDS = ("inserts", "performed", "queries", "folded")
+FIELDS = ("calls", "activated", "queries", "folded")
 
 
 def install_counters(counts):
@@ -41,11 +45,11 @@ def install_counters(counts):
     insert, query, fold = GapTree.insert, GapTree.query, GapTree._range
 
     def counted_insert(self, x, *floor):
-        leaf = self._index[x] + self._size
+        leaf = bisect_left(self._xs, x) + self._size
         was = self._mn[leaf]
         insert(self, x, *floor)
-        counts["inserts"] += 1
-        counts["performed"] += was == INF and self._mn[leaf] != INF
+        counts["calls"] += 1
+        counts["activated"] += was == INF and self._mn[leaf] != INF
 
     def counted_query(self, *args):
         counts["queries"] += 1
