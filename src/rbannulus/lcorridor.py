@@ -19,10 +19,10 @@ The sweep visits the distinct heights bottom-up as the inner top side y_i,
 activating each level's x-values in a GapTree, and leans on four
 primitives:
 
-* ``_lower_breaks``: breakpoints of the lower staircase, read closed
-  (``bisect_right``, corner height y <= y_i): the rightmost inner-corner x
-  at height y_i that keeps the inside quadrant rainbow;
-* ``_upper_breaks``: breakpoints of the upper staircase, read strict
+* ``_lower_breaks_arrays``: breakpoints of the lower staircase, read
+  closed (``bisect_right``, corner height y <= y_i): the rightmost
+  inner-corner x at height y_i that keeps the inside quadrant rainbow;
+* ``_upper_breaks_arrays``: breakpoints of the upper staircase, read strict
   (``bisect_left``, corner height y < y_j): the leftmost outer-corner x at
   outer-top height y_j that keeps the outside region (left arm union
   everything above) rainbow;
@@ -37,9 +37,11 @@ between active values is no wider than the floor, an insert strictly
 inside their hull returns at once and a query is answered from the two
 hull ends.
 
-A pass over more than ``_SHORT`` points is set up with numpy and swept in
-chunks of ``_CHUNK`` levels.  ``_LevelFilter`` evaluates, in one numpy pass
-per chunk at the best width w at the chunk's start, two tests, each of
+Every pass is set up with numpy and swept in chunks of ``_CHUNK`` levels.
+The first chunk runs every level: at its starting width, eps, a filter
+would reject almost none of them, so a pass of at most ``_CHUNK`` levels
+never builds one.  For each later chunk, ``_LevelFilter`` evaluates, in one
+numpy pass at the best width w at the chunk's start, two tests, each of
 which shows that the per-level loop stops at a level's first candidate
 y_j (the lowest level with y_j - y_i > w, stepped as the loop steps;
 delta = y_j - y_i):
@@ -64,10 +66,8 @@ its starting width stays filtered while the best width rises inside it,
 and nothing is recomputed on a raise.  The filter only compares values and
 hands none to the loop, so the sign of a zero cannot matter there.  Where
 a numpy value does reach an answer, the upper staircase's min x, a zero
-min takes the sign of its color's first zero, as the Python pass does;
-``np.minimum.at`` would keep the last one.  A shorter pass is set up in
-plain Python and visits every level: at that size numpy's cost per call
-outweighs the work it saves.
+min takes the sign of its color's first zero, as the row staircase in
+``rbannulus.reference`` does; ``np.minimum.at`` would keep the last one.
 """
 
 from __future__ import annotations
@@ -95,50 +95,6 @@ __all__ = [
 ]
 
 
-def _lower_breaks(by_y, k):
-    # Breakpoints of h(t) = min over colors of (max x among that color's
-    # points with y <= t); -inf until every color has appeared.  Built in
-    # one ascending pass over y-sorted (x, y, color) rows with a
-    # lazy-deletion heap keyed by per-color max.
-    maxx = [-INF] * (k + 1)
-    seen = 0
-    heap = []
-    ts, vs = [], []
-    i, n = 0, len(by_y)
-    while i < n:
-        y = by_y[i][1]
-        while i < n and by_y[i][1] == y:
-            x, _, c = by_y[i]
-            if maxx[c] == -INF:
-                seen += 1
-            if x > maxx[c]:
-                maxx[c] = x
-                heapq.heappush(heap, (x, c))
-            i += 1
-        if seen == k:
-            while heap[0][0] != maxx[heap[0][1]]:
-                heapq.heappop(heap)
-            v = heap[0][0]
-            if not vs or v > vs[-1]:
-                ts.append(y)
-                vs.append(v)
-    return ts, vs
-
-
-def _upper_breaks(tp, k):
-    # Breakpoints of g(T) = max{min-x of color c : max-y of color c < T}.
-    # A color whose points all lie below the outer top side must reach the
-    # left arm, so it forces the outer corner at least this far right.
-    max_y = [-INF] * (k + 1)
-    min_x = [INF] * (k + 1)
-    for x, y, c in tp:
-        if y > max_y[c]:
-            max_y[c] = y
-        if x < min_x[c]:
-            min_x[c] = x
-    return _upper_chain(max_y[1:], min_x[1:])
-
-
 def _upper_chain(max_y, min_x):
     # g's breakpoints from each color's max y and min x, colors in order
     pairs = sorted(zip(max_y, min_x))
@@ -156,11 +112,14 @@ def _upper_chain(max_y, min_x):
 
 
 def _lower_breaks_arrays(xs, ys, cs, rank, k):
-    # _lower_breaks over the rows in (y, x) order as arrays, with rank the
-    # dense rank of each x.  h can change only at a "record": a row whose x
-    # beats every earlier x of its color.  numpy finds the records (a
-    # running max of color * (n + 1) + rank over the rows grouped by
-    # color); the lazy-deletion heap walks only them, in row order.
+    # Breakpoints of h(t) = min over colors of (max x among that color's
+    # points with y <= t); -inf until every color has appeared.  Takes the
+    # rows in (y, x) order as arrays, with rank the dense rank of each x.
+    # h can change only at a "record": a row whose x beats every earlier x
+    # of its color.  numpy finds the records (a running max of
+    # color * (n + 1) + rank over the rows grouped by color); a
+    # lazy-deletion heap keyed by per-color max walks only them, in row
+    # order.
     n = len(xs)
     grp = np.argsort(cs, kind="stable")
     key = cs[grp].astype(np.int64) * (n + 1) + rank[grp]
@@ -196,10 +155,13 @@ def _lower_breaks_arrays(xs, ys, cs, rank, k):
 
 
 def _upper_breaks_arrays(xs, ys, cs, k):
-    # _upper_breaks over the points as arrays, in the order given.  A max y
-    # is only ever compared.  A min x other than zero is one float
-    # whichever row it comes from; a zero takes the sign of the first of
-    # its color's rows, in the order given, at zero.
+    # Breakpoints of g(T) = max{min-x of color c : max-y of color c < T}.
+    # A color whose points all lie below the outer top side must reach the
+    # left arm, so it forces the outer corner at least this far right.
+    # Takes the points as arrays, in any order.  A max y is only ever
+    # compared.  A min x other than zero is one float whichever row it
+    # comes from; a zero takes the sign of the first of its color's rows,
+    # in the order given, at zero.
     max_y = np.full(k + 1, -INF)
     np.maximum.at(max_y, cs, ys)
     min_x = np.full(k + 1, INF)
@@ -213,9 +175,9 @@ def _upper_breaks_arrays(xs, ys, cs, k):
 
 class MaxCoordTree:
     """Static segment tree over points ordered by y, answering max-x on an
-    open y-band.  Takes the points' x and y as two sequences, already in
-    increasing (y, x) order; it does not sort them.  An x given as a numpy
-    array, for a long pass, is built into the tree with numpy."""
+    open y-band.  Takes the points' x and y as two sequences (lists or
+    numpy arrays), already in increasing (y, x) order; it does not sort
+    them.  numpy builds the tree one level at a time."""
 
     __slots__ = ("_ys", "_size", "_mx")
 
@@ -225,21 +187,14 @@ class MaxCoordTree:
         while size < max(n, 1):
             size *= 2
         self._size = size
-        if isinstance(xs, np.ndarray):
-            # a long pass: numpy fills one tree level at a time
-            mx = np.full(2 * size, -INF)  # node v has children 2v and 2v + 1
-            mx[size:size + n] = xs
-            while size > 1:
-                left, right = mx[size:2 * size:2], mx[size + 1:2 * size:2]
-                # the left child on a tie, as max() does: a zero keeps its sign
-                mx[size // 2:size] = np.where(right > left, right, left)
-                size //= 2
-            self._mx = mx.tolist()
-        else:
-            mx = self._mx = [-INF] * (2 * size)
-            mx[size:size + n] = xs
-            for v in range(size - 1, 0, -1):
-                mx[v] = max(mx[2 * v], mx[2 * v + 1])
+        mx = np.full(2 * size, -INF)  # node v has children 2v and 2v + 1
+        mx[size:size + n] = xs
+        while size > 1:
+            left, right = mx[size:2 * size:2], mx[size + 1:2 * size:2]
+            # the left child on a tie, as max() does: a zero keeps its sign
+            mx[size // 2:size] = np.where(right > left, right, left)
+            size //= 2
+        self._mx = mx.tolist()
         self._ys = list(ys)
 
     def max_in_open_band(self, y_lo: float, y_hi: float) -> float:
@@ -408,13 +363,8 @@ class GapTree:
         return best, bl, br
 
 
-# Levels per chunk of a long pass.
+# Levels per chunk of a pass.
 _CHUNK = 256
-# A pass over at most this many points is short: it is set up in plain
-# Python and runs every level through the per-level loop, with no numpy
-# call.  Below about 1.5 chunks, numpy's cost per call and a first chunk
-# filtered at width eps cost more than the filter saves.
-_SHORT = 384
 
 
 class _LevelFilter:
@@ -431,11 +381,12 @@ class _LevelFilter:
     increasing order; one chunk may be split again at another width.
     """
 
-    def __init__(self, xs, starts, level_ys, lower, upper):
+    def __init__(self, xs, bounds, level_ys, lower, upper):
+        # bounds: each level's first row, then the number of rows
         self._xs = xs
-        self._starts = np.append(starts, len(xs))
+        self._starts = bounds
         self._ly = level_ys
-        self._lmx = np.maximum.reduceat(xs, starts)  # each level's max x
+        self._lmx = np.maximum.reduceat(xs, bounds[:-1])  # each level's max x
         self._sb_t, self._sb_v = (np.asarray(v, dtype=float) for v in lower)
         self._st_t = np.asarray(upper[0], dtype=float)
         self._st_v = np.concatenate(([-INF], upper[1]))
@@ -543,34 +494,11 @@ class _LevelFilter:
         return (a + kept).tolist(), pending, ins[r:]
 
 
-def _rows_setup(tp, k):
-    # What the sweep of one canonical pass reads, built in plain Python from
-    # (x, y, color) rows, for a short pass; None when no inside quadrant is
-    # ever rainbow.
-    by_y = sorted(tp, key=lambda p: (p[1], p[0]))
-    lower = _lower_breaks(by_y, k)
-    if not lower[0]:
-        return None
-    level_ys = []
-    level_xs = []
-    for x, y, _ in by_y:
-        if level_ys and level_ys[-1] == y:
-            level_xs[-1].append(x)
-        else:
-            level_ys.append(y)
-            level_xs.append([x])
-    band = MaxCoordTree([p[0] for p in by_y], [p[1] for p in by_y])
-    gaps = GapTree(sorted({p[0] for p in tp}))
-
-    def split(a, b, w):
-        return range(a, b), level_xs[a:b], ()
-
-    return level_ys, lower, _upper_breaks(tp, k), band, gaps, split
-
-
 def _arrays_setup(pts, k):
-    # The same from the points as x, y and color arrays, for a longer pass:
-    # numpy sorts, groups and builds, and a _LevelFilter splits the levels.
+    # What the sweep of one canonical pass reads, from the points as x, y
+    # and color arrays; None when no inside quadrant is ever rainbow.
+    # numpy sorts, groups and builds, and a _LevelFilter splits every
+    # chunk of levels after the first.
     xs, ys, cs = pts
     upper = _upper_breaks_arrays(xs, ys, cs, k)
     order = np.lexsort((xs, ys))
@@ -583,12 +511,24 @@ def _arrays_setup(pts, k):
     fresh[0] = True
     np.not_equal(ys[1:], ys[:-1], out=fresh[1:])
     starts = np.flatnonzero(fresh)
-    filt = _LevelFilter(xs, starts, ys[starts], lower, upper)
+    bounds = np.append(starts, len(xs))
+    filt = (_LevelFilter(xs, bounds, ys[starts], lower, upper)
+            if len(starts) > _CHUNK else None)
+
+    def split(a, b, w):
+        if a:
+            return filt.split(a, b, w)
+        # The first chunk runs every level with all its inserts: at the
+        # starting width, eps, the filter would keep nearly all of them.
+        cut = bounds[:b + 1].tolist()
+        row_xs = xs[:cut[-1]].tolist()
+        return range(b), [row_xs[i:j] for i, j in zip(cut, cut[1:])], []
+
     row_ys = ys.tolist()
     # with no tied heights the levels are the rows: share the floats
     level_ys = row_ys if len(starts) == len(row_ys) else ys[starts].tolist()
     return (level_ys, lower, upper, MaxCoordTree(xs, row_ys),
-            GapTree(universe.tolist()), filt.split)
+            GapTree(universe.tolist()), split)
 
 
 def _sweep(setup, eps):
@@ -658,24 +598,19 @@ def max_rblc(pointset: PointSet, orientation: str, eps: float = DEFAULT_EPS):
     sx, sy = QUADRANT_SIGNS[orientation]
     pts = pointset.points
     n = len(pts)
-    # the second pass reflects the first across the antidiagonal,
-    # (x, y) -> (-y, -x)
-    if n > _SHORT:
-        xs = sx * np.fromiter((p.x for p in pts), dtype=float, count=n)
-        ys = sy * np.fromiter((p.y for p in pts), dtype=float, count=n)
-        cs = np.fromiter((p.color for p in pts), dtype=np.intp, count=n)
-        setup, first, second = _arrays_setup, (xs, ys, cs), (-ys, -xs, cs)
-    else:
-        first = [(sx * p.x, sy * p.y, p.color) for p in pts]
-        setup, second = _rows_setup, [(-y, -x, c) for x, y, c in first]
+    xs = sx * np.fromiter((p.x for p in pts), dtype=float, count=n)
+    ys = sy * np.fromiter((p.y for p in pts), dtype=float, count=n)
+    cs = np.fromiter((p.color for p in pts), dtype=np.intp, count=n)
     best = None
 
-    hit = _sweep(setup(first, pointset.k), eps)
+    hit = _sweep(_arrays_setup((xs, ys, cs), pointset.k), eps)
     if hit is not None:
         delta, ox, oy = hit
         best = LCorridor(orientation, sx * ox, sy * oy, delta)
 
-    hit = _sweep(setup(second, pointset.k), eps)
+    # the second pass reflects the first across the antidiagonal,
+    # (x, y) -> (-y, -x)
+    hit = _sweep(_arrays_setup((-ys, -xs, cs), pointset.k), eps)
     if hit is not None and (best is None or hit[0] > best.width):
         delta, ox, oy = hit
         # undo the antidiagonal reflection, then the sign flips

@@ -9,9 +9,10 @@
 - The per-level L-corridor sweep: ``_sweep`` runs every level of one
   canonical pass of ``lcorridor.max_rblc`` through the per-level loop,
   from (x, y, color) rows set up in plain Python, with no chunk filter.
-  It shares the staircases and trees of ``rbannulus.lcorridor`` and pins
-  the numpy set-up and the chunk filter of long passes, which must
-  return the same answers.
+  It owns the row staircases, ``_lower_breaks`` and ``_upper_breaks``,
+  and shares the trees of ``rbannulus.lcorridor``.  It pins the numpy
+  set-up, the array staircases and the chunk filter, which must return
+  the same answers.
 - The paper's rectangle constructions: minimal rainbow intervals of a slab
   and the relevant w-gaps beside them.
 - The paper's circle construction: the lift onto the paraboloid
@@ -21,12 +22,13 @@
 from __future__ import annotations
 
 import bisect
+import heapq
 import math
 from bisect import bisect_left, bisect_right
 from typing import NamedTuple
 
 from .core import DEFAULT_EPS, INF, PointSet
-from .lcorridor import GapTree, MaxCoordTree, _lower_breaks, _upper_breaks
+from .lcorridor import GapTree, MaxCoordTree, _upper_chain
 from .rect import (DecisionOutcome, _band_split, _decision, _first_below,
                    _Frame, _frame_identity, _scan_branches, _search,
                    _start_wp_list, _validate_anchors)
@@ -112,6 +114,49 @@ def dp_decision_reference(pointset: PointSet, i, j, w) -> DecisionOutcome:
 
 # ---------------------------------------------------------------------------
 # the per-level L-corridor sweep
+
+
+def _lower_breaks(by_y, k):
+    # Breakpoints of h(t) = min over colors of (max x among that color's
+    # points with y <= t); -inf until every color has appeared.  Built in
+    # one ascending pass over y-sorted (x, y, color) rows with a
+    # lazy-deletion heap keyed by per-color max.
+    maxx = [-INF] * (k + 1)
+    seen = 0
+    heap = []
+    ts, vs = [], []
+    i, n = 0, len(by_y)
+    while i < n:
+        y = by_y[i][1]
+        while i < n and by_y[i][1] == y:
+            x, _, c = by_y[i]
+            if maxx[c] == -INF:
+                seen += 1
+            if x > maxx[c]:
+                maxx[c] = x
+                heapq.heappush(heap, (x, c))
+            i += 1
+        if seen == k:
+            while heap[0][0] != maxx[heap[0][1]]:
+                heapq.heappop(heap)
+            v = heap[0][0]
+            if not vs or v > vs[-1]:
+                ts.append(y)
+                vs.append(v)
+    return ts, vs
+
+
+def _upper_breaks(tp, k):
+    # Breakpoints of g(T) = max{min-x of color c : max-y of color c < T}
+    # from (x, y, color) rows; a zero min x keeps its first row's sign.
+    max_y = [-INF] * (k + 1)
+    min_x = [INF] * (k + 1)
+    for x, y, c in tp:
+        if y > max_y[c]:
+            max_y[c] = y
+        if x < min_x[c]:
+            min_x[c] = x
+    return _upper_chain(max_y[1:], min_x[1:])
 
 
 def _sweep(tp, k, eps):

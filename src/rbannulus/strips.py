@@ -25,8 +25,9 @@ def rainbow_gaps(V, colors, k: int, eps: float):
 
     V is an (m, n) array in any column order and colors the colors (1..k)
     of its n columns.  Entry [r, t] is S[t+1] - S[t], for S row r sorted,
-    when that gap is wider than eps, S[t] >= rin and S[t+1] <= rout (see
-    the module docstring).  V is left as it is.  Raises ValueError unless
+    when that gap is finite and wider than eps, S[t] >= rin and
+    S[t+1] <= rout (see the module docstring).  A gap that overflows to
+    inf is unusable: no witness has that width.  V is left as it is.  Raises ValueError unless
     eps >= 0.
     """
     check_eps(eps)
@@ -48,6 +49,7 @@ def rainbow_gaps(V, colors, k: int, eps: float):
     ok = S[:, :-1] >= rin[:, None]
     ok &= S[:, 1:] <= rout[:, None]
     ok &= gaps > eps
+    ok &= gaps < np.inf
     np.putmask(gaps, ~ok, -np.inf)
     return gaps
 

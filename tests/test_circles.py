@@ -822,6 +822,21 @@ def test_max_rbca_degenerate():
     assert max_rbca(ps) is None
 
 
+def test_max_rbca_skips_overflowed_widths():
+    # near the top of the float range some exact ring widths overflow to
+    # inf; those rings are unusable, and the centres whose rings stay
+    # finite still give a valid answer
+    ps = generate_instance(14, 2, "uniform", 3)
+    for scale in (1e305, 1e306):
+        big = PointSet.build([(p.x * scale, p.y * scale, p.color)
+                              for p in ps.points], 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got = max_rbca(big)
+        assert got is not None and math.isfinite(got.width), scale
+        assert validate_solution(got, big), scale
+
+
 # ---------------------------------------------------------------------------
 # centers constrained to a line
 

@@ -9,16 +9,9 @@ from conftest import random_instance, random_real_instance, reflect_x, rotate90
 
 from rbannulus import INF, L_ORIENTATIONS, PointSet, lcorridor, validate_solution
 from rbannulus.core import QUADRANT_SIGNS
-from rbannulus.lcorridor import (
-    GapTree,
-    MaxCoordTree,
-    _lower_breaks,
-    _upper_breaks,
-    max_rblc,
-    max_rblc_all,
-)
+from rbannulus.lcorridor import GapTree, MaxCoordTree, max_rblc, max_rblc_all
 from rbannulus.oracle import oracle_rblc
-from rbannulus.reference import _sweep as reference_sweep
+from rbannulus.reference import _lower_breaks, _upper_breaks, _sweep as reference_sweep
 
 
 def diag_instance():
@@ -347,7 +340,7 @@ def test_width_invariant_under_symmetries():
 
 
 # ---------------------------------------------------------------------------
-# long passes: numpy set-up and the chunk filter against the per-level sweep
+# the numpy set-up and the chunk filter against the per-level sweep
 
 # A colour's min x is a zero that comes first as -0.0: np.minimum.at keeps
 # the later 0.0, and a pass whose corner sits there reads the sign.
@@ -386,7 +379,7 @@ def corridor_corpus(seed, count):
 
 def canonical_passes(ps):
     """Both canonical passes of every orientation, as (x, y, color) rows
-    and as the x, y and color arrays a long pass is set up from."""
+    and as the x, y and color arrays a pass is set up from."""
     for sx, sy in QUADRANT_SIGNS.values():
         tp = [(sx * p.x, sy * p.y, p.color) for p in ps.points]
         for rows in (tp, [(-y, -x, c) for x, y, c in tp]):
@@ -396,8 +389,7 @@ def canonical_passes(ps):
 @pytest.mark.parametrize("chunk", [1, 3, 16])
 def test_chunked_sweep_matches_per_level_sweep(monkeypatch, chunk):
     # Every pass of every orientation gives the per-level sweep's answer,
-    # down to the sign of a zero, whichever way it is set up, with passes
-    # spanning several chunks.
+    # down to the sign of a zero, with passes spanning several chunks.
     monkeypatch.setattr(lcorridor, "_CHUNK", chunk)
     split = lcorridor._LevelFilter.split
     seen = {"levels": 0, "kept": 0}
@@ -416,16 +408,58 @@ def test_chunked_sweep_matches_per_level_sweep(monkeypatch, chunk):
                 want = repr(reference_sweep(rows, ps.k, eps))
                 got = lcorridor._sweep(lcorridor._arrays_setup(arrays, ps.k), eps)
                 assert repr(got) == want, (rows, eps)
-                got = lcorridor._sweep(lcorridor._rows_setup(rows, ps.k), eps)
-                assert repr(got) == want, (rows, eps)
                 checked += 1
-            # and the public answer, with every pass taken as long
-            want = repr(max_rblc_all(ps, eps))
-            with monkeypatch.context() as m:
-                m.setattr(lcorridor, "_SHORT", 0)
-                assert repr(max_rblc_all(ps, eps)) == want, (ps.points, eps)
     assert checked == 8 * 2 * 61
     assert 0 < seen["kept"] < 0.9 * seen["levels"]  # the filter did reject
+
+
+def test_first_chunk_runs_unfiltered(monkeypatch):
+    # No pass asks the filter about its first chunk, and a pass of at most
+    # _CHUNK levels builds none.  Passes on either side of a chunk
+    # boundary give the per-level sweep's answer.
+    chunk = 8
+    monkeypatch.setattr(lcorridor, "_CHUNK", chunk)
+    init, split = lcorridor._LevelFilter.__init__, lcorridor._LevelFilter.split
+    built, asked = [], []
+
+    def counting_init(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    def recording_split(self, a, b, w):
+        asked.append(a)
+        return split(self, a, b, w)
+
+    monkeypatch.setattr(lcorridor._LevelFilter, "__init__", counting_init)
+    monkeypatch.setattr(lcorridor._LevelFilter, "split", recording_split)
+    rng = random.Random(19)
+    filtered = 0
+    for m in (chunk, chunk + 1, 2 * chunk + 1):
+        for trial in range(30):
+            # m points with distinct x and distinct y: every pass has m levels
+            k = rng.randint(1, min(3, m // 2))
+            colors = [1 + i % k for i in range(m)]
+            rng.shuffle(colors)
+            if trial % 2:
+                xs, ys = rng.sample(range(m), m), rng.sample(range(m), m)
+            else:
+                xs = [rng.uniform(-1, 1) for _ in range(m)]
+                ys = [rng.uniform(-1, 1) for _ in range(m)]
+            ps = PointSet.build(list(zip(xs, ys, colors)), k)
+            for eps in (1e-9, 0.0):
+                for rows, arrays in canonical_passes(ps):
+                    del built[:], asked[:]
+                    setup = lcorridor._arrays_setup(arrays, k)
+                    got = lcorridor._sweep(setup, eps)
+                    assert repr(got) == repr(reference_sweep(rows, k, eps)), rows
+                    if setup is None:
+                        assert not built and not asked
+                        continue
+                    assert len(setup[0]) == m
+                    assert len(built) == (m > chunk)
+                    assert asked == list(range(chunk, m, chunk))
+                    filtered += bool(asked)
+    assert filtered > 100
 
 
 def test_array_staircases_match_row_staircases():

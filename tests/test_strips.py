@@ -99,6 +99,18 @@ def test_signed_zero_sides_keep_their_sign():
     assert math.copysign(1.0, s.lo) == 1.0
 
 
+def test_overflowed_gap_is_not_usable():
+    # both sides are finite but their difference overflows to inf: no
+    # strip has that width, so the gap is unusable and none is returned
+    ps = PointSet.build([(-1.7e308, 0, 1), (-1.6e308, 1, 2),
+                         (1.7e308, 0, 1), (1.6e308, 1, 2)], 2)
+    with np.errstate(over="ignore"):
+        assert max_rbes(ps, "vertical") is None
+        row = np.array([[p.x for p in ps.points]])
+        gaps = rainbow_gaps(row, [p.color for p in ps.points], 2, DEFAULT_EPS)
+    assert np.all(gaps == -np.inf)
+
+
 def _brute_gaps(row, colors, k, eps):
     """Usable gaps by definition: sort, then test each side's color set."""
     pairs = sorted(zip(row.tolist(), colors.tolist()))

@@ -10,7 +10,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 @pytest.mark.parametrize("argv", [
     ["tools/square_pairs.py", "--n", "16", "--count", "1"],
     ["tools/circle_rows.py", "--n", "10", "--count", "1"],
-    ["tools/corridor_ops.py", "--n", "200", "--count", "1"],
+    ["tools/corridor_ops.py", "--n", "600", "--count", "1"],
     ["tools/loc.py"],
 ])
 def test_tool_runs_and_prints_a_total(argv):

@@ -9,10 +9,10 @@ give perfbench's corridor-large pool.  Each instance is solved once with
 max_rblc_all (four orientations, two sweeps each).  Per instance the
 script prints
 
-  calls      GapTree.insert calls.  A pass over more than lcorridor._SHORT
-             points calls it only for the values its chunk filter could
-             not show insert would skip; a shorter pass calls it for
-             every point.
+  calls      GapTree.insert calls.  A pass calls it for every point of
+             its first lcorridor._CHUNK levels, and after them only for
+             the values its chunk filter could not show insert would
+             skip.
   activated  of those, the calls that activated a value in the tree; the
              rest were skipped under the floor or repeated a value
   queries    GapTree.query calls
