@@ -165,12 +165,16 @@ def point_center_candidates(pointset: PointSet):
     return _coords(pointset)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def far_field_candidates(pointset: PointSet):
     """Sentinel centers far outside the cloud.  Ring widths grow toward
     empty-strip widths as the center recedes, so any bounded sampling of
     the plane is dominated by centers far along the candidate strip
     normals: the direction of a point pair and its perpendicular, at each
-    of FAR_FIELD_SCALES times the cloud span from the pair's first point."""
+    of FAR_FIELD_SCALES times the cloud span from the pair's first point.
+    Near the top of the float range a span, a pair's distance or a
+    sentinel may overflow; those sentinels are non-finite and score as
+    none."""
     X, Y = _coords(pointset)
     span = max(float(X.max() - X.min()), float(Y.max() - Y.min()), 1.0)
     i, j = np.nonzero(~np.eye(X.size, dtype=bool))
@@ -234,9 +238,11 @@ def _columns(pointset: PointSet) -> _Columns:
 
 
 def _hypot_rows(X, Y, cx, cy, D, T):
-    np.subtract(X, cx, out=D)
-    np.subtract(Y, cy, out=T)
-    return np.hypot(D, T, out=D)
+    # a distance that overflows is inf, and rainbow_gaps never uses it
+    with np.errstate(over="ignore"):
+        np.subtract(X, cx, out=D)
+        np.subtract(Y, cy, out=T)
+        return np.hypot(D, T, out=D)
 
 
 def _sqrt_rows(X, Y, cx, cy, D, T):
@@ -513,11 +519,14 @@ def max_rbca_on_line(pointset: PointSet, line: Line,
     X, Y = _coords(pointset)
     ox, oy = line.origin
     dx, dy = line.direction
-    ts = (X - ox) * dx + (Y - oy) * dy
-    lo, hi = float(ts.min()), float(ts.max())
-    span = max(hi - lo, 1.0)
-    t = np.array([v for s in FAR_FIELD_SCALES
-                  for v in (lo - s * span, hi + s * span)])
-    parts.append((ox + t * dx, oy + t * dy))
+    # near the top of the float range these may overflow, and a
+    # non-finite sentinel scores as none
+    with np.errstate(over="ignore", invalid="ignore"):
+        ts = (X - ox) * dx + (Y - oy) * dy
+        lo, hi = float(ts.min()), float(ts.max())
+        span = max(hi - lo, 1.0)
+        t = np.array([v for s in FAR_FIELD_SCALES
+                      for v in (lo - s * span, hi + s * span)])
+        parts.append((ox + t * dx, oy + t * dy))
     xs, ys = _concat(parts)
     return _pick_best(pointset, xs, ys, eps)

@@ -51,8 +51,9 @@ delta = y_j - y_i):
 * the floor test: once no gap between the x-values inserted through the
   level is wider than w, the gap query answers from the two hull-end gaps,
   so it fails when the hull meets (lo, hi) and both end gaps are shorter
-  than delta.  The widest gap is bounded from the sorted values at an
-  earlier row, widened by the hull's growth since.
+  than delta.  The widest gap is bounded by the GapTree's own root, read
+  with ``GapTree.root`` before the chunk, widened by the hull's growth
+  inside it.
 
 Only the levels where neither test holds go to the per-level loop, in
 order, with the inserts before them.  The inserts the floor would skip
@@ -235,6 +236,12 @@ class GapTree:
     longer than its floor is exactly the answer without floors (same
     tuple, same leftmost tie), and any other answer has a length <= the
     floor.  The default floor, -inf, keeps every answer exact.
+
+    ``root()`` reads the root node as ``(mn, mx, widest)``: the hull of
+    the active values and the length of their widest inner gap, -inf
+    while there is none.  The hull is exact whatever the floors, since an
+    insert outside it is never skipped; ``widest`` is exact whenever it
+    or the exact widest gap is longer than every floor given so far.
     """
 
     __slots__ = ("_xs", "_size", "_mn", "_mx", "_gl", "_gr")
@@ -294,6 +301,9 @@ class GapTree:
                 gl, gr = gls[r], grs[r]
             gls[v], grs[v] = gl, gr
             v >>= 1
+
+    def root(self):
+        return self._mn[1], self._mx[1], self._gr[1] - self._gl[1]
 
     def _range(self, li, ri):
         # fold tree nodes covering [li, ri] in left-to-right span order so
@@ -370,15 +380,17 @@ _CHUNK = 256
 class _LevelFilter:
     """Batched rejection of a sweep's levels, one chunk of levels at a time.
 
-    ``split(a, b, w)`` looks at levels a..b-1 at width w and returns
-    ``(kept, pending, rest)``.  ``kept`` lists the levels where the
-    per-level loop, run at any best width >= w, might get past its first
-    candidate.  ``pending[i]`` holds the x-values to insert before level
-    ``kept[i]`` is swept, ``rest`` those after the last kept level: the
-    values, in row order, whose ``GapTree.insert`` call might activate
-    one.  Every other level stops at its first candidate, and every other
-    insert would be skipped under the floor.  Chunks must come in
-    increasing order; one chunk may be split again at another width.
+    ``split(a, b, w, gaps)`` looks at levels a..b-1 at width w and returns
+    ``(kept, pending, rest)``.  ``gaps`` is the sweep's GapTree, handed
+    every row before level a (an insert it skipped counts as handed) and
+    none after, under floors no greater than w.  ``kept`` lists the levels
+    where the per-level loop, run at any best width >= w, might get past
+    its first candidate.  ``pending[i]`` holds the x-values to insert
+    before level ``kept[i]`` is swept, ``rest`` those after the last kept
+    level: the values, in row order, whose ``GapTree.insert`` call might
+    activate one.  Every other level stops at its first candidate, and
+    every other insert would be skipped under the floor.  The filter keeps
+    no state between calls, so chunks may come in any order.
     """
 
     def __init__(self, xs, bounds, level_ys, lower, upper):
@@ -390,30 +402,6 @@ class _LevelFilter:
         self._sb_t, self._sb_v = (np.asarray(v, dtype=float) for v in lower)
         self._st_t = np.asarray(upper[0], dtype=float)
         self._st_v = np.concatenate(([-INF], upper[1]))
-        # hull of the rows before row _ph
-        self._ph, self._mn, self._mx = 0, INF, -INF
-        # the sorted x of the rows before row _pg, its widest inner gap
-        # and its hull ends
-        self._pg, self._srt = 0, np.empty(0)
-        self._g, self._gmn, self._gmx = -INF, INF, -INF
-
-    def _gap_bound(self, p0, mn1, mx1, w):
-        # An upper bound on the widest inner gap of the rows before t, for
-        # every t from p0 up to the chunk's end, whose rows' hull is
-        # [mn1, mx1].  Inside the hull of the rows before _pg a gap only
-        # splits; outside it, any gap lies within [mx(_pg), mx1] or
-        # [mn1, mn(_pg)].  Rounding is monotone, so each float difference
-        # below bounds the computed length of any gap it contains.
-        u = max(self._g, mx1 - self._gmx, self._gmn - mn1)
-        if u > w and self._pg < p0:
-            new = np.sort(self._xs[self._pg:p0])
-            srt = self._srt = np.insert(
-                self._srt, np.searchsorted(self._srt, new), new)
-            self._pg = p0
-            self._g = float(np.diff(srt).max()) if len(srt) > 1 else -INF
-            self._gmn, self._gmx = srt[0], srt[-1]
-            u = max(self._g, mx1 - self._gmx, self._gmn - mn1)
-        return u
 
     def _band_max(self, l, r):
         # max of the level maxima over levels l..r-1, -inf where r <= l,
@@ -435,19 +423,19 @@ class _LevelFilter:
         out[on] = np.maximum(table[j, l[on] - s0], table[j, r[on] - s0 - (1 << j)])
         return out
 
-    def split(self, a, b, w):
+    # near the top of the float range a difference may overflow to inf,
+    # the value the per-level loop's float arithmetic compares there
+    @np.errstate(over="ignore", invalid="ignore")
+    def split(self, a, b, w, gaps):
         ly = self._ly
         m = len(ly)
         p0, p1 = int(self._starts[a]), int(self._starts[b])
-        if self._ph < p0:
-            gone = self._xs[self._ph:p0]
-            self._mn = min(self._mn, float(gone.min()))
-            self._mx = max(self._mx, float(gone.max()))
-            self._ph = p0
         xc = self._xs[p0:p1]
+        # hull and widest inner gap of the rows before the chunk, then the
         # hull of the rows through each row of the chunk
-        cmn = np.minimum(np.minimum.accumulate(xc), self._mn)
-        cmx = np.maximum(np.maximum.accumulate(xc), self._mx)
+        mn, mx, widest = gaps.root()
+        cmn = np.minimum(np.minimum.accumulate(xc), mn)
+        cmx = np.maximum(np.maximum.accumulate(xc), mx)
 
         # Test 1, the break test at the first candidate level lj
         yi = ly[a:b]
@@ -471,16 +459,28 @@ class _LevelFilter:
         keep &= hi - lo >= delta
 
         # Test 2, the floor test: the query's floor branch answers from
-        # the two hull-end gaps once no inner gap beats the floor
+        # the two hull-end gaps once no inner gap beats the floor.  Every
+        # inner gap of the rows through the chunk's end is a piece of a gap
+        # of the tree, or lies within [mx, cmx[-1]] or [cmn[-1], mn];
+        # rounding is monotone, so none is longer than the max below.
+        #
+        # Why the tree's root is enough.  When split(a, ...) is called the
+        # tree has been handed every row before chunk a, and the filter
+        # drops only inserts that GapTree.insert would skip, never a value
+        # outside the hull; so the tree is the one every insert would give,
+        # and mn, mx is the exact hull.  By the tree's floor proof a gap
+        # longer than a past floor, all of which are <= w, is an exact gap,
+        # so widest <= w holds exactly when the true widest gap is <= w: the
+        # test decides as it would on the sorted values themselves.
         ends = self._starts[a + 1:b + 1] - p0  # each level's end in xc
-        if self._gap_bound(p0, cmn[-1], cmx[-1], w) <= w:
-            mn, mx = cmn[ends - 1], cmx[ends - 1]
-            left = np.where(lo < mn, mn - lo, -INF)
-            right = np.where(mx < hi, hi - mx, -INF)
-            keep &= ~((mn < hi) & (mx > lo) & (left < delta) & (right < delta))
+        if max(widest, cmx[-1] - mx, mn - cmn[-1]) <= w:
+            lmn, lmx = cmn[ends - 1], cmx[ends - 1]
+            left = np.where(lo < lmn, lmn - lo, -INF)
+            right = np.where(lmx < hi, hi - lmx, -INF)
+            keep &= ~((lmn < hi) & (lmx > lo) & (left < delta) & (right < delta))
             # insert's own skip: strictly inside the hull of earlier rows
-            inside = (xc > np.concatenate(([self._mn], cmn[:-1]))) & (
-                xc < np.concatenate(([self._mx], cmx[:-1])))
+            inside = (xc > np.concatenate(([mn], cmn[:-1]))) & (
+                xc < np.concatenate(([mx], cmx[:-1])))
             rows = np.flatnonzero(~inside)
         else:
             rows = np.arange(p1 - p0)
@@ -515,9 +515,9 @@ def _arrays_setup(pts, k):
     filt = (_LevelFilter(xs, bounds, ys[starts], lower, upper)
             if len(starts) > _CHUNK else None)
 
-    def split(a, b, w):
+    def split(a, b, w, gaps):
         if a:
-            return filt.split(a, b, w)
+            return filt.split(a, b, w, gaps)
         # The first chunk runs every level with all its inserts: at the
         # starting width, eps, the filter would keep nearly all of them.
         cut = bounds[:b + 1].tolist()
@@ -542,7 +542,7 @@ def _sweep(setup, eps):
     best = None
     w_best = eps
     for a in range(0, m, _CHUNK):
-        kept, pending, rest = split(a, min(a + _CHUNK, m), w_best)
+        kept, pending, rest = split(a, min(a + _CHUNK, m), w_best, gaps)
         for li, xs_in in zip(kept, pending):
             # w_best is the GapTree floor: only gaps wider than it can
             # win, and it never decreases, as the floor must not

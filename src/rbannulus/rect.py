@@ -446,7 +446,8 @@ def max_anchored_rbra_for_top_point(pointset: PointSet, i,
     fr = _frame_identity(pointset)
     i, _ = _validate_anchors(fr.n, i, None)
     best = _Best()
-    _walk_fast(fr, i, eps, best.width, best.emit)
+    with np.errstate(over="ignore"):  # as in _search
+        _walk_fast(fr, i, eps, best.width, best.emit)
     return best.annulus
 
 
@@ -481,15 +482,18 @@ def _search(pointset: PointSet, eps, walk):
     ys0 = np.array([p.y for p in pts], dtype=float)
     cs0 = [p.color for p in pts]
     best = _Best()
-    for which in range(4):
-        tx, ty = _orient_arrays(xs0, ys0, which)
-        fr = _make_frame(tx, ty, cs0, pointset.k)
+    # near the top of the float range a candidate width or a fence span
+    # may overflow to inf, which the walk compares as such
+    with np.errstate(over="ignore"):
+        for which in range(4):
+            tx, ty = _orient_arrays(xs0, ys0, which)
+            fr = _make_frame(tx, ty, cs0, pointset.k)
 
-        def emit(L, R, B, T, w, _o=which):
-            best.emit(*_orient_inverse(_o, L, R, B, T), w)
+            def emit(L, R, B, T, w, _o=which):
+                best.emit(*_orient_inverse(_o, L, R, B, T), w)
 
-        for i in range(fr.n):
-            walk(fr, i, eps, best.width, emit)
+            for i in range(fr.n):
+                walk(fr, i, eps, best.width, emit)
     return best.annulus
 
 

@@ -202,7 +202,10 @@ def _pair_strips(xs, ys, bottom, top):
     # ax and bx by the float operations of c3_center_segment, and each
     # pair's strip, the rows strictly between the two pinning y values (a
     # run of by_y, as _strip takes it), as row indices padded to the
-    # longest with row 0, and pad, the mask of the padding.
+    # longest with row 0, and pad, the mask of the padding.  Near the top
+    # of the float range r, y0, ax and bx may overflow; both callers run
+    # this under np.errstate, which silences the warning and keeps the
+    # values.
     yi, yj = ys[bottom], ys[top]
     r = (yj - yi) / 2.0
     y0 = (yi + yj) / 2.0
@@ -216,6 +219,7 @@ def _pair_strips(xs, ys, bottom, top):
     return r, y0, ax, bx, strip, pad
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _pair_bounds(xs, ys, eps):
     # xs, ys: the x and y columns of by_y.  Returns numpy arrays (bound,
     # bottom, top) over the pinned pairs by_y[bottom] (outer bottom side),
@@ -259,6 +263,7 @@ def _pair_bounds(xs, ys, eps):
     return bound[keep], bottom[keep], top[keep]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _reaching(xs, ys, bottom, top, limit):
     # xs, ys: the x and y columns of by_y; limit: a finite width.  Returns
     # a boolean mask over the pinned pairs by_y[bottom], by_y[top], True on

@@ -27,8 +27,8 @@ def rainbow_gaps(V, colors, k: int, eps: float):
     of its n columns.  Entry [r, t] is S[t+1] - S[t], for S row r sorted,
     when that gap is finite and wider than eps, S[t] >= rin and
     S[t+1] <= rout (see the module docstring).  A gap that overflows to
-    inf is unusable: no witness has that width.  V is left as it is.  Raises ValueError unless
-    eps >= 0.
+    inf is unusable: no witness has that width.  V is left as it is.
+    Raises ValueError unless eps >= 0.
     """
     check_eps(eps)
     colors = np.asarray(colors)
@@ -37,7 +37,8 @@ def rainbow_gaps(V, colors, k: int, eps: float):
         order = np.argsort(colors, kind="stable")
         V, colors = V[:, order], colors[order]
     S = np.sort(V, axis=1)
-    gaps = S[:, 1:] - S[:, :-1]
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan are unusable
+        gaps = S[:, 1:] - S[:, :-1]
     want = np.arange(1, k + 1)
     starts = np.searchsorted(colors, want)
     if np.any(np.searchsorted(colors, want, side="right") == starts):

@@ -21,64 +21,31 @@ def _finite(vals):
     return [v for v in vals if math.isfinite(v)]
 
 
-def _rect_sides(l, r, b, t, view, dash_all=False):
+def _rect_sides(l, r, b, t, view):
     """Segments for the boundary of an axis-parallel rectangle, clamping
     rays at the view edge.  A side whose perpendicular neighbours are not
     both finite got clipped, so it is dashed."""
     vl, vr, vb, vt = view
-    segs = []
-
-    def seg(x1, y1, x2, y2, clipped):
-        segs.append((x1, y1, x2, y2, clipped or dash_all))
-
-    if math.isfinite(l):
-        seg(l, max(b, vb), l, min(t, vt), not (math.isfinite(b) and math.isfinite(t)))
-    if math.isfinite(r):
-        seg(r, max(b, vb), r, min(t, vt), not (math.isfinite(b) and math.isfinite(t)))
-    if math.isfinite(b):
-        seg(max(l, vl), b, min(r, vr), b, not (math.isfinite(l) and math.isfinite(r)))
-    if math.isfinite(t):
-        seg(max(l, vl), t, min(r, vr), t, not (math.isfinite(l) and math.isfinite(r)))
+    clip_x = not (math.isfinite(b) and math.isfinite(t))
+    clip_y = not (math.isfinite(l) and math.isfinite(r))
+    segs = [(x, max(b, vb), x, min(t, vt), clip_x) for x in (l, r) if math.isfinite(x)]
+    segs += [(max(l, vl), y, min(r, vr), y, clip_y) for y in (b, t) if math.isfinite(y)]
     return segs
 
 
 def _annulus_segments(annulus, view):
-    """(segments, circles) drawing the annulus boundary inside view."""
+    """(segments, circles) drawing the annulus boundary inside view.  Every
+    annulus but the circular one is drawn from its outer and inner boxes,
+    whose sides at infinity have no segment."""
     from .core import CircularAnnulus, LCorridor, RectAnnulus, SquareAnnulus, Strip
 
-    vl, vr, vb, vt = view
-    segs = []
-    circles = []
     if isinstance(annulus, CircularAnnulus):
-        circles.append((annulus.center_x, annulus.center_y, annulus.r_in))
-        circles.append((annulus.center_x, annulus.center_y, annulus.r_out))
-    elif isinstance(annulus, Strip):
-        if annulus.orientation == "vertical":
-            segs.append((annulus.lo, vb, annulus.lo, vt, True))
-            segs.append((annulus.hi, vb, annulus.hi, vt, True))
-        else:
-            segs.append((vl, annulus.lo, vr, annulus.lo, True))
-            segs.append((vl, annulus.hi, vr, annulus.hi, True))
-    elif isinstance(annulus, LCorridor):
-        from .core import QUADRANT_SIGNS
-
-        sx, sy = QUADRANT_SIGNS[annulus.orientation]
-        for cx, cy in (annulus.inner_corner,
-                       (annulus.corner_x, annulus.corner_y)):
-            # two rays from the corner: one vertical going down (in the
-            # canonical frame), one horizontal going right
-            ex = vr if sx > 0 else vl
-            ey = vb if sy > 0 else vt
-            segs.append((cx, cy, ex, cy, True))
-            segs.append((cx, cy, cx, ey, True))
-    elif isinstance(annulus, (SquareAnnulus, RectAnnulus)):
-        ol, orr, ob, ot = annulus.outer_sides
-        il, ir, ib, it = annulus.inner_sides
-        segs.extend(_rect_sides(ol, orr, ob, ot, view))
-        segs.extend(_rect_sides(il, ir, ib, it, view))
-    else:
+        return [], [(annulus.center_x, annulus.center_y, annulus.r_in),
+                    (annulus.center_x, annulus.center_y, annulus.r_out)]
+    if not isinstance(annulus, (Strip, LCorridor, SquareAnnulus, RectAnnulus)):
         raise ValueError("cannot render %r" % type(annulus).__name__)
-    return segs, circles
+    return [seg for box in (annulus.outer_sides, annulus.inner_sides)
+            for seg in _rect_sides(*box, view)], []
 
 
 def render_svg(pointset, annulus=None, size: float = 640.0) -> str:

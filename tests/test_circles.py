@@ -469,12 +469,8 @@ def _screen_instances(rng, count):
 
 
 def _all_centres(ps):
-    # at 1e200 the squares in the bisector constants overflow, with a
-    # RuntimeWarning, and those crossings are dropped as non-finite
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return circles._concat([point_center_candidates(ps), cir22_candidates(ps),
-                                cir21_candidates(ps), far_field_candidates(ps)])
+    return circles._concat([point_center_candidates(ps), cir22_candidates(ps),
+                            cir21_candidates(ps), far_field_candidates(ps)])
 
 
 def test_screen_bounds_the_exact_score():
@@ -558,17 +554,15 @@ def test_screened_pick_matches_every_row_reference(monkeypatch):
     monkeypatch.setattr(circles, "_batch_widths",
                         lambda ps, xs, ys, eps: rows.append(len(xs))
                         or _batch_widths(ps, xs, ys, eps))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        assert max_rbca(FAR_CIR22).center_x < 1.0
-        assert max_rbca(FAR_TOP).center_x > 1e15
-        rng = random.Random(433)
-        for ps in _screen_instances(rng, 100):
-            max_rbca(ps)
-            mx = sum(p.x for p in ps.points) / len(ps.points)
-            my = sum(p.y for p in ps.points) / len(ps.points)
-            a, b = rng.uniform(-1, 1), rng.uniform(0.2, 1)
-            max_rbca_on_line(ps, Line(a, b, a * mx + b * my))
+    assert max_rbca(FAR_CIR22).center_x < 1.0
+    assert max_rbca(FAR_TOP).center_x > 1e15
+    rng = random.Random(433)
+    for ps in _screen_instances(rng, 100):
+        max_rbca(ps)
+        mx = sum(p.x for p in ps.points) / len(ps.points)
+        my = sum(p.y for p in ps.points) / len(ps.points)
+        a, b = rng.uniform(-1, 1), rng.uniform(0.2, 1)
+        max_rbca_on_line(ps, Line(a, b, a * mx + b * my))
     # the screened pick scores only its candidates exactly
     assert len(rows) == len(centres) == 2 * 140 + 2
     assert sum(rows) < sum(centres) / 4
@@ -830,9 +824,7 @@ def test_max_rbca_skips_overflowed_widths():
     for scale in (1e305, 1e306):
         big = PointSet.build([(p.x * scale, p.y * scale, p.color)
                               for p in ps.points], 2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            got = max_rbca(big)
+        got = max_rbca(big)
         assert got is not None and math.isfinite(got.width), scale
         assert validate_solution(got, big), scale
 

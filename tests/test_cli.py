@@ -307,6 +307,18 @@ def test_svg_infinite_sides_dashed():
     assert text2.count('<g class="annulus"') == 1
 
 
+def test_svg_draws_strips_and_corridors_from_their_boxes():
+    # a corridor's outer and inner boxes have two finite sides each, a
+    # strip's one: every side runs to infinity, so every line is dashed
+    ps = PointSet.build([(0, 0, 1), (3, 1, 2), (1, 4, 1), (5, 5, 2)], 2)
+    anns = [rbannulus.Strip(o, 1.0, 2.5) for o in ("vertical", "horizontal")]
+    anns += [rbannulus.LCorridor(o, 2.0, 3.0, 1.0) for o in rbannulus.L_ORIENTATIONS]
+    for ann in anns:
+        text = render_svg(ps, ann)
+        want = 2 if isinstance(ann, rbannulus.Strip) else 4
+        assert text.count("<line ") == text.count("stroke-dasharray") == want, ann
+
+
 def test_bench_deterministic_widths(capsys):
     argv = ["bench", "--shape", "strip", "--sizes", "30,60",
             "--trials", "1", "--seed", "7"]

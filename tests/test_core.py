@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -18,8 +19,16 @@ from rbannulus import (
     SquareAnnulus,
     Strip,
     classify,
+    generate_instance,
+    max_rbca,
+    max_rbca_on_line,
+    max_rbes,
+    max_rblc_all,
+    max_rbra,
+    max_rbsa,
     validate_solution,
 )
+from rbannulus import circles
 from rbannulus.core import is_rainbow, offset_square
 
 # entry points, geometry types and I/O; helpers stay in their modules
@@ -289,3 +298,38 @@ def test_classify_partition_circle(cx, cy, r_in, w, px, py):
         assert r is Region.INTERIOR
     elif d > r_in + w + 1e-6:
         assert r is Region.OUTSIDE
+
+
+def _huge_instances():
+    # generated instances moved near the top of the float range, which
+    # PointSet.build accepts: scaled, or centred and scaled
+    for seed in range(6):
+        ps = generate_instance(12, 2, "uniform", seed)
+        for centre, scale in ((0.0, 1e305), (0.0, 1.7e306), (50.0, 1e307 / 50)):
+            yield PointSet.build([((p.x - centre) * scale, (p.y - centre) * scale,
+                                   p.color) for p in ps.points], 2)
+    yield PointSet.build([(-1.7e308, 0, 1), (-1.6e308, 1, 2),
+                          (1.7e308, 0, 1), (1.6e308, 1, 2)], 2)
+
+
+_SOLVERS = {
+    "max_rbca": max_rbca,
+    "max_rbca_on_line": lambda ps: max_rbca_on_line(ps, Line(1.0, -1.0, 0.0)),
+    "max_rbes": lambda ps: max_rbes(ps, "vertical") or max_rbes(ps, "horizontal"),
+    "max_rblc_all": max_rblc_all,
+    "max_rbra": max_rbra,
+    "max_rbsa": max_rbsa,
+}
+_GENERATORS = ("point_center_candidates", "cir22_candidates",
+               "cir21_candidates", "far_field_candidates")
+
+
+@pytest.mark.parametrize("name", sorted(_SOLVERS) + list(_GENERATORS))
+def test_no_runtime_warning_near_the_float_limit(name):
+    # an overflow inside a solver is a value it handles, not news for the
+    # caller
+    call = _SOLVERS.get(name) or getattr(circles, name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for ps in _huge_instances():
+            call(ps)

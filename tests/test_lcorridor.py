@@ -162,6 +162,13 @@ def test_gap_tree_floor_contract():
             leaf = tree._mn[bisect_left(tree._xs, x) + tree._size]
             skipped += leaf == INF
             walls = sorted(active.values())
+            # root() gives the exact hull, and the exact widest inner gap
+            # whenever either one is longer than the floor
+            mn, mx, widest = tree.root()
+            assert (mn, mx) == (walls[0], walls[-1]), (universe, x)
+            exact = max((b - a for a, b in zip(walls, walls[1:])), default=-INF)
+            if widest > floor or exact > floor:
+                assert widest == exact, (universe, x, floor)
             for _ in range(12):
                 lo, hi = (universe[0] + rng.uniform(-0.2, 1.2) * span for _ in "lh")
                 lo = -INF if rng.random() < 0.1 else lo
@@ -394,8 +401,11 @@ def test_chunked_sweep_matches_per_level_sweep(monkeypatch, chunk):
     split = lcorridor._LevelFilter.split
     seen = {"levels": 0, "kept": 0}
 
-    def counting_split(self, a, b, w):
-        got = split(self, a, b, w)
+    def counting_split(self, a, b, w, gaps):
+        # the tree holds the rows before the chunk: its hull is theirs
+        rows_before = self._xs[:self._starts[a]]
+        assert gaps.root()[:2] == (rows_before.min(), rows_before.max())
+        got = split(self, a, b, w, gaps)
         seen["levels"] += b - a
         seen["kept"] += len(got[0])
         return got
@@ -426,9 +436,9 @@ def test_first_chunk_runs_unfiltered(monkeypatch):
         built.append(1)
         init(self, *args)
 
-    def recording_split(self, a, b, w):
+    def recording_split(self, a, b, w, gaps):
         asked.append(a)
-        return split(self, a, b, w)
+        return split(self, a, b, w, gaps)
 
     monkeypatch.setattr(lcorridor._LevelFilter, "__init__", counting_init)
     monkeypatch.setattr(lcorridor._LevelFilter, "split", recording_split)
@@ -519,20 +529,24 @@ def test_chunk_filter_rejects_only_what_the_loop_would(monkeypatch):
             setup = lcorridor._arrays_setup(arrays, k)
             if setup is None:
                 continue
-            level_ys, split = setup[0], setup[-1]
+            level_ys, gaps, split = setup[0], setup[-2], setup[-1]
             hit = reference_sweep(rows, k, 1e-9)
             top = hit[0] if hit else 1.0
             floors = (1e-9, top / 4, top / 2, top, 2 * top)
             by_y = sorted(rows, key=lambda p: (p[1], p[0]))
             row_ys = [p[1] for p in by_y]
             m = len(level_ys)
+            handed = 0  # rows inserted into gaps so far
             for a in range(0, m, 4):
                 b = min(a + 4, m)
                 first = bisect_left(row_ys, level_ys[a])
+                for x, _, _ in by_y[handed:first]:
+                    gaps.insert(x)
+                handed = first
                 chunk = by_y[first:bisect_right(row_ys, level_ys[b - 1])]
                 kept_before = set(range(a, b))
                 for w in floors:
-                    kept, pending, rest = split(a, b, w)
+                    kept, pending, rest = split(a, b, w, gaps)
                     # a level rejected at w stays rejected at any larger w
                     assert set(kept) <= kept_before, (rows, a, w)
                     kept_before = set(kept)
