@@ -82,18 +82,12 @@ def _cross(a1, b1, c1, a2, b2, c2):
     return x[keep], y[keep]
 
 
-def _coords(pointset: PointSet):
-    pts = pointset.points
-    return (np.array([p.x for p in pts], dtype=float),
-            np.array([p.y for p in pts], dtype=float))
-
-
 def _frame(pointset: PointSet):
     """(X, Y, e): the points' coordinates times 2^-e.  e is 0 while every
     magnitude is below _BIG, and otherwise brings the largest into
     [0.5, 1).  Scaling by a power of two is exact, and so is every center
     computed from the scaled coordinates, scaled back by _unscale."""
-    X, Y = _coords(pointset)
+    X, Y = pointset.xs, pointset.ys
     top = max(float(np.abs(X).max()), float(np.abs(Y).max()))
     if top < _BIG:
         return X, Y, 0
@@ -162,7 +156,7 @@ def point_center_candidates(pointset: PointSet):
     """The input points themselves.  A ring whose inner radius degenerates
     to zero has its center on a point, and small instances have no other
     pinned centers at all."""
-    return _coords(pointset)
+    return pointset.xs, pointset.ys
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -175,7 +169,7 @@ def far_field_candidates(pointset: PointSet):
     Near the top of the float range a span, a pair's distance or a
     sentinel may overflow; those sentinels are non-finite and score as
     none."""
-    X, Y = _coords(pointset)
+    X, Y = pointset.xs, pointset.ys
     span = max(float(X.max() - X.min()), float(Y.max() - Y.min()), 1.0)
     i, j = np.nonzero(~np.eye(X.size, dtype=bool))
     dx = X[j] - X[i]
@@ -208,9 +202,9 @@ def best_annulus_at_center(pointset: PointSet, center,
     cy = float(center[1])
     if not (math.isfinite(cx) and math.isfinite(cy)):
         return None
-    pts = pointset.points
-    ds = [math.hypot(p.x - cx, p.y - cy) for p in pts]
-    t = widest_rainbow_gap(ds, [p.color for p in pts], pointset.k, eps)
+    ds = [math.hypot(x - cx, y - cy)
+          for x, y in zip(pointset.xs.tolist(), pointset.ys.tolist())]
+    t = widest_rainbow_gap(ds, pointset.cs, pointset.k, eps)
     if t is None:
         return None
     ds.sort()
@@ -228,12 +222,9 @@ class _Columns(NamedTuple):
 
 
 def _columns(pointset: PointSet) -> _Columns:
-    X, Y = _coords(pointset)
-    C = np.array([p.color for p in pointset.points])
+    X, Y, C = pointset.xs, pointset.ys, pointset.cs
     order = np.argsort(C, kind="stable")
-    pts = pointset.points
-    box = (pts[pointset.by_x[0]].x, pts[pointset.by_x[-1]].x,
-           pts[pointset.by_y[0]].y, pts[pointset.by_y[-1]].y)
+    box = tuple(X[pointset.by_x[[0, -1]]].tolist() + Y[pointset.by_y[[0, -1]]].tolist())
     return _Columns(X[order], Y[order], C[order], pointset.k, box)
 
 
@@ -516,7 +507,7 @@ def max_rbca_on_line(pointset: PointSet, line: Line,
     b = mx[i] - X[j]
     parts.append(_cross(la, lb, lc, a, b, a * mx[i] + b * my[i]))
     parts = [_unscale(_concat(parts), e)]
-    X, Y = _coords(pointset)
+    X, Y = pointset.xs, pointset.ys
     ox, oy = line.origin
     dx, dy = line.direction
     # near the top of the float range these may overflow, and a

@@ -16,8 +16,10 @@ applies these semantics to them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+
+import numpy as np
 
 DEFAULT_EPS = 1e-9
 INF = float("inf")
@@ -47,18 +49,30 @@ def _as_point(p) -> ColoredPoint:
 
 @dataclass(frozen=True)
 class PointSet:
-    """Immutable colored input with sorted index permutations.
+    """Immutable colored input with its columns and sorted orders.
 
-    ``by_x`` / ``by_y`` are index permutations sorting ``points`` by x
-    (then y) and by y (then x).  ``color_count[c-1]`` is the multiplicity
-    of color c.
+    ``color_count[c-1]`` is the multiplicity of color c.  ``build`` also
+    makes the columns every solver reads, as read-only numpy arrays:
+
+    * ``xs``, ``ys``: the coordinates of ``points``, float64, each zero
+      with its sign;
+    * ``cs``: the colors, intp;
+    * ``by_x``, ``by_y``: intp index permutations sorting ``points`` by x
+      (then y) and by y (then x), tied points in index order, with -0.0
+      equal to 0.0.
+
+    The columns are derived from ``points``, so ``==``, ``hash`` and
+    ``repr`` leave them out.
     """
 
     points: tuple[ColoredPoint, ...]
     k: int
-    by_x: tuple[int, ...]
-    by_y: tuple[int, ...]
     color_count: tuple[int, ...]
+    xs: np.ndarray = field(compare=False, repr=False)
+    ys: np.ndarray = field(compare=False, repr=False)
+    cs: np.ndarray = field(compare=False, repr=False)
+    by_x: np.ndarray = field(compare=False, repr=False)
+    by_y: np.ndarray = field(compare=False, repr=False)
 
     @classmethod
     def build(cls, points, k: int | None = None) -> PointSet:
@@ -86,10 +100,14 @@ class PointSet:
             raise ValueError("every color needs at least two points, short: %r" % short)
         if 2 * kk > len(pts):
             raise ValueError("k=%d exceeds n/2 for n=%d" % (kk, len(pts)))
-        n = len(pts)
-        by_x = tuple(sorted(range(n), key=lambda i: (pts[i].x, pts[i].y)))
-        by_y = tuple(sorted(range(n), key=lambda i: (pts[i].y, pts[i].x)))
-        return cls(pts, kk, by_x, by_y, tuple(counts))
+        xs = np.array([p.x for p in pts], dtype=float)
+        ys = np.array([p.y for p in pts], dtype=float)
+        cs = np.array([p.color for p in pts], dtype=np.intp)
+        # lexsort is stable and compares -0.0 equal to 0.0, as sorted() does
+        columns = (xs, ys, cs, np.lexsort((ys, xs)), np.lexsort((xs, ys)))
+        for col in columns:
+            col.flags.writeable = False
+        return cls(pts, kk, tuple(counts), *columns)
 
     @property
     def n(self) -> int:

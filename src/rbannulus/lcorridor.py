@@ -557,6 +557,8 @@ def _sweep(setup, eps):
             while lj < m:
                 y_j = level_ys[lj]
                 delta = y_j - y_i
+                if delta == INF:
+                    break  # overflowed, as at every higher level: no witness
                 if delta <= w_best:
                     # float rounding can land y_i + w_best short of the
                     # level just used; step until the width strictly improves
@@ -596,11 +598,7 @@ def max_rblc(pointset: PointSet, orientation: str, eps: float = DEFAULT_EPS):
     if orientation not in L_ORIENTATIONS:
         raise ValueError("bad orientation %r" % orientation)
     sx, sy = QUADRANT_SIGNS[orientation]
-    pts = pointset.points
-    n = len(pts)
-    xs = sx * np.fromiter((p.x for p in pts), dtype=float, count=n)
-    ys = sy * np.fromiter((p.y for p in pts), dtype=float, count=n)
-    cs = np.fromiter((p.color for p in pts), dtype=np.intp, count=n)
+    xs, ys, cs = sx * pointset.xs, sy * pointset.ys, pointset.cs
     best = None
 
     hit = _sweep(_arrays_setup((xs, ys, cs), pointset.k), eps)

@@ -46,11 +46,14 @@ class _Frame:
                  "xorder_l", "xsorted_l")
 
 
-def _make_frame(xs, ys, cs, k: int) -> _Frame:
-    X0 = np.asarray(xs, dtype=float)
-    Y0 = np.asarray(ys, dtype=float)
-    C0 = np.asarray(cs, dtype=np.int64)
-    order = np.lexsort((C0, X0, -Y0))  # top-down, ties left-right then color
+def _top_down(xs, ys, cs):
+    # descending y, ties by ascending x then color, then index
+    return np.lexsort((cs, xs, -ys))
+
+
+def _make_frame(X0, Y0, C0, k: int) -> _Frame:
+    # X0, Y0, C0: float and int columns of one orientation of the input
+    order = _top_down(X0, Y0, C0)
     fr = _Frame()
     fr.n = int(X0.size)
     fr.k = k
@@ -79,9 +82,7 @@ def _make_frame(xs, ys, cs, k: int) -> _Frame:
 
 
 def _frame_identity(pointset: PointSet) -> _Frame:
-    pts = pointset.points
-    return _make_frame([p.x for p in pts], [p.y for p in pts],
-                       [p.color for p in pts], pointset.k)
+    return _make_frame(pointset.xs, pointset.ys, pointset.cs, pointset.k)
 
 
 def _first_below(fr: _Frame, v: float) -> int:
@@ -96,7 +97,8 @@ def _first_at_most(fr: _Frame, v: float) -> int:
 def anchor_ordering(pointset: PointSet):
     """The point order the anchored ops index into: descending y, ties by
     ascending x then color."""
-    return sorted(pointset.points, key=lambda p: (-p.y, p.x, p.color))
+    pts = pointset.points
+    return [pts[i] for i in _top_down(pointset.xs, pointset.ys, pointset.cs)]
 
 
 # ---------------------------------------------------------------------------
@@ -475,19 +477,13 @@ def _search(pointset: PointSet, eps, walk):
     """Runs walk from every anchor in each of the four orientations and
     keeps the best witness, mapped back to the input frame."""
     check_eps(eps)
-    pts = pointset.points
-    if len(pts) < 2:
-        return None
-    xs0 = np.array([p.x for p in pts], dtype=float)
-    ys0 = np.array([p.y for p in pts], dtype=float)
-    cs0 = [p.color for p in pts]
     best = _Best()
     # near the top of the float range a candidate width or a fence span
     # may overflow to inf, which the walk compares as such
     with np.errstate(over="ignore"):
         for which in range(4):
-            tx, ty = _orient_arrays(xs0, ys0, which)
-            fr = _make_frame(tx, ty, cs0, pointset.k)
+            tx, ty = _orient_arrays(pointset.xs, pointset.ys, which)
+            fr = _make_frame(tx, ty, pointset.cs, pointset.k)
 
             def emit(L, R, B, T, w, _o=which):
                 best.emit(*_orient_inverse(_o, L, R, B, T), w)

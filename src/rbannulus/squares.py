@@ -80,12 +80,25 @@ def c3_center_segment(p_i, p_j):
     return (ax, y0), (bx, y0), r
 
 
+def _rows(pointset, swap):
+    # the rows of one pinned-pair frame, (x, y, color) or with swap
+    # (y, x, color), sorted by (y, x, color) with ties in index order: the
+    # x and y columns, and the rows as tuples
+    xs, ys, cs = pointset.xs, pointset.ys, pointset.cs
+    if swap:
+        xs, ys = ys, xs
+    order = np.lexsort((cs, xs, ys))
+    xs, ys = xs[order], ys[order]
+    return xs, ys, list(zip(xs.tolist(), ys.tolist(), cs[order].tolist()))
+
+
 def _strip(by_y, y_lo, y_hi):
     # the (x, y, color) rows lying strictly between the two pinning y
     # values, in increasing x, as three parallel lists.  by_y is in
     # increasing y and, among equal y, in the order of the x sort (by_x),
-    # so the rows are a contiguous run of it, and a stable sort by x puts
-    # them in by_x order, ties and the sign of each zero included.
+    # as _rows gives it, so the rows are a contiguous run of it, and a
+    # stable sort by x puts them in by_x order, ties and the sign of each
+    # zero included.
     y = itemgetter(1)
     lo = bisect_right(by_y, y_lo, key=y)
     hi = bisect_left(by_y, y_hi, lo, key=y)
@@ -187,10 +200,7 @@ def best_annulus_on_segment(pointset: PointSet, p_i, p_j, eps: float = DEFAULT_E
     if seg is None:
         return None
     (ax, y0), (bx, _), r = seg
-    pts = pointset.points
-    # pointset.by_y sorts by (y, x), which among equal y is the by_x order
-    by_y = [(pts[i].x, pts[i].y, pts[i].color) for i in pointset.by_y]
-    strip = _strip(by_y, _xy(p_i)[1], _xy(p_j)[1])
+    strip = _strip(_rows(pointset, False)[2], _xy(p_i)[1], _xy(p_j)[1])
     totals = (0,) + pointset.color_count
     hit = _scan_segment(*strip, totals, pointset.k, y0, r, ax, bx, eps)
     return None if hit is None else _square(hit[0], hit[1], y0, r)
@@ -317,9 +327,9 @@ def _reaching(xs, ys, bottom, top, limit):
     return free.any(axis=1) | keep
 
 
-def _c3_family(rows, k, totals, eps, floor):
-    # rows: (x, y, color) tuples; best bounded annulus with the outer
-    # bottom and top sides pinned by two of them.  Returns
+def _c3_family(pointset, swap, eps, floor):
+    # The best bounded annulus with the outer bottom and top sides pinned
+    # by two rows of _rows(pointset, swap).  Returns
     # (width, center_x, center_y, r) in this frame, or None, whenever the
     # best width is at least floor; below floor the result may be None or
     # a narrower annulus.  Every pair is bounded (_pair_bounds); pairs are
@@ -333,9 +343,8 @@ def _c3_family(rows, k, totals, eps, floor):
     # pair's position in (y, x, color) order: the winner is the first best
     # pair in that order, as when every pair is scanned in it, whatever the
     # order of visits.
-    by_y = sorted(sorted(rows), key=lambda p: p[1])  # (y, x, color) order
-    xs = np.array([p[0] for p in by_y], dtype=float)
-    ys = np.array([p[1] for p in by_y], dtype=float)
+    xs, ys, by_y = _rows(pointset, swap)
+    k, totals = pointset.k, (0,) + pointset.color_count
     bound, bottom, top = _pair_bounds(xs, ys, eps)
     step = max(1, _CELLS // (2 * len(by_y)))  # two intervals per strip point
     best = key = None
@@ -365,13 +374,10 @@ def _c3_family(rows, k, totals, eps, floor):
 def _bounded(pointset, eps, floor):
     # max_rbsa_c3's answer whenever its width is at least floor; below
     # floor, None or a narrower annulus.
-    rows = [(p.x, p.y, p.color) for p in pointset.points]
-    totals = (0,) + pointset.color_count
-    best = _c3_family(rows, pointset.k, totals, eps, floor)  # (width, cx, cy, r)
-    swapped = [(y, x, c) for x, y, c in rows]
+    best = _c3_family(pointset, False, eps, floor)  # (width, cx, cy, r)
     # the swapped family wins only with a width at least best's
     floor = floor if best is None else max(floor, best[0])
-    hit = _c3_family(swapped, pointset.k, totals, eps, floor)
+    hit = _c3_family(pointset, True, eps, floor)
     if hit is not None:
         w, cx, cy, r = hit
         cand = (w, cy, cx, r)  # undo the coordinate swap

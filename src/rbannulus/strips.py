@@ -73,19 +73,17 @@ def max_rbes(pointset: PointSet, orientation: str, eps: float = DEFAULT_EPS):
     PointSet.  Ties go to the smallest lo.  Returns None when no gap
     separates two rainbows.
     """
-    pts = pointset.points
     if orientation == "vertical":
         order = pointset.by_x
-        coords = [pts[i].x for i in order]
+        coords = pointset.xs[order]
     elif orientation == "horizontal":
         order = pointset.by_y
-        coords = [pts[i].y for i in order]
+        coords = pointset.ys[order]
     else:
         raise ValueError("bad orientation %r" % orientation)
-    t = widest_rainbow_gap(coords, [pts[i].color for i in order],
-                           pointset.k, eps)
+    t = widest_rainbow_gap(coords, pointset.cs[order], pointset.k, eps)
     if t is None:
         return None
     # coords already ascend, so they are the sorted row itself, each with
     # its own sign of zero (a sort may reorder -0.0 and 0.0)
-    return Strip(orientation, coords[t], coords[t + 1])
+    return Strip(orientation, float(coords[t]), float(coords[t + 1]))

@@ -50,8 +50,8 @@ def _annulus_segments(annulus, view):
 
 def render_svg(pointset, annulus=None, size: float = 640.0) -> str:
     """Standalone SVG of the instance and (optionally) one annulus."""
-    xs = [p.x for p in pointset.points]
-    ys = [p.y for p in pointset.points]
+    xs = pointset.xs.tolist()
+    ys = pointset.ys.tolist()
     if annulus is not None:
         segs0, circ0 = _annulus_segments(
             annulus, (min(xs), max(xs), min(ys), max(ys)))

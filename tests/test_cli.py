@@ -350,6 +350,21 @@ def test_bench_json_report(capsys, tmp_path):
     assert out.splitlines()[-1] == "# slope %.3f" % got["slope"]
 
 
+def test_bench_warms_up_each_size(capsys, monkeypatch):
+    # one untimed solve ahead of each size's timed trials
+    solved = []
+
+    def counting(shape, pointset, eps, line=None):
+        solved.append(pointset.n)
+        return solve_instance(shape, pointset, eps, line=line)
+
+    monkeypatch.setattr(rbannulus.cli, "solve_instance", counting)
+    code, out, _ = run(capsys, ["bench", "--shape", "strip", "--sizes", "30,60",
+                                "--trials", "2"])
+    assert code == 0 and len(out.splitlines()) == 4
+    assert solved == [30] * 3 + [60] * 3
+
+
 def test_bench_json_unwritable_path_is_bad_input(capsys, tmp_path):
     argv = ["bench", "--shape", "strip", "--sizes", "30", "--trials", "1",
             "--json", str(tmp_path / "missing" / "bench.json")]

@@ -1,7 +1,9 @@
+import dataclasses
 import math
 import random
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,6 +32,7 @@ from rbannulus import (
 )
 from rbannulus import circles
 from rbannulus.core import is_rainbow, offset_square
+from rbannulus.squares import max_rbsa_c3
 
 # entry points, geometry types and I/O; helpers stay in their modules
 PUBLIC_NAMES = [
@@ -65,6 +68,58 @@ def test_pointset_build_infers_k():
     assert ps.n == 4
     assert ps.color_count == (2, 2)
     assert [ps.points[i].x for i in ps.by_x] == [0, 1, 5, 6]
+
+
+def _column_corpus():
+    # small instances over few values, with -0.0 next to 0.0 and points
+    # repeated under another color
+    rng = random.Random(2121)
+    values = (0.0, -0.0, 1.0, -1.0, 0.5)
+    for _ in range(200):
+        k = rng.randint(1, 3)
+        n = rng.randint(2 * k, 12)
+        colors = [c for c in range(1, k + 1) for _ in (0, 1)]
+        colors += [rng.randint(1, k) for _ in range(n - 2 * k)]
+        rng.shuffle(colors)
+        pts = [(rng.choice(values), rng.choice(values), c) for c in colors]
+        for x, y, c in pts[:rng.randint(0, 3)]:
+            pts.insert(rng.randint(0, len(pts)), (x, y, c % k + 1))
+        yield PointSet.build(pts, k)
+
+
+def test_pointset_orders_are_the_python_key_sorts():
+    for ps in _column_corpus():
+        pts, n = ps.points, ps.n
+        assert ps.by_x.dtype == ps.by_y.dtype == np.intp
+        assert ps.by_x.tolist() == sorted(range(n), key=lambda i: (pts[i].x, pts[i].y))
+        assert ps.by_y.tolist() == sorted(range(n), key=lambda i: (pts[i].y, pts[i].x))
+
+
+def test_pointset_columns_are_the_points_bit_for_bit():
+    for ps in _column_corpus():
+        assert ps.xs.dtype == ps.ys.dtype == np.float64 and ps.cs.dtype == np.intp
+        # repr tells -0.0 from 0.0
+        assert repr(ps.xs.tolist()) == repr([p.x for p in ps.points])
+        assert repr(ps.ys.tolist()) == repr([p.y for p in ps.points])
+        assert ps.cs.tolist() == [p.color for p in ps.points]
+
+
+def test_pointset_columns_are_read_only():
+    ps = PointSet.build([(0, 0, 1), (1, 0, 2), (5, 0, 1), (6, 0, 2)])
+    for name in ("xs", "ys", "cs", "by_x", "by_y"):
+        with pytest.raises(ValueError):
+            getattr(ps, name)[0] = 1
+
+
+def test_pointset_equality_and_hash_ignore_the_columns():
+    for ps in _column_corpus():
+        again = PointSet.build(ps.points, ps.k)
+        other = dataclasses.replace(ps, xs=ps.ys, ys=ps.xs, cs=ps.cs[::-1],
+                                    by_x=ps.by_y, by_y=ps.by_x)
+        assert ps == again == other
+        assert hash(ps) == hash(again) == hash(other)
+        assert repr(ps) == repr(other)
+        assert "array" not in repr(ps)
 
 
 def test_pointset_build_rejects_bad_input():
@@ -333,3 +388,31 @@ def test_no_runtime_warning_near_the_float_limit(name):
         warnings.simplefilter("error")
         for ps in _huge_instances():
             call(ps)
+
+
+@pytest.mark.parametrize("name", sorted(_SOLVERS))
+def test_overflowed_corridor_width_is_no_witness(name):
+    # y_j - y_i overflows to inf in the antidiagonal pass of every
+    # corridor orientation; such a width is no witness
+    ps = PointSet.build([(-1.7e308, 0, 1), (-1.6e308, 1, 2),
+                         (1.7e308, 0, 1), (1.6e308, 1, 2)], 2)
+    got = _SOLVERS[name](ps)
+    assert got is None or validate_solution(got, ps), got
+
+
+_WITNESS_SOLVERS = dict(_SOLVERS, **{
+    "max_rbes horizontal": lambda ps: max_rbes(ps, "horizontal"),
+    "max_rbsa_c3": max_rbsa_c3,
+})
+
+
+@pytest.mark.parametrize("name", sorted(_WITNESS_SOLVERS))
+def test_witnesses_carry_python_floats(name):
+    # fields read from numpy columns are converted, so a witness's repr
+    # is the same whichever way its values were computed
+    ps = generate_instance(12, 2, "uniform", 3)
+    got = _WITNESS_SOLVERS[name](ps)
+    assert got is not None
+    for f in dataclasses.fields(got):
+        assert not isinstance(getattr(got, f.name), np.generic), (f.name, got)
+    assert "np." not in repr(got)

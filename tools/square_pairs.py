@@ -42,10 +42,10 @@ def install_counters(counts):
     pair_bounds, c3_family = squares._pair_bounds, squares._c3_family
     scan, reaching = squares._scan_segment, squares._reaching
 
-    def family(rows, k, totals, eps, floor):
+    def family(pointset, swap, eps, floor):
         counts.append(dict.fromkeys(FIELDS, 0))
         counts[-1]["floor_value"] = floor
-        return c3_family(rows, k, totals, eps, floor)
+        return c3_family(pointset, swap, eps, floor)
 
     def bounds(xs, ys, eps):
         out = pair_bounds(xs, ys, eps)
