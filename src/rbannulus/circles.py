@@ -272,15 +272,14 @@ def _batch_widths(pointset: PointSet, cxs, cys, eps: float):
     return _row_widths(_columns(pointset), cxs, cys, eps, _hypot_rows)
 
 
-def _screen(pointset: PointSet, cxs, cys, eps: float, cols=None):
+def _screen(pointset: PointSet, cxs, cys, eps: float):
     """(w, e) per center: w the best ring width from sqrt(dx*dx + dy*dy)
     distances (-inf where none) and e a bound on how far it can be from the
     exact score w_x of _batch_widths.  Where both are finite, |w - w_x| <= e;
     where either is -inf, the same holds with eps in its place, so
     max(w, eps) + e bounds w_x from above, and w_x >= w - e once w - e > eps.
     Centers whose rows would leave the safe exponent range are not screened:
-    w = -inf and e = inf there.  cols is _columns(pointset), which a search
-    that screens several times builds once."""
+    w = -inf and e = inf there."""
     # Why: B, the L1 distance to the far corner of the bounding box, is at
     # least |dx| + |dy| for every point of the row, with dx and dy the same
     # float subtractions both passes make (rounding is monotone), so B(1+u)
@@ -301,8 +300,7 @@ def _screen(pointset: PointSet, cxs, cys, eps: float, cols=None):
     # That totals at most 20u*B; e = 2^-47 * B = 64u*B.  With B <= 2^510 no
     # square overflows, and with B >= 2^-450 the absolute error of a square
     # that underflows (sqrt(2^-1074) ~ 2^-537 in d) is far below e.
-    if cols is None:
-        cols = _columns(pointset)
+    cols = _columns(pointset)
     x0, x1, y0, y1 = cols.box
     with np.errstate(over="ignore", invalid="ignore"):
         B = (np.maximum(np.abs(cxs - x0), np.abs(cxs - x1))
@@ -393,7 +391,6 @@ def _shortlist_rows(pointset: PointSet, cxs, cys, eps: float):
     # A center whose exact score is below fl(t_lo - _FINALIST_SLACK), which
     # is at most fl(top - _FINALIST_SLACK), is on no shortlist; a skipped
     # cell's members all are, by _cell_bounds.
-    cols = _columns(pointset)
     w = np.full(len(cxs), -np.inf)
     e = np.full(len(cxs), np.inf)
     seen = np.zeros(len(cxs), dtype=bool)
@@ -405,13 +402,13 @@ def _shortlist_rows(pointset: PointSet, cxs, cys, eps: float):
         if not rows.size:
             return
         seen[rows] = True
-        w[rows], e[rows] = _screen(pointset, cxs[rows], cys[rows], eps, cols)
+        w[rows], e[rows] = _screen(pointset, cxs[rows], cys[rows], eps)
         lower = w[rows] - e[rows]
         lower = lower[lower > eps]
         if lower.size:
             t_lo = max(t_lo, lower.max())
 
-    order = _cell_order(cxs, cys, cols.box)
+    order = _cell_order(cxs, cys, _columns(pointset).box)
     far = np.ones(len(cxs), dtype=bool)
     far[order] = False
     screen(np.flatnonzero(far))

@@ -9,8 +9,9 @@ of scope.
 
 The axis-parallel types (Strip, LCorridor, SquareAnnulus, RectAnnulus)
 each give an outer and an inner box, (left, right, bottom, top) with an
-unbounded side at -INF or INF, and ``_box_region`` is the one place that
-applies these semantics to them.
+unbounded side at -INF or INF, and ``_box_masks`` is the one place that
+applies these semantics to them, one point at a time (``region_of``) or
+to a PointSet's columns at once (``validate_solution``).
 """
 
 from __future__ import annotations
@@ -112,6 +113,16 @@ class PointSet:
     @property
     def n(self) -> int:
         return len(self.points)
+
+
+def _sorted_distinct(values):
+    """The distinct values of a float array, ascending: np.unique's sort
+    and first-of-each-run mask, with none of its set-up."""
+    s = np.sort(values)
+    first = np.empty(len(s), dtype=bool)
+    first[:1] = True
+    np.not_equal(s[1:], s[:-1], out=first[1:])
+    return s[first]
 
 
 def is_rainbow(counts) -> bool:
@@ -220,17 +231,27 @@ class LCorridor:
         return _box_region(self.inner_sides, self.outer_sides, x, y, eps)
 
 
-def _box_region(inner, outer, x, y, eps) -> Region:
-    """Region of (x, y) for the ring between the boxes outer and inner,
-    each (left, right, bottom, top); a side at infinity never touches a
-    finite point."""
+def _box_masks(inner, outer, x, y, eps):
+    """(inside, outside) for the ring between the boxes outer and inner,
+    each (left, right, bottom, top), at x, y: floats or arrays, and the
+    two masks likewise.  A side at infinity never touches a finite point.
+    A point in both counts as inside; a point in neither is interior."""
     il, ir, ib, it = inner
-    if il - eps <= x <= ir + eps and ib - eps <= y <= it + eps:
-        return Region.INSIDE
     ol, orr, ob, ot = outer
-    if x <= ol + eps or x >= orr - eps or y <= ob + eps or y >= ot - eps:
-        return Region.OUTSIDE
-    return Region.INTERIOR
+    inside = (il - eps <= x) & (x <= ir + eps) & (ib - eps <= y) & (y <= it + eps)
+    outside = (x <= ol + eps) | (x >= orr - eps) | (y <= ob + eps) | (y >= ot - eps)
+    return inside, outside
+
+
+def _region(inside, outside) -> Region:
+    if inside:
+        return Region.INSIDE
+    return Region.OUTSIDE if outside else Region.INTERIOR
+
+
+def _box_region(inner, outer, x, y, eps) -> Region:
+    """Region of the point (x, y), by _box_masks."""
+    return _region(*_box_masks(inner, outer, x, y, eps))
 
 
 def offset_square(sides, delta):
@@ -350,13 +371,13 @@ class CircularAnnulus:
     def width(self) -> float:
         return self.r_out - self.r_in
 
+    def _masks(self, d, eps):
+        # (inside, outside) at distances d from the center, floats or arrays
+        return d <= self.r_in + eps, d >= self.r_out - eps
+
     def region_of(self, x: float, y: float, eps: float = DEFAULT_EPS) -> Region:
         d = math.hypot(x - self.center_x, y - self.center_y)
-        if d <= self.r_in + eps:
-            return Region.INSIDE
-        if d >= self.r_out - eps:
-            return Region.OUTSIDE
-        return Region.INTERIOR
+        return _region(*self._masks(d, eps))
 
 
 @dataclass(frozen=True)
@@ -401,14 +422,18 @@ def validate_solution(annulus, pointset: PointSet, eps: float = DEFAULT_EPS) -> 
     w = annulus.width
     if not math.isfinite(w) or w <= eps:
         return False
-    inside = [0] * pointset.k
-    outside = [0] * pointset.k
-    for p in pointset.points:
-        r = annulus.region_of(p.x, p.y, eps)
-        if r is Region.INTERIOR:
-            return False
-        if r is Region.INSIDE:
-            inside[p.color - 1] += 1
-        else:
-            outside[p.color - 1] += 1
-    return is_rainbow(inside) and is_rainbow(outside)
+    xs, ys = pointset.xs, pointset.ys
+    if isinstance(annulus, CircularAnnulus):
+        # math.hypot per point, as region_of: np.hypot can differ by an ulp
+        cx, cy = annulus.center_x, annulus.center_y
+        d = np.array([math.hypot(x - cx, y - cy)
+                      for x, y in zip(xs.tolist(), ys.tolist())])
+        inside, outside = annulus._masks(d, eps)
+    else:
+        inside, outside = _box_masks(annulus.inner_sides, annulus.outer_sides,
+                                     xs, ys, eps)
+    if not (inside | outside).all():
+        return False
+    k = pointset.k
+    return (is_rainbow(np.bincount(pointset.cs[inside], minlength=k + 1)[1:])
+            and is_rainbow(np.bincount(pointset.cs[~inside], minlength=k + 1)[1:]))

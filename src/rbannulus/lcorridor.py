@@ -85,6 +85,7 @@ from .core import (
     LCorridor,
     PointSet,
     QUADRANT_SIGNS,
+    _sorted_distinct,
     check_eps,
 )
 
@@ -503,7 +504,7 @@ def _arrays_setup(pts, k):
     upper = _upper_breaks_arrays(xs, ys, cs, k)
     order = np.lexsort((xs, ys))
     xs, ys, cs = xs[order], ys[order], cs[order]
-    universe = np.unique(xs)
+    universe = _sorted_distinct(xs)
     lower = _lower_breaks_arrays(xs, ys, cs, np.searchsorted(universe, xs), k)
     if not lower[0]:
         return None

@@ -27,8 +27,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import (DEFAULT_EPS, INF, PointSet, RectAnnulus, check_eps,
-                   offset_square)
+from .core import (DEFAULT_EPS, INF, PointSet, RectAnnulus, _sorted_distinct,
+                   check_eps, offset_square)
 
 
 class DecisionOutcome(NamedTuple):
@@ -62,7 +62,7 @@ def _make_frame(X0, Y0, C0, k: int) -> _Frame:
     fr.Yb = np.append(fr.Y, -INF)  # bottom-anchor heights, open bottom last
     fr.C = C0[order]
     fr.xorder = np.lexsort((np.arange(fr.n), fr.X))
-    fr.levels = np.unique(fr.Y)
+    fr.levels = _sorted_distinct(fr.Y)
     ymin = np.full(k + 1, INF)
     ymax = np.full(k + 1, -INF)
     for c in range(1, k + 1):

@@ -6,13 +6,14 @@
   arm scan.  It reuses rect's band split and arm scan, so unlike
   ``rbannulus.oracle`` it is not independent of the solver; it pins the
   pruning, which must return the same witnesses.
-- The per-level L-corridor sweep: ``_sweep`` runs every level of one
-  canonical pass of ``lcorridor.max_rblc`` through the per-level loop,
-  from (x, y, color) rows set up in plain Python, with no chunk filter.
-  It owns the row staircases, ``_lower_breaks`` and ``_upper_breaks``,
-  and shares the trees of ``rbannulus.lcorridor``.  It pins the numpy
-  set-up, the array staircases and the chunk filter, which must return
-  the same answers.
+- The per-level L-corridor sweep: ``_sweep`` runs one canonical pass of
+  ``lcorridor.max_rblc`` through the solver's own per-level loop,
+  ``lcorridor._sweep``, on a set-up made in plain Python from
+  (x, y, color) rows, with no chunk filter: every level, with all of its
+  inserts.  It owns the row staircases, ``_lower_breaks`` and
+  ``_upper_breaks``, and shares the trees of ``rbannulus.lcorridor``.  It
+  pins the numpy set-up, the array staircases and the chunk filter, which
+  must return the same answers; ``rbannulus.oracle`` checks the loop.
 - The paper's rectangle constructions: minimal rainbow intervals of a slab
   and the relevant w-gaps beside them.
 - The paper's circle construction: the lift onto the paraboloid
@@ -24,11 +25,10 @@ from __future__ import annotations
 import bisect
 import heapq
 import math
-from bisect import bisect_left, bisect_right
 from typing import NamedTuple
 
 from .core import DEFAULT_EPS, INF, PointSet
-from .lcorridor import GapTree, MaxCoordTree, _upper_chain
+from .lcorridor import GapTree, MaxCoordTree, _sweep as _sweep_levels, _upper_chain
 from .rect import (DecisionOutcome, _band_split, _decision, _first_below,
                    _Frame, _frame_identity, _scan_branches, _search,
                    _start_wp_list, _validate_anchors)
@@ -160,17 +160,14 @@ def _upper_breaks(tp, k):
 
 
 def _sweep(tp, k, eps):
-    # One canonical pass: finds the widest down-right corridor whose width
-    # is pinned by the y-gap between an inner-top point and an outer-top
-    # point.  Returns (width, outer_x, outer_y) or None.
+    # One canonical pass of lcorridor._sweep from (x, y, color) rows: the
+    # plain set-up, then the solver's per-level loop over every level,
+    # each with all of its inserts.  Returns (width, outer_x, outer_y) or
+    # None.
     by_y = sorted(tp, key=lambda p: (p[1], p[0]))
-    sb_t, sb_v = _lower_breaks(by_y, k)
-    if not sb_t:
+    lower = _lower_breaks(by_y, k)
+    if not lower[0]:
         return None
-    st_t, st_v = _upper_breaks(tp, k)
-    band = MaxCoordTree([p[0] for p in by_y], [p[1] for p in by_y])
-    gaps = GapTree(sorted({p[0] for p in tp}))
-
     level_ys = []
     level_xs = []
     for x, y, _ in by_y:
@@ -179,46 +176,14 @@ def _sweep(tp, k, eps):
         else:
             level_ys.append(y)
             level_xs.append([x])
-    m = len(level_ys)
 
-    best = None
-    w_best = eps
-    for li in range(m):
-        y_i = level_ys[li]
-        # w_best is the GapTree floor: only gaps wider than it can win,
-        # and it never decreases, as the floor must not
-        for x in level_xs[li]:
-            gaps.insert(x, w_best)
-        cut = bisect_right(sb_t, y_i)
-        if cut == 0:
-            continue
-        hi = sb_v[cut - 1]
-        lj = bisect_right(level_ys, y_i + w_best)
-        while lj < m:
-            y_j = level_ys[lj]
-            delta = y_j - y_i
-            if delta <= w_best:
-                # float rounding can land y_i + w_best short of the level
-                # just used; step until the width strictly improves
-                lj += 1
-                continue
-            gcut = bisect_left(st_t, y_j)
-            lo = st_v[gcut - 1] if gcut > 0 else -INF
-            mid = band.max_in_open_band(y_i, y_j)
-            if mid > lo:
-                lo = mid
-            if hi - lo < delta:
-                break
-            length, gl, gr = gaps.query(lo, hi, w_best)
-            if length < delta:
-                # Raising y_j only grows delta and pushes lo rightward
-                # while hi stays put, so later candidates fail too.
-                break
-            outer_x = gl if gl > -INF else gr - delta
-            best = (delta, outer_x, y_j)
-            w_best = delta
-            lj = bisect_right(level_ys, y_i + w_best, lj + 1)
-    return best
+    def split(a, b, w, gaps):
+        return range(a, b), level_xs[a:b], []
+
+    band = MaxCoordTree([p[0] for p in by_y], [p[1] for p in by_y])
+    gaps = GapTree(sorted({p[0] for p in tp}))
+    return _sweep_levels((level_ys, lower, _upper_breaks(tp, k), band, gaps,
+                          split), eps)
 
 
 # ---------------------------------------------------------------------------

@@ -661,8 +661,8 @@ def test_pruned_pick_matches_every_row_reference(monkeypatch):
 
     monkeypatch.setattr(circles, "_pick_best", both)
     monkeypatch.setattr(circles, "_screen",
-                        lambda ps, xs, ys, eps, cols=None: rows.append(len(xs))
-                        or screen(ps, xs, ys, eps, cols))
+                        lambda ps, xs, ys, eps: rows.append(len(xs))
+                        or screen(ps, xs, ys, eps))
     for dist in ("rings", "uniform", "clusters"):
         for seed, n in enumerate((20, 26)):
             search = "rbca"

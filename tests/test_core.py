@@ -322,6 +322,69 @@ def test_validate_solution_rejects_zero_width():
     assert not validate_solution(Strip("vertical", 1.0, 1.0), ps)
 
 
+def _region_per_point(annulus, x, y, eps):
+    # the region test written out for one point, with chained comparisons
+    if isinstance(annulus, CircularAnnulus):
+        d = math.hypot(x - annulus.center_x, y - annulus.center_y)
+        inside, outside = d <= annulus.r_in + eps, d >= annulus.r_out - eps
+    else:
+        il, ir, ib, it = annulus.inner_sides
+        ol, orr, ob, ot = annulus.outer_sides
+        inside = il - eps <= x <= ir + eps and ib - eps <= y <= it + eps
+        outside = x <= ol + eps or x >= orr - eps or y <= ob + eps or y >= ot - eps
+    if inside:
+        return Region.INSIDE
+    return Region.OUTSIDE if outside else Region.INTERIOR
+
+
+def _validate_per_point(annulus, ps, eps):
+    # validate_solution written out one point at a time; classify must
+    # agree with the written-out test at every point
+    w = annulus.width
+    if not math.isfinite(w) or w <= eps:
+        return False
+    inside, outside = [0] * ps.k, [0] * ps.k
+    for p in ps.points:
+        r = _region_per_point(annulus, p.x, p.y, eps)
+        assert classify(p, annulus, eps) is r, (annulus, p, eps)
+        if r is Region.INTERIOR:
+            return False
+        (inside if r is Region.INSIDE else outside)[p.color - 1] += 1
+    return is_rainbow(inside) and is_rainbow(outside)
+
+
+def test_validate_solution_matches_the_per_point_check():
+    # every solver's witnesses, checked against their own instance and two
+    # others, on +-0.0 ties, x1e6-moved copies and near the float limit;
+    # the other instances give every kind of failure
+    instances = list(_huge_instances())
+    for ps in _column_corpus():
+        instances.append(ps)
+        instances.append(PointSet.build([(p.x * 1e6 + 3e6, p.y * 1e6 - 1e6, p.color)
+                                         for p in ps.points], ps.k))
+    solvers = [lambda ps, eps: max_rbes(ps, "vertical", eps),
+               lambda ps, eps: max_rbes(ps, "horizontal", eps),
+               max_rblc_all, max_rbsa, max_rbra, max_rbca]
+    rng = random.Random(37)
+    verdicts = []
+    for i, ps in enumerate(instances):
+        for eps in (1e-9, 0.0):
+            for solve in solvers[:5] if i % 4 else solvers:
+                ann = solve(ps, eps)
+                if ann is None:
+                    continue
+                for other in [ps] + rng.sample(instances, 2):
+                    for check_eps in (1e-9, 0.0):
+                        got = validate_solution(ann, other, check_eps)
+                        assert got is _validate_per_point(ann, other, check_eps), (
+                            ann, other.points, check_eps)
+                        verdicts.append((type(ann).__name__, got))
+    for kind in ("Strip", "LCorridor", "SquareAnnulus", "RectAnnulus",
+                 "CircularAnnulus"):
+        assert verdicts.count((kind, True)) > 20, kind
+        assert verdicts.count((kind, False)) > 20, kind
+
+
 coords = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, width=64)
 
 

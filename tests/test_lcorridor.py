@@ -472,6 +472,18 @@ def test_first_chunk_runs_unfiltered(monkeypatch):
     assert filtered > 100
 
 
+def test_reference_sweep_stops_at_an_overflowed_delta():
+    # Near the float limit a pass's deltas overflow to inf, which is no
+    # witness: the reference stops there as the solver's loop does.
+    ps = PointSet.build([(-1.7e308, 0, 1), (-1.6e308, 1, 2),
+                         (1.7e308, 0, 1), (1.6e308, 1, 2)], 2)
+    for eps in (1e-9, 0.0):
+        for rows, arrays in canonical_passes(ps):
+            want = repr(reference_sweep(rows, ps.k, eps))
+            got = lcorridor._sweep(lcorridor._arrays_setup(arrays, ps.k), eps)
+            assert repr(got) == want, (rows, eps)
+
+
 def test_array_staircases_match_row_staircases():
     for ps in corridor_corpus(5, 80):
         for rows, (xs, ys, cs) in canonical_passes(ps):

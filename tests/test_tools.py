@@ -12,6 +12,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     ["tools/circle_rows.py", "--n", "10", "--count", "1"],
     ["tools/corridor_ops.py", "--n", "600", "--count", "1"],
     ["tools/loc.py"],
+    ["tools/answers.py", "--count", "4"],
 ])
 def test_tool_runs_and_prints_a_total(argv):
     # the counting tools wrap private solver functions, so a changed

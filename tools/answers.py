@@ -1,0 +1,102 @@
+"""Hash every solver's answers on a fixed tie-heavy corpus.
+
+Usage: python3 tools/answers.py [--count 300] [--seed 0]
+
+The corpus has --count base instances, k in 1..3 and n in 2k..24, of
+four kinds in turn: integer grid points in [0, 8]^2, coordinates picked
+from {-0.0, 0.0, 1.0, 2.0, -3.0}, one-decimal reals in [-1, 1] and
+two-decimal reals in [-1, 1].  About a third repeat some of their points,
+and every base instance comes with a copy scaled by 1e6 and moved by
+(3e6, -1e6).  Each instance is solved at eps 1e-9 and at eps 0 by
+
+  max_rbes        vertical and horizontal
+  max_rblc_all
+  max_rbsa
+  max_rbra
+  max_rbca        only where n <= 16
+  max_rbca_on_line  on the line of slope -0.3 through the first point,
+                  only where n <= 16
+
+The script prints, per solver, the number of answers and the sha256 of
+their repr strings, one per line, then the same over every answer on a
+`total` line.  Two checkouts whose total lines match gave the same
+widths, witnesses and signs of zero on the whole corpus.  Standard
+library and numpy only.
+"""
+
+import argparse
+import hashlib
+import os
+import random
+import sys
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                "..", "src"))
+
+from rbannulus import (Line, PointSet, max_rbca, max_rbca_on_line,  # noqa: E402
+                       max_rbes, max_rblc_all, max_rbra, max_rbsa)
+
+SMALL = 16  # the circle solvers run up to this n
+
+SOLVERS = {
+    "max_rbes vertical": lambda ps, eps: max_rbes(ps, "vertical", eps),
+    "max_rbes horizontal": lambda ps, eps: max_rbes(ps, "horizontal", eps),
+    "max_rblc_all": max_rblc_all,
+    "max_rbsa": max_rbsa,
+    "max_rbra": max_rbra,
+    "max_rbca": max_rbca,
+    "max_rbca_on_line": lambda ps, eps: max_rbca_on_line(
+        ps, Line(0.3, 1.0, 0.3 * ps.points[0].x + ps.points[0].y), eps),
+}
+CIRCLES = ("max_rbca", "max_rbca_on_line")
+PICKS = (-0.0, 0.0, 1.0, 2.0, -3.0)
+
+
+def corpus(count, seed):
+    """The base instances, each followed by its moved copy."""
+    rng = random.Random(seed)
+    for i in range(count):
+        k = rng.randint(1, 3)
+        n = rng.randint(2 * k, 24)
+        colors = [1 + j % k for j in range(n)]
+        rng.shuffle(colors)
+        kind = i % 4
+        if kind == 0:
+            coords = [(rng.randint(0, 8), rng.randint(0, 8)) for _ in colors]
+        elif kind == 1:
+            coords = [(rng.choice(PICKS), rng.choice(PICKS)) for _ in colors]
+        else:
+            coords = [(round(rng.uniform(-1, 1), kind - 1),
+                       round(rng.uniform(-1, 1), kind - 1)) for _ in colors]
+        rows = [(float(x), float(y), c) for (x, y), c in zip(coords, colors)]
+        if rng.random() < 0.3:
+            rows += rows[:rng.randint(1, n)]
+        yield PointSet.build(rows, k)
+        yield PointSet.build([(x * 1e6 + 3e6, y * 1e6 - 1e6, c)
+                              for x, y, c in rows], k)
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--count", type=int, default=300)
+    ap.add_argument("--seed", type=int, default=0)
+    args = ap.parse_args(argv)
+    hashes = {name: hashlib.sha256() for name in SOLVERS}
+    counts = dict.fromkeys(SOLVERS, 0)
+    total = hashlib.sha256()
+    for ps in corpus(args.count, args.seed):
+        for eps in (1e-9, 0.0):
+            for name, solve in SOLVERS.items():
+                if name in CIRCLES and ps.n > SMALL:
+                    continue
+                line = (repr(solve(ps, eps)) + "\n").encode()
+                hashes[name].update(line)
+                total.update(line)
+                counts[name] += 1
+    for name in SOLVERS:
+        print("%-20s %7d  %s" % (name, counts[name], hashes[name].hexdigest()))
+    print("%-20s %7d  %s" % ("total", sum(counts.values()), total.hexdigest()))
+
+
+if __name__ == "__main__":
+    main()
