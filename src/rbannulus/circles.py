@@ -116,6 +116,14 @@ def _bisectors(X, Y):
     return i, j, a, b, c
 
 
+def _line(x1, y1, x2, y2):
+    """(a, b, c) of the line a*x + b*y = c through (x1, y1) and (x2, y2),
+    elementwise with broadcasting."""
+    a = y2 - y1
+    b = x1 - x2
+    return a, b, a * x1 + b * y1
+
+
 def _concat(parts):
     xs = [x for x, _ in parts]
     ys = [y for _, y in parts]
@@ -142,9 +150,7 @@ def cir21_candidates(pointset: PointSet):
     X, Y, e = _frame(pointset)
     i, j, a, b, c = _bisectors(X, Y)
     # line through point s and point r: ta[s, r]*x + tb[s, r]*y = tc[s, r]
-    ta = Y[None, :] - Y[:, None]
-    tb = X[:, None] - X[None, :]
-    tc = ta * X[:, None] + tb * Y[:, None]
+    ta, tb, tc = _line(X[:, None], Y[:, None], X[None, :], Y[None, :])
     pair, third = np.nonzero((np.arange(X.size) != i[:, None])
                              & (np.arange(X.size) != j[:, None]))
     return _unscale(_concat([_cross(a[pair], b[pair], c[pair],
@@ -491,18 +497,14 @@ def max_rbca_on_line(pointset: PointSet, line: Line,
     i, j, a, b, c = _bisectors(X, Y)
     parts = [_cross(la, lb, lc, a, b, c)]
     # line through points i and j
-    a = Y[j] - Y[i]
-    b = X[i] - X[j]
-    parts.append(_cross(la, lb, lc, a, b, a * X[i] + b * Y[i]))
+    parts.append(_cross(la, lb, lc, *_line(X[i], Y[i], X[j], Y[j])))
     # line through the mirror image (mx, my) of point i and point j != i
     n2 = la * la + lb * lb
     d = (la * X + lb * Y - lc) / n2
     mx = X - 2.0 * d * la
     my = Y - 2.0 * d * lb
     i, j = np.nonzero(~np.eye(X.size, dtype=bool))
-    a = Y[j] - my[i]
-    b = mx[i] - X[j]
-    parts.append(_cross(la, lb, lc, a, b, a * mx[i] + b * my[i]))
+    parts.append(_cross(la, lb, lc, *_line(mx[i], my[i], X[j], Y[j])))
     parts = [_unscale(_concat(parts), e)]
     X, Y = pointset.xs, pointset.ys
     ox, oy = line.origin

@@ -214,7 +214,7 @@ def _cmd_bench(args) -> int:
                      "width": widths[0]})
         print("%d,%d,%.3f,%r" % (n, args.k, mean_ms, widths[0]))
     slope = None
-    if len(logs) >= 2:
+    if len(set(sizes)) >= 2:  # a line needs two distinct sizes
         import numpy as np
 
         slope = float(np.polyfit([t[0] for t in logs],

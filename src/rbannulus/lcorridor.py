@@ -19,9 +19,10 @@ The sweep visits the distinct heights bottom-up as the inner top side y_i,
 activating each level's x-values in a GapTree, and leans on four
 primitives:
 
-* ``_lower_breaks_arrays``: breakpoints of the lower staircase, read
-  closed (``bisect_right``, corner height y <= y_i): the rightmost
-  inner-corner x at height y_i that keeps the inside quadrant rainbow;
+* ``_lower_breaks_arrays``: breakpoints of the lower staircase, from the
+  heap walk ``_lower_breaks`` over the rows numpy picks out, read closed
+  (``bisect_right``, corner height y <= y_i): the rightmost inner-corner x
+  at height y_i that keeps the inside quadrant rainbow;
 * ``_upper_breaks_arrays``: breakpoints of the upper staircase, read strict
   (``bisect_left``, corner height y < y_j): the leftmost outer-corner x at
   outer-top height y_j that keeps the outside region (left arm union
@@ -32,10 +33,10 @@ primitives:
   the clamped interval, which decides whether the vertical part fits.
 
 The sweep only asks whether a gap wider than its best width so far
-exists, so it hands that width to the GapTree as a floor.  Once every gap
-between active values is no wider than the floor, an insert strictly
-inside their hull returns at once and a query is answered from the two
-hull ends.
+exists, so it hands that width to the GapTree's inserts as a floor.  Once
+every gap between active values is no wider than the floor, an insert
+strictly inside their hull returns at once; a query still folds the tree,
+and any answer it gives wider than the floor is exact.
 
 Every pass is set up with numpy and swept in chunks of ``_CHUNK`` levels.
 The first chunk runs every level: at its starting width, eps, a filter
@@ -49,8 +50,8 @@ delta = y_j - y_i):
 * the break test: hi - lo < delta, with the band maximum taken from a
   sparse table over the chunk's level maxima;
 * the floor test: once no gap between the x-values inserted through the
-  level is wider than w, the gap query answers from the two hull-end gaps,
-  so it fails when the hull meets (lo, hi) and both end gaps are shorter
+  level is wider than w, only the two hull-end gaps can beat w, so the gap
+  query fails when the hull meets (lo, hi) and both end gaps are shorter
   than delta.  The widest gap is bounded by the GapTree's own root, read
   with ``GapTree.root`` before the chunk, widened by the hull's growth
   inside it.
@@ -113,15 +114,44 @@ def _upper_chain(max_y, min_x):
     return ts, vs
 
 
-def _lower_breaks_arrays(xs, ys, cs, rank, k):
+def _lower_breaks(by_y, k):
     # Breakpoints of h(t) = min over colors of (max x among that color's
-    # points with y <= t); -inf until every color has appeared.  Takes the
-    # rows in (y, x) order as arrays, with rank the dense rank of each x.
-    # h can change only at a "record": a row whose x beats every earlier x
-    # of its color.  numpy finds the records (a running max of
-    # color * (n + 1) + rank over the rows grouped by color); a
-    # lazy-deletion heap keyed by per-color max walks only them, in row
-    # order.
+    # points with y <= t); -inf until every color has appeared.  Built in
+    # one ascending pass over y-sorted (x, y, color) rows with a
+    # lazy-deletion heap keyed by per-color max.
+    maxx = [-INF] * (k + 1)
+    seen = 0
+    heap = []
+    ts, vs = [], []
+    i, n = 0, len(by_y)
+    while i < n:
+        y = by_y[i][1]
+        while i < n and by_y[i][1] == y:
+            x, _, c = by_y[i]
+            if maxx[c] == -INF:
+                seen += 1
+            if x > maxx[c]:
+                maxx[c] = x
+                heapq.heappush(heap, (x, c))
+            i += 1
+        if seen == k:
+            while heap[0][0] != maxx[heap[0][1]]:
+                heapq.heappop(heap)
+            v = heap[0][0]
+            if not vs or v > vs[-1]:
+                ts.append(y)
+                vs.append(v)
+    return ts, vs
+
+
+def _lower_breaks_arrays(xs, ys, cs, rank, k):
+    # _lower_breaks from the rows in (y, x) order as arrays, with rank the
+    # dense rank of each x.  The walk changes nothing at a row unless it is
+    # a "record": a row whose x beats every earlier x of its color.  numpy
+    # finds the records (a running max of color * (n + 1) + rank over the
+    # rows grouped by color), and the walk takes only them, in row order.
+    # Each carries the height of its level's first row, the height the walk
+    # over every row reports, down to the sign of a zero.
     n = len(xs)
     grp = np.argsort(cs, kind="stable")
     key = cs[grp].astype(np.int64) * (n + 1) + rank[grp]
@@ -129,31 +159,9 @@ def _lower_breaks_arrays(xs, ys, cs, rank, k):
     rec[0] = True
     np.greater(key[1:], np.maximum.accumulate(key)[:-1], out=rec[1:])
     rows = np.sort(grp[rec])
-    first = np.searchsorted(ys, ys[rows])  # first row of each record's level
-    level_y = ys[first].tolist()
-    first = first.tolist()
-    rx = xs[rows].tolist()
-    rc = cs[rows].tolist()
-    maxx = [-INF] * (k + 1)
-    seen = 0
-    heap = []
-    ts, vs = [], []
-    last = len(first) - 1
-    for i, (x, c) in enumerate(zip(rx, rc)):
-        if maxx[c] == -INF:
-            seen += 1
-        maxx[c] = x
-        heapq.heappush(heap, (x, c))
-        if i < last and first[i + 1] == first[i]:
-            continue  # the level has more records
-        if seen == k:
-            while heap[0][0] != maxx[heap[0][1]]:
-                heapq.heappop(heap)
-            v = heap[0][0]
-            if not vs or v > vs[-1]:
-                ts.append(level_y[i])
-                vs.append(v)
-    return ts, vs
+    level_y = ys[np.searchsorted(ys, ys[rows])]
+    return _lower_breaks(list(zip(xs[rows].tolist(), level_y.tolist(),
+                                  cs[rows].tolist())), k)
 
 
 def _upper_breaks_arrays(xs, ys, cs, k):
@@ -231,12 +239,12 @@ class GapTree:
     values sitting exactly at lo or hi never block (the corridor boundary
     is closed there).
 
-    Both methods take an optional ``floor``, for a caller that only needs
-    gaps wider than it.  The floors a tree is given, over all its insert
-    and query calls in order, must never decrease.  Then a query answer
-    longer than its floor is exactly the answer without floors (same
-    tuple, same leftmost tie), and any other answer has a length <= the
-    floor.  The default floor, -inf, keeps every answer exact.
+    ``insert`` takes an optional ``floor``, for a caller that only needs
+    gaps wider than it.  The floors a tree is given, over all its inserts
+    in order, must never decrease.  Then a query answer longer than the
+    last floor is exactly the answer without floors (same tuple, same
+    leftmost tie), and any other answer has a length <= that floor.  The
+    default floor, -inf, keeps every answer exact.
 
     ``root()`` reads the root node as ``(mn, mx, widest)``: the hull of
     the active values and the length of their widest inner gap, -inf
@@ -271,10 +279,10 @@ class GapTree:
     # never wider than any later floor.  The gaps wider than the floor are
     # therefore the same intervals, with the same stored endpoints, with
     # and without the skips; a skipped zero whose other sign arrives later
-    # only ever bounds gaps inside its [a, b].  The fold and the hull ends
-    # compute a length as the same difference of the same two values, so
-    # an answer wider than the floor is the exact one, and the leftmost of
-    # the widest is the same gap.
+    # only ever bounds gaps inside its [a, b].  The fold computes a length
+    # as the same difference of the same two values either way, so an
+    # answer wider than the last floor is the exact one, and the leftmost
+    # of the widest is the same gap.
 
     def insert(self, x: float, floor: float = -INF) -> None:
         mn, mx, gls, grs = self._mn, self._mx, self._gl, self._gr
@@ -342,23 +350,7 @@ class GapTree:
                 mx = vmx
         return mn, mx, g, gl, gr
 
-    def query(self, lo: float, hi: float, floor: float = -INF):
-        if self._gr[1] - self._gl[1] <= floor:
-            # Every gap between active values is no wider than the floor,
-            # so only the two clamped end gaps can beat it.  When the hull
-            # meets (lo, hi), mn is the first wall after lo if lo < mn,
-            # and mx the last before hi if mx < hi; any other gap inside
-            # [lo, hi] is a piece of an inner gap.  -inf stands for "no
-            # end gap".  With the default floor this runs only while at
-            # most one value is active, where it is exact.
-            mn, mx = self._mn[1], self._mx[1]
-            if mn < hi and mx > lo:
-                best, bl, br = -INF, lo, hi
-                if lo < mn:
-                    best, bl, br = mn - lo, lo, mn
-                if mx < hi and hi - mx > best:
-                    best, bl, br = hi - mx, mx, hi
-                return best, bl, br
+    def query(self, lo: float, hi: float):
         li = bisect_right(self._xs, lo)
         ri = bisect_left(self._xs, hi) - 1
         if li > ri:
@@ -459,8 +451,9 @@ class _LevelFilter:
         lo = np.where(mid > lo, mid, lo)
         keep &= hi - lo >= delta
 
-        # Test 2, the floor test: the query's floor branch answers from
-        # the two hull-end gaps once no inner gap beats the floor.  Every
+        # Test 2, the floor test: once no inner gap beats w, only a
+        # hull-end gap can beat it, so the query answers short of delta
+        # when the hull meets (lo, hi) and both end gaps do.  Every
         # inner gap of the rows through the chunk's end is a piece of a gap
         # of the tree, or lies within [mx, cmx[-1]] or [cmn[-1], mn];
         # rounding is monotone, so none is longer than the max below.
@@ -572,7 +565,7 @@ def _sweep(setup, eps):
                     lo = mid
                 if hi - lo < delta:
                     break
-                length, gl, gr = gaps.query(lo, hi, w_best)
+                length, gl, gr = gaps.query(lo, hi)
                 if length < delta:
                     # Raising y_j only grows delta and pushes lo rightward
                     # while hi stays put, so later candidates fail too.

@@ -10,10 +10,12 @@
   ``lcorridor.max_rblc`` through the solver's own per-level loop,
   ``lcorridor._sweep``, on a set-up made in plain Python from
   (x, y, color) rows, with no chunk filter: every level, with all of its
-  inserts.  It owns the row staircases, ``_lower_breaks`` and
-  ``_upper_breaks``, and shares the trees of ``rbannulus.lcorridor``.  It
-  pins the numpy set-up, the array staircases and the chunk filter, which
-  must return the same answers; ``rbannulus.oracle`` checks the loop.
+  inserts.  It runs the solver's staircase walk, ``lcorridor._lower_breaks``,
+  over every row where the solver walks only the records, owns the row
+  upper staircase ``_upper_breaks``, and shares the trees of
+  ``rbannulus.lcorridor``.  It pins the numpy set-up, the record search,
+  the array upper staircase and the chunk filter, which must return the
+  same answers; ``rbannulus.oracle`` checks the loop and the walk.
 - The paper's rectangle constructions: minimal rainbow intervals of a slab
   and the relevant w-gaps beside them.
 - The paper's circle construction: the lift onto the paraboloid
@@ -23,12 +25,12 @@
 from __future__ import annotations
 
 import bisect
-import heapq
 import math
 from typing import NamedTuple
 
 from .core import DEFAULT_EPS, INF, PointSet
-from .lcorridor import GapTree, MaxCoordTree, _sweep as _sweep_levels, _upper_chain
+from .lcorridor import (GapTree, MaxCoordTree, _lower_breaks,
+                        _sweep as _sweep_levels, _upper_chain)
 from .rect import (DecisionOutcome, _band_split, _decision, _first_below,
                    _Frame, _frame_identity, _scan_branches, _search,
                    _start_wp_list, _validate_anchors)
@@ -114,36 +116,6 @@ def dp_decision_reference(pointset: PointSet, i, j, w) -> DecisionOutcome:
 
 # ---------------------------------------------------------------------------
 # the per-level L-corridor sweep
-
-
-def _lower_breaks(by_y, k):
-    # Breakpoints of h(t) = min over colors of (max x among that color's
-    # points with y <= t); -inf until every color has appeared.  Built in
-    # one ascending pass over y-sorted (x, y, color) rows with a
-    # lazy-deletion heap keyed by per-color max.
-    maxx = [-INF] * (k + 1)
-    seen = 0
-    heap = []
-    ts, vs = [], []
-    i, n = 0, len(by_y)
-    while i < n:
-        y = by_y[i][1]
-        while i < n and by_y[i][1] == y:
-            x, _, c = by_y[i]
-            if maxx[c] == -INF:
-                seen += 1
-            if x > maxx[c]:
-                maxx[c] = x
-                heapq.heappush(heap, (x, c))
-            i += 1
-        if seen == k:
-            while heap[0][0] != maxx[heap[0][1]]:
-                heapq.heappop(heap)
-            v = heap[0][0]
-            if not vs or v > vs[-1]:
-                ts.append(y)
-                vs.append(v)
-    return ts, vs
 
 
 def _upper_breaks(tp, k):

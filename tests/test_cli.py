@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -348,6 +349,20 @@ def test_bench_json_report(capsys, tmp_path):
         assert "%.3f" % row["mean_ms"] == mean_ms
         assert repr(row["width"]) == width
     assert out.splitlines()[-1] == "# slope %.3f" % got["slope"]
+
+
+def test_bench_repeated_size_fits_no_slope(capsys, tmp_path):
+    # one distinct size gives no line to fit: no slope, as for one size
+    path = tmp_path / "bench.json"
+    argv = ["bench", "--shape", "strip", "--sizes", "30,30", "--trials", "1",
+            "--json", str(path)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, argv)
+    assert code == 0 and err == "" and not caught
+    assert len(out.splitlines()) == 3
+    assert not any(line.startswith("# slope") for line in out.splitlines())
+    assert json.loads(path.read_text())["slope"] is None
 
 
 def test_bench_warms_up_each_size(capsys, monkeypatch):

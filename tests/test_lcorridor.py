@@ -9,9 +9,10 @@ from conftest import random_instance, random_real_instance, reflect_x, rotate90
 
 from rbannulus import INF, L_ORIENTATIONS, PointSet, lcorridor, validate_solution
 from rbannulus.core import QUADRANT_SIGNS
-from rbannulus.lcorridor import GapTree, MaxCoordTree, max_rblc, max_rblc_all
+from rbannulus.lcorridor import (GapTree, MaxCoordTree, _lower_breaks, max_rblc,
+                                 max_rblc_all)
 from rbannulus.oracle import oracle_rblc
-from rbannulus.reference import _lower_breaks, _upper_breaks, _sweep as reference_sweep
+from rbannulus.reference import _upper_breaks, _sweep as reference_sweep
 
 
 def diag_instance():
@@ -134,10 +135,11 @@ def test_gap_tree_matches_naive_reference():
 
 
 def test_gap_tree_floor_contract():
-    # Under nondecreasing floors an answer longer than its floor is the
-    # exact one, and any other answer is no longer than the floor.  The
-    # queries reach past the hull on both sides, where only the exact
-    # path may answer.
+    # Under nondecreasing insert floors a query answer longer than the
+    # last floor is the exact one, and any other answer is no longer than
+    # that floor; the floor may rise between inserts, and the claim then
+    # holds for the raised one too.  The queries reach past the hull on
+    # both sides.
     rng = random.Random(15)
     checked = skipped = 0
     for trial in range(60):
@@ -177,7 +179,7 @@ def test_gap_tree_floor_contract():
                     lo, hi = hi, lo
                 if rng.random() < 0.2:
                     floor = max(floor, rng.uniform(0, span / 3))
-                got = tree.query(lo, hi, floor)
+                got = tree.query(lo, hi)
                 want = naive_gap(walls, lo, hi)
                 if got[0] > floor or want[0] > floor:
                     assert repr(got) == repr(want), (universe, lo, hi, floor)
@@ -209,7 +211,7 @@ def test_sweep_floor_changes_no_answer(monkeypatch):
             ps = PointSet.build(ps.points + ps.points[: rng.randint(1, n)], k)
         instances.append(ps)
 
-    insert, query = GapTree.insert, GapTree.query
+    insert = GapTree.insert
     skipped = [0]
 
     def counting_insert(self, x, floor=-INF):
@@ -221,8 +223,6 @@ def test_sweep_floor_changes_no_answer(monkeypatch):
                   for ps in instances for eps in (1e-9, 0.0)]
     assert skipped[0] > 0
     monkeypatch.setattr(GapTree, "insert", lambda self, x, floor=-INF: insert(self, x))
-    monkeypatch.setattr(GapTree, "query",
-                        lambda self, lo, hi, floor=-INF: query(self, lo, hi))
     assert with_floor == [repr(max_rblc_all(ps, eps))
                           for ps in instances for eps in (1e-9, 0.0)]
     assert with_floor[0] == (
@@ -499,11 +499,26 @@ def test_array_staircases_match_row_staircases():
             assert got_t == want_t, rows  # max y is only compared
 
 
+def test_records_carry_their_level_height():
+    # -0.0 and 0.0 are one level, led by the row at -0.0; the record at
+    # 0.0 carries the level's height, as the walk over every row reports
+    ps = PointSet.build([(10, -1, 1), (3, -0.0, 1), (7, 0.0, 2), (1, 5, 2)], 2)
+    sx, sy = QUADRANT_SIGNS["down-right"]
+    xs, ys, cs = sx * ps.xs, sy * ps.ys, ps.cs
+    order = np.lexsort((xs, ys))
+    xs, ys, cs = xs[order], ys[order], cs[order]
+    rank = np.searchsorted(np.unique(xs), xs)
+    got = lcorridor._lower_breaks_arrays(xs, ys, cs, rank, ps.k)
+    by_y = sorted(zip(xs.tolist(), ys.tolist(), cs.tolist()),
+                  key=lambda p: (p[1], p[0]))
+    assert repr(got) == repr(_lower_breaks(by_y, ps.k)) == "([-0.0], [7.0])"
+
+
 def loop_rejects(rows, li, w):
     """True when the per-level loop, at best width w, stops at level li's
-    first candidate because the break test fails or because the gap query
-    answers from its floor branch with no gap of width delta; written out
-    from the rows."""
+    first candidate because the break test fails or because, with no inner
+    gap wider than w, neither hull-end gap reaches delta; written out from
+    the rows."""
     by_y = sorted(rows, key=lambda p: (p[1], p[0]))
     level_ys = sorted({y for _, y, _ in rows})
     y_i = level_ys[li]
@@ -525,7 +540,7 @@ def loop_rejects(rows, li, w):
         return True
     active = sorted({x for x, y, _ in rows if y <= y_i})
     if max((b - a for a, b in zip(active, active[1:])), default=-INF) > w:
-        return False  # the query folds the tree: no claim
+        return False  # an inner gap may reach delta: no claim
     mn, mx = active[0], active[-1]
     ends = [mn - lo] if lo < mn else []
     ends += [hi - mx] if mx < hi else []

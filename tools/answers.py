@@ -11,6 +11,8 @@ and every base instance comes with a copy scaled by 1e6 and moved by
 
   max_rbes        vertical and horizontal
   max_rblc_all
+  max_rblc        each of the four orientations, so that a change in
+                  one pass shows even where the best of four hides it
   max_rbsa
   max_rbra
   max_rbca        only where n <= 16
@@ -33,8 +35,9 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 "..", "src"))
 
-from rbannulus import (Line, PointSet, max_rbca, max_rbca_on_line,  # noqa: E402
-                       max_rbes, max_rblc_all, max_rbra, max_rbsa)
+from rbannulus import (L_ORIENTATIONS, Line, PointSet, max_rbca,  # noqa: E402
+                       max_rbca_on_line, max_rbes, max_rblc, max_rblc_all,
+                       max_rbra, max_rbsa)
 
 SMALL = 16  # the circle solvers run up to this n
 
@@ -42,6 +45,8 @@ SOLVERS = {
     "max_rbes vertical": lambda ps, eps: max_rbes(ps, "vertical", eps),
     "max_rbes horizontal": lambda ps, eps: max_rbes(ps, "horizontal", eps),
     "max_rblc_all": max_rblc_all,
+    **{"max_rblc " + o: lambda ps, eps, o=o: max_rblc(ps, o, eps)
+       for o in L_ORIENTATIONS},
     "max_rbsa": max_rbsa,
     "max_rbra": max_rbra,
     "max_rbca": max_rbca,

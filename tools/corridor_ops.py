@@ -17,8 +17,7 @@ script prints
              rest were skipped under the floor or repeated a value
   queries    GapTree.query calls
   folded     of those, the queries the tree fold answered (GapTree._range);
-             the rest were answered from the hull ends under the floor,
-             or had no universe value inside the interval
+             the rest had no universe value inside the interval
 
 It counts by wrapping GapTree's methods in this process; the solver itself
 keeps no counter.  Standard library only.
