@@ -17,8 +17,13 @@ points strictly between the two pinning y values: in increasing center
 position it visits every such breakpoint and, between two of them, the
 midpoint of the extreme inside x-coordinates.
 
-The bounded solver runs that search on few pairs.  It bounds the width of
-every pinned pair from above, in numpy over chunks of pairs, by r minus
+The bounded solver works in two frames, the input and the input with x
+and y swapped, each read from the PointSet's own orders: its rows in y
+order (by_y, or by_x when swapped), tied rows in index order.  One numpy
+table of a frame's pinned pairs (_pairs) holds each pair's r, y0, segment
+and run of strip rows; the bound, the decision and the scan all read it.
+It runs the segment search on few pairs.  It bounds the width of every
+pinned pair from above, in numpy over chunks of pairs, by r minus
 the largest |y - y0| of the points inside the outer square at every center
 on the segment; the bound ignores the colors.  It then takes the pairs in
 decreasing bound until no bound can reach the best width so far, and
@@ -30,10 +35,8 @@ colors exactly.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from collections import deque
 from heapq import merge
-from operator import itemgetter
 
 import numpy as np
 
@@ -80,30 +83,22 @@ def c3_center_segment(p_i, p_j):
     return (ax, y0), (bx, y0), r
 
 
-def _rows(pointset, swap):
-    # the rows of one pinned-pair frame, (x, y, color) or with swap
-    # (y, x, color), sorted by (y, x, color) with ties in index order: the
-    # x and y columns, and the rows as tuples
-    xs, ys, cs = pointset.xs, pointset.ys, pointset.cs
+def _frame(pointset, swap):
+    # one pinned-pair family's frame, from the PointSet's own orders: the x
+    # and y columns in the frame's y order, and its (x, y, color) columns in
+    # its x order, as _strip takes them.  With swap, x and y trade places,
+    # and so do by_x and by_y; tied rows stay in index order in both.
+    xs, ys, by_x, by_y = pointset.xs, pointset.ys, pointset.by_x, pointset.by_y
     if swap:
-        xs, ys = ys, xs
-    order = np.lexsort((cs, xs, ys))
-    xs, ys = xs[order], ys[order]
-    return xs, ys, list(zip(xs.tolist(), ys.tolist(), cs[order].tolist()))
+        xs, ys, by_x, by_y = ys, xs, by_y, by_x
+    return xs[by_y], ys[by_y], (xs[by_x], ys[by_x], pointset.cs[by_x])
 
 
-def _strip(by_y, y_lo, y_hi):
-    # the (x, y, color) rows lying strictly between the two pinning y
-    # values, in increasing x, as three parallel lists.  by_y is in
-    # increasing y and, among equal y, in the order of the x sort (by_x),
-    # as _rows gives it, so the rows are a contiguous run of it, and a
-    # stable sort by x puts them in by_x order, ties and the sign of each
-    # zero included.
-    y = itemgetter(1)
-    lo = bisect_right(by_y, y_lo, key=y)
-    hi = bisect_left(by_y, y_hi, lo, key=y)
-    rows = sorted(by_y[lo:hi], key=itemgetter(0))
-    return [p[0] for p in rows], [p[1] for p in rows], [p[2] for p in rows]
+def _strip(cols, y_lo, y_hi):
+    # the (x, y, color) rows of a frame's x-ordered columns lying strictly
+    # between the two pinning y values, in that order, as three lists
+    inside = (y_lo < cols[1]) & (cols[1] < y_hi)
+    return tuple(col[inside].tolist() for col in cols)
 
 
 def _scan_segment(xs, ys, cols, totals, k, y0, r, ax, bx, eps):
@@ -194,92 +189,92 @@ def _square(w, cx, cy, r):
 def best_annulus_on_segment(pointset: PointSet, p_i, p_j, eps: float = DEFAULT_EPS):
     """Best square annulus whose outer square touches p_i with its bottom
     side and p_j with its top side, or None.  Raises ValueError unless
-    eps >= 0."""
+    eps >= 0 and p_i lies strictly below p_j."""
     check_eps(eps)
     seg = c3_center_segment(p_i, p_j)
     if seg is None:
         return None
     (ax, y0), (bx, _), r = seg
-    strip = _strip(_rows(pointset, False)[2], _xy(p_i)[1], _xy(p_j)[1])
+    strip = _strip(_frame(pointset, False)[2], _xy(p_i)[1], _xy(p_j)[1])
     totals = (0,) + pointset.color_count
     hit = _scan_segment(*strip, totals, pointset.k, y0, r, ax, bx, eps)
     return None if hit is None else _square(hit[0], hit[1], y0, r)
 
 
-def _pair_strips(xs, ys, bottom, top):
-    # xs, ys: the x and y columns of by_y.  For the pinned pairs
-    # by_y[bottom] (outer bottom side), by_y[top] (outer top side): r, y0,
-    # ax and bx by the float operations of c3_center_segment, and each
-    # pair's strip, the rows strictly between the two pinning y values (a
-    # run of by_y, as _strip takes it), as row indices padded to the
-    # longest with row 0, and pad, the mask of the padding.  Near the top
-    # of the float range r, y0, ax and bx may overflow; both callers run
-    # this under np.errstate, which silences the warning and keeps the
-    # values.
+@np.errstate(over="ignore", invalid="ignore")
+def _pairs(xs, ys):
+    # xs, ys: a frame's x and y columns in its y order.  The pair table,
+    # (bottom, top, r, y0, ax, bx, lo, hi) over every pinned pair, row
+    # bottom on the outer bottom side and row top on the top side, in
+    # increasing (bottom, top): the pairs with y_top > y_bottom (compare
+    # the ys, not r > 0: r underflows to 0 on subnormal gaps) and a
+    # non-empty segment.  r, y0, ax and bx are c3_center_segment's float
+    # operations, and rows lo:hi, the strip, are those strictly between
+    # the two pinning y values.  Near the top of the float range r, y0, ax
+    # and bx may overflow; the warning is silenced and the values kept.
+    bottom, top = np.triu_indices(len(xs), 1)
     yi, yj = ys[bottom], ys[top]
     r = (yj - yi) / 2.0
-    y0 = (yi + yj) / 2.0
     ax = np.maximum(xs[bottom], xs[top]) - r
     bx = np.minimum(xs[bottom], xs[top]) + r
+    pinned = (yj > yi) & (ax <= bx)
+    bottom, top, yi, yj, r, ax, bx = (v[pinned] for v in (bottom, top, yi, yj, r, ax, bx))
     lo = np.searchsorted(ys, yi, side="right")
     hi = np.searchsorted(ys, yj, side="left")
+    return bottom, top, r, (yi + yj) / 2.0, ax, bx, lo, hi
+
+
+def _pair_strips(lo, hi):
+    # the strip runs lo:hi of some pairs as row indices, padded to the
+    # longest with row 0, and pad, the mask of the padding
     strip = lo[:, None] + np.arange((hi - lo).max(initial=0))
     pad = strip >= hi[:, None]
     strip[pad] = 0
-    return r, y0, ax, bx, strip, pad
+    return strip, pad
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _pair_bounds(xs, ys, eps):
-    # xs, ys: the x and y columns of by_y.  Returns numpy arrays (bound,
-    # bottom, top) over the pinned pairs by_y[bottom] (outer bottom side),
-    # by_y[top] (outer top side) whose bound exceeds eps, in increasing
-    # (bottom, top); _scan_segment returns None on every other pair, and at
-    # most the bound on these.  The pairs are those with y_top > y_bottom
-    # and a non-empty segment; they are bounded in chunks, over their
-    # strips (_pair_strips), by r - core, where core is the largest
-    # |y - y0| over strip points with bx - r < x < ax + r.  The bound
-    # leaves the colors to _reaching and _scan_segment.
+def _pair_bounds(xs, ys, pairs):
+    # xs, ys: a frame's x and y columns in its y order; pairs: its pair
+    # table (_pairs).  Returns one bound per pair: _scan_segment returns
+    # None on a pair whose bound is at most eps, and at most the bound on
+    # the others.  The pairs are bounded in chunks, over their strips, by
+    # r - core, where core is the largest |y - y0| over strip points with
+    # bx - r < x < ax + r.  The bound leaves the colors to _reaching and
+    # _scan_segment.
     # Why w <= bound holds bit for bit: every t the scan visits lies in
     # [ax, bx], and float rounding is monotone.  So fl(t + r) >= fl(ax + r)
     # and fl(t - r) <= fl(bx - r): a core point passes both window tests at
     # every t, and the scan's r_in is at least its |y - y0|, the same
     # subtraction.  So r_in >= core, and w = fl(r - r_in) <= fl(r - core).
-    bottom, top = np.triu_indices(len(xs), 1)
-    r = (ys[top] - ys[bottom]) / 2.0
-    # compare the ys, not r > 0: r underflows to 0 on subnormal gaps
-    pinned = (ys[top] > ys[bottom]) & (np.maximum(xs[bottom], xs[top]) - r
-                                       <= np.minimum(xs[bottom], xs[top]) + r)
-    bottom, top = bottom[pinned], top[pinned]
-    bound = np.empty(len(bottom))
+    _, _, r, y0, ax, bx, lo, hi = pairs
+    bound = np.empty(len(r))
     # pairs in increasing strip length, in chunks of at most _CELLS cells
-    sizes = np.searchsorted(ys, ys[top], side="left") - np.searchsorted(ys, ys[bottom], side="right")
-    by_size = np.argsort(sizes, kind="stable")
-    sizes = np.maximum(sizes[by_size], 1)
-    lo = 0
-    while lo < len(by_size):
-        ahead = sizes[lo:lo + _CELLS // sizes[lo]]  # no more pairs fit
+    by_size = np.argsort(hi - lo, kind="stable")
+    sizes = np.maximum((hi - lo)[by_size], 1)
+    start = 0
+    while start < len(by_size):
+        ahead = sizes[start:start + _CELLS // sizes[start]]  # no more pairs fit
         cells = np.arange(1, len(ahead) + 1) * ahead
-        hi = lo + max(1, int(np.searchsorted(cells, _CELLS, side="right")))
-        chunk = by_size[lo:hi]
-        lo = hi
-        r, y0, ax, bx, strip, pad = _pair_strips(xs, ys, bottom[chunk], top[chunk])
-        r, ax, bx = r[:, None], ax[:, None], bx[:, None]
+        end = start + max(1, int(np.searchsorted(cells, _CELLS, side="right")))
+        chunk = by_size[start:end]
+        start = end
+        strip, pad = _pair_strips(lo[chunk], hi[chunk])
+        rc, y0c, axc, bxc = (v[chunk, None] for v in (r, y0, ax, bx))
         x = xs[strip]
-        core = np.where(~pad & (x > bx - r) & (x < ax + r),
-                        np.abs(ys[strip] - y0[:, None]), 0.0).max(axis=1, initial=0.0)
-        bound[chunk] = r[:, 0] - core
-    keep = bound > eps
-    return bound[keep], bottom[keep], top[keep]
+        core = np.where(~pad & (x > bxc - rc) & (x < axc + rc),
+                        np.abs(ys[strip] - y0c), 0.0).max(axis=1, initial=0.0)
+        bound[chunk] = rc[:, 0] - core
+    return bound
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _reaching(xs, ys, bottom, top, limit):
-    # xs, ys: the x and y columns of by_y; limit: a finite width.  Returns
-    # a boolean mask over the pinned pairs by_y[bottom], by_y[top], True on
-    # every pair whose _scan_segment returns a width >= limit.  The test
-    # drops the colors: a center t can reach limit only when every strip
-    # point p in its window has
+def _reaching(xs, ys, pairs, limit):
+    # xs, ys: a frame's x and y columns in its y order; pairs: rows of its
+    # pair table (_pairs); limit: a finite width.  Returns a boolean mask
+    # over the pairs, True on every pair whose _scan_segment returns a
+    # width >= limit.  The test drops the colors: a center t can reach
+    # limit only when every strip point p in its window has
     #   fl(r - |y_p - y0|) >= limit, or p is tall and rules out every t in
     #     (x_p - r, x_p + r);
     #   |x_p - t| <= r - limit, which rules out (x_p - r, x_p - r + limit)
@@ -305,7 +300,8 @@ def _reaching(xs, ys, bottom, top, limit):
     # or after bx, by monotone rounding (short points have limit <= r).
     # The 2^-1060 term covers the absolute error of subnormal results, and
     # a pair whose delta overflows is kept.
-    r, y0, ax, bx, strip, pad = _pair_strips(xs, ys, bottom, top)
+    _, _, r, y0, ax, bx, lo, hi = pairs
+    strip, pad = _pair_strips(lo, hi)
     delta = (np.maximum(np.abs(ax), np.abs(bx)) + r) * 2.0 ** -48 + 2.0 ** -1060
     keep = ~np.isfinite(delta)
     r, y0, delta = r[:, None], y0[:, None], delta[:, None]
@@ -329,41 +325,45 @@ def _reaching(xs, ys, bottom, top, limit):
 
 def _c3_family(pointset, swap, eps, floor):
     # The best bounded annulus with the outer bottom and top sides pinned
-    # by two rows of _rows(pointset, swap).  Returns
+    # by two rows of the frame _frame(pointset, swap).  Returns
     # (width, center_x, center_y, r) in this frame, or None, whenever the
     # best width is at least floor; below floor the result may be None or
-    # a narrower annulus.  Every pair is bounded (_pair_bounds); pairs are
-    # then taken in decreasing bound, a chunk at a time, decided at the
-    # current limit, the best width so far (or floor, or eps), and only the
-    # pairs the decision keeps (_reaching) are scanned.  The search stops
-    # at the first bound strictly below the limit: a pair whose bound or
-    # width equals it may still win the tie.  When a scan raises the limit,
-    # the chunk's unscanned pairs are decided again at the new one.  Pairs
-    # tied on (-width, t, y0) can differ in r, so the key ends with the
-    # pair's position in (y, x, color) order: the winner is the first best
-    # pair in that order, as when every pair is scanned in it, whatever the
-    # order of visits.
-    xs, ys, by_y = _rows(pointset, swap)
+    # a narrower annulus.  Every pair of the table is bounded
+    # (_pair_bounds); pairs are then taken in decreasing bound, a chunk at
+    # a time, decided at the current limit, the best width so far (or
+    # floor, or eps), and only the pairs the decision keeps (_reaching) are
+    # scanned.  The search stops at the first bound strictly below the
+    # limit: a pair whose bound or width equals it may still win the tie.
+    # When a scan raises the limit, the chunk's unscanned pairs are decided
+    # again at the new one.  Pairs tied on (-width, t, y0) can differ in r,
+    # so the key ends with the pair's position in the table, whose
+    # (bottom, top) order follows the frame's y order, tied rows in index
+    # order: the winner is the first best pair in that order, as when every
+    # pair is scanned in it, whatever the order of visits.
+    xs, ys, cols = _frame(pointset, swap)
     k, totals = pointset.k, (0,) + pointset.color_count
-    bound, bottom, top = _pair_bounds(xs, ys, eps)
-    step = max(1, _CELLS // (2 * len(by_y)))  # two intervals per strip point
+    pairs = _pairs(xs, ys)
+    bottom, top, r, y0, ax, bx = pairs[:6]
+    bound = _pair_bounds(xs, ys, pairs)
+    step = max(1, _CELLS // (2 * len(xs)))  # two intervals per strip point
     best = key = None
     limit = floor
-    todo = np.argsort(-bound, kind="stable")
+    todo = np.flatnonzero(bound > eps)
+    todo = todo[np.argsort(-bound[todo], kind="stable")]
     while len(todo) and bound[todo[0]] >= limit:
         head = todo[:step]
         head = head[bound[head] >= limit]
         todo = todo[len(head):]
-        kept = head[_reaching(xs, ys, bottom[head], top[head], max(limit, eps))]
+        kept = head[_reaching(xs, ys, [v[head] for v in pairs], max(limit, eps))]
         for pos, q in enumerate(kept):
-            (xi, y_i, _), (xj, y_j, _) = by_y[bottom[q]], by_y[top[q]]
-            (ax, y0), (bx, _), r = c3_center_segment((xi, y_i), (xj, y_j))
-            hit = _scan_segment(*_strip(by_y, y_i, y_j), totals, k, y0, r, ax, bx, eps)
+            rq, y0q, axq, bxq = (float(v[q]) for v in (r, y0, ax, bx))
+            strip = _strip(cols, ys[bottom[q]], ys[top[q]])
+            hit = _scan_segment(*strip, totals, k, y0q, rq, axq, bxq, eps)
             if hit is None:
                 continue
             w, t = hit
-            if key is None or (-w, t, y0, q) < key:
-                best, key = (w, t, y0, r), (-w, t, y0, q)
+            if key is None or (-w, t, y0q, q) < key:
+                best, key = (w, t, y0q, rq), (-w, t, y0q, q)
                 if w > limit:
                     limit = w
                     todo = np.concatenate([kept[pos + 1:], todo])

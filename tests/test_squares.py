@@ -1,19 +1,22 @@
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 
 from conftest import random_instance, random_real_instance, reflect_x, rotate90
 
-from rbannulus import DEFAULT_EPS, PointSet, SquareAnnulus, validate_solution
+from rbannulus import DEFAULT_EPS, PointSet, SquareAnnulus, max_rbra, validate_solution
 from rbannulus.core import INF
 from rbannulus.lcorridor import max_rblc_all
 from rbannulus.oracle import oracle_rbsa
 from rbannulus.squares import (
     _as_square,
+    _frame,
     _pair_bounds,
+    _pairs,
     _reaching,
     _scan_segment,
     _strip,
@@ -292,21 +295,33 @@ def test_width_invariant_under_rotation():
 
 def _frames(ps):
     # (x, y, color) rows in the input frame and with x and y swapped, each
-    # as (by_x, by_y) the way the bounded search orders them
+    # as (by_x, by_y) the way the bounded search orders them: sorted by
+    # (x, y) and by (y, x), tied rows in index order
     rows = [(p.x, p.y, p.color) for p in ps.points]
     for frame in (rows, [(y, x, c) for x, y, c in rows]):
-        by_x = sorted(frame)
-        yield by_x, sorted(by_x, key=lambda p: p[1])
+        yield (sorted(frame, key=lambda p: (p[0], p[1])),
+               sorted(frame, key=lambda p: (p[1], p[0])))
 
 
-def _columns(by_y):
-    # the x and y columns of by_y, as _c3_family passes them
-    return np.array([p[0] for p in by_y]), np.array([p[1] for p in by_y])
+def _columns(rows):
+    # the x, y and color columns of rows: those of by_y hold the frame's
+    # x and y columns as _c3_family passes them, those of by_x the
+    # x-ordered columns _strip takes
+    return tuple(np.array(col) for col in zip(*rows))
+
+
+def _bounds_over(xs, ys, eps):
+    # {(bottom, top): bound} over the pairs of the table whose bound
+    # exceeds eps, the pairs _c3_family searches
+    pairs = _pairs(xs, ys)
+    bound = _pair_bounds(xs, ys, pairs)
+    over = bound > eps
+    return dict(zip(zip(pairs[0][over].tolist(), pairs[1][over].tolist()), bound[over].tolist()))
 
 
 def _pinned_pairs(by_y):
     # (bottom, top) positions in by_y of every pair _c3_family may pin,
-    # in its (y, x, color) order, with the pair's c3_center_segment
+    # in by_y order, with the pair's c3_center_segment
     for i, (xi, y_i, _) in enumerate(by_y):
         for j in range(i + 1, len(by_y)):
             xj, y_j, _ = by_y[j]
@@ -344,11 +359,11 @@ def test_pair_bound_holds_on_every_pinned_pair():
     for ps in _bound_instances(random.Random(8080)):
         totals = (0,) + ps.color_count
         for by_x, by_y in _frames(ps):
-            xs, ys = _columns(by_y)
-            bound, bottom, top = _pair_bounds(xs, ys, DEFAULT_EPS)
-            bounds = dict(zip(zip(bottom.tolist(), top.tolist()), bound.tolist()))
+            xs, ys, _ = _columns(by_y)
+            cols = _columns(by_x)
+            bounds = _bounds_over(xs, ys, DEFAULT_EPS)
             for i, j, ((ax, y0), (bx, _), r) in _pinned_pairs(by_y):
-                strip = _strip(by_y, by_y[i][1], by_y[j][1])
+                strip = _strip(cols, by_y[i][1], by_y[j][1])
                 hit = _scan_segment(*strip, totals, ps.k, y0, r, ax, bx, DEFAULT_EPS)
                 if (i, j) not in bounds:
                     assert hit is None, (ps.points, i, j)
@@ -357,6 +372,58 @@ def test_pair_bound_holds_on_every_pinned_pair():
                     assert hit[0] <= bounds[i, j], (ps.points, i, j)
                     tight += hit[0] == bounds[i, j]
     assert scanned >= 200 and tight >= 20
+
+
+def _table_instances(rng):
+    # integer, one-decimal and signed-zero instances, each also scaled by
+    # 10**6 and moved by (10**7, -10**7); then a y-gap of one subnormal,
+    # where r underflows to 0, and coordinates of +-1e308, where r, y0, ax
+    # and bx overflow
+    for it in range(36):
+        k = rng.randint(1, 3)
+        n = rng.randint(2 * k, 10)
+        if it % 3 == 0:
+            ps = random_instance(rng, n, k, 0, 4)
+        else:
+            ps = random_real_instance(rng, n, k, digits=1)
+        if it % 3 == 2:
+            ps = PointSet.build([(rng.choice((0.0, -0.0, p.x)), rng.choice((0.0, -0.0, p.y)),
+                                  p.color) for p in ps.points], k)
+        yield ps
+        yield PointSet.build([(p.x * 1e6 + 1e7, p.y * 1e6 - 1e7, p.color)
+                              for p in ps.points], k)
+    yield PointSet.build([(0.0, 0.0, 1), (-0.0, 5e-324, 1), (1.0, 5e-324, 1),
+                          (0.0, 1.0, 1), (0.5, 0.5, 1)], 1)
+    yield PointSet.build([(-1e308, -1e308, 1), (1e308, 1e308, 1), (0.0, 1e308, 1),
+                          (1e308, -1e308, 1), (0.5, 0.0, 1), (-1e308, 0.5, 1)], 1)
+
+
+def test_pair_table_matches_c3_center_segment():
+    # the pair table holds every pinned pair of by_y, in increasing
+    # (bottom, top), and rows lo:hi of by_y are exactly those strictly
+    # between its two pins.  On every pair whose bound exceeds 0, and so on
+    # every pair the solver scans at any eps >= 0 (r > 0 there), r, y0, ax
+    # and bx are repr-equal to c3_center_segment's.  Where r = 0 the sign
+    # of a zero ax or bx may differ: np.maximum and np.minimum return the
+    # second operand on a tie of -0.0 and 0.0, max and min the first.
+    # Both frames.
+    checked = 0
+    for ps in _table_instances(random.Random(6060)):
+        for _, by_y in _frames(ps):
+            xs, ys, _ = _columns(by_y)
+            pairs = _pairs(xs, ys)
+            bound = _pair_bounds(xs, ys, pairs)
+            bottom, top, r, y0, ax, bx, lo, hi = (v.tolist() for v in pairs)
+            assert list(zip(bottom, top)) == [(i, j) for i, j, _ in _pinned_pairs(by_y)]
+            for q, (i, j) in enumerate(zip(bottom, top)):
+                between = [p for p in by_y if by_y[i][1] < p[1] < by_y[j][1]]
+                assert repr(by_y[lo[q]:hi[q]]) == repr(between), (ps.points, i, j)
+                if bound[q] > 0.0:
+                    (a, y_0), (b, _), r_out = c3_center_segment(by_y[i], by_y[j])
+                    assert repr((r[q], y0[q], ax[q], bx[q])) == repr((r_out, y_0, a, b)), \
+                        (ps.points, i, j)
+                    checked += 1
+    assert checked >= 1000
 
 
 def _decision_instances(rng):
@@ -388,21 +455,21 @@ def test_decision_keeps_every_pair_that_reaches_the_limit():
     for ps in _decision_instances(random.Random(9090)):
         totals = (0,) + ps.color_count
         for eps in (0.0, DEFAULT_EPS):
-            for _, by_y in _frames(ps):
-                xs, ys = _columns(by_y)
-                bottom, top, widths = [], [], []
-                for i, j, ((ax, y0), (bx, _), r) in _pinned_pairs(by_y):
-                    strip = _strip(by_y, by_y[i][1], by_y[j][1])
+            for by_x, by_y in _frames(ps):
+                xs, ys, _ = _columns(by_y)
+                cols = _columns(by_x)
+                pairs, widths = _pairs(xs, ys), []
+                for q, (i, j, ((ax, y0), (bx, _), r)) in enumerate(_pinned_pairs(by_y)):
+                    assert (pairs[0][q], pairs[1][q]) == (i, j), (ps.points, i, j)
+                    strip = _strip(cols, by_y[i][1], by_y[j][1])
                     hit = _scan_segment(*strip, totals, ps.k, y0, r, ax, bx, eps)
-                    bottom.append(i)
-                    top.append(j)
                     widths.append(-INF if hit is None else hit[0])
                 if not widths:
                     continue
-                bottom, top, widths = np.array(bottom), np.array(top), np.array(widths)
+                widths = np.array(widths)
                 for w in widths[widths > -INF]:
                     for limit in (math.nextafter(w, -INF), w, math.nextafter(w, INF)):
-                        keep = _reaching(xs, ys, bottom, top, limit)
+                        keep = _reaching(xs, ys, pairs, limit)
                         reach = widths >= limit
                         assert keep[reach].all(), (ps.points, eps, limit)
                         reached += int(reach.sum())
@@ -418,7 +485,7 @@ def _strip_by_filter(by_x, y_lo, y_hi):
 
 def _c3_family_all_pairs(by_x, by_y, k, totals, eps):
     # the bounded family as _c3_family searched it before pairs were
-    # bounded: every pinned pair, scanned in (y, x, color) order, with the
+    # bounded: every pinned pair, scanned in by_y order, with the
     # first pair that is best by (-width, t, y0) kept, each strip filtered
     # from by_x
     best = None
@@ -483,9 +550,10 @@ def test_best_first_search_keeps_every_witness():
 
 
 def test_strip_is_the_by_x_filter():
-    # the bisected run, sorted by x, holds the rows of the one-pass filter
-    # over by_x in the same order, each zero with its sign; in the solver's
-    # frames and in the PointSet's own orders (best_annulus_on_segment)
+    # the numpy pass over a frame's x-ordered columns holds the rows of the
+    # one-pass filter over by_x in the same order, each zero with its sign;
+    # over the columns of by_x and over the solver's frames (_frame), which
+    # best_annulus_on_segment shares
     rng = random.Random(4242)
     for it in range(60):
         k = rng.randint(1, 3)
@@ -493,13 +561,11 @@ def test_strip_is_the_by_x_filter():
         ps = random_instance(rng, n, k, -2, 2)
         ps = PointSet.build([(rng.choice((-0.0, p.x)), rng.choice((-0.0, p.y)), p.color)
                              for p in ps.points], k)
-        pts = ps.points
-        rows = [(p.x, p.y, p.color) for p in pts]
-        orders = list(_frames(ps)) + [([rows[i] for i in ps.by_x], [rows[i] for i in ps.by_y])]
-        for by_x, by_y in orders:
+        for swap, (by_x, by_y) in zip((False, True), _frames(ps)):
             ys = sorted({p[1] for p in by_y})
-            for lo, hi in itertools.combinations(ys, 2):
-                assert repr(_strip(by_y, lo, hi)) == repr(_strip_by_filter(by_x, lo, hi))
+            for cols in (_columns(by_x), _frame(ps, swap)[2]):
+                for lo, hi in itertools.combinations(ys, 2):
+                    assert repr(_strip(cols, lo, hi)) == repr(_strip_by_filter(by_x, lo, hi))
 
 
 def test_pair_with_bound_equal_to_best_still_wins_on_t():
@@ -509,14 +575,13 @@ def test_pair_with_bound_equal_to_best_still_wins_on_t():
     # width, and reaches it at t = -2, so it wins the tie: the search stops
     # only at a bound strictly below the best width
     ps = PointSet.build([(3, -3, 1), (-3, 1, 1), (-2, -1, 1), (3, 3, 1)], 1)
-    _, (_, by_y) = _frames(ps)
-    xs, ys = _columns(by_y)
-    bound, bottom, top = _pair_bounds(xs, ys, DEFAULT_EPS)
-    bounds = dict(zip(zip(bottom.tolist(), top.tolist()), bound.tolist()))
+    _, (by_x, by_y) = _frames(ps)
+    xs, ys, _ = _columns(by_y)
+    bounds = _bounds_over(xs, ys, DEFAULT_EPS)
     assert bounds[0, 3] == 3.0 and bounds[0, 2] == 1.0
     hits = {}
     for i, j, ((ax, y0), (bx, _), r) in _pinned_pairs(by_y):
-        strip = _strip(by_y, by_y[i][1], by_y[j][1])
+        strip = _strip(_columns(by_x), by_y[i][1], by_y[j][1])
         hits[i, j] = _scan_segment(*strip, (0, 4), 1, y0, r, ax, bx, DEFAULT_EPS)
     assert hits[0, 3] == (1.0, 0.0) and hits[0, 2] == (1.0, -2.0)
     assert max_rbsa_c3(ps) == SquareAnnulus(-3.0, 3.0, -5.0, 1.0, 1.0)
@@ -525,8 +590,39 @@ def test_pair_with_bound_equal_to_best_still_wins_on_t():
 def test_pairs_tied_on_width_center_keep_the_first_in_order():
     # (5, -5)-(-5, 5) and (0, -3)-(1, 3) both reach width 2 at the center
     # (0, 0), with r = 5 and r = 3.  The second has bound 3 and is scanned
-    # first; the first has bound 2 and comes first in (y, x, color) order,
+    # first; the first has bound 2 and comes first in by_y order,
     # where scanning every pair keeps it
     ps = PointSet.build([(-1, 0, 1), (0, -1, 1), (5, -5, 1), (-5, 5, 1),
                          (2, 3, 1), (1, 3, 1), (0, -3, 1), (-3, 1, 1)], 1)
     assert max_rbsa_c3(ps) == SquareAnnulus(-5.0, 5.0, -5.0, 5.0, 2.0)
+
+
+def _without_zero_signs(ann):
+    # the repr of an answer with every -0.0 read as 0.0
+    return re.sub(r"-0\.0(?![0-9e])", "0.0", repr(ann))
+
+
+def test_answers_do_not_depend_on_input_order():
+    # shuffling the input rows of tie-heavy instances, whose picks include
+    # -0.0 and 0.0 and whose repeated points may take another color, keeps
+    # max_rbsa_c3's answer bit for bit: tied rows trade places in its
+    # frames, and they pin and scan alike.  The other solvers keep theirs
+    # up to the sign of a zero, which follows the first row.
+    rng = random.Random(1)
+    picks = (-0.0, 0.0, 1.0, 2.0, -1.0)
+    others = [max_rbsa, max_rblc_all, max_rbra, lambda ps: max_rbes(ps, "vertical"),
+              lambda ps: max_rbes(ps, "horizontal")]
+    signed = 0
+    for _ in range(200):
+        k = rng.randint(1, 3)
+        n = rng.randint(2 * k, 10)
+        rows = [(rng.choice(picks), rng.choice(picks), 1 + j % k) for j in range(n)]
+        rows += [(x, y, 1 + c % k) for x, y, c in rng.sample(rows, rng.randint(1, n))]
+        shuffled = rng.sample(rows, len(rows))
+        ps, qs = PointSet.build(rows, k), PointSet.build(shuffled, k)
+        assert repr(max_rbsa_c3(ps)) == repr(max_rbsa_c3(qs)), rows
+        for solve in others:
+            a, b = solve(ps), solve(qs)
+            assert _without_zero_signs(a) == _without_zero_signs(b), rows
+            signed += repr(a) != repr(b)
+    assert signed >= 20

@@ -7,14 +7,20 @@ four kinds in turn: integer grid points in [0, 8]^2, coordinates picked
 from {-0.0, 0.0, 1.0, 2.0, -3.0}, one-decimal reals in [-1, 1] and
 two-decimal reals in [-1, 1].  About a third repeat some of their points,
 and every base instance comes with a copy scaled by 1e6 and moved by
-(3e6, -1e6).  Each instance is solved at eps 1e-9 and at eps 0 by
+(3e6, -1e6).  Base instance i with i % 75 == 74 also brings a long
+instance, `generate_instance(n, 3, dist, i)` with n 300 or 1,500 in turn
+and dist uniform for two long instances, then clusters for two, each
+followed by a copy snapped to a 1/50 grid and one with about a tenth of
+its coordinates set to -0.0 or 0.0: L-corridor passes longer than one
+chunk of levels, and square decisions over many chunks of pairs.  Each
+instance is solved at eps 1e-9 and at eps 0 by
 
   max_rbes        vertical and horizontal
   max_rblc_all
   max_rblc        each of the four orientations, so that a change in
                   one pass shows even where the best of four hides it
-  max_rbsa
-  max_rbra
+  max_rbsa        only where n <= 300
+  max_rbra        only on base instances (n <= 48)
   max_rbca        only where n <= 16
   max_rbca_on_line  on the line of slope -0.3 through the first point,
                   only where n <= 16
@@ -35,11 +41,9 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 "..", "src"))
 
-from rbannulus import (L_ORIENTATIONS, Line, PointSet, max_rbca,  # noqa: E402
-                       max_rbca_on_line, max_rbes, max_rblc, max_rblc_all,
-                       max_rbra, max_rbsa)
-
-SMALL = 16  # the circle solvers run up to this n
+from rbannulus import (L_ORIENTATIONS, Line, PointSet, generate_instance,  # noqa: E402
+                       max_rbca, max_rbca_on_line, max_rbes, max_rblc,
+                       max_rblc_all, max_rbra, max_rbsa)
 
 SOLVERS = {
     "max_rbes vertical": lambda ps, eps: max_rbes(ps, "vertical", eps),
@@ -53,12 +57,30 @@ SOLVERS = {
     "max_rbca_on_line": lambda ps, eps: max_rbca_on_line(
         ps, Line(0.3, 1.0, 0.3 * ps.points[0].x + ps.points[0].y), eps),
 }
-CIRCLES = ("max_rbca", "max_rbca_on_line")
+# the largest n a solver runs at; the others run on every instance
+MAX_N = {"max_rbsa": 300, "max_rbra": 48, "max_rbca": 16, "max_rbca_on_line": 16}
 PICKS = (-0.0, 0.0, 1.0, 2.0, -3.0)
+LONG = 75  # one long instance per this many base instances
+
+
+def long_instances(i):
+    """The long instance of base instance i and its two copies."""
+    j = i // LONG
+    ps = generate_instance((300, 1500)[j % 2], 3, ("uniform", "clusters")[j // 2 % 2], i)
+    rows = [(p.x, p.y, p.color) for p in ps.points]
+    rng = random.Random(i)
+
+    def pick(v):
+        return rng.choice((-0.0, 0.0)) if rng.random() < 0.1 else v
+
+    yield ps
+    yield PointSet.build([(round(x * 50) / 50, round(y * 50) / 50, c) for x, y, c in rows], 3)
+    yield PointSet.build([(pick(x), pick(y), c) for x, y, c in rows], 3)
 
 
 def corpus(count, seed):
-    """The base instances, each followed by its moved copy."""
+    """The base instances, each followed by its moved copy and, every
+    LONG instances, by a long instance and its copies."""
     rng = random.Random(seed)
     for i in range(count):
         k = rng.randint(1, 3)
@@ -79,6 +101,8 @@ def corpus(count, seed):
         yield PointSet.build(rows, k)
         yield PointSet.build([(x * 1e6 + 3e6, y * 1e6 - 1e6, c)
                               for x, y, c in rows], k)
+        if i % LONG == LONG - 1:
+            yield from long_instances(i)
 
 
 def main(argv=None):
@@ -92,7 +116,7 @@ def main(argv=None):
     for ps in corpus(args.count, args.seed):
         for eps in (1e-9, 0.0):
             for name, solve in SOLVERS.items():
-                if name in CIRCLES and ps.n > SMALL:
+                if ps.n > MAX_N.get(name, ps.n):
                     continue
                 line = (repr(solve(ps, eps)) + "\n").encode()
                 hashes[name].update(line)

@@ -10,9 +10,10 @@ give perfbench's square-uniform pool.  Each instance is solved once with
 max_rbsa.  For each pair family of the bounded search (h: the input frame,
 v: x and y swapped) the script prints
 
-  bounded  pairs whose width bound exceeds eps (_pair_bounds): r minus
-           the largest |y - y0| of the strip points that are inside the
-           outer square at every center, with no color test
+  bounded  pairs of the pair table (_pairs) whose width bound
+           (_pair_bounds) exceeds eps: r minus the largest |y - y0| of
+           the strip points that are inside the outer square at every
+           center, with no color test
   floor    of those, the pairs whose bound reaches the family's floor
   kept     pairs the color-free decision keeps (_reaching), summed over
            its rounds
@@ -44,14 +45,14 @@ def install_counters(counts):
 
     def family(pointset, swap, eps, floor):
         counts.append(dict.fromkeys(FIELDS, 0))
-        counts[-1]["floor_value"] = floor
+        counts[-1]["limits"] = eps, floor
         return c3_family(pointset, swap, eps, floor)
 
-    def bounds(xs, ys, eps):
-        out = pair_bounds(xs, ys, eps)
-        floor = counts[-1]["floor_value"]
-        counts[-1]["bounded"] += len(out[0])
-        counts[-1]["floor"] += int((out[0] >= floor).sum())
+    def bounds(xs, ys, pairs):
+        out = pair_bounds(xs, ys, pairs)
+        eps, floor = counts[-1]["limits"]
+        counts[-1]["bounded"] += int((out > eps).sum())
+        counts[-1]["floor"] += int(((out > eps) & (out >= floor)).sum())
         return out
 
     def decide(*args):
