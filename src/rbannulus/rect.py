@@ -10,13 +10,19 @@ one point on the outer top, walks candidate bottoms and widths in a staircase
 four axis directions by reflecting the input.  The open bottom is the walk's
 last bottom anchor: B = -INF in the top anchor's own column.
 
-The width-w feasibility question for a fixed anchor pair is answered by one
-arm scan, ``_scan_arms_list``, which visits the slab's gaps in x order and
+The width-w feasibility question for a fixed anchor pair starts with one
+pass over the two boundary bands, ``_band_split``: it rejects a band point
+strictly between the anchor columns, forms the branches (the fences the
+bands put on the outer left and right sides) and keeps only those whose
+span holds two arms; that branch rule lives there alone.  One arm scan per
+branch, ``_scan_arms_list``, then visits the slab's gaps in x order and
 returns the first feasible placement.  ``dp_decision``, the decision
-``max_rbra`` runs, first rejects from the boundary bands alone the decisions
-that cannot succeed, and gathers the slab for the scan only for the rest.
+``max_rbra`` runs, rejects from the bands alone the decisions that cannot
+succeed, and gathers the slab for the scan only for the rest, taking the
+middle band's per-color x lists from the frame's color-grouped x order.
 The plain walk, which gathers the slab for every decision, is the tests'
-reference and lives in ``rbannulus.reference``.
+reference and lives in ``rbannulus.reference``; it runs the same band
+split.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ class DecisionOutcome(NamedTuple):
 class _Frame:
     __slots__ = ("n", "k", "X", "Y", "Yb", "C", "xorder", "levels",
                  "col_ymin", "col_ymax", "Xl", "Yl", "Cl", "negYl",
-                 "xorder_l", "xsorted_l")
+                 "xorder_l", "xsorted_l", "xorder_c")
 
 
 def _top_down(xs, ys, cs):
@@ -62,16 +68,13 @@ def _make_frame(X0, Y0, C0, k: int) -> _Frame:
     fr.Yb = np.append(fr.Y, -INF)  # bottom-anchor heights, open bottom last
     fr.C = C0[order]
     fr.xorder = np.lexsort((np.arange(fr.n), fr.X))
+    # the rows in x order, grouped by color: each color's run keeps x order
+    fr.xorder_c = fr.xorder[np.argsort(fr.C[fr.xorder], kind="stable")]
     fr.levels = _sorted_distinct(fr.Y)
-    ymin = np.full(k + 1, INF)
-    ymax = np.full(k + 1, -INF)
-    for c in range(1, k + 1):
-        sel = fr.Y[fr.C == c]
-        if sel.size:
-            ymin[c] = float(sel.min())
-            ymax[c] = float(sel.max())
-    fr.col_ymin = ymin
-    fr.col_ymax = ymax
+    lo, hi = np.full(k + 1, INF), np.full(k + 1, -INF)
+    np.minimum.at(lo, fr.C, fr.Y)
+    np.maximum.at(hi, fr.C, fr.Y)
+    fr.col_ymin, fr.col_ymax = lo.tolist(), hi.tolist()
     fr.Xl = fr.X.tolist()
     fr.Yl = fr.Y.tolist()
     fr.Cl = fr.C.tolist()
@@ -105,43 +108,47 @@ def anchor_ordering(pointset: PointSet):
 # width-w decision
 
 
-def _band_split(bxs, bcs, m, M, k):
-    """Partition boundary-band points against the anchor columns m <= M.
+def _band_split(bxs, bcs, m, M, w, k):
+    """Partition boundary-band points against the anchor columns m <= M in
+    one pass.
 
     Returns None when a band point lies strictly between the columns (no
-    uniform ring can dodge it), else (colors seen, list of (lReq, rReq)
-    branch constraints).  Two branches appear only when a band point sits
-    exactly on m == M and may be fenced out on either side.
+    uniform ring can dodge it), else (colors seen, list of viable (lReq,
+    rReq) branch constraints).  The branch is (max x <= m, min x >= M),
+    -INF and INF when there is none; when m == M and a band point sits on
+    that column it may be fenced out on either side, which gives the two
+    branches (m, min x > M) and (max x < m, M).  The pass keeps the
+    largest x < m, the smallest x > M and the first x on each column, so
+    equal extremes keep the first one met.  A branch stays when lReq <= m,
+    rReq >= M and its span rReq - lReq holds two arms of width w; this is
+    the one place that rule is tested.
     """
-    lReq = -INF
-    rReq = INF
+    lt = -INF  # largest x < m
+    gt = INF   # smallest x > M
+    on_m = on_M = None  # the first x == m and the first other x == M
     bsat = [False] * (k + 1)
-    if m < M:
-        for x, c in zip(bxs, bcs):
-            bsat[c] = True
-            if x <= m:
-                if x > lReq:
-                    lReq = x
-            elif x >= M:
-                if x < rReq:
-                    rReq = x
-            else:
-                return None
-        return bsat, [(lReq, rReq)]
-    amb = False
     for x, c in zip(bxs, bcs):
         bsat[c] = True
         if x < m:
-            if x > lReq:
-                lReq = x
-        elif x > m:
-            if x < rReq:
-                rReq = x
+            if x > lt:
+                lt = x
+        elif x > M:
+            if x < gt:
+                gt = x
+        elif x == m:
+            if on_m is None:
+                on_m = x
+        elif x == M:
+            if on_M is None:
+                on_M = x
         else:
-            amb = True
-    if amb:
-        return bsat, [(m, rReq), (lReq, min(rReq, M))]
-    return bsat, [(lReq, rReq)]
+            return None
+    if m == M and on_m is not None:
+        branches = [(m, gt), (lt, M)]
+    else:
+        branches = [(lt if on_m is None else on_m, gt if on_M is None else on_M)]
+    return bsat, [(lReq, rReq) for lReq, rReq in branches
+                  if not (lReq > m or rReq < M or rReq - lReq < 2.0 * w)]
 
 
 def _first_R_list(slabxs, Rlo, Rhi, w):
@@ -160,8 +167,6 @@ def _first_R_list(slabxs, Rlo, Rhi, w):
 
 
 def _scan_arms_list(slabxs, mcol, satbase, m, M, w, lReq, rReq, k):
-    if lReq > m or rReq < M or rReq - lReq < 2.0 * w:
-        return None
     npts = len(slabxs)
     for g in range(npts + 1):
         gl = slabxs[g - 1] if g else -INF
@@ -216,13 +221,11 @@ def _scan_branches(fr: _Frame, slabxs, mcol, bsat, branches, T, B, m, M, w):
     branches, or None.  A color is satisfied outside before any arm is
     placed when a band point has it or a point lies on or beyond the outer
     top or bottom."""
-    k = fr.k
-    satbase = [False] * (k + 1)
-    for c in range(1, k + 1):
-        satbase[c] = bool(bsat[c] or fr.col_ymax[c] >= T or fr.col_ymin[c] <= B)
+    satbase = [s or hi >= T or lo <= B
+               for s, hi, lo in zip(bsat, fr.col_ymax, fr.col_ymin)]
     best = None
     for lReq, rReq in branches:
-        got = _scan_arms_list(slabxs, mcol, satbase, m, M, w, lReq, rReq, k)
+        got = _scan_arms_list(slabxs, mcol, satbase, m, M, w, lReq, rReq, fr.k)
         if got is not None and (best is None or got < best):
             best = got
     return best
@@ -256,9 +259,9 @@ def _decide_fast_impl(fr: _Frame, x_i, T, B, x_j, w):
     """Exact width-w decision for outer top T (anchor column x_i on it) and
     outer bottom B holding column x_j; the open bottom is B = -INF with
     x_j = x_i.  Returns the leftmost witness (L, R) or None.  The band
-    split, the span test and the left-arm test of each branch come first,
-    on the frame's lists; only a branch that survives them gathers the
-    slab and runs the arm scan."""
+    split, with its span test, and the left-arm test of each branch come
+    first, on the frame's lists; only a branch that survives them gathers
+    the slab and runs the arm scan."""
     if T - B < 2.0 * w:
         return None
     Tw = T - w
@@ -273,21 +276,20 @@ def _decide_fast_impl(fr: _Frame, x_i, T, B, x_j, w):
         return None
     Xl, Cl = fr.Xl, fr.Cl
     bands = _band_split(Xl[iT:iTw] + Xl[jBw:iB], Cl[iT:iTw] + Cl[jBw:iB],
-                        m, M, k)
+                        m, M, w, k)
     if bands is None:
         return None
     bsat, branches = bands
-    branches = [(lReq, rReq) for lReq, rReq in branches
-                if not (lReq > m or rReq < M or rReq - lReq < 2.0 * w)
-                and _left_arm_fits(fr, iT, iB, lReq, m, w)]
+    branches = [b for b in branches if _left_arm_fits(fr, iT, iB, b[0], m, w)]
     if not branches:
         return None
     xo = fr.xorder
     sel = xo[(xo >= iT) & (xo < iB)]
-    mid = sel[(sel >= iTw) & (sel < jBw)]
-    mx = fr.X[mid]
-    mc = fr.C[mid]
-    mcol = [None] + [mx[mc == c].tolist() for c in range(1, k + 1)]
+    xc = fr.xorder_c
+    mid = xc[(xc >= iTw) & (xc < jBw)]
+    mx = fr.X[mid].tolist()
+    cut = np.searchsorted(fr.C[mid], np.arange(1, k + 2)).tolist()
+    mcol = [None] + [mx[cut[c]:cut[c + 1]] for c in range(k)]
     return _scan_branches(fr, fr.X[sel].tolist(), mcol, bsat, branches,
                           T, B, m, M, w)
 

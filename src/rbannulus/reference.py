@@ -64,7 +64,7 @@ def _decide_slow(fr: _Frame, x_i, T, B, x_j, w):
             mcol[Cl[t]].append(x)
     if not any(mcol[1:]):
         return None
-    bands = _band_split(bxs, bcs, m, M, k)
+    bands = _band_split(bxs, bcs, m, M, w, k)
     if bands is None:
         return None
     bsat, branches = bands

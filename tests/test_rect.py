@@ -14,6 +14,7 @@ from rbannulus import (
 )
 from rbannulus.core import offset_square
 from rbannulus.rect import (
+    _band_split,
     anchor_ordering,
     dp_decision,
     max_anchored_rbra_for_top_point,
@@ -208,11 +209,12 @@ def test_dp_matches_brute_random():
                         assert ann.outer_left <= pts[j].x <= ann.outer_right
 
 
-def test_dp_fast_equals_dp_random():
+@pytest.mark.parametrize("kcap", [3, 10])
+def test_dp_fast_equals_dp_random(kcap):
     rng = random.Random(402)
     for _ in range(70):
         n = rng.randint(4, 11)
-        k = rng.randint(1, min(3, n // 2))
+        k = rng.randint(1, min(kcap, n // 2))
         ps = random_instance(rng, n, k, lo=0, hi=10)  # many ties
         for i, j in anchor_pairs(ps, rng, 2):
             for w in sample_widths(ps, i, j, rng):
@@ -235,6 +237,54 @@ def test_fast_decision_keeps_a_rounded_gap():
         ref = dp_decision_reference(ps, i, bottom, 0.16)
         assert ref.feasible
         assert dp_decision(ps, i, bottom, 0.16) == ref
+
+
+def _band_split_by_rule(bxs, bcs, m, M, w, k):
+    # _band_split's rule over the whole band at once; an extreme is the
+    # first value met that equals it, so its sign of zero comes from there
+    def first(xs, pick, default):
+        return next((x for x in xs if x == pick(xs, default=default)), default)
+
+    if any(m < x < M for x in bxs):
+        return None
+    seen = [False] * (k + 1)
+    for c in bcs:
+        seen[c] = True
+    if m == M and m in bxs:
+        branches = [(m, first([x for x in bxs if x > M], min, INF)),
+                    (first([x for x in bxs if x < m], max, -INF), M)]
+    else:
+        branches = [(first([x for x in bxs if x <= m], max, -INF),
+                     first([x for x in bxs if x >= M], min, INF))]
+    return seen, [(lo, hi) for lo, hi in branches
+                  if lo <= m and hi >= M and hi - lo >= 2.0 * w]
+
+
+def test_band_split_follows_its_rule():
+    # the plain walk shares _band_split with the solver, so their agreement
+    # cannot catch a fault in it: check it against the rule itself on bands
+    # with repeated values, signed zeros and points on m, on M and on m == M
+    rng = random.Random(414)
+    pool = (-0.0, 0.0, 1.0, -1.0, 2.0, 0.5, -2.5, 3.0)
+    seen = {"none": 0, "two": 0, "dropped": 0}
+    for _ in range(3000):
+        a = rng.choice(pool)
+        b = a if rng.random() < 0.4 else rng.choice(pool)
+        m, M = (a, b) if a <= b else (b, a)
+        k = rng.randint(1, 4)
+        bxs = [rng.choice(pool + (m, M, m, M)) for _ in range(rng.randint(0, 8))]
+        bcs = [rng.randint(1, k) for _ in bxs]
+        w = rng.choice((0.25, 0.5, 1.0, 1.5, 2.5))
+        want = _band_split_by_rule(bxs, bcs, m, M, w, k)
+        got = _band_split(bxs, bcs, m, M, w, k)
+        assert repr(got) == repr(want), (bxs, bcs, m, M, w)
+        if want is None:
+            seen["none"] += 1
+        elif m == M and m in bxs and len(want[1]) == 2:
+            seen["two"] += 1
+        elif not want[1]:
+            seen["dropped"] += 1
+    assert min(seen.values()) > 100, seen
 
 
 def test_dp_monotone_in_width():
@@ -470,11 +520,12 @@ def test_max_rbra_matches_oracle():
             assert got.inner_sides == offset_square(got.outer_sides, got.width)
 
 
-def test_max_rbra_fast_equals_slow():
+@pytest.mark.parametrize("kcap", [3, 10])
+def test_max_rbra_fast_equals_slow(kcap):
     rng = random.Random(411)
     for _ in range(54):
         n = rng.randint(4, 22)
-        k = rng.randint(1, min(3, n // 2))
+        k = rng.randint(1, min(kcap, n // 2))
         kind = rng.randrange(3)
         if kind == 0:
             ps = random_instance(rng, n, k, lo=0, hi=15)
@@ -518,6 +569,32 @@ def test_max_rbra_rotation_invariant_width():
             assert b is None
         else:
             assert b is not None and b.width == a.width
+
+
+def test_max_rbra_width_invariant_under_color_relabelling():
+    # k up to 8 reaches the frame's color-grouped lists; tied witnesses may
+    # differ under a relabelling, since the frame breaks ties by color, so
+    # only the widths must be equal
+    rng = random.Random(413)
+    for it in range(60):
+        n = rng.randint(4, 18)
+        k = rng.randint(1, min(8, n // 2))
+        kind = it % 3
+        if kind == 0:
+            ps = random_instance(rng, n, k, lo=0, hi=12)
+        elif kind == 1:
+            ps = random_real_instance(rng, n, k, digits=1)
+        else:
+            picks = (-0.0, 0.0, 1.0, 2.0, -3.0)
+            ps = PointSet.build([(rng.choice(picks), rng.choice(picks), p.color)
+                                 for p in random_instance(rng, n, k).points], k)
+        relabel = rng.sample(range(1, k + 1), k)
+        image = PointSet.build([(p.x, p.y, relabel[p.color - 1]) for p in ps.points], k)
+        a, b = max_rbra(ps), max_rbra(image)
+        assert (a is None) == (b is None), (ps.points, relabel)
+        if a is not None:
+            assert b.width == a.width, (ps.points, relabel)
+            assert validate_solution(a, ps) and validate_solution(b, image)
 
 
 def test_max_rbra_degenerate():

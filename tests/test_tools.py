@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -21,3 +22,35 @@ def test_tool_runs_and_prints_a_total(argv):
                          text=True, timeout=120)
     assert got.returncode == 0, got.stderr
     assert any("total" in line.split() for line in got.stdout.splitlines()), got.stdout
+
+
+def _load_answers_tool():
+    spec = importlib.util.spec_from_file_location(
+        "answers", os.path.join(ROOT, "tools", "answers.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_answers_match_the_recorded_table():
+    # every solver's answers on tools/answers.py's corpus at --count 150,
+    # hashed as the tool prints them; tests/answers_count150.txt is that
+    # output, recorded when the answers last changed on purpose
+    with open(os.path.join(ROOT, "tests", "answers_count150.txt")) as f:
+        lines = f.read().splitlines()
+    recorded_versions = lines[0].lstrip("# ").split(" count")[0]
+    recorded = {}
+    for line in lines[1:]:
+        name, n, digest = line.rsplit(None, 2)
+        recorded[name] = (int(n), digest)
+    tool = _load_answers_tool()
+    got = tool.digests(150, 0)
+    moved = [name for name in recorded if got.get(name) != recorded[name]]
+    assert not moved, (
+        "answers moved for %s\n"
+        "recorded with %s, running %s\n"
+        "to find the first changed answer, run on this checkout and on the "
+        "last one that passed:\n"
+        "  python3 tools/answers.py --count 150 --dump answers.txt\n"
+        "then: diff old/answers.txt new/answers.txt | head"
+        % (", ".join(moved), recorded_versions, tool.versions()))

@@ -1,6 +1,6 @@
 """Hash every solver's answers on a fixed tie-heavy corpus.
 
-Usage: python3 tools/answers.py [--count 300] [--seed 0]
+Usage: python3 tools/answers.py [--count 300] [--seed 0] [--dump PATH]
 
 The corpus has --count base instances, k in 1..3 and n in 2k..24, of
 four kinds in turn: integer grid points in [0, 8]^2, coordinates picked
@@ -25,18 +25,26 @@ instance is solved at eps 1e-9 and at eps 0 by
   max_rbca_on_line  on the line of slope -0.3 through the first point,
                   only where n <= 16
 
-The script prints, per solver, the number of answers and the sha256 of
+The script prints a `#` line with the Python and numpy versions and the
+arguments, then, per solver, the number of answers and the sha256 of
 their repr strings, one per line, then the same over every answer on a
 `total` line.  Two checkouts whose total lines match gave the same
-widths, witnesses and signs of zero on the whole corpus.  Standard
-library and numpy only.
+widths, witnesses and signs of zero on the whole corpus.  --dump PATH
+also writes one line per answer to PATH: instance index, solver, eps and
+repr, tab-separated, so that the dumps of two checkouts diff line by
+line.  tests/answers_count150.txt is this script's output at --count 150,
+and a Tier-1 test compares the running code with it.  Standard library
+and numpy only.
 """
 
 import argparse
 import hashlib
 import os
+import platform
 import random
 import sys
+
+import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 "..", "src"))
@@ -105,26 +113,48 @@ def corpus(count, seed):
             yield from long_instances(i)
 
 
-def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--count", type=int, default=300)
-    ap.add_argument("--seed", type=int, default=0)
-    args = ap.parse_args(argv)
+def digests(count, seed, dump=None):
+    """{solver: (answers, sha256 hex)}, and the same over every answer
+    under "total".  Each answer hashes as its repr and a newline; dump, an
+    open text file or None, takes one line per answer."""
     hashes = {name: hashlib.sha256() for name in SOLVERS}
     counts = dict.fromkeys(SOLVERS, 0)
     total = hashlib.sha256()
-    for ps in corpus(args.count, args.seed):
+    for index, ps in enumerate(corpus(count, seed)):
         for eps in (1e-9, 0.0):
             for name, solve in SOLVERS.items():
                 if ps.n > MAX_N.get(name, ps.n):
                     continue
-                line = (repr(solve(ps, eps)) + "\n").encode()
+                answer = repr(solve(ps, eps))
+                line = (answer + "\n").encode()
                 hashes[name].update(line)
                 total.update(line)
                 counts[name] += 1
-    for name in SOLVERS:
-        print("%-20s %7d  %s" % (name, counts[name], hashes[name].hexdigest()))
-    print("%-20s %7d  %s" % ("total", sum(counts.values()), total.hexdigest()))
+                if dump is not None:
+                    dump.write("%d\t%s\t%r\t%s\n" % (index, name, eps, answer))
+    out = {name: (counts[name], hashes[name].hexdigest()) for name in SOLVERS}
+    out["total"] = (sum(counts.values()), total.hexdigest())
+    return out
+
+
+def versions():
+    return "python %s numpy %s" % (platform.python_version(), np.__version__)
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--count", type=int, default=300)
+    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--dump", help="write one line per answer to this file")
+    args = ap.parse_args(argv)
+    if args.dump is None:
+        got = digests(args.count, args.seed)
+    else:
+        with open(args.dump, "w") as dump:
+            got = digests(args.count, args.seed, dump)
+    print("# %s count %d seed %d" % (versions(), args.count, args.seed))
+    for name, (n, digest) in got.items():
+        print("%-20s %7d  %s" % (name, n, digest))
 
 
 if __name__ == "__main__":
