@@ -16,19 +16,25 @@ plane across the antidiagonal (x, y) -> (-y, -x), which maps down-right
 corridors to down-right corridors with the two roles exchanged.
 
 The sweep visits the distinct heights bottom-up as the inner top side y_i,
-activating each level's x-values in a GapTree, and leans on four
-primitives:
+activating each level's x-values in a GapTree.  Each canonical pass hands
+``_sweep`` one table, which ``_arrays_setup`` builds with numpy, read by
+level index: the level heights and each
+level's first row, the rows' x, each level's two staircase bounds, the
+band tree, the gap tree and the chunk filter or None.  The loop leans on
+four primitives:
 
-* ``_lower_breaks_arrays``: breakpoints of the lower staircase, from the
-  heap walk ``_lower_breaks`` over the rows numpy picks out, read closed
-  (``bisect_right``, corner height y <= y_i): the rightmost inner-corner x
-  at height y_i that keeps the inside quadrant rainbow;
-* ``_upper_breaks_arrays``: breakpoints of the upper staircase, read strict
-  (``bisect_left``, corner height y < y_j): the leftmost outer-corner x at
-  outer-top height y_j that keeps the outside region (left arm union
-  everything above) rainbow;
+* the lower staircase (``_lower_breaks``, the heap walk, over the records
+  numpy picks out in ``_lower_breaks_arrays``), read closed (corner height
+  y <= y_i): the rightmost inner-corner x at height y_i that keeps the
+  inside quadrant rainbow, -inf before the staircase starts;
+* the upper staircase (``_upper_breaks_arrays``), read strict (corner
+  height y < y_j): the leftmost outer-corner x at outer-top height y_j that
+  keeps the outside region (left arm union everything above) rainbow.
+  ``_staircase_bounds`` reads both once per level, for the loop and the
+  chunk filter alike;
 * ``MaxCoordTree.max_in_open_band``: the rightmost point strictly between
-  the two heights, which the left side of the vertical part must clear;
+  the two heights, that is, in the rows of the levels between them, which
+  the left side of the vertical part must clear;
 * ``GapTree.query``: the widest x-gap among already-swept points inside
   the clamped interval, which decides whether the vertical part fits.
 
@@ -38,14 +44,14 @@ every gap between active values is no wider than the floor, an insert
 strictly inside their hull returns at once; a query still folds the tree,
 and any answer it gives wider than the floor is exact.
 
-Every pass is set up with numpy and swept in chunks of ``_CHUNK`` levels.
-The first chunk runs every level: at its starting width, eps, a filter
-would reject almost none of them, so a pass of at most ``_CHUNK`` levels
-never builds one.  For each later chunk, ``_LevelFilter`` evaluates, in one
-numpy pass at the best width w at the chunk's start, two tests, each of
-which shows that the per-level loop stops at a level's first candidate
-y_j (the lowest level with y_j - y_i > w, stepped as the loop steps;
-delta = y_j - y_i):
+Every pass is swept in chunks of ``_CHUNK`` levels.  ``_sweep`` runs
+every level of the first chunk with all its inserts: at its starting
+width, eps, a filter would reject almost none of them, so a pass of at
+most ``_CHUNK`` levels never builds one.  For each later chunk,
+``_LevelFilter`` evaluates, in one numpy pass at the best width w at the
+chunk's start, two tests, each of which shows that the per-level loop
+stops at a level's first candidate y_j (the lowest level with
+y_j - y_i > w, stepped as the loop steps; delta = y_j - y_i):
 
 * the break test: hi - lo < delta, with the band maximum taken from a
   sparse table over the chunk's level maxima;
@@ -184,15 +190,16 @@ def _upper_breaks_arrays(xs, ys, cs, k):
 
 
 class MaxCoordTree:
-    """Static segment tree over points ordered by y, answering max-x on an
-    open y-band.  Takes the points' x and y as two sequences (lists or
-    numpy arrays), already in increasing (y, x) order; it does not sort
-    them.  numpy builds the tree one level at a time."""
+    """Static segment tree over rows, answering max-x on a run of them.
+    Takes the rows' x as a sequence (a list or a numpy array) in row order.
+    With the rows in increasing y, the rows strictly between two heights
+    are a run, from the first row above the lower height to the first row
+    at the upper one.  numpy builds the tree one level at a time."""
 
-    __slots__ = ("_ys", "_size", "_mx")
+    __slots__ = ("_size", "_mx")
 
-    def __init__(self, xs, ys):
-        n = len(ys)
+    def __init__(self, xs):
+        n = len(xs)
         size = 1
         while size < max(n, 1):
             size *= 2
@@ -205,12 +212,9 @@ class MaxCoordTree:
             mx[size // 2:size] = np.where(right > left, right, left)
             size //= 2
         self._mx = mx.tolist()
-        self._ys = list(ys)
 
-    def max_in_open_band(self, y_lo: float, y_hi: float) -> float:
-        """Max x over points with y_lo < y < y_hi, or -inf."""
-        lo = bisect_right(self._ys, y_lo)
-        hi = bisect_left(self._ys, y_hi)
+    def max_in_open_band(self, lo: int, hi: int) -> float:
+        """Max x over rows lo..hi-1, or -inf when there is none."""
         mx = self._mx
         best = -INF
         l = lo + self._size
@@ -370,6 +374,21 @@ class GapTree:
 _CHUNK = 256
 
 
+def _staircase_bounds(level_ys, lower, upper):
+    # Each level's two staircase bounds: the lower staircase at the level,
+    # read closed (-inf before it starts), and the upper staircase strictly
+    # below it (-inf up to its first corner).  Both the loop and the chunk
+    # filter read them from here: each comes as a float array for the
+    # filter and a list for the loop, which an object array fills with the
+    # staircase's own floats, so a long pass makes no float per level.
+    out = []
+    for (ts, vs), side in ((lower, "right"), (upper, "left")):
+        at = np.searchsorted(ts, level_ys, side)
+        vs = [-INF] + vs
+        out.append((np.array(vs)[at], np.array(vs, dtype=object)[at].tolist()))
+    return out
+
+
 class _LevelFilter:
     """Batched rejection of a sweep's levels, one chunk of levels at a time.
 
@@ -386,15 +405,14 @@ class _LevelFilter:
     no state between calls, so chunks may come in any order.
     """
 
-    def __init__(self, xs, bounds, level_ys, lower, upper):
-        # bounds: each level's first row, then the number of rows
+    def __init__(self, xs, bounds, level_ys, his, los):
+        # bounds: each level's first row, then the number of rows; his and
+        # los: each level's staircase bounds, from _staircase_bounds
         self._xs = xs
         self._starts = bounds
         self._ly = level_ys
+        self._hi, self._lo = his, los
         self._lmx = np.maximum.reduceat(xs, bounds[:-1])  # each level's max x
-        self._sb_t, self._sb_v = (np.asarray(v, dtype=float) for v in lower)
-        self._st_t = np.asarray(upper[0], dtype=float)
-        self._st_v = np.concatenate(([-INF], upper[1]))
 
     def _band_max(self, l, r):
         # max of the level maxima over levels l..r-1, -inf where r <= l,
@@ -440,15 +458,11 @@ class _LevelFilter:
             if not step.any():
                 break
             lj += step
-        cut = np.searchsorted(self._sb_t, yi, "right")
-        keep = (lj < m) & (cut > 0)
+        hi = self._hi[a:b]
+        keep = (lj < m) & (hi > -INF)
         lj = np.minimum(lj, m - 1)
-        y_j = ly[lj]
-        delta = y_j - yi
-        hi = self._sb_v[cut - 1]
-        lo = self._st_v[np.searchsorted(self._st_t, y_j, "left")]
-        mid = self._band_max(np.arange(a + 1, b + 1), lj)
-        lo = np.where(mid > lo, mid, lo)
+        delta = ly[lj] - yi
+        lo = np.maximum(self._lo[lj], self._band_max(np.arange(a + 1, b + 1), lj))
         keep &= hi - lo >= delta
 
         # Test 2, the floor test: once no inner gap beats w, only a
@@ -489,9 +503,9 @@ class _LevelFilter:
 
 
 def _arrays_setup(pts, k):
-    # What the sweep of one canonical pass reads, from the points as x, y
+    # The table of one canonical pass (see _sweep), from the points as x, y
     # and color arrays; None when no inside quadrant is ever rainbow.
-    # numpy sorts, groups and builds, and a _LevelFilter splits every
+    # numpy sorts, groups and builds, and a _LevelFilter filters every
     # chunk of levels after the first.
     xs, ys, cs = pts
     upper = _upper_breaks_arrays(xs, ys, cs, k)
@@ -506,61 +520,65 @@ def _arrays_setup(pts, k):
     np.not_equal(ys[1:], ys[:-1], out=fresh[1:])
     starts = np.flatnonzero(fresh)
     bounds = np.append(starts, len(xs))
-    filt = (_LevelFilter(xs, bounds, ys[starts], lower, upper)
+    level_ys = ys[starts]
+    (hi_arr, his), (lo_arr, los) = _staircase_bounds(level_ys, lower, upper)
+    filt = (_LevelFilter(xs, bounds, level_ys, hi_arr, lo_arr)
             if len(starts) > _CHUNK else None)
-
-    def split(a, b, w, gaps):
-        if a:
-            return filt.split(a, b, w, gaps)
-        # The first chunk runs every level with all its inserts: at the
-        # starting width, eps, the filter would keep nearly all of them.
-        cut = bounds[:b + 1].tolist()
-        row_xs = xs[:cut[-1]].tolist()
-        return range(b), [row_xs[i:j] for i, j in zip(cut, cut[1:])], []
-
-    row_ys = ys.tolist()
-    # with no tied heights the levels are the rows: share the floats
-    level_ys = row_ys if len(starts) == len(row_ys) else ys[starts].tolist()
-    return (level_ys, lower, upper, MaxCoordTree(xs, row_ys),
-            GapTree(universe.tolist()), split)
+    # the sweep reads the rows' x only where it runs every level, in the
+    # first chunk
+    row_xs = xs[:bounds[min(len(starts), _CHUNK)]].tolist()
+    return (level_ys.tolist(), bounds.tolist(), row_xs, his, los,
+            MaxCoordTree(xs), GapTree(universe.tolist()), filt)
 
 
-def _sweep(setup, eps):
+def _sweep(table, eps):
     # One canonical pass: finds the widest down-right corridor whose width
     # is pinned by the y-gap between an inner-top point and an outer-top
-    # point.  Returns (width, outer_x, outer_y) or None.
-    if setup is None:
+    # point.  Returns (width, outer_x, outer_y) or None.  The table holds,
+    # with the rows in (y, x) order: the level heights, each level's first
+    # row and then the number of rows, the rows' x (at least those of the
+    # first chunk, all of them when there is no filter), each level's two
+    # staircase bounds (the lists of _staircase_bounds), the MaxCoordTree
+    # over the rows, the GapTree over their distinct x and the _LevelFilter
+    # or None; or the table is None, when no inside quadrant is ever
+    # rainbow.
+    if table is None:
         return None
-    level_ys, (sb_t, sb_v), (st_t, st_v), band, gaps, split = setup
+    level_ys, bounds, xs, his, los, band, gaps, filt = table
     m = len(level_ys)
     best = None
     w_best = eps
     for a in range(0, m, _CHUNK):
-        kept, pending, rest = split(a, min(a + _CHUNK, m), w_best, gaps)
+        b = min(a + _CHUNK, m)
+        if a and filt is not None:
+            kept, pending, rest = filt.split(a, b, w_best, gaps)
+        else:
+            # every level with all its inserts: at the starting width,
+            # eps, a filter would keep nearly all of the first chunk
+            kept, rest = range(a, b), ()
+            pending = (xs[bounds[li]:bounds[li + 1]] for li in kept)
         for li, xs_in in zip(kept, pending):
             # w_best is the GapTree floor: only gaps wider than it can
             # win, and it never decreases, as the floor must not
             for x in xs_in:
                 gaps.insert(x, w_best)
+            hi = his[li]
+            if hi == -INF:
+                continue  # no inside quadrant at this height is rainbow
             y_i = level_ys[li]
-            cut = bisect_right(sb_t, y_i)
-            if cut == 0:
-                continue
-            hi = sb_v[cut - 1]
-            lj = bisect_right(level_ys, y_i + w_best)
-            while lj < m:
+            lj = li
+            while (lj := bisect_right(level_ys, y_i + w_best, lj + 1)) < m:
                 y_j = level_ys[lj]
                 delta = y_j - y_i
                 if delta == INF:
                     break  # overflowed, as at every higher level: no witness
                 if delta <= w_best:
                     # float rounding can land y_i + w_best short of the
-                    # level just used; step until the width strictly improves
-                    lj += 1
+                    # level just used: the search from the next level
+                    # steps to it, until the width strictly improves
                     continue
-                gcut = bisect_left(st_t, y_j)
-                lo = st_v[gcut - 1] if gcut > 0 else -INF
-                mid = band.max_in_open_band(y_i, y_j)
+                lo = los[lj]
+                mid = band.max_in_open_band(bounds[li + 1], bounds[lj])
                 if mid > lo:
                     lo = mid
                 if hi - lo < delta:
@@ -573,7 +591,6 @@ def _sweep(setup, eps):
                 outer_x = gl if gl > -INF else gr - delta
                 best = (delta, outer_x, y_j)
                 w_best = delta
-                lj = bisect_right(level_ys, y_i + w_best, lj + 1)
         for x in rest:
             gaps.insert(x, w_best)
     return best

@@ -119,9 +119,9 @@ def _band_split(bxs, bcs, m, M, w, k):
     that column it may be fenced out on either side, which gives the two
     branches (m, min x > M) and (max x < m, M).  The pass keeps the
     largest x < m, the smallest x > M and the first x on each column, so
-    equal extremes keep the first one met.  A branch stays when lReq <= m,
-    rReq >= M and its span rReq - lReq holds two arms of width w; this is
-    the one place that rule is tested.
+    equal extremes keep the first one met.  Every branch has lReq <= m and
+    rReq >= M by construction; it stays when its span rReq - lReq holds two
+    arms of width w, and this is the one place that rule is tested.
     """
     lt = -INF  # largest x < m
     gt = INF   # smallest x > M
@@ -148,7 +148,7 @@ def _band_split(bxs, bcs, m, M, w, k):
     else:
         branches = [(lt if on_m is None else on_m, gt if on_M is None else on_M)]
     return bsat, [(lReq, rReq) for lReq, rReq in branches
-                  if not (lReq > m or rReq < M or rReq - lReq < 2.0 * w)]
+                  if rReq - lReq >= 2.0 * w]
 
 
 def _first_R_list(slabxs, Rlo, Rhi, w):
@@ -192,14 +192,11 @@ def _scan_arms_list(slabxs, mcol, satbase, m, M, w, lReq, rReq, k):
             # inner frontier only moves right in later gaps
             return None
         caps = INF
+        # every colour has a middle-band x >= IL by now
         for c in range(1, k + 1):
-            if satbase[c]:
-                continue
             arr = mcol[c]
-            if arr and arr[0] <= L:
+            if satbase[c] or arr[0] <= L:
                 continue
-            if not arr:
-                return None
             if arr[-1] < caps:
                 caps = arr[-1]
         Rlo = M

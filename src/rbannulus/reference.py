@@ -8,14 +8,16 @@
   pruning, which must return the same witnesses.
 - The per-level L-corridor sweep: ``_sweep`` runs one canonical pass of
   ``lcorridor.max_rblc`` through the solver's own per-level loop,
-  ``lcorridor._sweep``, on a set-up made in plain Python from
-  (x, y, color) rows, with no chunk filter: every level, with all of its
-  inserts.  It runs the solver's staircase walk, ``lcorridor._lower_breaks``,
-  over every row where the solver walks only the records, owns the row
-  upper staircase ``_upper_breaks``, and shares the trees of
-  ``rbannulus.lcorridor``.  It pins the numpy set-up, the record search,
-  the array upper staircase and the chunk filter, which must return the
-  same answers; ``rbannulus.oracle`` checks the loop and the walk.
+  ``lcorridor._sweep``, on the same pass table built in plain Python from
+  (x, y, color) rows, with no chunk filter, so the loop runs every level
+  with all of its inserts.  It runs the solver's staircase walk,
+  ``lcorridor._lower_breaks``, over every row where the solver walks only
+  the records, owns the row upper staircase ``_upper_breaks``, and shares
+  the per-level staircase bounds (``lcorridor._staircase_bounds``) and the
+  trees of ``rbannulus.lcorridor``.  It pins the numpy set-up, the record
+  search, the array upper staircase and the chunk filter, which must
+  return the same answers; ``rbannulus.oracle`` checks the loop and the
+  walk.
 - The paper's rectangle constructions: minimal rainbow intervals of a slab
   and the relevant w-gaps beside them.
 - The paper's circle construction: the lift onto the paraboloid
@@ -26,11 +28,13 @@ from __future__ import annotations
 
 import bisect
 import math
+from operator import itemgetter
 from typing import NamedTuple
 
 from .core import DEFAULT_EPS, INF, PointSet
 from .lcorridor import (GapTree, MaxCoordTree, _lower_breaks,
-                        _sweep as _sweep_levels, _upper_chain)
+                        _staircase_bounds, _sweep as _sweep_levels,
+                        _upper_chain)
 from .rect import (DecisionOutcome, _band_split, _decision, _first_below,
                    _Frame, _frame_identity, _scan_branches, _search,
                    _start_wp_list, _validate_anchors)
@@ -133,29 +137,23 @@ def _upper_breaks(tp, k):
 
 def _sweep(tp, k, eps):
     # One canonical pass of lcorridor._sweep from (x, y, color) rows: the
-    # plain set-up, then the solver's per-level loop over every level,
-    # each with all of its inserts.  Returns (width, outer_x, outer_y) or
-    # None.
-    by_y = sorted(tp, key=lambda p: (p[1], p[0]))
+    # pass table built in plain Python, with the solver's staircase bounds
+    # and no filter, then the solver's per-level loop.  Returns (width,
+    # outer_x, outer_y) or None.
+    by_y = sorted(tp, key=itemgetter(1, 0))
     lower = _lower_breaks(by_y, k)
     if not lower[0]:
         return None
-    level_ys = []
-    level_xs = []
-    for x, y, _ in by_y:
-        if level_ys and level_ys[-1] == y:
-            level_xs[-1].append(x)
-        else:
+    level_ys, bounds = [], []
+    for row, (_, y, _) in enumerate(by_y):
+        if not level_ys or level_ys[-1] != y:
             level_ys.append(y)
-            level_xs.append([x])
-
-    def split(a, b, w, gaps):
-        return range(a, b), level_xs[a:b], []
-
-    band = MaxCoordTree([p[0] for p in by_y], [p[1] for p in by_y])
-    gaps = GapTree(sorted({p[0] for p in tp}))
-    return _sweep_levels((level_ys, lower, _upper_breaks(tp, k), band, gaps,
-                          split), eps)
+            bounds.append(row)
+    bounds.append(len(by_y))
+    xs = [p[0] for p in by_y]
+    (_, his), (_, los) = _staircase_bounds(level_ys, lower, _upper_breaks(tp, k))
+    return _sweep_levels((level_ys, bounds, xs, his, los, MaxCoordTree(xs),
+                          GapTree(sorted({p[0] for p in tp})), None), eps)
 
 
 # ---------------------------------------------------------------------------

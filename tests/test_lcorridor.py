@@ -7,7 +7,8 @@ import pytest
 
 from conftest import random_instance, random_real_instance, reflect_x, rotate90
 
-from rbannulus import INF, L_ORIENTATIONS, PointSet, lcorridor, validate_solution
+from rbannulus import (DEFAULT_EPS, INF, L_ORIENTATIONS, PointSet, lcorridor,
+                       validate_solution)
 from rbannulus.core import QUADRANT_SIGNS
 from rbannulus.lcorridor import (GapTree, MaxCoordTree, _lower_breaks, max_rblc,
                                  max_rblc_all)
@@ -264,10 +265,12 @@ def test_gap_tree_empty_and_boundary_cases():
 
 
 def test_max_coord_tree_open_band():
-    tree = MaxCoordTree([5, 9, 3], [1, 2, 3])
-    assert tree.max_in_open_band(0, 3) == 9
-    assert tree.max_in_open_band(1, 2) == -INF
-    assert tree.max_in_open_band(2, 10) == 3
+    # rows at y = 1, 2, 3: the band (0, 3) is rows 0..1, (1, 2) holds no
+    # row and (2, 10) is row 2
+    tree = MaxCoordTree([5, 9, 3])
+    assert tree.max_in_open_band(0, 2) == 9
+    assert tree.max_in_open_band(1, 1) == -INF
+    assert tree.max_in_open_band(2, 3) == 3
 
 
 def test_collinear_instance_recovers_strip():
@@ -331,19 +334,51 @@ def test_matches_oracle_on_random_instances():
 
 
 def test_width_invariant_under_symmetries():
+    # max_rblc_all widths are exactly invariant under a 90 degree rotation,
+    # a reflection in either axis, swapping x and y, scaling by 2**20 or
+    # 2**-20 (eps scaled alike) and relabelling the colors; integer,
+    # one-decimal, +-0.0 and full-real instances
     rng = random.Random(99)
-    for _ in range(40):
+    for it in range(80):
         k = rng.randint(1, 3)
         n = rng.randint(2 * k, 12)
-        ps = random_instance(rng, n, k, 0, 15)
-        base = max_rblc_all(ps)
-        for image in (reflect_x(ps), rotate90(ps)):
-            other = max_rblc_all(image)
-            if base is None:
-                assert other is None
-            else:
-                assert other is not None
-                assert other.width == pytest.approx(base.width, abs=1e-9)
+        if it % 4 == 0:
+            ps = random_instance(rng, n, k, 0, 15)
+        elif it % 4 == 1:
+            ps = random_real_instance(rng, n, k, digits=1)
+        elif it % 4 == 2:
+            pick = (-0.0, 0.0, 1.0, -1.0, 2.0, 0.5)
+            ps = PointSet.build([(rng.choice(pick), rng.choice(pick), p.color)
+                                 for p in random_instance(rng, n, k).points], k)
+        else:
+            ps = random_real_instance(rng, n, k, digits=None)
+        rows = [(p.x, p.y, p.color) for p in ps.points]
+        relabel = rng.sample(range(1, k + 1), k)
+        images = [(rotate90(ps), 1.0), (reflect_x(ps), 1.0)]
+        images += [(PointSet.build(image, k), 1.0) for image in (
+            [(x, -y, c) for x, y, c in rows],
+            [(y, x, c) for x, y, c in rows],
+            [(x, y, relabel[c - 1]) for x, y, c in rows])]
+        images += [(PointSet.build([(x * s, y * s, c) for x, y, c in rows], k), s)
+                   for s in (2.0 ** 20, 2.0 ** -20)]
+        a = max_rblc_all(ps)
+        for image, s in images:
+            b = max_rblc_all(image, DEFAULT_EPS * s)
+            assert (a is None) == (b is None), (rows, s)
+            if a is not None:
+                assert b.width == a.width * s, (rows, s)
+
+
+def test_band_max_keeps_the_tree_tie_order():
+    # 0.0 and -0.0 tie for the maximum of a band, and the corner's x is
+    # read from it: the band tree's fold gives -0.0 here, where a sparse
+    # table over the level maxima that keeps the leftmost of equal values
+    # gives 0.0
+    ps = PointSet.build([(-0.0, 0.5, 1), (1.0, 1.0, 1), (0.0, 0.0, 1),
+                         (-0.0, -1.0, 1), (0.0, -0.0, 1), (2.0, -1.0, 1),
+                         (2.0, 2.0, 1)], 1)
+    assert repr(max_rblc(ps, "down-right")) == (
+        "LCorridor(orientation='down-right', corner_x=-0.0, corner_y=1.0, width=2.0)")
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +591,9 @@ def test_chunk_filter_rejects_only_what_the_loop_would(monkeypatch):
             setup = lcorridor._arrays_setup(arrays, k)
             if setup is None:
                 continue
-            level_ys, gaps, split = setup[0], setup[-2], setup[-1]
+            level_ys, gaps, filt = setup[0], setup[-2], setup[-1]
+            if filt is None:
+                continue  # a pass of at most _CHUNK levels builds none
             hit = reference_sweep(rows, k, 1e-9)
             top = hit[0] if hit else 1.0
             floors = (1e-9, top / 4, top / 2, top, 2 * top)
@@ -573,7 +610,7 @@ def test_chunk_filter_rejects_only_what_the_loop_would(monkeypatch):
                 chunk = by_y[first:bisect_right(row_ys, level_ys[b - 1])]
                 kept_before = set(range(a, b))
                 for w in floors:
-                    kept, pending, rest = split(a, b, w, gaps)
+                    kept, pending, rest = filt.split(a, b, w, gaps)
                     # a level rejected at w stays rejected at any larger w
                     assert set(kept) <= kept_before, (rows, a, w)
                     kept_before = set(kept)

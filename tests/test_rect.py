@@ -256,6 +256,8 @@ def _band_split_by_rule(bxs, bcs, m, M, w, k):
     else:
         branches = [(first([x for x in bxs if x <= m], max, -INF),
                      first([x for x in bxs if x >= M], min, INF))]
+    # lo <= m and hi >= M hold for every branch formed above; the rule
+    # keeps them so that agreement shows they never drop one
     return seen, [(lo, hi) for lo, hi in branches
                   if lo <= m and hi >= M and hi - lo >= 2.0 * w]
 
