@@ -522,6 +522,19 @@ def test_max_rbra_matches_oracle():
             assert got.inner_sides == offset_square(got.outer_sides, got.width)
 
 
+@pytest.mark.xfail(strict=True, reason="the decision recomputes the inner top "
+                   "as T - w, which lands below the level that gave w")
+def test_max_rbra_matches_oracle_on_decimal_coordinates():
+    # the oracle's vertical strip (-0.8, 0.4) has width 1.2000000000000002;
+    # in the frame where 0.4 is the outer top, T - w = -0.8000000000000002
+    # puts the point at -0.8 strictly inside the ring
+    ps = PointSet.build([(0.9, -0.1, 2), (-0.8, -0.6, 1), (-0.9, 0.0, 2),
+                         (0.4, -0.5, 1)], 2)
+    want = oracle_rbra(ps).width
+    assert max_rbra(ps).width == want
+    assert max_rbra_reference(ps).width == want
+
+
 @pytest.mark.parametrize("kcap", [3, 10])
 def test_max_rbra_fast_equals_slow(kcap):
     rng = random.Random(411)

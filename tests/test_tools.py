@@ -9,9 +9,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.mark.parametrize("argv", [
-    ["tools/square_pairs.py", "--n", "16", "--count", "1"],
-    ["tools/circle_rows.py", "--n", "10", "--count", "1"],
-    ["tools/corridor_ops.py", "--n", "600", "--count", "1"],
+    ["tools/counts.py", "square", "--n", "16", "--count", "1"],
+    ["tools/counts.py", "circle", "--n", "10", "--count", "1"],
+    ["tools/counts.py", "corridor", "--n", "600", "--count", "1"],
     ["tools/loc.py"],
     ["tools/answers.py", "--count", "4"],
 ])
