@@ -213,17 +213,22 @@ def _cmd_bench(args) -> int:
         rows.append({"n": n, "min_ms": min(times), "mean_ms": mean_ms,
                      "width": widths[0]})
         print("%d,%d,%.3f,%r" % (n, args.k, mean_ms, widths[0]))
+    import platform
+
+    import numpy as np
+
     slope = None
     if len(set(sizes)) >= 2:  # a line needs two distinct sizes
-        import numpy as np
-
         slope = float(np.polyfit([t[0] for t in logs],
                                  [t[1] for t in logs], 1)[0])
         print("# slope %.3f" % slope)
     if args.json:
         report = {"shape": args.shape, "k": args.k, "dist": args.dist,
                   "seed": args.seed, "trials": args.trials, "sizes": rows,
-                  "slope": slope}
+                  "slope": slope,
+                  # where the times were measured
+                  "python": platform.python_version(), "numpy": np.__version__,
+                  "machine": platform.machine(), "processor": platform.processor()}
         try:
             with open(args.json, "w", encoding="utf-8") as fh:
                 json.dump(report, fh, indent=1)

@@ -22,7 +22,7 @@ and y swapped, each read from the PointSet's own orders: its rows in y
 order (by_y, or by_x when swapped), tied rows in index order.  One numpy
 table of a frame's pinned pairs (_pairs) holds each pair's r, y0, segment
 and run of strip rows; the bound, the decision and the scan all read it.
-It runs the segment search on few pairs.  It bounds the width of every
+It runs the segment search on few pairs.  It bounds the width of each
 pinned pair from above, in numpy over chunks of pairs, by r minus
 the largest |y - y0| of the points inside the outer square at every center
 on the segment; the bound ignores the colors.  It then takes the pairs in
@@ -31,6 +31,16 @@ decides each chunk of them at that width first: a color-free test, in
 numpy, of whether any center on the segment can reach it.  Only the pairs
 the decision keeps are scanned, best first, and the scan checks the
 colors exactly.
+
+Below a floor f, the best strip or L-corridor width, a bounded annulus
+cannot win, and a pair's bound stays below f when a point strictly between
+the pins' x values lies in the band (y_top - f, y_top) or (y_bottom,
+y_bottom + f).  So the table is built a block of bottom rows at a time, and
+each block keeps only the pairs whose pins lie between the other pin's
+nearest band points in x (_band_neighbours, _may_reach): a superset of the
+pairs whose bound reaches f, checked with the bound's own float tests.
+Memory then follows the pairs kept, not n**2.  With no floor
+(max_rbsa_c3) every pinned pair is kept.
 """
 
 from __future__ import annotations
@@ -47,6 +57,9 @@ from .strips import max_rbes
 # strip cells (pairs times points) per chunk of pairs bounded or decided
 # at once
 _CELLS = 2 ** 13
+# (bottom, top) cells per block of the pair table, and band cells per
+# chunk of rows whose band neighbours are found at once
+_BLOCK = 2 ** 16
 
 __all__ = [
     "c3_center_segment",
@@ -202,17 +215,18 @@ def best_annulus_on_segment(pointset: PointSet, p_i, p_j, eps: float = DEFAULT_E
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _pairs(xs, ys):
-    # xs, ys: a frame's x and y columns in its y order.  The pair table,
-    # (bottom, top, r, y0, ax, bx, lo, hi) over every pinned pair, row
-    # bottom on the outer bottom side and row top on the top side, in
-    # increasing (bottom, top): the pairs with y_top > y_bottom (compare
-    # the ys, not r > 0: r underflows to 0 on subnormal gaps) and a
-    # non-empty segment.  r, y0, ax and bx are c3_center_segment's float
-    # operations, and rows lo:hi, the strip, are those strictly between
-    # the two pinning y values.  Near the top of the float range r, y0, ax
-    # and bx may overflow; the warning is silenced and the values kept.
-    bottom, top = np.triu_indices(len(xs), 1)
+def _pinned(xs, ys, start, stop):
+    # xs, ys: a frame's x and y columns in its y order.  As rows of the
+    # pair table (_pairs), in increasing (bottom, top), every pinned pair
+    # whose bottom row is in start:stop: row bottom on the outer bottom side
+    # and row top on the top side, with y_top > y_bottom (compare the ys,
+    # not r > 0: r underflows to 0 on subnormal gaps) and a non-empty
+    # segment.  r, y0, ax and bx are c3_center_segment's float operations,
+    # and rows lo:hi, the strip, are those strictly between the two pinning
+    # y values.  Near the top of the float range r, y0, ax and bx may
+    # overflow; the warning is silenced and the values kept.
+    bottom, top = np.nonzero(np.arange(start, stop)[:, None] < np.arange(len(xs)))
+    bottom += start
     yi, yj = ys[bottom], ys[top]
     r = (yj - yi) / 2.0
     ax = np.maximum(xs[bottom], xs[top]) - r
@@ -222,6 +236,95 @@ def _pairs(xs, ys):
     lo = np.searchsorted(ys, yi, side="right")
     hi = np.searchsorted(ys, yj, side="left")
     return bottom, top, r, (yi + yj) / 2.0, ax, bx, lo, hi
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _band_neighbours(xs, ys, f):
+    # xs, ys: a frame's x and y columns in its y order; f: a finite floor.
+    # For each row, the nearest point strictly left and strictly right of
+    # it in x among the rows of its upper band, ys in (fl(y - f), y), and
+    # then of its lower band, ys in (y, fl(y + f)).  Returns the array
+    # [band][side][x or y][row], band 0 upper and 1 lower, side 0 left
+    # and 1 right, NaN where a side has no point.  The rows are taken a
+    # chunk at a time, so the padded band runs hold at most _BLOCK cells.
+    near = np.full((2, 2, 2, len(xs)), np.nan)
+    bands = ((np.searchsorted(ys, ys - f, side="right"), np.searchsorted(ys, ys, side="left")),
+             (np.searchsorted(ys, ys, side="right"), np.searchsorted(ys, ys + f, side="left")))
+    for band, (lo, hi) in zip(near, bands):
+        step = max(1, _BLOCK // max(1, int((hi - lo).max(initial=0))))
+        for start in range(0, len(xs), step):
+            rows = slice(start, start + step)
+            strip, pad = _pair_strips(lo[rows], hi[rows])
+            if not strip.shape[1]:
+                continue
+            x, own = xs[strip], xs[rows, None]
+            for side, cand, fill, nearest in ((band[0], x < own, -INF, np.argmax),
+                                              (band[1], x > own, INF, np.argmin)):
+                cand &= ~pad
+                pick = nearest(np.where(cand, x, fill), axis=1)[:, None]
+                some = np.take_along_axis(cand, pick, axis=1)[:, 0]
+                row = np.take_along_axis(strip, pick, axis=1)[:, 0]
+                side[0, rows] = np.where(some, xs[row], np.nan)
+                side[1, rows] = np.where(some, ys[row], np.nan)
+    return near
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _may_reach(xs, ys, block, near, f):
+    # block: rows of a pair table; near: _band_neighbours(xs, ys, f).
+    # Returns a boolean mask over the rows, True on every pair whose
+    # _pair_bounds value is >= f.  A pair is dropped when r < f, or when
+    # its top's upper-band neighbour on the bottom's side, or its bottom's
+    # lower-band neighbour on the top's side, is a witness: a point p with
+    #   y_bottom < y_p < y_top (a strip row),
+    #   fl(bx - r) < x_p < fl(ax + r) (a core point) and
+    #   fl(r - fl(|y_p - y0|)) < f.
+    # In exact arithmetic this drops every pair with a point strictly
+    # between the pins' x values in the band (y_top - f, y_top) or
+    # (y_bottom, y_bottom + f), and no other pair with r >= f: the core
+    # test there reads min(x) < x_p < max(x), and |y_p - y0| > r - f.
+    # Why no pair whose bound is >= f is dropped, bit for bit: _pair_bounds
+    # returns fl(r - core), core the largest fl(|y_p - y0|) over the strip
+    # rows that pass the same core test, computed by the same float
+    # operations as here, and 0 when there are none.  So core >= 0 gives
+    # fl(r - core) <= r, and a witness p gives core >= fl(|y_p - y0|), so
+    # by monotone rounding fl(r - core) <= fl(r - fl(|y_p - y0|)) < f.  The
+    # band and the neighbours only choose which points are tried, so their
+    # rounding can keep a pair that exact arithmetic would drop, never the
+    # reverse.  A NaN neighbour, where a side has no point, fails every
+    # comparison and drops nothing.
+    bottom, top, r, y0, ax, bx = block[:6]
+    yb, yt = ys[bottom], ys[top]
+    left, right = bx - r, ax + r
+    rightward = xs[bottom] < xs[top]
+    keep = r >= f
+    for band, pin, side in ((near[0], top, ~rightward), (near[1], bottom, rightward)):
+        px = np.where(side, band[1, 0, pin], band[0, 0, pin])
+        py = np.where(side, band[1, 1, pin], band[0, 1, pin])
+        keep &= ~((yb < py) & (py < yt) & (left < px) & (px < right)
+                  & (r - np.abs(py - y0) < f))
+    return keep
+
+
+def _pairs(xs, ys, floor=-INF):
+    # xs, ys: a frame's x and y columns in its y order.  The pair table,
+    # (bottom, top, r, y0, ax, bx, lo, hi), in increasing (bottom, top):
+    # at floor -INF every pinned pair (_pinned), and at a finite floor the
+    # pinned pairs _may_reach keeps, a superset of those whose bound is at
+    # least floor.  It is built a block of bottom rows at a time, each
+    # block of at most _BLOCK (bottom, top) cells, so at a finite floor
+    # the memory follows the pairs kept, not n**2.
+    n = len(xs)
+    near = None if floor == -INF else _band_neighbours(xs, ys, floor)
+    step = max(1, _BLOCK // n)
+    blocks = []
+    for start in range(0, n, step):
+        block = _pinned(xs, ys, start, min(n, start + step))
+        if near is not None:
+            keep = _may_reach(xs, ys, block, near, floor)
+            block = tuple(v[keep] for v in block)
+        blocks.append(block)
+    return tuple(np.concatenate(col) for col in zip(*blocks))
 
 
 def _pair_strips(lo, hi):
@@ -328,21 +431,24 @@ def _c3_family(pointset, swap, eps, floor):
     # by two rows of the frame _frame(pointset, swap).  Returns
     # (width, center_x, center_y, r) in this frame, or None, whenever the
     # best width is at least floor; below floor the result may be None or
-    # a narrower annulus.  Every pair of the table is bounded
-    # (_pair_bounds); pairs are then taken in decreasing bound, a chunk at
-    # a time, decided at the current limit, the best width so far (or
-    # floor, or eps), and only the pairs the decision keeps (_reaching) are
-    # scanned.  The search stops at the first bound strictly below the
-    # limit: a pair whose bound or width equals it may still win the tie.
-    # When a scan raises the limit, the chunk's unscanned pairs are decided
-    # again at the new one.  Pairs tied on (-width, t, y0) can differ in r,
-    # so the key ends with the pair's position in the table, whose
-    # (bottom, top) order follows the frame's y order, tied rows in index
-    # order: the winner is the first best pair in that order, as when every
-    # pair is scanned in it, whatever the order of visits.
+    # a narrower annulus.  The table holds the pairs that may reach floor
+    # (_pairs), and each is bounded (_pair_bounds); every pair it leaves
+    # out has a bound below floor, so the pairs taken below, and their
+    # order, are those of the full table.  Pairs are taken in decreasing
+    # bound, a chunk at a time, decided at the current limit, the best
+    # width so far (or floor, or eps), and only the pairs the decision
+    # keeps (_reaching) are scanned.  The search stops at the first bound
+    # strictly below the limit: a pair whose bound or width equals it may
+    # still win the tie.  When a scan raises the limit, the chunk's
+    # unscanned pairs are decided again at the new one.  Pairs tied on
+    # (-width, t, y0) can differ in r, so the key ends with the pair's
+    # position in the table, whose (bottom, top) order follows the frame's
+    # y order, tied rows in index order: the winner is the first best pair
+    # in that order, as when every pair is scanned in it, whatever the
+    # order of visits.
     xs, ys, cols = _frame(pointset, swap)
     k, totals = pointset.k, (0,) + pointset.color_count
-    pairs = _pairs(xs, ys)
+    pairs = _pairs(xs, ys, floor)
     bottom, top, r, y0, ax, bx = pairs[:6]
     bound = _pair_bounds(xs, ys, pairs)
     step = max(1, _CELLS // (2 * len(xs)))  # two intervals per strip point

@@ -1,10 +1,12 @@
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from rbannulus import (
@@ -349,6 +351,9 @@ def test_bench_json_report(capsys, tmp_path):
         assert "%.3f" % row["mean_ms"] == mean_ms
         assert repr(row["width"]) == width
     assert out.splitlines()[-1] == "# slope %.3f" % got["slope"]
+    # where it was measured, as tools/answers.py's "#" line records it
+    assert (got["python"], got["numpy"]) == (platform.python_version(), np.__version__)
+    assert (got["machine"], got["processor"]) == (platform.machine(), platform.processor())
 
 
 def test_bench_repeated_size_fits_no_slope(capsys, tmp_path):

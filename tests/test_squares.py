@@ -477,6 +477,63 @@ def test_decision_keeps_every_pair_that_reaches_the_limit():
     assert reached >= 2000 and dropped >= 2000
 
 
+def _copies(ps):
+    # ps itself, moved (scaled by 10**6 and moved by (10**7, -10**7)) and
+    # scaled by 2**20 and 2**-20
+    yield ps
+    yield PointSet.build([(p.x * 1e6 + 1e7, p.y * 1e6 - 1e7, p.color) for p in ps.points], ps.k)
+    for s in (2.0 ** 20, 2.0 ** -20):
+        yield PointSet.build([(p.x * s, p.y * s, p.color) for p in ps.points], ps.k)
+
+
+def _filter_instances(rng):
+    # first, pins (0.01, 0.28) and (0.2, 1.25) with the point one ulp
+    # right of the bottom pin in the top's upper band: it lies strictly
+    # between the pins' x values, but fl(bx - r) = 0.010000000000000009
+    # leaves it out of the core, so the pair's bound is r = 0.485 and a
+    # filter that tested "strictly between the pins" would drop it at that
+    # floor.  Then integer tie-heavy, one-decimal and signed-zero
+    # instances, each with its _copies.
+    yield PointSet.build([(0.01, 0.28, 1), (0.2, 1.25, 1), (math.nextafter(0.01, 1), 1.249, 1)], 1)
+    for it in range(24):
+        k = rng.randint(1, 3)
+        n = rng.randint(2 * k, 10)
+        if it % 3 == 0:
+            ps = random_instance(rng, n, k, 0, 4)
+        else:
+            ps = random_real_instance(rng, n, k, digits=1)
+        if it % 3 == 2:
+            ps = PointSet.build([(rng.choice((0.0, -0.0, p.x)), rng.choice((0.0, -0.0, p.y)),
+                                  p.color) for p in ps.points], k)
+        yield from _copies(ps)
+
+
+def test_band_filter_keeps_every_pair_that_can_reach_the_floor():
+    # at a floor set to each pair's bound, and to the next float above and
+    # below it, the pair table built at that floor holds every pinned pair
+    # whose bound is at least the floor, each row repr-equal to the full
+    # table's (floor -INF) and in its order; both frames.  It drops enough
+    # pairs to matter.
+    needed = dropped = 0
+    for ps in _filter_instances(random.Random(7070)):
+        for _, by_y in _frames(ps):
+            xs, ys, _ = _columns(by_y)
+            full = _pairs(xs, ys)
+            bound = _pair_bounds(xs, ys, full)
+            rows = {pair: q for q, pair in enumerate(zip(full[0].tolist(), full[1].tolist()))}
+            for w in np.unique(bound):
+                for floor in (math.nextafter(w, -INF), w, math.nextafter(w, INF)):
+                    table = _pairs(xs, ys, floor)
+                    q = [rows[pair] for pair in zip(table[0].tolist(), table[1].tolist())]
+                    assert q == sorted(q), (ps.points, floor)
+                    assert repr([v.tolist() for v in table]) == repr([v[q].tolist() for v in full])
+                    need = np.flatnonzero(bound >= floor)
+                    assert set(need.tolist()) <= set(q), (ps.points, floor)
+                    needed += len(need)
+                    dropped += len(full[0]) - len(q)
+    assert needed >= 20000 and dropped >= 20000
+
+
 def _strip_by_filter(by_x, y_lo, y_hi):
     # the rows of by_x strictly between the two y values, by one pass
     rows = [p for p in by_x if y_lo < p[1] < y_hi]
@@ -529,7 +586,9 @@ def _rbsa_all_pairs(ps, eps=DEFAULT_EPS):
 def test_best_first_search_keeps_every_witness():
     # best-first search with the bound returns, bit for bit, what scanning
     # every pair in order returns; tie-heavy integers, real coordinates
-    # and instances with signed zeros
+    # and instances with signed zeros.  max_rbsa, whose band filter runs
+    # at the degenerate families' floor, is also checked on a signed-zero
+    # copy of each instance and on its _copies.
     rng = random.Random(31337)
     bounded = 0
     for it in range(320):
@@ -545,7 +604,10 @@ def test_best_first_search_keeps_every_witness():
         ref = _rbsa_c3_all_pairs(ps)
         bounded += ref is not None
         assert repr(max_rbsa_c3(ps)) == repr(ref), ps.points
-        assert repr(max_rbsa(ps)) == repr(_rbsa_all_pairs(ps)), ps.points
+        zeros = PointSet.build([(rng.choice((0.0, -0.0, p.x)), rng.choice((0.0, -0.0, p.y)),
+                                 p.color) for p in ps.points], k)
+        for copy in (zeros, *_copies(ps)):
+            assert repr(max_rbsa(copy)) == repr(_rbsa_all_pairs(copy)), copy.points
     assert bounded >= 200
 
 

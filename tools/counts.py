@@ -18,11 +18,14 @@ of counts per instance and a `total` row.
 square: max_rbsa, one row per pair family of the bounded search (h: the
 input frame, v: x and y swapped)
 
-  bounded  pairs of the pair table (_pairs) whose width bound
-           (_pair_bounds) exceeds eps: r minus the largest |y - y0| of
-           the strip points that are inside the outer square at every
-           center, with no color test
-  floor    of those, the pairs whose bound reaches the family's floor
+  pairs    pinned pairs (_pinned), before the band filter
+  bounded  pairs the band filter (_may_reach) keeps in the pair table
+           (_pairs) and so passes to the width bound (_pair_bounds): r
+           minus the largest |y - y0| of the strip points that are inside
+           the outer square at every center, with no color test.  At a
+           floor of -inf nothing is filtered.
+  floor    of those, the pairs whose bound exceeds eps and reaches the
+           family's floor; the filter keeps all of them
   kept     pairs the color-free decision keeps (_reaching), summed over
            its rounds
   scanned  pairs _scan_segment runs on
@@ -73,16 +76,21 @@ def square(counts, args):
     """Wrap the private functions of squares; counts[-1] is the family
     being searched."""
     pair_bounds, c3_family = squares._pair_bounds, squares._c3_family
-    scan, reaching = squares._scan_segment, squares._reaching
+    scan, reaching, pinned = squares._scan_segment, squares._reaching, squares._pinned
 
     def family(pointset, swap, eps, floor):
         counts.append(Counter(limits=(eps, floor)))
         return c3_family(pointset, swap, eps, floor)
 
+    def pinned_block(*args):
+        block = pinned(*args)
+        counts[-1]["pairs"] += len(block[0])
+        return block
+
     def bounds(xs, ys, pairs):
         out = pair_bounds(xs, ys, pairs)
         eps, floor = counts[-1]["limits"]
-        counts[-1]["bounded"] += int((out > eps).sum())
+        counts[-1]["bounded"] += len(out)
         counts[-1]["floor"] += int(((out > eps) & (out >= floor)).sum())
         return out
 
@@ -97,6 +105,7 @@ def square(counts, args):
 
     squares._c3_family, squares._pair_bounds = family, bounds
     squares._scan_segment, squares._reaching = scanned, decide
+    squares._pinned = pinned_block
     return squares.max_rbsa
 
 
@@ -171,8 +180,8 @@ def corridor(counts, args):
 # solve prints, one per entry of counts; the row format
 SHAPES = {
     "square": (square, 120, "uniform", 13,
-               ("seed", "fam", "bounded", "floor", "kept", "scanned"),
-               (("h",), ("v",)), "%-8s %-3s" + " %8s" * 4),
+               ("seed", "fam", "pairs", "bounded", "floor", "kept", "scanned"),
+               (("h",), ("v",)), "%-8s %-3s" + " %8s" * 5),
     "circle": (circle, 30, "rings", 22,
                ("seed", "centres", "screened", "pruned", "exact"),
                ((),), "%-8s %9s %9s %8s %8s"),
