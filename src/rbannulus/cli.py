@@ -180,6 +180,22 @@ def _cmd_check(args) -> int:
     return 0
 
 
+def _processor() -> str:
+    # the CPU model: platform.processor(), or where that is empty (as it is
+    # on Linux) the first "model name" line of /proc/cpuinfo, if readable
+    import platform
+
+    name = platform.processor()
+    if not name:
+        try:
+            with open("/proc/cpuinfo", encoding="utf-8") as fh:
+                name = next((line.split(":", 1)[1].strip() for line in fh
+                             if line.startswith("model name")), "")
+        except OSError:
+            pass
+    return name
+
+
 def _cmd_bench(args) -> int:
     try:
         eps = _epsilon()
@@ -228,7 +244,7 @@ def _cmd_bench(args) -> int:
                   "slope": slope,
                   # where the times were measured
                   "python": platform.python_version(), "numpy": np.__version__,
-                  "machine": platform.machine(), "processor": platform.processor()}
+                  "machine": platform.machine(), "processor": _processor()}
         try:
             with open(args.json, "w", encoding="utf-8") as fh:
                 json.dump(report, fh, indent=1)

@@ -21,26 +21,25 @@ The bounded solver works in two frames, the input and the input with x
 and y swapped, each read from the PointSet's own orders: its rows in y
 order (by_y, or by_x when swapped), tied rows in index order.  One numpy
 table of a frame's pinned pairs (_pairs) holds each pair's r, y0, segment
-and run of strip rows; the bound, the decision and the scan all read it.
-It runs the segment search on few pairs.  It bounds the width of each
-pinned pair from above, in numpy over chunks of pairs, by r minus
-the largest |y - y0| of the points inside the outer square at every center
-on the segment; the bound ignores the colors.  It then takes the pairs in
-decreasing bound until no bound can reach the best width so far, and
-decides each chunk of them at that width first: a color-free test, in
-numpy, of whether any center on the segment can reach it.  Only the pairs
-the decision keeps are scanned, best first, and the scan checks the
-colors exactly.
+and run of strip rows; the band filter, the decision and the scan all read
+it.  It runs the segment search on few pairs.  A pair's width is at most
+its outer radius r, so the solver takes the pairs in decreasing r until no
+r can reach the best width so far, and decides each chunk of them at that
+width first: a color-free test, in numpy, of whether any center on the
+segment can reach it.  Only the pairs the decision keeps are scanned, and
+the scan checks the colors exactly.
 
 Below a floor f, the best strip or L-corridor width, a bounded annulus
-cannot win, and a pair's bound stays below f when a point strictly between
+cannot win, and a pair's width stays below f when a point strictly between
 the pins' x values lies in the band (y_top - f, y_top) or (y_bottom,
-y_bottom + f).  So the table is built a block of bottom rows at a time, and
-each block keeps only the pairs whose pins lie between the other pin's
-nearest band points in x (_band_neighbours, _may_reach): a superset of the
-pairs whose bound reaches f, checked with the bound's own float tests.
-Memory then follows the pairs kept, not n**2.  With no floor
-(max_rbsa_c3) every pinned pair is kept.
+y_bottom + f): that point stays inside the outer square at every center
+on the segment.  So the table is built a block of bottom rows at a time,
+and each block keeps only the pairs with r >= f whose pins lie between the
+other pin's nearest band points in x (_band_neighbours, _may_reach): a
+superset of the pairs whose scanned width reaches f, checked with the
+scan's own float tests.  Memory then follows the pairs kept, not n**2.
+With no floor (max_rbsa_c3) the bands are empty and every pinned pair is
+kept.
 """
 
 from __future__ import annotations
@@ -54,8 +53,7 @@ from .core import DEFAULT_EPS, INF, PointSet, SquareAnnulus, check_eps
 from .lcorridor import max_rblc_all
 from .strips import max_rbes
 
-# strip cells (pairs times points) per chunk of pairs bounded or decided
-# at once
+# strip cells (pairs times points) per chunk of pairs decided at once
 _CELLS = 2 ** 13
 # (bottom, top) cells per block of the pair table, and band cells per
 # chunk of rows whose band neighbours are found at once
@@ -240,7 +238,7 @@ def _pinned(xs, ys, start, stop):
 
 @np.errstate(over="ignore", invalid="ignore")
 def _band_neighbours(xs, ys, f):
-    # xs, ys: a frame's x and y columns in its y order; f: a finite floor.
+    # xs, ys: a frame's x and y columns in its y order; f: a floor.
     # For each row, the nearest point strictly left and strictly right of
     # it in x among the rows of its upper band, ys in (fl(y - f), y), and
     # then of its lower band, ys in (y, fl(y + f)).  Returns the array
@@ -273,7 +271,7 @@ def _band_neighbours(xs, ys, f):
 def _may_reach(xs, ys, block, near, f):
     # block: rows of a pair table; near: _band_neighbours(xs, ys, f).
     # Returns a boolean mask over the rows, True on every pair whose
-    # _pair_bounds value is >= f.  A pair is dropped when r < f, or when
+    # _scan_segment width is >= f.  A pair is dropped when r < f, or when
     # its top's upper-band neighbour on the bottom's side, or its bottom's
     # lower-band neighbour on the top's side, is a witness: a point p with
     #   y_bottom < y_p < y_top (a strip row),
@@ -283,15 +281,16 @@ def _may_reach(xs, ys, block, near, f):
     # between the pins' x values in the band (y_top - f, y_top) or
     # (y_bottom, y_bottom + f), and no other pair with r >= f: the core
     # test there reads min(x) < x_p < max(x), and |y_p - y0| > r - f.
-    # Why no pair whose bound is >= f is dropped, bit for bit: _pair_bounds
-    # returns fl(r - core), core the largest fl(|y_p - y0|) over the strip
-    # rows that pass the same core test, computed by the same float
-    # operations as here, and 0 when there are none.  So core >= 0 gives
-    # fl(r - core) <= r, and a witness p gives core >= fl(|y_p - y0|), so
-    # by monotone rounding fl(r - core) <= fl(r - fl(|y_p - y0|)) < f.  The
-    # band and the neighbours only choose which points are tried, so their
-    # rounding can keep a pair that exact arithmetic would drop, never the
-    # reverse.  A NaN neighbour, where a side has no point, fails every
+    # Why no pair whose width is >= f is dropped, bit for bit: the scan
+    # returns w = fl(r - r_in) with r_in >= 0, so w <= r, and r < f gives
+    # w < f.  Every t it visits lies in [ax, bx], and float rounding is
+    # monotone, so fl(t - r) <= fl(bx - r) < x_p < fl(ax + r) <= fl(t + r):
+    # a witness p passes both window tests at every t, and r_in is at least
+    # its fl(|y_p - y0|), the same subtraction as here.  So w <=
+    # fl(r - fl(|y_p - y0|)) < f.  The band and the neighbours only choose
+    # which points are tried, so their rounding can keep a pair that exact
+    # arithmetic would drop, never the reverse.  A NaN neighbour, where a
+    # side has no point (every band is empty at f = -INF), fails every
     # comparison and drops nothing.
     bottom, top, r, y0, ax, bx = block[:6]
     yb, yt = ys[bottom], ys[top]
@@ -309,21 +308,19 @@ def _may_reach(xs, ys, block, near, f):
 def _pairs(xs, ys, floor=-INF):
     # xs, ys: a frame's x and y columns in its y order.  The pair table,
     # (bottom, top, r, y0, ax, bx, lo, hi), in increasing (bottom, top):
-    # at floor -INF every pinned pair (_pinned), and at a finite floor the
-    # pinned pairs _may_reach keeps, a superset of those whose bound is at
-    # least floor.  It is built a block of bottom rows at a time, each
-    # block of at most _BLOCK (bottom, top) cells, so at a finite floor
-    # the memory follows the pairs kept, not n**2.
+    # the pinned pairs (_pinned) that _may_reach keeps, a superset of
+    # those whose scanned width is at least floor; at floor -INF, every
+    # one.  It is built a block of bottom rows at a time, each block of at
+    # most _BLOCK (bottom, top) cells, so the memory follows the pairs
+    # kept, not n**2.
     n = len(xs)
-    near = None if floor == -INF else _band_neighbours(xs, ys, floor)
+    near = _band_neighbours(xs, ys, floor)
     step = max(1, _BLOCK // n)
     blocks = []
     for start in range(0, n, step):
         block = _pinned(xs, ys, start, min(n, start + step))
-        if near is not None:
-            keep = _may_reach(xs, ys, block, near, floor)
-            block = tuple(v[keep] for v in block)
-        blocks.append(block)
+        keep = _may_reach(xs, ys, block, near, floor)
+        blocks.append(tuple(v[keep] for v in block))
     return tuple(np.concatenate(col) for col in zip(*blocks))
 
 
@@ -334,41 +331,6 @@ def _pair_strips(lo, hi):
     pad = strip >= hi[:, None]
     strip[pad] = 0
     return strip, pad
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _pair_bounds(xs, ys, pairs):
-    # xs, ys: a frame's x and y columns in its y order; pairs: its pair
-    # table (_pairs).  Returns one bound per pair: _scan_segment returns
-    # None on a pair whose bound is at most eps, and at most the bound on
-    # the others.  The pairs are bounded in chunks, over their strips, by
-    # r - core, where core is the largest |y - y0| over strip points with
-    # bx - r < x < ax + r.  The bound leaves the colors to _reaching and
-    # _scan_segment.
-    # Why w <= bound holds bit for bit: every t the scan visits lies in
-    # [ax, bx], and float rounding is monotone.  So fl(t + r) >= fl(ax + r)
-    # and fl(t - r) <= fl(bx - r): a core point passes both window tests at
-    # every t, and the scan's r_in is at least its |y - y0|, the same
-    # subtraction.  So r_in >= core, and w = fl(r - r_in) <= fl(r - core).
-    _, _, r, y0, ax, bx, lo, hi = pairs
-    bound = np.empty(len(r))
-    # pairs in increasing strip length, in chunks of at most _CELLS cells
-    by_size = np.argsort(hi - lo, kind="stable")
-    sizes = np.maximum((hi - lo)[by_size], 1)
-    start = 0
-    while start < len(by_size):
-        ahead = sizes[start:start + _CELLS // sizes[start]]  # no more pairs fit
-        cells = np.arange(1, len(ahead) + 1) * ahead
-        end = start + max(1, int(np.searchsorted(cells, _CELLS, side="right")))
-        chunk = by_size[start:end]
-        start = end
-        strip, pad = _pair_strips(lo[chunk], hi[chunk])
-        rc, y0c, axc, bxc = (v[chunk, None] for v in (r, y0, ax, bx))
-        x = xs[strip]
-        core = np.where(~pad & (x > bxc - rc) & (x < axc + rc),
-                        np.abs(ys[strip] - y0c), 0.0).max(axis=1, initial=0.0)
-        bound[chunk] = rc[:, 0] - core
-    return bound
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -432,14 +394,14 @@ def _c3_family(pointset, swap, eps, floor):
     # (width, center_x, center_y, r) in this frame, or None, whenever the
     # best width is at least floor; below floor the result may be None or
     # a narrower annulus.  The table holds the pairs that may reach floor
-    # (_pairs), and each is bounded (_pair_bounds); every pair it leaves
-    # out has a bound below floor, so the pairs taken below, and their
-    # order, are those of the full table.  Pairs are taken in decreasing
-    # bound, a chunk at a time, decided at the current limit, the best
-    # width so far (or floor, or eps), and only the pairs the decision
-    # keeps (_reaching) are scanned.  The search stops at the first bound
-    # strictly below the limit: a pair whose bound or width equals it may
-    # still win the tie.  When a scan raises the limit, the chunk's
+    # (_pairs); every pair it leaves out scans to a width below floor.
+    # The scan returns w = fl(r - r_in) with r_in >= 0, so r bounds every
+    # width a pair can reach, and only pairs with r > eps reach one.  Pairs
+    # are taken in decreasing r, a chunk at a time, decided at the current
+    # limit, the best width so far (or floor, or eps), and only the pairs
+    # the decision keeps (_reaching) are scanned.  The search stops at the
+    # first r strictly below the limit: a pair whose r or width equals it
+    # may still win the tie.  When a scan raises the limit, the chunk's
     # unscanned pairs are decided again at the new one.  Pairs tied on
     # (-width, t, y0) can differ in r, so the key ends with the pair's
     # position in the table, whose (bottom, top) order follows the frame's
@@ -450,15 +412,14 @@ def _c3_family(pointset, swap, eps, floor):
     k, totals = pointset.k, (0,) + pointset.color_count
     pairs = _pairs(xs, ys, floor)
     bottom, top, r, y0, ax, bx = pairs[:6]
-    bound = _pair_bounds(xs, ys, pairs)
     step = max(1, _CELLS // (2 * len(xs)))  # two intervals per strip point
     best = key = None
     limit = floor
-    todo = np.flatnonzero(bound > eps)
-    todo = todo[np.argsort(-bound[todo], kind="stable")]
-    while len(todo) and bound[todo[0]] >= limit:
+    todo = np.flatnonzero(r > eps)
+    todo = todo[np.argsort(-r[todo], kind="stable")]
+    while len(todo) and r[todo[0]] >= limit:
         head = todo[:step]
-        head = head[bound[head] >= limit]
+        head = head[r[head] >= limit]
         todo = todo[len(head):]
         kept = head[_reaching(xs, ys, [v[head] for v in pairs], max(limit, eps))]
         for pos, q in enumerate(kept):

@@ -353,7 +353,14 @@ def test_bench_json_report(capsys, tmp_path):
     assert out.splitlines()[-1] == "# slope %.3f" % got["slope"]
     # where it was measured, as tools/answers.py's "#" line records it
     assert (got["python"], got["numpy"]) == (platform.python_version(), np.__version__)
-    assert (got["machine"], got["processor"]) == (platform.machine(), platform.processor())
+    cpu = platform.processor()
+    if not cpu and os.path.exists("/proc/cpuinfo"):
+        # Linux leaves platform.processor() empty; the model is in cpuinfo
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            models = [line.split(":", 1)[1].strip() for line in fh
+                      if line.startswith("model name")]
+        cpu = models[0] if models else ""
+    assert (got["machine"], got["processor"]) == (platform.machine(), cpu)
 
 
 def test_bench_repeated_size_fits_no_slope(capsys, tmp_path):

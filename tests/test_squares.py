@@ -15,8 +15,8 @@ from rbannulus.oracle import oracle_rbsa
 from rbannulus.squares import (
     _as_square,
     _frame,
-    _pair_bounds,
     _pairs,
+    _pinned,
     _reaching,
     _scan_segment,
     _strip,
@@ -310,15 +310,6 @@ def _columns(rows):
     return tuple(np.array(col) for col in zip(*rows))
 
 
-def _bounds_over(xs, ys, eps):
-    # {(bottom, top): bound} over the pairs of the table whose bound
-    # exceeds eps, the pairs _c3_family searches
-    pairs = _pairs(xs, ys)
-    bound = _pair_bounds(xs, ys, pairs)
-    over = bound > eps
-    return dict(zip(zip(pairs[0][over].tolist(), pairs[1][over].tolist()), bound[over].tolist()))
-
-
 def _pinned_pairs(by_y):
     # (bottom, top) positions in by_y of every pair _c3_family may pin,
     # in by_y order, with the pair's c3_center_segment
@@ -331,47 +322,13 @@ def _pinned_pairs(by_y):
                     yield i, j, seg
 
 
-def _bound_instances(rng):
-    # first, pins (0.01, 0.28) and (0.2, 1.25): r = 0.485 and bx = 0.495,
-    # but fl(bx - r) = 0.010000000000000009, so at t = bx the point one ulp
-    # right of the bottom pin has left the window, and a core taken as the
-    # points strictly between the pins' x values would be too large
-    yield PointSet.build([(0.01, 0.28, 1), (0.2, 1.25, 1),
-                          (math.nextafter(0.01, 1), 1.249, 1), (0.105, 0.765, 1)], 1)
-    for it in range(48):
-        k = rng.randint(1, 3)
-        n = rng.randint(2 * k, 10)
-        if it % 4 == 0:
-            ps = random_instance(rng, n, k, 0, 4)
-        else:
-            ps = random_real_instance(rng, n, k, digits=(1, 2, None)[it % 4 - 1])
-        yield ps
-        yield PointSet.build([(p.x * 1e6 + 1e7, p.y * 1e6 - 1e7, p.color)
-                              for p in ps.points], k)
-
-
-def test_pair_bound_holds_on_every_pinned_pair():
-    # the bound the solver searches by is at least every width
-    # _scan_segment returns, and a pair it drops scans to None; integer
-    # tie-heavy and real instances, each also scaled by 10**6 and moved by
-    # (10**7, -10**7), in both frames
-    scanned = tight = 0
-    for ps in _bound_instances(random.Random(8080)):
-        totals = (0,) + ps.color_count
-        for by_x, by_y in _frames(ps):
-            xs, ys, _ = _columns(by_y)
-            cols = _columns(by_x)
-            bounds = _bounds_over(xs, ys, DEFAULT_EPS)
-            for i, j, ((ax, y0), (bx, _), r) in _pinned_pairs(by_y):
-                strip = _strip(cols, by_y[i][1], by_y[j][1])
-                hit = _scan_segment(*strip, totals, ps.k, y0, r, ax, bx, DEFAULT_EPS)
-                if (i, j) not in bounds:
-                    assert hit is None, (ps.points, i, j)
-                elif hit is not None:
-                    scanned += 1
-                    assert hit[0] <= bounds[i, j], (ps.points, i, j)
-                    tight += hit[0] == bounds[i, j]
-    assert scanned >= 200 and tight >= 20
+def _ulp_edge():
+    # pins (0.01, 0.28) and (0.2, 1.25): r = 0.485 and bx = 0.495, but
+    # fl(bx - r) = 0.010000000000000009, so at t = bx the point one ulp
+    # right of the bottom pin has left the window, while (0.105, 0.765)
+    # stays inside it at every t on the segment
+    return PointSet.build([(0.01, 0.28, 1), (0.2, 1.25, 1),
+                           (math.nextafter(0.01, 1), 1.249, 1), (0.105, 0.765, 1)], 1)
 
 
 def _table_instances(rng):
@@ -401,24 +358,25 @@ def _table_instances(rng):
 def test_pair_table_matches_c3_center_segment():
     # the pair table holds every pinned pair of by_y, in increasing
     # (bottom, top), and rows lo:hi of by_y are exactly those strictly
-    # between its two pins.  On every pair whose bound exceeds 0, and so on
-    # every pair the solver scans at any eps >= 0 (r > 0 there), r, y0, ax
-    # and bx are repr-equal to c3_center_segment's.  Where r = 0 the sign
-    # of a zero ax or bx may differ: np.maximum and np.minimum return the
-    # second operand on a tie of -0.0 and 0.0, max and min the first.
-    # Both frames.
+    # between its two pins.  On every pair with r > 0, and so on every
+    # pair the solver scans at any eps >= 0, r, y0, ax and bx are
+    # repr-equal to c3_center_segment's.  Where r = 0 the sign of a zero
+    # ax or bx may differ: np.maximum and np.minimum return the second
+    # operand on a tie of -0.0 and 0.0, max and min the first.  With no
+    # floor the band filter keeps every row: the table is _pinned's over
+    # all bottom rows at once.  Both frames.
     checked = 0
     for ps in _table_instances(random.Random(6060)):
         for _, by_y in _frames(ps):
             xs, ys, _ = _columns(by_y)
             pairs = _pairs(xs, ys)
-            bound = _pair_bounds(xs, ys, pairs)
+            assert repr(pairs) == repr(_pinned(xs, ys, 0, len(xs))), ps.points
             bottom, top, r, y0, ax, bx, lo, hi = (v.tolist() for v in pairs)
             assert list(zip(bottom, top)) == [(i, j) for i, j, _ in _pinned_pairs(by_y)]
             for q, (i, j) in enumerate(zip(bottom, top)):
                 between = [p for p in by_y if by_y[i][1] < p[1] < by_y[j][1]]
                 assert repr(by_y[lo[q]:hi[q]]) == repr(between), (ps.points, i, j)
-                if bound[q] > 0.0:
+                if r[q] > 0.0:
                     (a, y_0), (b, _), r_out = c3_center_segment(by_y[i], by_y[j])
                     assert repr((r[q], y0[q], ax[q], bx[q])) == repr((r_out, y_0, a, b)), \
                         (ps.points, i, j)
@@ -427,10 +385,9 @@ def test_pair_table_matches_c3_center_segment():
 
 
 def _decision_instances(rng):
-    # the ulp-edge instance of _bound_instances, then integer tie-heavy,
-    # real and signed-zero instances, each also scaled by 10**6 and moved
-    # by (10**7, -10**7)
-    yield next(_bound_instances(rng))
+    # the _ulp_edge instance, then integer tie-heavy, real and signed-zero
+    # instances, each also scaled by 10**6 and moved by (10**7, -10**7)
+    yield _ulp_edge()
     for it in range(36):
         k = rng.randint(1, 3)
         n = rng.randint(2 * k, 10)
@@ -487,15 +444,15 @@ def _copies(ps):
 
 
 def _filter_instances(rng):
-    # first, pins (0.01, 0.28) and (0.2, 1.25) with the point one ulp
-    # right of the bottom pin in the top's upper band: it lies strictly
-    # between the pins' x values, but fl(bx - r) = 0.010000000000000009
-    # leaves it out of the core, so the pair's bound is r = 0.485 and a
-    # filter that tested "strictly between the pins" would drop it at that
-    # floor.  Then integer tie-heavy, one-decimal and signed-zero
+    # first the _ulp_edge instance and its _copies: the point one ulp right
+    # of the bottom pin lies in the top's upper band, strictly between the
+    # pins' x values, yet leaves the window at t = bx, so a filter that
+    # tested "strictly between the pins" would drop a pair that reaches the
+    # floor; and (0.105, 0.765) lies at the height y0 = 0.765 inside every
+    # window.  Then integer tie-heavy, one-decimal and signed-zero
     # instances, each with its _copies.
-    yield PointSet.build([(0.01, 0.28, 1), (0.2, 1.25, 1), (math.nextafter(0.01, 1), 1.249, 1)], 1)
-    for it in range(24):
+    yield from _copies(_ulp_edge())
+    for it in range(72):
         k = rng.randint(1, 3)
         n = rng.randint(2 * k, 10)
         if it % 3 == 0:
@@ -509,29 +466,39 @@ def _filter_instances(rng):
 
 
 def test_band_filter_keeps_every_pair_that_can_reach_the_floor():
-    # at a floor set to each pair's bound, and to the next float above and
-    # below it, the pair table built at that floor holds every pinned pair
-    # whose bound is at least the floor, each row repr-equal to the full
-    # table's (floor -INF) and in its order; both frames.  It drops enough
-    # pairs to matter.
+    # at a floor set to each pair's _scan_segment width, and to the next
+    # float above and below it, at eps 0 and the default eps, the pair
+    # table built at that floor holds every pinned pair whose width is at
+    # least the floor, each row repr-equal to the full table's (floor
+    # -INF) and in its order; both frames.  It drops enough pairs to
+    # matter.
     needed = dropped = 0
     for ps in _filter_instances(random.Random(7070)):
-        for _, by_y in _frames(ps):
+        totals = (0,) + ps.color_count
+        for by_x, by_y in _frames(ps):
             xs, ys, _ = _columns(by_y)
+            cols = _columns(by_x)
             full = _pairs(xs, ys)
-            bound = _pair_bounds(xs, ys, full)
             rows = {pair: q for q, pair in enumerate(zip(full[0].tolist(), full[1].tolist()))}
-            for w in np.unique(bound):
-                for floor in (math.nextafter(w, -INF), w, math.nextafter(w, INF)):
-                    table = _pairs(xs, ys, floor)
-                    q = [rows[pair] for pair in zip(table[0].tolist(), table[1].tolist())]
-                    assert q == sorted(q), (ps.points, floor)
-                    assert repr([v.tolist() for v in table]) == repr([v[q].tolist() for v in full])
-                    need = np.flatnonzero(bound >= floor)
-                    assert set(need.tolist()) <= set(q), (ps.points, floor)
-                    needed += len(need)
-                    dropped += len(full[0]) - len(q)
-    assert needed >= 20000 and dropped >= 20000
+            for eps in (0.0, DEFAULT_EPS):
+                widths = []
+                for i, j, ((ax, y0), (bx, _), r) in _pinned_pairs(by_y):
+                    strip = _strip(cols, by_y[i][1], by_y[j][1])
+                    hit = _scan_segment(*strip, totals, ps.k, y0, r, ax, bx, eps)
+                    widths.append(-INF if hit is None else hit[0])
+                widths = np.array(widths)
+                for w in np.unique(widths[widths > -INF]):
+                    for floor in (math.nextafter(w, -INF), w, math.nextafter(w, INF)):
+                        table = _pairs(xs, ys, floor)
+                        q = [rows[pair] for pair in zip(table[0].tolist(), table[1].tolist())]
+                        assert q == sorted(q), (ps.points, floor)
+                        assert repr([v.tolist() for v in table]) == \
+                            repr([v[q].tolist() for v in full]), (ps.points, floor)
+                        need = np.flatnonzero(widths >= floor)
+                        assert set(need.tolist()) <= set(q), (ps.points, eps, floor)
+                        needed += len(need)
+                        dropped += len(full[0]) - len(q)
+    assert needed >= 8000 and dropped >= 15000
 
 
 def _strip_by_filter(by_x, y_lo, y_hi):
@@ -541,8 +508,8 @@ def _strip_by_filter(by_x, y_lo, y_hi):
 
 
 def _c3_family_all_pairs(by_x, by_y, k, totals, eps):
-    # the bounded family as _c3_family searched it before pairs were
-    # bounded: every pinned pair, scanned in by_y order, with the
+    # the bounded family as a search with no order, filter or decision
+    # runs it: every pinned pair, scanned in by_y order, with the
     # first pair that is best by (-width, t, y0) kept, each strip filtered
     # from by_x
     best = None
@@ -584,7 +551,7 @@ def _rbsa_all_pairs(ps, eps=DEFAULT_EPS):
 
 
 def test_best_first_search_keeps_every_witness():
-    # best-first search with the bound returns, bit for bit, what scanning
+    # the search in decreasing r returns, bit for bit, what scanning
     # every pair in order returns; tie-heavy integers, real coordinates
     # and instances with signed zeros.  max_rbsa, whose band filter runs
     # at the degenerate families' floor, is also checked on a signed-zero
@@ -631,29 +598,29 @@ def test_strip_is_the_by_x_filter():
 
 
 def test_pair_with_bound_equal_to_best_still_wins_on_t():
-    # with x and y swapped, by_y is (1, -3), (-1, -2), (-3, 3), (3, 3).
-    # Pair (1, -3)-(3, 3) has bound 3.0 and is scanned first; it reaches
-    # width 1.0 at t = 0.  Pair (1, -3)-(-3, 3) has bound 1.0, equal to that
-    # width, and reaches it at t = -2, so it wins the tie: the search stops
-    # only at a bound strictly below the best width
-    ps = PointSet.build([(3, -3, 1), (-3, 1, 1), (-2, -1, 1), (3, 3, 1)], 1)
-    _, (by_x, by_y) = _frames(ps)
-    xs, ys, _ = _columns(by_y)
-    bounds = _bounds_over(xs, ys, DEFAULT_EPS)
-    assert bounds[0, 3] == 3.0 and bounds[0, 2] == 1.0
+    # by_y is (0, -1), (-2, 0), (-3, 1), (-3, 2), (1, 3).  The search takes
+    # pairs in decreasing r, which bounds their widths: (0, -1)-(1, 3),
+    # r = 2, reaches width 1.0 at t = -1 and (0, -1)-(-3, 2), r = 1.5, at
+    # t = -1.5.  Pair (-2, 0)-(-3, 2) has r = 1.0, equal to that width, and
+    # reaches it at t = -3 with (-3, 1) at its center, so it wins the tie:
+    # the search stops only at an r strictly below the best width
+    ps = PointSet.build([(1, 3, 1), (-3, 2, 1), (-2, 0, 1), (-3, 1, 1), (0, -1, 1)], 1)
+    (by_x, by_y), _ = _frames(ps)
     hits = {}
     for i, j, ((ax, y0), (bx, _), r) in _pinned_pairs(by_y):
         strip = _strip(_columns(by_x), by_y[i][1], by_y[j][1])
-        hits[i, j] = _scan_segment(*strip, (0, 4), 1, y0, r, ax, bx, DEFAULT_EPS)
-    assert hits[0, 3] == (1.0, 0.0) and hits[0, 2] == (1.0, -2.0)
-    assert max_rbsa_c3(ps) == SquareAnnulus(-3.0, 3.0, -5.0, 1.0, 1.0)
+        hits[i, j] = r, _scan_segment(*strip, (0, 5), 1, y0, r, ax, bx, DEFAULT_EPS)
+    assert hits[0, 4] == (2.0, (1.0, -1.0)) and hits[0, 3] == (1.5, (1.0, -1.5))
+    assert hits[1, 3] == (1.0, (1.0, -3.0))
+    assert max_rbsa_c3(ps) == SquareAnnulus(-4.0, -2.0, 0.0, 2.0, 1.0)
 
 
 def test_pairs_tied_on_width_center_keep_the_first_in_order():
     # (5, -5)-(-5, 5) and (0, -3)-(1, 3) both reach width 2 at the center
-    # (0, 0), with r = 5 and r = 3.  The second has bound 3 and is scanned
-    # first; the first has bound 2 and comes first in by_y order,
-    # where scanning every pair keeps it
+    # (0, 0), with r = 5 and r = 3.  Pairs tied on the center share y0, so
+    # the one with the larger r has the lower bottom pin and comes first in
+    # by_y order, where scanning every pair keeps it, as well as in the
+    # search's decreasing r
     ps = PointSet.build([(-1, 0, 1), (0, -1, 1), (5, -5, 1), (-5, 5, 1),
                          (2, 3, 1), (1, 3, 1), (0, -3, 1), (-3, 1, 1)], 1)
     assert max_rbsa_c3(ps) == SquareAnnulus(-5.0, 5.0, -5.0, 5.0, 2.0)

@@ -15,11 +15,12 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     ["tools/loc.py"],
     ["tools/answers.py", "--count", "4"],
 ])
-def test_tool_runs_and_prints_a_total(argv):
+def test_tool_runs_and_prints_a_total(argv, tmp_path):
     # the counting tools wrap private solver functions, so a changed
-    # signature fails here rather than in the tool
-    got = subprocess.run([sys.executable] + argv, cwd=ROOT, capture_output=True,
-                         text=True, timeout=120)
+    # signature fails here rather than in the tool; each tool finds the
+    # repository's files from its own path, so it runs from any directory
+    got = subprocess.run([sys.executable, os.path.join(ROOT, argv[0])] + argv[1:],
+                         cwd=tmp_path, capture_output=True, text=True, timeout=120)
     assert got.returncode == 0, got.stderr
     assert any("total" in line.split() for line in got.stdout.splitlines()), got.stdout
 

@@ -19,13 +19,10 @@ square: max_rbsa, one row per pair family of the bounded search (h: the
 input frame, v: x and y swapped)
 
   pairs    pinned pairs (_pinned), before the band filter
-  bounded  pairs the band filter (_may_reach) keeps in the pair table
-           (_pairs) and so passes to the width bound (_pair_bounds): r
-           minus the largest |y - y0| of the strip points that are inside
-           the outer square at every center, with no color test.  At a
-           floor of -inf nothing is filtered.
-  floor    of those, the pairs whose bound exceeds eps and reaches the
-           family's floor; the filter keeps all of them
+  table    rows of the pair table (_pairs): the pinned pairs the band
+           filter (_may_reach) keeps at the family's floor, which the
+           search takes in decreasing r.  At a floor of -inf nothing is
+           filtered.
   kept     pairs the color-free decision keeps (_reaching), summed over
            its rounds
   scanned  pairs _scan_segment runs on
@@ -75,23 +72,21 @@ from rbannulus.lcorridor import GapTree, max_rblc_all  # noqa: E402
 def square(counts, args):
     """Wrap the private functions of squares; counts[-1] is the family
     being searched."""
-    pair_bounds, c3_family = squares._pair_bounds, squares._c3_family
+    pairs, c3_family = squares._pairs, squares._c3_family
     scan, reaching, pinned = squares._scan_segment, squares._reaching, squares._pinned
 
-    def family(pointset, swap, eps, floor):
-        counts.append(Counter(limits=(eps, floor)))
-        return c3_family(pointset, swap, eps, floor)
+    def family(*args):
+        counts.append(Counter())
+        return c3_family(*args)
 
     def pinned_block(*args):
         block = pinned(*args)
         counts[-1]["pairs"] += len(block[0])
         return block
 
-    def bounds(xs, ys, pairs):
-        out = pair_bounds(xs, ys, pairs)
-        eps, floor = counts[-1]["limits"]
-        counts[-1]["bounded"] += len(out)
-        counts[-1]["floor"] += int(((out > eps) & (out >= floor)).sum())
+    def table(*args):
+        out = pairs(*args)
+        counts[-1]["table"] += len(out[0])
         return out
 
     def decide(*args):
@@ -103,7 +98,7 @@ def square(counts, args):
         counts[-1]["scanned"] += 1
         return scan(*args)
 
-    squares._c3_family, squares._pair_bounds = family, bounds
+    squares._c3_family, squares._pairs = family, table
     squares._scan_segment, squares._reaching = scanned, decide
     squares._pinned = pinned_block
     return squares.max_rbsa
@@ -180,8 +175,8 @@ def corridor(counts, args):
 # solve prints, one per entry of counts; the row format
 SHAPES = {
     "square": (square, 120, "uniform", 13,
-               ("seed", "fam", "pairs", "bounded", "floor", "kept", "scanned"),
-               (("h",), ("v",)), "%-8s %-3s" + " %8s" * 5),
+               ("seed", "fam", "pairs", "table", "kept", "scanned"),
+               (("h",), ("v",)), "%-8s %-3s" + " %8s" * 4),
     "circle": (circle, 30, "rings", 22,
                ("seed", "centres", "screened", "pruned", "exact"),
                ((),), "%-8s %9s %9s %8s %8s"),

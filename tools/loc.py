@@ -1,7 +1,8 @@
 """Count code lines in Python files: lines that hold a token other than a
 comment, and that are not part of a module, class or function docstring.
 
-Usage: python3 tools/loc.py [PATH ...]   (default: src/rbannulus)
+Usage: python3 tools/loc.py [PATH ...]   (default: the repository's
+src/rbannulus, wherever the script is run from)
 
 Prints one line per file and the total.  Directories are searched for
 *.py files.  Standard library only.
@@ -9,6 +10,7 @@ Prints one line per file and the total.  Directories are searched for
 
 import ast
 import io
+import os
 import sys
 import tokenize
 from pathlib import Path
@@ -44,7 +46,8 @@ def count(source: str) -> int:
 
 
 def main(argv) -> int:
-    paths = [Path(p) for p in argv] or [Path("src/rbannulus")]
+    root = Path(__file__).resolve().parent.parent
+    paths = [Path(p) for p in argv] or [root / "src" / "rbannulus"]
     files = []
     for p in paths:
         files.extend(sorted(p.rglob("*.py")) if p.is_dir() else [p])
@@ -52,7 +55,7 @@ def main(argv) -> int:
     for f in files:
         n = count(f.read_text())
         total += n
-        print("%6d  %s" % (n, f))
+        print("%6d  %s" % (n, os.path.relpath(f)))
     print("%6d  total" % total)
     return 0
 
