@@ -257,8 +257,6 @@ def _row_widths(cols: _Columns, cxs, cys, eps: float, distances):
     # usable gap
     out = np.full(len(cxs), -np.inf)
     n = cols.X.size
-    if n < 2:
-        return out
     step = max(1, _CHUNK // n)
     D = np.empty((min(step, len(cxs)), n))
     T = np.empty_like(D)

@@ -99,8 +99,6 @@ class PointSet:
         short = [c + 1 for c, m in enumerate(counts) if m < 2]
         if short:
             raise ValueError("every color needs at least two points, short: %r" % short)
-        if 2 * kk > len(pts):
-            raise ValueError("k=%d exceeds n/2 for n=%d" % (kk, len(pts)))
         xs = np.array([p.x for p in pts], dtype=float)
         ys = np.array([p.y for p in pts], dtype=float)
         cs = np.array([p.color for p in pts], dtype=np.intp)

@@ -19,9 +19,8 @@ The sweep visits the distinct heights bottom-up as the inner top side y_i,
 activating each level's x-values in a GapTree.  Each canonical pass hands
 ``_sweep`` one table, which ``_arrays_setup`` builds with numpy, read by
 level index: the level heights and each
-level's first row, the rows' x, each level's two staircase bounds, the
-band tree, the gap tree and the chunk filter or None.  The loop leans on
-four primitives:
+level's first row, each level's two staircase bounds, the band tree, the
+gap tree and the pass's splitter.  The loop leans on four primitives:
 
 * the lower staircase (``_lower_breaks``, the heap walk, over the records
   numpy picks out in ``_lower_breaks_arrays``), read closed (corner height
@@ -44,14 +43,16 @@ every gap between active values is no wider than the floor, an insert
 strictly inside their hull returns at once; a query still folds the tree,
 and any answer it gives wider than the floor is exact.
 
-Every pass is swept in chunks of ``_CHUNK`` levels.  ``_sweep`` runs
-every level of the first chunk with all its inserts: at its starting
-width, eps, a filter would reject almost none of them, so a pass of at
-most ``_CHUNK`` levels never builds one.  For each later chunk,
-``_LevelFilter`` evaluates, in one numpy pass at the best width w at the
-chunk's start, two tests, each of which shows that the per-level loop
-stops at a level's first candidate y_j (the lowest level with
-y_j - y_i > w, stepped as the loop steps; delta = y_j - y_i):
+Every pass is swept in chunks of ``_CHUNK`` levels, each handed to the
+loop by the pass's splitter.  A pass of at most ``_CHUNK`` levels gets
+``_EveryLevel``, which keeps every level with all its inserts: on so
+short a pass the filter's numpy calls cost more than the levels they
+reject save.  A longer pass gets ``_LevelFilter``, which looks at every
+chunk, the first included.  For each chunk it evaluates, in one numpy
+pass at the best width w at the chunk's start, two tests, each of which
+shows that the per-level loop stops at a level's first candidate y_j
+(the lowest level with y_j - y_i > w, stepped as the loop steps;
+delta = y_j - y_i):
 
 * the break test: hi - lo < delta, with the band maximum taken from a
   sparse table over the chunk's level maxima;
@@ -60,7 +61,8 @@ y_j - y_i > w, stepped as the loop steps; delta = y_j - y_i):
   query fails when the hull meets (lo, hi) and both end gaps are shorter
   than delta.  The widest gap is bounded by the GapTree's own root, read
   with ``GapTree.root`` before the chunk, widened by the hull's growth
-  inside it.
+  inside it.  Before the first chunk the tree is empty, its hull grows
+  without bound, and only the break test applies.
 
 Only the levels where neither test holds go to the per-level loop, in
 order, with the inserts before them.  The inserts the floor would skip
@@ -502,19 +504,32 @@ class _LevelFilter:
         return (a + kept).tolist(), pending, ins[r:]
 
 
+class _EveryLevel:
+    """The splitter of a short pass: ``split(a, b, w, gaps)``, as
+    ``_LevelFilter.split`` has it, keeping every level a..b-1 with all of
+    its rows' x and leaving nothing for after the last."""
+
+    __slots__ = ("_xs", "_bounds")
+
+    def __init__(self, xs, bounds):
+        # the rows' x, and each level's first row, then the number of rows
+        self._xs, self._bounds = xs, bounds
+
+    def split(self, a, b, w, gaps):
+        xs, bounds = self._xs, self._bounds
+        return range(a, b), [xs[bounds[l]:bounds[l + 1]] for l in range(a, b)], []
+
+
 def _arrays_setup(pts, k):
     # The table of one canonical pass (see _sweep), from the points as x, y
-    # and color arrays; None when no inside quadrant is ever rainbow.
-    # numpy sorts, groups and builds, and a _LevelFilter filters every
-    # chunk of levels after the first.
+    # and color arrays.  numpy sorts, groups and builds; the splitter is a
+    # _LevelFilter on a pass of more than _CHUNK levels, else _EveryLevel.
     xs, ys, cs = pts
     upper = _upper_breaks_arrays(xs, ys, cs, k)
     order = np.lexsort((xs, ys))
     xs, ys, cs = xs[order], ys[order], cs[order]
     universe = _sorted_distinct(xs)
     lower = _lower_breaks_arrays(xs, ys, cs, np.searchsorted(universe, xs), k)
-    if not lower[0]:
-        return None
     fresh = np.empty(len(ys), dtype=bool)
     fresh[0] = True
     np.not_equal(ys[1:], ys[:-1], out=fresh[1:])
@@ -522,13 +537,11 @@ def _arrays_setup(pts, k):
     bounds = np.append(starts, len(xs))
     level_ys = ys[starts]
     (hi_arr, his), (lo_arr, los) = _staircase_bounds(level_ys, lower, upper)
+    bound_list = bounds.tolist()
     filt = (_LevelFilter(xs, bounds, level_ys, hi_arr, lo_arr)
-            if len(starts) > _CHUNK else None)
-    # the sweep reads the rows' x only where it runs every level, in the
-    # first chunk
-    row_xs = xs[:bounds[min(len(starts), _CHUNK)]].tolist()
-    return (level_ys.tolist(), bounds.tolist(), row_xs, his, los,
-            MaxCoordTree(xs), GapTree(universe.tolist()), filt)
+            if len(starts) > _CHUNK else _EveryLevel(xs.tolist(), bound_list))
+    return (level_ys.tolist(), bound_list, his, los, MaxCoordTree(xs),
+            GapTree(universe.tolist()), filt)
 
 
 def _sweep(table, eps):
@@ -536,27 +549,17 @@ def _sweep(table, eps):
     # is pinned by the y-gap between an inner-top point and an outer-top
     # point.  Returns (width, outer_x, outer_y) or None.  The table holds,
     # with the rows in (y, x) order: the level heights, each level's first
-    # row and then the number of rows, the rows' x (at least those of the
-    # first chunk, all of them when there is no filter), each level's two
-    # staircase bounds (the lists of _staircase_bounds), the MaxCoordTree
-    # over the rows, the GapTree over their distinct x and the _LevelFilter
-    # or None; or the table is None, when no inside quadrant is ever
-    # rainbow.
-    if table is None:
-        return None
-    level_ys, bounds, xs, his, los, band, gaps, filt = table
+    # row and then the number of rows, each level's two staircase bounds
+    # (the lists of _staircase_bounds), the MaxCoordTree over the rows' x,
+    # the GapTree over their distinct x, and the splitter, whose
+    # split(a, b, w, gaps) (see _LevelFilter) hands the loop each chunk's
+    # levels and the values to insert.
+    level_ys, bounds, his, los, band, gaps, filt = table
     m = len(level_ys)
     best = None
     w_best = eps
     for a in range(0, m, _CHUNK):
-        b = min(a + _CHUNK, m)
-        if a and filt is not None:
-            kept, pending, rest = filt.split(a, b, w_best, gaps)
-        else:
-            # every level with all its inserts: at the starting width,
-            # eps, a filter would keep nearly all of the first chunk
-            kept, rest = range(a, b), ()
-            pending = (xs[bounds[li]:bounds[li + 1]] for li in kept)
+        kept, pending, rest = filt.split(a, min(a + _CHUNK, m), w_best, gaps)
         for li, xs_in in zip(kept, pending):
             # w_best is the GapTree floor: only gaps wider than it can
             # win, and it never decreases, as the floor must not

@@ -9,7 +9,8 @@
 - The per-level L-corridor sweep: ``_sweep`` runs one canonical pass of
   ``lcorridor.max_rblc`` through the solver's own per-level loop,
   ``lcorridor._sweep``, on the same pass table built in plain Python from
-  (x, y, color) rows, with no chunk filter, so the loop runs every level
+  (x, y, color) rows, with the splitter of a short pass,
+  ``lcorridor._EveryLevel``, on every pass, so the loop runs every level
   with all of its inserts.  It runs the solver's staircase walk,
   ``lcorridor._lower_breaks``, over every row where the solver walks only
   the records, owns the row upper staircase ``_upper_breaks``, and shares
@@ -32,7 +33,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .core import DEFAULT_EPS, INF, PointSet
-from .lcorridor import (GapTree, MaxCoordTree, _lower_breaks,
+from .lcorridor import (GapTree, MaxCoordTree, _EveryLevel, _lower_breaks,
                         _staircase_bounds, _sweep as _sweep_levels,
                         _upper_chain)
 from .rect import (DecisionOutcome, _band_split, _decision, _first_below,
@@ -138,12 +139,9 @@ def _upper_breaks(tp, k):
 def _sweep(tp, k, eps):
     # One canonical pass of lcorridor._sweep from (x, y, color) rows: the
     # pass table built in plain Python, with the solver's staircase bounds
-    # and no filter, then the solver's per-level loop.  Returns (width,
-    # outer_x, outer_y) or None.
+    # and a splitter that keeps every level, then the solver's per-level
+    # loop.  Returns (width, outer_x, outer_y) or None.
     by_y = sorted(tp, key=itemgetter(1, 0))
-    lower = _lower_breaks(by_y, k)
-    if not lower[0]:
-        return None
     level_ys, bounds = [], []
     for row, (_, y, _) in enumerate(by_y):
         if not level_ys or level_ys[-1] != y:
@@ -151,9 +149,11 @@ def _sweep(tp, k, eps):
             bounds.append(row)
     bounds.append(len(by_y))
     xs = [p[0] for p in by_y]
-    (_, his), (_, los) = _staircase_bounds(level_ys, lower, _upper_breaks(tp, k))
-    return _sweep_levels((level_ys, bounds, xs, his, los, MaxCoordTree(xs),
-                          GapTree(sorted({p[0] for p in tp})), None), eps)
+    (_, his), (_, los) = _staircase_bounds(level_ys, _lower_breaks(by_y, k),
+                                           _upper_breaks(tp, k))
+    return _sweep_levels((level_ys, bounds, his, los, MaxCoordTree(xs),
+                          GapTree(sorted({p[0] for p in tp})),
+                          _EveryLevel(xs, bounds)), eps)
 
 
 # ---------------------------------------------------------------------------

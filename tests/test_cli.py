@@ -14,12 +14,16 @@ from rbannulus import (
     InstanceError,
     PointSet,
     SolutionReport,
+    Strip,
+    check_report,
     format_instance,
     generate_instance,
+    load_instance,
     max_rbca,
     max_rbra,
     parse_instance,
     render_svg,
+    save_instance,
 )
 import rbannulus
 from rbannulus.cli import main, parse_line_spec, solve_instance
@@ -38,10 +42,14 @@ def run(capsys, argv):
 # instance format
 
 
-def test_instance_round_trip():
+def test_instance_round_trip(tmp_path):
     ps = generate_instance(14, 3, "uniform", seed=9)
     again = parse_instance(format_instance(ps))
     assert again == ps
+    path = tmp_path / "inst.csv"
+    save_instance(ps, path)
+    assert path.read_text() == format_instance(ps)
+    assert load_instance(path) == ps
 
 
 def test_parse_diagnostics_carry_line_numbers():
@@ -55,6 +63,19 @@ def test_parse_diagnostics_carry_line_numbers():
         parse_instance("x,y,color\n1,2\n")
     with pytest.raises(InstanceError):
         parse_instance("x,y,color\n1,2,0\n")
+    # blank lines are skipped; a check of the whole point set names no
+    # line: line 0, left out of the message
+    ps = parse_instance("x,y,color\n0,0,1\n\n1,0,1\n  \n")
+    assert ps == PointSet.build([(0, 0, 1), (1, 0, 1)], 1)
+    for text, line, match in (
+            ("x,y,color\n0,inf,1\n1,0,1\n", 2, "non-finite"),
+            ("x,y,color\n0,0,1\n1,0,one\n", 3, "bad color"),
+            ("x,y,color\n", 2, "no points"),
+            ("x,y,color\n0,0,1\n1,0,1\n2,0,2\n", 0, "two points")):
+        with pytest.raises(InstanceError, match=match) as e:
+            parse_instance(text)
+        assert e.value.line == line, text
+        assert str(e.value).startswith("line") == bool(line), text
 
 
 def test_generator_validation():
@@ -90,6 +111,24 @@ def test_report_json_round_trip_with_infinities():
     assert back.annulus().width == 2.0
 
 
+def test_report_rejects_what_it_cannot_describe():
+    with pytest.raises(ValueError, match="unknown shape"):
+        SolutionReport.for_annulus("hexagon", Strip("vertical", 0.0, 1.0), "", 0.0)
+    rep = SolutionReport("strip", 1.0, {"orientation": "vertical", "lo": 0.0},
+                         "", 0.0)
+    with pytest.raises(ValueError, match="geometry missing"):
+        rep.annulus()
+    with pytest.raises(ValueError, match="report missing 'geometry'"):
+        SolutionReport.from_json('{"shape": "strip", "width": 1.0}')
+    with pytest.raises(ValueError, match="unknown shape"):
+        SolutionReport.from_json('{"shape": "hexagon", "width": 1.0, "geometry": {}}')
+    bad = SolutionReport("strip", 1.0, {"orientation": "diagonal", "lo": 0.0,
+                                        "hi": 1.0}, "", 0.0)
+    for report in (rep, bad):
+        ok, msg = check_report(report, parse_instance(STRIP4))
+        assert not ok and msg.startswith("cannot rebuild geometry"), msg
+
+
 # ---------------------------------------------------------------------------
 # line spec parsing
 
@@ -108,6 +147,8 @@ def test_parse_line_spec():
     for bad in ("y", "0x+0y=1", "2z=1", "x+=1"):
         with pytest.raises(ValueError):
             parse_line_spec(bad)
+    with pytest.raises(ValueError, match="right-hand side"):
+        parse_line_spec("x=abc")
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +255,11 @@ def test_solve_infeasible_exit_2(tmp_path, capsys):
     code, out, _ = run(capsys, ["solve", "--shape", "strip",
                                 "--input", str(f)])
     assert (code, "infeasible" in out) == (2, True)
+    # two coincident points leave no square of positive width
+    f.write_text("x,y,color\n0,0,1\n0,0,1\n")
+    code, out, _ = run(capsys, ["solve", "--shape", "square",
+                                "--input", str(f)])
+    assert (code, "infeasible" in out) == (2, True)
 
 
 def test_epsilon_env_override(tmp_path, capsys, monkeypatch):
@@ -227,6 +273,10 @@ def test_epsilon_env_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("RBA_EPSILON", "not a number")
     code, _, err = run(capsys, ["solve", "--shape", "strip", "--input", str(f)])
     assert code == 1 and "RBA_EPSILON" in err
+    for raw in ("inf", "-1"):
+        monkeypatch.setenv("RBA_EPSILON", raw)
+        code, _, err = run(capsys, ["solve", "--shape", "strip", "--input", str(f)])
+        assert code == 1 and "finite and >= 0" in err, raw
 
 
 def test_check_valid_tampered_and_injected(tmp_path, capsys):
@@ -308,6 +358,8 @@ def test_svg_infinite_sides_dashed():
     assert "stroke-dasharray" in text
     text2 = render_svg(ps, None)
     assert text2.count('<g class="annulus"') == 1
+    with pytest.raises(ValueError, match="cannot render"):
+        render_svg(ps, object())
 
 
 def test_svg_draws_strips_and_corridors_from_their_boxes():
@@ -400,7 +452,7 @@ def test_bench_json_unwritable_path_is_bad_input(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("flags", [
-    ["--trials", "0"], ["--sizes", "1"], ["--k", "0"],
+    ["--trials", "0"], ["--sizes", "1"], ["--k", "0"], ["--sizes", ","],
 ])
 def test_bench_bad_schedule_is_bad_input(flags, capsys):
     argv = ["bench", "--shape", "strip", "--sizes", "30"] + flags

@@ -128,7 +128,9 @@ def test_pointset_build_rejects_bad_input():
     with pytest.raises(ValueError):
         PointSet.build([(0, 0, 1), (1, 1, 1), (2, 2, 2)])  # color 2 has one point
     with pytest.raises(ValueError):
-        PointSet.build([(0, 0, 1), (1, 1, 2)], k=2)  # k > n/2
+        PointSet.build([(0, 0, 1), (1, 1, 2)], k=2)  # k > n/2: a color is short
+    with pytest.raises(ValueError, match="at least one color"):
+        PointSet.build([(0, 0, 1), (1, 1, 1)], 0)
     with pytest.raises(ValueError):
         PointSet.build([(math.inf, 0, 1), (1, 1, 1)])
     with pytest.raises(ValueError):
@@ -195,6 +197,8 @@ def test_lcorridor_orientations_mirror():
         assert classify((x, y), dr) is classify((-x, y), dl)
         assert classify((x, y), dr) is classify((x, -y), ur)
         assert classify((x, y), dr) is classify((-x, -y), ul)
+    with pytest.raises(ValueError, match="bad corridor orientation"):
+        LCorridor("sideways", 0.0, 10.0, 2.0)
 
 
 def test_square_annulus_regions():

@@ -451,12 +451,16 @@ def test_chunked_sweep_matches_per_level_sweep(monkeypatch, chunk):
     seen = {"levels": 0, "kept": 0}
 
     def counting_split(self, a, b, w, gaps):
-        # the tree holds the rows before the chunk: its hull is theirs
+        # the tree holds the rows before the chunk: its hull is theirs, and
+        # empty when there are none
         rows_before = self._xs[:self._starts[a]]
-        assert gaps.root()[:2] == (rows_before.min(), rows_before.max())
+        hull = ((rows_before.min(), rows_before.max()) if len(rows_before)
+                else (INF, -INF))
+        assert gaps.root()[:2] == hull
         got = split(self, a, b, w, gaps)
-        seen["levels"] += b - a
-        seen["kept"] += len(got[0])
+        if a:  # the share below counts the chunks after the first
+            seen["levels"] += b - a
+            seen["kept"] += len(got[0])
         return got
 
     monkeypatch.setattr(lcorridor._LevelFilter, "split", counting_split)
@@ -472,28 +476,34 @@ def test_chunked_sweep_matches_per_level_sweep(monkeypatch, chunk):
     assert 0 < seen["kept"] < 0.9 * seen["levels"]  # the filter did reject
 
 
-def test_first_chunk_runs_unfiltered(monkeypatch):
-    # No pass asks the filter about its first chunk, and a pass of at most
-    # _CHUNK levels builds none.  Passes on either side of a chunk
-    # boundary give the per-level sweep's answer.
+def test_each_pass_has_one_splitter(monkeypatch):
+    # A pass of more than _CHUNK levels builds one chunk filter and asks it
+    # about each of its chunks from level 0, and the filter rejects levels
+    # of first chunks too; a shorter pass builds none and keeps every
+    # level.  Passes on either side of a chunk boundary give the per-level
+    # sweep's answer.
     chunk = 8
     monkeypatch.setattr(lcorridor, "_CHUNK", chunk)
     init, split = lcorridor._LevelFilter.__init__, lcorridor._LevelFilter.split
     built, asked = [], []
+    rejected_first = 0
 
     def counting_init(self, *args):
         built.append(1)
         init(self, *args)
 
     def recording_split(self, a, b, w, gaps):
+        nonlocal rejected_first
         asked.append(a)
-        return split(self, a, b, w, gaps)
+        got = split(self, a, b, w, gaps)
+        if a == 0:
+            rejected_first += b - len(got[0])
+        return got
 
     monkeypatch.setattr(lcorridor._LevelFilter, "__init__", counting_init)
     monkeypatch.setattr(lcorridor._LevelFilter, "split", recording_split)
     rng = random.Random(19)
-    filtered = 0
-    for m in (chunk, chunk + 1, 2 * chunk + 1):
+    for m in (2, 5, chunk, chunk + 1, 2 * chunk + 1):
         for trial in range(30):
             # m points with distinct x and distinct y: every pass has m levels
             k = rng.randint(1, min(3, m // 2))
@@ -511,14 +521,13 @@ def test_first_chunk_runs_unfiltered(monkeypatch):
                     setup = lcorridor._arrays_setup(arrays, k)
                     got = lcorridor._sweep(setup, eps)
                     assert repr(got) == repr(reference_sweep(rows, k, eps)), rows
-                    if setup is None:
-                        assert not built and not asked
-                        continue
                     assert len(setup[0]) == m
-                    assert len(built) == (m > chunk)
-                    assert asked == list(range(chunk, m, chunk))
-                    filtered += bool(asked)
-    assert filtered > 100
+                    long = m > chunk
+                    assert isinstance(setup[-1], lcorridor._LevelFilter if long
+                                      else lcorridor._EveryLevel)
+                    assert len(built) == long
+                    assert asked == list(range(0, m if long else 0, chunk))
+    assert rejected_first > 100
 
 
 def test_reference_sweep_stops_at_an_overflowed_delta():
@@ -603,11 +612,7 @@ def test_chunk_filter_rejects_only_what_the_loop_would(monkeypatch):
         k = ps.k
         for rows, arrays in canonical_passes(ps):
             setup = lcorridor._arrays_setup(arrays, k)
-            if setup is None:
-                continue
             level_ys, gaps, filt = setup[0], setup[-2], setup[-1]
-            if filt is None:
-                continue  # a pass of at most _CHUNK levels builds none
             hit = reference_sweep(rows, k, 1e-9)
             top = hit[0] if hit else 1.0
             floors = (1e-9, top / 4, top / 2, top, 2 * top)

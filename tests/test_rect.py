@@ -184,6 +184,13 @@ def test_dp_argument_validation():
         dp_decision(ps, 0, 3, 0.0)
     with pytest.raises(ValueError):
         dp_decision(ps, 0, 3, math.inf)
+    for i in (0.0, True):
+        with pytest.raises(ValueError, match="top anchor index must be an integer"):
+            dp_decision(ps, i, None, 1.0)
+    with pytest.raises(ValueError, match="bottom anchor must be an index"):
+        dp_decision(ps, 0, "3", 1.0)
+    with pytest.raises(ValueError, match="positive finite"):
+        dp_decision(ps, 0, 3, "1.0")
 
 
 def test_dp_matches_brute_random():

@@ -62,6 +62,12 @@ def test_duplicate_coordinates_never_candidates():
         assert max_rbes(single, "vertical", eps) is None, eps
 
 
+def test_bad_orientation_rejected():
+    ps = PointSet.build([(0, 0, 1), (1, 0, 2), (5, 0, 1), (6, 0, 2)])
+    with pytest.raises(ValueError, match="bad orientation"):
+        max_rbes(ps, "diagonal")
+
+
 def test_negative_eps_rejected():
     # a negative eps would admit the zero gaps between tied values
     ps = PointSet.build([(2, 0, 1), (2, 1, 2), (2, 5, 1), (3, 0, 2), (3, 1, 1)])

@@ -39,10 +39,14 @@ gives the shares of the centres screened and scored exactly
 
 corridor: max_rblc_all (four orientations, two sweeps each)
 
-  calls      GapTree.insert calls.  A pass calls it for every point of
-             its first lcorridor._CHUNK levels, and after them only for
-             the values its chunk filter could not show insert would
-             skip.
+  levels     levels of every pass, a chunk at a time, as the pass's
+             splitter sees them: lcorridor._LevelFilter on a pass of more
+             than lcorridor._CHUNK levels, else lcorridor._EveryLevel
+  kept       of those, the levels the splitter hands the per-level loop
+             (all of them on a short pass)
+  calls      GapTree.insert calls: every point of a short pass, and on a
+             long one only the values its chunk filter could not show
+             insert would skip
   activated  of those, the calls that activated a value in the tree; the
              rest were skipped under the floor or repeated a value
   queries    GapTree.query calls
@@ -66,7 +70,8 @@ from rbannulus import INF, circles, squares  # noqa: E402
 from rbannulus.cli import parse_line_spec  # noqa: E402
 from rbannulus.instances import (format_instance, generate_instance,  # noqa: E402
                                  parse_instance)
-from rbannulus.lcorridor import GapTree, max_rblc_all  # noqa: E402
+from rbannulus.lcorridor import (GapTree, _EveryLevel, _LevelFilter,  # noqa: E402
+                                 max_rblc_all)
 
 
 def square(counts, args):
@@ -142,9 +147,17 @@ def circle(counts, args):
 
 
 def corridor(counts, args):
-    """Wrap GapTree.insert, GapTree.query and GapTree._range; counts[-1]
-    is the instance being solved."""
+    """Wrap both splitters' split, GapTree.insert, GapTree.query and
+    GapTree._range; counts[-1] is the instance being solved."""
     insert, query, fold = GapTree.insert, GapTree.query, GapTree._range
+
+    def counted(split):
+        def counted_split(self, a, b, *args):
+            got = split(self, a, b, *args)
+            counts[-1]["levels"] += b - a
+            counts[-1]["kept"] += len(got[0])
+            return got
+        return counted_split
 
     def counted_insert(self, x, *floor):
         leaf = bisect_left(self._xs, x) + self._size
@@ -165,6 +178,8 @@ def corridor(counts, args):
         counts.append(Counter())
         max_rblc_all(ps)
 
+    for splitter in (_LevelFilter, _EveryLevel):
+        splitter.split = counted(splitter.split)
     GapTree.insert, GapTree.query = counted_insert, counted_query
     GapTree._range = counted_fold
     return solve
@@ -181,8 +196,9 @@ SHAPES = {
                ("seed", "centres", "screened", "pruned", "exact"),
                ((),), "%-8s %9s %9s %8s %8s"),
     "corridor": (corridor, 16000, "uniform", 3,
-                 ("seed", "calls", "activated", "queries", "folded"),
-                 ((),), "%-8s" + " %10s" * 4),
+                 ("seed", "levels", "kept", "calls", "activated", "queries",
+                  "folded"),
+                 ((),), "%-8s" + " %10s" * 6),
 }
 
 
