@@ -21,25 +21,25 @@ The bounded solver works in two frames, the input and the input with x
 and y swapped, each read from the PointSet's own orders: its rows in y
 order (by_y, or by_x when swapped), tied rows in index order.  One numpy
 table of a frame's pinned pairs (_pairs) holds each pair's r, y0, segment
-and run of strip rows; the band filter, the decision and the scan all read
-it.  It runs the segment search on few pairs.  A pair's width is at most
-its outer radius r, so the solver takes the pairs in decreasing r until no
-r can reach the best width so far, and decides each chunk of them at that
-width first: a color-free test, in numpy, of whether any center on the
+and run of strip rows; the decision and the scan read it.  It runs the
+segment search on few pairs.  A pair's width is at most its outer radius
+r, so the solver takes the pairs in decreasing r until no r can reach the
+best width so far, and decides each chunk of them at that width first: a
+color-free test (_reaching), in numpy, of whether any center on the
 segment can reach it.  Only the pairs the decision keeps are scanned, and
 the scan checks the colors exactly.
 
 Below a floor f, the best strip or L-corridor width, a bounded annulus
-cannot win, and a pair's width stays below f when a point strictly between
-the pins' x values lies in the band (y_top - f, y_top) or (y_bottom,
-y_bottom + f): that point stays inside the outer square at every center
-on the segment.  So the table is built a block of bottom rows at a time,
-and each block keeps only the pairs with r >= f whose pins lie between the
-other pin's nearest band points in x (_band_neighbours, _may_reach): a
-superset of the pairs whose scanned width reaches f, checked with the
-scan's own float tests.  Memory then follows the pairs kept, not n**2.
-With no floor (max_rbsa_c3) the bands are empty and every pinned pair is
-kept.
+cannot win; with no floor (max_rbsa_c3) f is eps, as every width the
+scan returns exceeds eps.  A point of the band (y_top - f, y_top) or
+(y_bottom, y_bottom + f) keeps the width below f at every center whose
+window holds it.  So the table is built a block of bottom rows at a time,
+and each block keeps only the pairs with r >= f that the same decision
+keeps at f on four strip rows: the nearest points left and right of the
+top pin in the first band and of the bottom pin in the second
+(_band_neighbours).  On a subset of the strip the decision keeps a
+superset of the pairs, so the table holds every pair whose scanned width
+reaches f.  Memory then follows the pairs kept, not n**2.
 """
 
 from __future__ import annotations
@@ -239,13 +239,14 @@ def _pinned(xs, ys, start, stop):
 @np.errstate(over="ignore", invalid="ignore")
 def _band_neighbours(xs, ys, f):
     # xs, ys: a frame's x and y columns in its y order; f: a floor.
-    # For each row, the nearest point strictly left and strictly right of
+    # For each row, the nearest row strictly left and strictly right of
     # it in x among the rows of its upper band, ys in (fl(y - f), y), and
     # then of its lower band, ys in (y, fl(y + f)).  Returns the array
-    # [band][side][x or y][row], band 0 upper and 1 lower, side 0 left
-    # and 1 right, NaN where a side has no point.  The rows are taken a
-    # chunk at a time, so the padded band runs hold at most _BLOCK cells.
-    near = np.full((2, 2, 2, len(xs)), np.nan)
+    # [band][side][row] of their row indices, band 0 upper and 1 lower,
+    # side 0 left and 1 right, -1 where a side has no row.  The rows are
+    # taken a chunk at a time, so the padded band runs hold at most
+    # _BLOCK cells.
+    near = np.full((2, 2, len(xs)), -1)
     bands = ((np.searchsorted(ys, ys - f, side="right"), np.searchsorted(ys, ys, side="left")),
              (np.searchsorted(ys, ys, side="right"), np.searchsorted(ys, ys + f, side="left")))
     for band, (lo, hi) in zip(near, bands):
@@ -261,65 +262,41 @@ def _band_neighbours(xs, ys, f):
                 cand &= ~pad
                 pick = nearest(np.where(cand, x, fill), axis=1)[:, None]
                 some = np.take_along_axis(cand, pick, axis=1)[:, 0]
-                row = np.take_along_axis(strip, pick, axis=1)[:, 0]
-                side[0, rows] = np.where(some, xs[row], np.nan)
-                side[1, rows] = np.where(some, ys[row], np.nan)
+                side[rows] = np.where(some, np.take_along_axis(strip, pick, axis=1)[:, 0], -1)
     return near
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _may_reach(xs, ys, block, near, f):
-    # block: rows of a pair table; near: _band_neighbours(xs, ys, f).
-    # Returns a boolean mask over the rows, True on every pair whose
-    # _scan_segment width is >= f.  A pair is dropped when r < f, or when
-    # its top's upper-band neighbour on the bottom's side, or its bottom's
-    # lower-band neighbour on the top's side, is a witness: a point p with
-    #   y_bottom < y_p < y_top (a strip row),
-    #   fl(bx - r) < x_p < fl(ax + r) (a core point) and
-    #   fl(r - fl(|y_p - y0|)) < f.
-    # In exact arithmetic this drops every pair with a point strictly
-    # between the pins' x values in the band (y_top - f, y_top) or
-    # (y_bottom, y_bottom + f), and no other pair with r >= f: the core
-    # test there reads min(x) < x_p < max(x), and |y_p - y0| > r - f.
-    # Why no pair whose width is >= f is dropped, bit for bit: the scan
-    # returns w = fl(r - r_in) with r_in >= 0, so w <= r, and r < f gives
-    # w < f.  Every t it visits lies in [ax, bx], and float rounding is
-    # monotone, so fl(t - r) <= fl(bx - r) < x_p < fl(ax + r) <= fl(t + r):
-    # a witness p passes both window tests at every t, and r_in is at least
-    # its fl(|y_p - y0|), the same subtraction as here.  So w <=
-    # fl(r - fl(|y_p - y0|)) < f.  The band and the neighbours only choose
-    # which points are tried, so their rounding can keep a pair that exact
-    # arithmetic would drop, never the reverse.  A NaN neighbour, where a
-    # side has no point (every band is empty at f = -INF), fails every
-    # comparison and drops nothing.
-    bottom, top, r, y0, ax, bx = block[:6]
-    yb, yt = ys[bottom], ys[top]
-    left, right = bx - r, ax + r
-    rightward = xs[bottom] < xs[top]
-    keep = r >= f
-    for band, pin, side in ((near[0], top, ~rightward), (near[1], bottom, rightward)):
-        px = np.where(side, band[1, 0, pin], band[0, 0, pin])
-        py = np.where(side, band[1, 1, pin], band[0, 1, pin])
-        keep &= ~((yb < py) & (py < yt) & (left < px) & (px < right)
-                  & (r - np.abs(py - y0) < f))
-    return keep
-
-
-def _pairs(xs, ys, floor=-INF):
-    # xs, ys: a frame's x and y columns in its y order.  The pair table,
-    # (bottom, top, r, y0, ax, bx, lo, hi), in increasing (bottom, top):
-    # the pinned pairs (_pinned) that _may_reach keeps, a superset of
-    # those whose scanned width is at least floor; at floor -INF, every
-    # one.  It is built a block of bottom rows at a time, each block of at
-    # most _BLOCK (bottom, top) cells, so the memory follows the pairs
-    # kept, not n**2.
+def _pairs(xs, ys, floor):
+    # xs, ys: a frame's x and y columns in its y order; floor: a finite
+    # width.  The pair table, (bottom, top, r, y0, ax, bx, lo, hi), in
+    # increasing (bottom, top): the pinned pairs (_pinned) with r >= floor
+    # that the decision (_reaching) keeps at floor on four of their strip
+    # rows, the top's nearest upper-band rows and the bottom's nearest
+    # lower-band rows on either side (_band_neighbours).  A band point
+    # lies farther than r - floor from y0, so it rules out every center
+    # whose window holds it, and the nearest ones on either side of the
+    # pins leave the least room between them.  As a subset of the strip
+    # gives a superset mask, the table holds every pair whose scanned
+    # width is at least floor.  It is built a block of bottom rows at a
+    # time, each block of at most _BLOCK (bottom, top) cells, and decided
+    # a chunk of pairs at a time, so the memory follows the pairs kept,
+    # not n**2.
     n = len(xs)
-    near = _band_neighbours(xs, ys, floor)
-    step = max(1, _BLOCK // n)
+    upper, lower = _band_neighbours(xs, ys, floor)
+    # eight intervals per pair, in chunks of half _CELLS: the block is
+    # alive beside each chunk
+    step, chunk = max(1, _BLOCK // n), _CELLS // 16
     blocks = []
     for start in range(0, n, step):
         block = _pinned(xs, ys, start, min(n, start + step))
-        keep = _may_reach(xs, ys, block, near, floor)
+        bottom, top, r, lo, hi = block[0], block[1], block[2], block[6], block[7]
+        todo = np.flatnonzero(r >= floor)
+        keep = np.zeros(len(r), bool)
+        for c in range(0, len(todo), chunk):
+            rows = todo[c:c + chunk]
+            strip = np.vstack([upper[:, top[rows]], lower[:, bottom[rows]]]).T
+            pad = (strip < lo[rows, None]) | (strip >= hi[rows, None])
+            keep[rows] = _reaching(xs, ys, [v[rows] for v in block], floor, strip, pad)
         blocks.append(tuple(v[keep] for v in block))
     return tuple(np.concatenate(col) for col in zip(*blocks))
 
@@ -334,12 +311,15 @@ def _pair_strips(lo, hi):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _reaching(xs, ys, pairs, limit):
-    # xs, ys: a frame's x and y columns in its y order; pairs: rows of its
-    # pair table (_pairs); limit: a finite width.  Returns a boolean mask
-    # over the pairs, True on every pair whose _scan_segment returns a
-    # width >= limit.  The test drops the colors: a center t can reach
-    # limit only when every strip point p in its window has
+def _reaching(xs, ys, pairs, limit, strip, pad):
+    # xs, ys: a frame's x and y columns in its y order; pairs: rows of a
+    # pair table (_pinned's columns); limit: a finite width; strip, pad:
+    # per pair, the row indices it tests, each a row of its strip lo:hi
+    # or padding where pad is True, as _pair_strips(lo, hi) gives them
+    # for the whole strips.  Returns a boolean mask over the pairs, True
+    # on every pair whose _scan_segment returns a width >= limit.  The
+    # test drops the colors: a center t can reach limit only when every
+    # strip point p in its window has
     #   fl(r - |y_p - y0|) >= limit, or p is tall and rules out every t in
     #     (x_p - r, x_p + r);
     #   |x_p - t| <= r - limit, which rules out (x_p - r, x_p - r + limit)
@@ -364,9 +344,10 @@ def _reaching(xs, ys, pairs, limit):
     # none.  Any other point's intervals end at or before ax, or start at
     # or after bx, by monotone rounding (short points have limit <= r).
     # The 2^-1060 term covers the absolute error of subnormal results, and
-    # a pair whose delta overflows is kept.
-    _, _, r, y0, ax, bx, lo, hi = pairs
-    strip, pad = _pair_strips(lo, hi)
+    # a pair whose delta overflows is kept.  The argument holds point by
+    # point, and fewer points rule out fewer centers, so on any subset of
+    # a pair's strip rows the mask keeps a superset of the pairs.
+    r, y0, ax, bx = pairs[2:6]
     delta = (np.maximum(np.abs(ax), np.abs(bx)) + r) * 2.0 ** -48 + 2.0 ** -1060
     keep = ~np.isfinite(delta)
     r, y0, delta = r[:, None], y0[:, None], delta[:, None]
@@ -393,35 +374,37 @@ def _c3_family(pointset, swap, eps, floor):
     # by two rows of the frame _frame(pointset, swap).  Returns
     # (width, center_x, center_y, r) in this frame, or None, whenever the
     # best width is at least floor; below floor the result may be None or
-    # a narrower annulus.  The table holds the pairs that may reach floor
-    # (_pairs); every pair it leaves out scans to a width below floor.
+    # a narrower annulus.  The table holds the pairs that may reach the
+    # larger of floor and eps (_pairs): every pair it leaves out scans to
+    # a width below it.
     # The scan returns w = fl(r - r_in) with r_in >= 0, so r bounds every
     # width a pair can reach, and only pairs with r > eps reach one.  Pairs
     # are taken in decreasing r, a chunk at a time, decided at the current
-    # limit, the best width so far (or floor, or eps), and only the pairs
-    # the decision keeps (_reaching) are scanned.  The search stops at the
-    # first r strictly below the limit: a pair whose r or width equals it
-    # may still win the tie.  When a scan raises the limit, the chunk's
-    # unscanned pairs are decided again at the new one.  Pairs tied on
-    # (-width, t, y0) can differ in r, so the key ends with the pair's
-    # position in the table, whose (bottom, top) order follows the frame's
-    # y order, tied rows in index order: the winner is the first best pair
-    # in that order, as when every pair is scanned in it, whatever the
-    # order of visits.
+    # limit, the best width so far (at first the table's), and only the
+    # pairs the decision keeps (_reaching) are scanned.  The search stops
+    # at the first r strictly below the limit: a pair whose r or width
+    # equals it may still win the tie.  When a scan raises the limit, the
+    # chunk's unscanned pairs are decided again at the new one.  Pairs
+    # tied on (-width, t, y0) can differ in r, so the key ends with the
+    # pair's position in the table, whose (bottom, top) order follows the
+    # frame's y order, tied rows in index order: the winner is the first
+    # best pair in that order, as when every pair is scanned in it,
+    # whatever the order of visits.
     xs, ys, cols = _frame(pointset, swap)
     k, totals = pointset.k, (0,) + pointset.color_count
-    pairs = _pairs(xs, ys, floor)
-    bottom, top, r, y0, ax, bx = pairs[:6]
+    limit = max(floor, eps)
+    pairs = _pairs(xs, ys, limit)
+    bottom, top, r, y0, ax, bx, lo, hi = pairs
     step = max(1, _CELLS // (2 * len(xs)))  # two intervals per strip point
     best = key = None
-    limit = floor
     todo = np.flatnonzero(r > eps)
     todo = todo[np.argsort(-r[todo], kind="stable")]
     while len(todo) and r[todo[0]] >= limit:
         head = todo[:step]
         head = head[r[head] >= limit]
         todo = todo[len(head):]
-        kept = head[_reaching(xs, ys, [v[head] for v in pairs], max(limit, eps))]
+        kept = head[_reaching(xs, ys, [v[head] for v in pairs], limit,
+                              *_pair_strips(lo[head], hi[head]))]
         for pos, q in enumerate(kept):
             rq, y0q, axq, bxq = (float(v[q]) for v in (r, y0, ax, bx))
             strip = _strip(cols, ys[bottom[q]], ys[top[q]])

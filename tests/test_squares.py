@@ -14,7 +14,9 @@ from rbannulus.lcorridor import max_rblc_all
 from rbannulus.oracle import oracle_rbsa
 from rbannulus.squares import (
     _as_square,
+    _band_neighbours,
     _frame,
+    _pair_strips,
     _pairs,
     _pinned,
     _reaching,
@@ -362,15 +364,13 @@ def test_pair_table_matches_c3_center_segment():
     # pair the solver scans at any eps >= 0, r, y0, ax and bx are
     # repr-equal to c3_center_segment's.  Where r = 0 the sign of a zero
     # ax or bx may differ: np.maximum and np.minimum return the second
-    # operand on a tie of -0.0 and 0.0, max and min the first.  With no
-    # floor the band filter keeps every row: the table is _pinned's over
-    # all bottom rows at once.  Both frames.
+    # operand on a tie of -0.0 and 0.0, max and min the first.  The table
+    # is _pinned's over all bottom rows at once.  Both frames.
     checked = 0
     for ps in _table_instances(random.Random(6060)):
         for _, by_y in _frames(ps):
             xs, ys, _ = _columns(by_y)
-            pairs = _pairs(xs, ys)
-            assert repr(pairs) == repr(_pinned(xs, ys, 0, len(xs))), ps.points
+            pairs = _pinned(xs, ys, 0, len(xs))
             bottom, top, r, y0, ax, bx, lo, hi = (v.tolist() for v in pairs)
             assert list(zip(bottom, top)) == [(i, j) for i, j, _ in _pinned_pairs(by_y)]
             for q, (i, j) in enumerate(zip(bottom, top)):
@@ -415,7 +415,7 @@ def test_decision_keeps_every_pair_that_reaches_the_limit():
             for by_x, by_y in _frames(ps):
                 xs, ys, _ = _columns(by_y)
                 cols = _columns(by_x)
-                pairs, widths = _pairs(xs, ys), []
+                pairs, widths = _pinned(xs, ys, 0, len(xs)), []
                 for q, (i, j, ((ax, y0), (bx, _), r)) in enumerate(_pinned_pairs(by_y)):
                     assert (pairs[0][q], pairs[1][q]) == (i, j), (ps.points, i, j)
                     strip = _strip(cols, by_y[i][1], by_y[j][1])
@@ -426,7 +426,7 @@ def test_decision_keeps_every_pair_that_reaches_the_limit():
                 widths = np.array(widths)
                 for w in widths[widths > -INF]:
                     for limit in (math.nextafter(w, -INF), w, math.nextafter(w, INF)):
-                        keep = _reaching(xs, ys, pairs, limit)
+                        keep = _reaching(xs, ys, pairs, limit, *_pair_strips(*pairs[6:]))
                         reach = widths >= limit
                         assert keep[reach].all(), (ps.points, eps, limit)
                         reached += int(reach.sum())
@@ -469,8 +469,8 @@ def test_band_filter_keeps_every_pair_that_can_reach_the_floor():
     # at a floor set to each pair's _scan_segment width, and to the next
     # float above and below it, at eps 0 and the default eps, the pair
     # table built at that floor holds every pinned pair whose width is at
-    # least the floor, each row repr-equal to the full table's (floor
-    # -INF) and in its order; both frames.  It drops enough pairs to
+    # least the floor, each row repr-equal to _pinned's over all bottom
+    # rows and in its order; both frames.  It drops enough pairs to
     # matter.
     needed = dropped = 0
     for ps in _filter_instances(random.Random(7070)):
@@ -478,7 +478,7 @@ def test_band_filter_keeps_every_pair_that_can_reach_the_floor():
         for by_x, by_y in _frames(ps):
             xs, ys, _ = _columns(by_y)
             cols = _columns(by_x)
-            full = _pairs(xs, ys)
+            full = _pinned(xs, ys, 0, len(xs))
             rows = {pair: q for q, pair in enumerate(zip(full[0].tolist(), full[1].tolist()))}
             for eps in (0.0, DEFAULT_EPS):
                 widths = []
@@ -499,6 +499,57 @@ def test_band_filter_keeps_every_pair_that_can_reach_the_floor():
                         needed += len(need)
                         dropped += len(full[0]) - len(q)
     assert needed >= 8000 and dropped >= 15000
+
+
+def test_table_drops_a_pair_whose_band_neighbours_leave_no_room():
+    # pins (0, 0) and (1, 4): r = 2 and the segment is [-1, 2].  At the
+    # floor r / 2, (-1.5, 3.5) and (2.2, 3.5) lie in the top's upper band,
+    # outside the pins' x values, and each holds the width below the
+    # floor wherever a window holds it.  They are 3.7 apart, less than
+    # 2r, so every window holds one, the scan stays below the floor and
+    # the table drops the pair; on the pair's _copies too
+    base = PointSet.build([(0, 0, 1), (1, 4, 1), (-1.5, 3.5, 1), (2.2, 3.5, 1)], 1)
+    for ps in _copies(base):
+        bottom, top = ps.points[0], ps.points[1]
+        xs, ys, _ = _frame(ps, False)
+        full = _pinned(xs, ys, 0, len(xs))
+        q = list(zip(full[0].tolist(), full[1].tolist())).index((0, 3))
+        floor = full[2][q] / 2
+        hit = best_annulus_on_segment(ps, bottom, top, 0.0)
+        assert hit is None or hit.width < floor, ps.points
+        table = _pairs(xs, ys, floor)
+        assert (0, 3) not in zip(table[0].tolist(), table[1].tolist()), ps.points
+
+
+def test_decision_on_fewer_strip_rows_keeps_a_superset():
+    # at limits of a quarter, a half and three quarters of the pairs' r,
+    # _reaching on a random subset of each pair's strip rows, and on the
+    # four band rows the table tests (each pin's nearest rows on either
+    # side in its band at the limit, padded outside the strip), keeps
+    # every pair it keeps on the whole strip; both frames.  The band rows
+    # drop enough pairs to matter.
+    gen = np.random.default_rng(5050)
+    dropped = 0
+    for ps in _decision_instances(random.Random(8080)):
+        for _, by_y in _frames(ps):
+            xs, ys, _ = _columns(by_y)
+            pairs = _pinned(xs, ys, 0, len(xs))
+            bottom, top, r, lo, hi = pairs[0], pairs[1], pairs[2], pairs[6], pairs[7]
+            if not len(r):
+                continue
+            strip, pad = _pair_strips(lo, hi)
+            for limit in (gen.choice(r, 2)[:, None] * [0.25, 0.5, 0.75]).ravel().tolist():
+                full = _reaching(xs, ys, pairs, limit, strip, pad)
+                some = pad | (gen.random(pad.shape) < 0.5)
+                assert _reaching(xs, ys, pairs, limit, strip, some)[full].all(), \
+                    (ps.points, limit)
+                upper, lower = _band_neighbours(xs, ys, limit)
+                rows = np.vstack([upper[:, top], lower[:, bottom]]).T
+                out = (rows < lo[:, None]) | (rows >= hi[:, None])
+                band = _reaching(xs, ys, pairs, limit, rows, out)
+                assert band[full].all(), (ps.points, limit)
+                dropped += int((~band).sum())
+    assert dropped >= 500
 
 
 def _strip_by_filter(by_x, y_lo, y_hi):
@@ -553,9 +604,9 @@ def _rbsa_all_pairs(ps, eps=DEFAULT_EPS):
 def test_best_first_search_keeps_every_witness():
     # the search in decreasing r returns, bit for bit, what scanning
     # every pair in order returns; tie-heavy integers, real coordinates
-    # and instances with signed zeros.  max_rbsa, whose band filter runs
-    # at the degenerate families' floor, is also checked on a signed-zero
-    # copy of each instance and on its _copies.
+    # and instances with signed zeros.  max_rbsa, whose pair table is
+    # built at the degenerate families' floor, is also checked on a
+    # signed-zero copy of each instance and on its _copies.
     rng = random.Random(31337)
     bounded = 0
     for it in range(320):

@@ -25,6 +25,19 @@ def test_tool_runs_and_prints_a_total(argv, tmp_path):
     assert any("total" in line.split() for line in got.stdout.splitlines()), got.stdout
 
 
+def test_square_counts_narrow_from_pairs_to_scans():
+    # on every row of tools/counts.py square, the pair table holds at most
+    # the pinned pairs and the search scans at most the table's rows
+    got = subprocess.run([sys.executable, os.path.join(ROOT, "tools", "counts.py"), "square",
+                          "--n", "40", "--count", "3"],
+                         capture_output=True, text=True, timeout=120)
+    assert got.returncode == 0, got.stderr
+    rows = [line.split()[-4:] for line in got.stdout.splitlines()[1:]]
+    assert len(rows) == 7, got.stdout
+    for pairs, table, _, scanned in (map(int, row) for row in rows):
+        assert scanned <= table <= pairs, got.stdout
+
+
 def _load_answers_tool():
     spec = importlib.util.spec_from_file_location(
         "answers", os.path.join(ROOT, "tools", "answers.py"))

@@ -18,13 +18,13 @@ of counts per instance and a `total` row.
 square: max_rbsa, one row per pair family of the bounded search (h: the
 input frame, v: x and y swapped)
 
-  pairs    pinned pairs (_pinned), before the band filter
-  table    rows of the pair table (_pairs): the pinned pairs the band
-           filter (_may_reach) keeps at the family's floor, which the
-           search takes in decreasing r.  At a floor of -inf nothing is
-           filtered.
-  kept     pairs the color-free decision keeps (_reaching), summed over
-           its rounds
+  pairs    pinned pairs (_pinned), before the table is filtered
+  table    rows of the pair table (_pairs): the pinned pairs with r at
+           least the family's floor, or eps when that is larger, that the
+           color-free decision (_reaching) keeps there on each pin's
+           nearest band points; the search takes them in decreasing r
+  kept     pairs the search's own decisions keep (_reaching), summed over
+           its rounds; the table's decisions are not counted
   scanned  pairs _scan_segment runs on
 
 circle: max_rbca, or max_rbca_on_line when --line is given; a last line
@@ -90,7 +90,9 @@ def square(counts, args):
         return block
 
     def table(*args):
+        squares._reaching = reaching  # the table's decisions are not counted
         out = pairs(*args)
+        squares._reaching = decide
         counts[-1]["table"] += len(out[0])
         return out
 
