@@ -14,7 +14,7 @@ import sys
 import time
 
 from .circles import max_rbca, max_rbca_on_line
-from .core import DEFAULT_EPS, Line, PointSet
+from .core import DEFAULT_EPS, Line, PointSet, _widest
 from .instances import (
     GENERATOR_KINDS,
     SolutionReport,
@@ -59,7 +59,11 @@ def parse_line_spec(spec: str) -> Line:
         elif coeff == "-":
             val = -1.0
         else:
-            val = float(coeff)
+            try:
+                val = float(coeff)
+            except ValueError:
+                raise ValueError("term %r has a bad coefficient in %r"
+                                 % (term, spec)) from None
         if var == "x":
             a += val
         else:
@@ -86,11 +90,8 @@ def solve_instance(shape: str, pointset: PointSet, eps: float,
                    line: Line = None):
     """(annulus_or_none, provenance) for one shape on one instance."""
     if shape == "strip":
-        best = None
-        for orientation in ("vertical", "horizontal"):
-            got = max_rbes(pointset, orientation, eps)
-            if got is not None and (best is None or got.width > best.width):
-                best = got
+        best = _widest(max_rbes(pointset, o, eps)
+                       for o in ("vertical", "horizontal"))
         return best, "" if best is None else best.orientation + " strip"
     if shape == "lcorridor":
         got = max_rblc_all(pointset, eps)
@@ -129,6 +130,10 @@ def _cmd_solve(args) -> int:
             if args.shape != "circle":
                 raise ValueError("--line is only valid with --shape circle")
             line = parse_line_spec(args.line)
+    except ValueError as exc:
+        print("solve: %s" % exc, file=sys.stderr)
+        return 1
+    try:
         ps = load_instance(args.input)
     except (OSError, ValueError) as exc:
         print("solve: %s: %s" % (args.input, exc), file=sys.stderr)

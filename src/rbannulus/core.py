@@ -9,9 +9,10 @@ of scope.
 
 The axis-parallel types (Strip, LCorridor, SquareAnnulus, RectAnnulus)
 each give an outer and an inner box, (left, right, bottom, top) with an
-unbounded side at -INF or INF, and ``_box_masks`` is the one place that
-applies these semantics to them, one point at a time (``region_of``) or
-to a PointSet's columns at once (``validate_solution``).
+unbounded side at -INF or INF; a CircularAnnulus gives its two radii.
+``_masks`` is the one place that applies these semantics, for every
+annulus type: to one point (``classify``) or to a PointSet's columns
+(``validate_solution``).
 """
 
 from __future__ import annotations
@@ -170,9 +171,6 @@ class Strip:
     def inner_sides(self) -> tuple[float, float, float, float]:
         return self._sides(self.lo)
 
-    def region_of(self, x: float, y: float, eps: float = DEFAULT_EPS) -> Region:
-        return _box_region(self.inner_sides, self.outer_sides, x, y, eps)
-
 
 # Per corridor orientation, the sign pair (sx, sy) such that the map
 # (x, y) -> (sx*x, sy*y) carries the corridor into the canonical
@@ -224,32 +222,6 @@ class LCorridor:
     @property
     def inner_sides(self) -> tuple[float, float, float, float]:
         return self._sides(*self.inner_corner)
-
-    def region_of(self, x: float, y: float, eps: float = DEFAULT_EPS) -> Region:
-        return _box_region(self.inner_sides, self.outer_sides, x, y, eps)
-
-
-def _box_masks(inner, outer, x, y, eps):
-    """(inside, outside) for the ring between the boxes outer and inner,
-    each (left, right, bottom, top), at x, y: floats or arrays, and the
-    two masks likewise.  A side at infinity never touches a finite point.
-    A point in both counts as inside; a point in neither is interior."""
-    il, ir, ib, it = inner
-    ol, orr, ob, ot = outer
-    inside = (il - eps <= x) & (x <= ir + eps) & (ib - eps <= y) & (y <= it + eps)
-    outside = (x <= ol + eps) | (x >= orr - eps) | (y <= ob + eps) | (y >= ot - eps)
-    return inside, outside
-
-
-def _region(inside, outside) -> Region:
-    if inside:
-        return Region.INSIDE
-    return Region.OUTSIDE if outside else Region.INTERIOR
-
-
-def _box_region(inner, outer, x, y, eps) -> Region:
-    """Region of the point (x, y), by _box_masks."""
-    return _region(*_box_masks(inner, outer, x, y, eps))
 
 
 def offset_square(sides, delta):
@@ -310,9 +282,6 @@ class SquareAnnulus:
     def r_out(self) -> float:
         return (self.right - self.left) / 2.0
 
-    def region_of(self, x: float, y: float, eps: float = DEFAULT_EPS) -> Region:
-        return _box_region(self.inner_sides, self.outer_sides, x, y, eps)
-
 
 @dataclass(frozen=True)
 class RectAnnulus:
@@ -354,9 +323,6 @@ class RectAnnulus:
             gap(self.outer_top - self.inner_top),
         )
 
-    def region_of(self, x: float, y: float, eps: float = DEFAULT_EPS) -> Region:
-        return _box_region(self.inner_sides, self.outer_sides, x, y, eps)
-
 
 @dataclass(frozen=True)
 class CircularAnnulus:
@@ -368,14 +334,6 @@ class CircularAnnulus:
     @property
     def width(self) -> float:
         return self.r_out - self.r_in
-
-    def _masks(self, d, eps):
-        # (inside, outside) at distances d from the center, floats or arrays
-        return d <= self.r_in + eps, d >= self.r_out - eps
-
-    def region_of(self, x: float, y: float, eps: float = DEFAULT_EPS) -> Region:
-        d = math.hypot(x - self.center_x, y - self.center_y)
-        return _region(*self._masks(d, eps))
 
 
 @dataclass(frozen=True)
@@ -405,31 +363,60 @@ class Line:
         return (self.a * self.c / n2, self.b * self.c / n2)
 
 
-def classify(point, annulus, eps: float = DEFAULT_EPS) -> Region:
-    """Region membership of one point, uniformly over all shapes."""
-    if isinstance(point, ColoredPoint):
-        x, y = point.x, point.y
-    else:
-        x, y = float(point[0]), float(point[1])
-    return annulus.region_of(x, y, eps)
+def _xy(p) -> tuple[float, float]:
+    """The (x, y) floats of a point: anything with x and y attributes, or
+    an indexable (x, y, ...)."""
+    if hasattr(p, "x"):
+        return float(p.x), float(p.y)
+    return float(p[0]), float(p[1])
 
 
-def validate_solution(annulus, pointset: PointSet, eps: float = DEFAULT_EPS) -> bool:
-    """True iff the annulus has positive finite width, an empty interior,
-    and rainbow inside and outside regions."""
-    w = annulus.width
-    if not math.isfinite(w) or w <= eps:
-        return False
-    xs, ys = pointset.xs, pointset.ys
+def _widest(annuli):
+    """The widest of the annuli that are not None, the first one on ties;
+    None when all are None."""
+    best = None
+    for ann in annuli:
+        if ann is not None and (best is None or ann.width > best.width):
+            best = ann
+    return best
+
+
+def _masks(annulus, xs, ys, eps):
+    """(inside, outside) boolean masks of the points (xs, ys), float arrays,
+    under the boundary semantics above.  A point in both counts as inside;
+    a point in neither is interior.  Box sides at infinity never touch a
+    finite point.  Circles take math.hypot per point: np.hypot can differ
+    from it by an ulp."""
     if isinstance(annulus, CircularAnnulus):
-        # math.hypot per point, as region_of: np.hypot can differ by an ulp
         cx, cy = annulus.center_x, annulus.center_y
         d = np.array([math.hypot(x - cx, y - cy)
                       for x, y in zip(xs.tolist(), ys.tolist())])
-        inside, outside = annulus._masks(d, eps)
-    else:
-        inside, outside = _box_masks(annulus.inner_sides, annulus.outer_sides,
-                                     xs, ys, eps)
+        return d <= annulus.r_in + eps, d >= annulus.r_out - eps
+    il, ir, ib, it = annulus.inner_sides
+    ol, orr, ob, ot = annulus.outer_sides
+    inside = (il - eps <= xs) & (xs <= ir + eps) & (ib - eps <= ys) & (ys <= it + eps)
+    outside = (xs <= ol + eps) | (xs >= orr - eps) | (ys <= ob + eps) | (ys >= ot - eps)
+    return inside, outside
+
+
+def classify(point, annulus, eps: float = DEFAULT_EPS) -> Region:
+    """Region of one point, a ColoredPoint or an (x, y, ...) sequence, by
+    the same masks validate_solution applies."""
+    x, y = _xy(point)
+    inside, outside = _masks(annulus, np.array([x]), np.array([y]), eps)
+    if inside[0]:
+        return Region.INSIDE
+    return Region.OUTSIDE if outside[0] else Region.INTERIOR
+
+
+def validate_solution(annulus, pointset: PointSet, eps: float = DEFAULT_EPS) -> bool:
+    """True iff the annulus has positive finite width, no point strictly
+    within its ring, and rainbow inside and outside regions, by _masks on
+    the PointSet's columns."""
+    w = annulus.width
+    if not math.isfinite(w) or w <= eps:
+        return False
+    inside, outside = _masks(annulus, pointset.xs, pointset.ys, eps)
     if not (inside | outside).all():
         return False
     k = pointset.k

@@ -95,6 +95,7 @@ from .core import (
     PointSet,
     QUADRANT_SIGNS,
     _sorted_distinct,
+    _widest,
     check_eps,
 )
 
@@ -631,10 +632,6 @@ def max_rblc(pointset: PointSet, orientation: str, eps: float = DEFAULT_EPS):
 
 
 def max_rblc_all(pointset: PointSet, eps: float = DEFAULT_EPS):
-    """Widest rainbow-bisecting empty L-corridor over all four orientations."""
-    best = None
-    for orientation in L_ORIENTATIONS:
-        cand = max_rblc(pointset, orientation, eps)
-        if cand is not None and (best is None or cand.width > best.width):
-            best = cand
-    return best
+    """Widest rainbow-bisecting empty L-corridor over all four orientations,
+    the first in L_ORIENTATIONS order on ties."""
+    return _widest(max_rblc(pointset, o, eps) for o in L_ORIENTATIONS)

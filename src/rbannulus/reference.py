@@ -32,7 +32,7 @@ import math
 from operator import itemgetter
 from typing import NamedTuple
 
-from .core import DEFAULT_EPS, INF, PointSet
+from .core import DEFAULT_EPS, INF, PointSet, _xy
 from .lcorridor import (GapTree, MaxCoordTree, _EveryLevel, _lower_breaks,
                         _staircase_bounds, _sweep as _sweep_levels,
                         _upper_chain)
@@ -292,10 +292,7 @@ class LiftedPoint(NamedTuple):
 
 def lift(point) -> LiftedPoint:
     """Vertical projection onto the paraboloid z = x^2 + y^2."""
-    if hasattr(point, "x"):
-        x, y = float(point.x), float(point.y)
-    else:
-        x, y = float(point[0]), float(point[1])
+    x, y = _xy(point)
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError("non-finite point")
     return LiftedPoint(x, y, x * x + y * y)

@@ -49,7 +49,8 @@ from heapq import merge
 
 import numpy as np
 
-from .core import DEFAULT_EPS, INF, PointSet, SquareAnnulus, check_eps
+from .core import (DEFAULT_EPS, INF, PointSet, SquareAnnulus, _widest, _xy,
+                   check_eps)
 from .lcorridor import max_rblc_all
 from .strips import max_rbes
 
@@ -65,12 +66,6 @@ __all__ = [
     "max_rbsa_c3",
     "max_rbsa",
 ]
-
-
-def _xy(p):
-    if hasattr(p, "x"):
-        return float(p.x), float(p.y)
-    return float(p[0]), float(p[1])
 
 
 def c3_center_segment(p_i, p_j):
@@ -458,18 +453,12 @@ def max_rbsa(pointset: PointSet, eps: float = DEFAULT_EPS):
     earlier, more degenerate candidate.  Raises ValueError unless eps >= 0.
     """
     check_eps(eps)
-    candidates = [
+    best = _widest([
         _as_square(max_rbes(pointset, "vertical", eps)),
         _as_square(max_rbes(pointset, "horizontal", eps)),
         _as_square(max_rblc_all(pointset, eps)),
-    ]
-    best = None
-    for cand in candidates:
-        if cand is not None and (best is None or cand.width > best.width):
-            best = cand
+    ])
     # the bounded family is taken only when strictly wider, so its search
     # may stop below the best degenerate width
-    cand = _bounded(pointset, eps, -INF if best is None else best.width)
-    if cand is not None and (best is None or cand.width > best.width):
-        best = cand
-    return best
+    floor = -INF if best is None else best.width
+    return _widest([best, _bounded(pointset, eps, floor)])

@@ -394,6 +394,14 @@ def test_center_eval_no_valid_split():
     assert best_annulus_at_center(ps, (0.0, 0.0)) is None
 
 
+def test_center_eval_non_finite_center():
+    ps = PointSet.build([(1, 0, 1), (3, 0, 1)], 1)
+    assert best_annulus_at_center(ps, (0.0, 0.0)) is not None
+    for center in ((math.inf, 0.0), (0.0, -math.inf), (math.nan, 0.0),
+                   (0.0, math.nan)):
+        assert best_annulus_at_center(ps, center) is None, center
+
+
 def test_center_eval_ties_keep_small_inner():
     ps = PointSet.build([(1, 0, 1), (-1, 0, 1), (3, 0, 1), (-5, 0, 1)], 1)
     # both colors on each of two equidistant circles, and on one circle only

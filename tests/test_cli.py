@@ -149,6 +149,8 @@ def test_parse_line_spec():
             parse_line_spec(bad)
     with pytest.raises(ValueError, match="right-hand side"):
         parse_line_spec("x=abc")
+    with pytest.raises(ValueError, match="term 'xy'"):
+        parse_line_spec("xy=1")
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +236,7 @@ def test_solve_line_requires_circle(tmp_path, capsys):
     code, _, err = run(capsys, ["solve", "--shape", "strip",
                                 "--input", str(f), "--line", "y=0"])
     assert code == 1
-    assert "circle" in err
+    assert "circle" in err and str(f) not in err
 
 
 def test_solve_non_finite_line_is_bad_input(tmp_path, capsys):
@@ -262,6 +264,18 @@ def test_solve_infeasible_exit_2(tmp_path, capsys):
     assert (code, "infeasible" in out) == (2, True)
 
 
+def test_solve_names_the_input_only_for_its_own_faults(tmp_path, capsys):
+    f = tmp_path / "inst.csv"
+    f.write_text("x,y,color\n1,0,1\n-1,0,2\n0,5,1\n0,-5,2\n")
+    code, out, err = run(capsys, ["solve", "--shape", "circle",
+                                  "--input", str(f), "--line", "xy=1"])
+    assert (code, out) == (1, "")
+    assert err == "solve: term 'xy' has a bad coefficient in 'xy=1'\n"
+    missing = str(tmp_path / "missing.csv")
+    code, _, err = run(capsys, ["solve", "--shape", "strip", "--input", missing])
+    assert code == 1 and err.startswith("solve: %s: " % missing)
+
+
 def test_epsilon_env_override(tmp_path, capsys, monkeypatch):
     f = tmp_path / "inst.csv"
     f.write_text("x,y,color\n0,0,1\n0.4,0,1\n")
@@ -272,7 +286,7 @@ def test_epsilon_env_override(tmp_path, capsys, monkeypatch):
     assert code == 2
     monkeypatch.setenv("RBA_EPSILON", "not a number")
     code, _, err = run(capsys, ["solve", "--shape", "strip", "--input", str(f)])
-    assert code == 1 and "RBA_EPSILON" in err
+    assert code == 1 and "RBA_EPSILON" in err and str(f) not in err
     for raw in ("inf", "-1"):
         monkeypatch.setenv("RBA_EPSILON", raw)
         code, _, err = run(capsys, ["solve", "--shape", "strip", "--input", str(f)])

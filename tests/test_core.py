@@ -419,7 +419,7 @@ coords = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, width=64)
 @given(coords, coords, coords, st.floats(min_value=1e-3, max_value=1e3), coords, coords)
 def test_classify_partition_strip(lo_x, lo_y, lo, w, px, py):
     s = Strip("vertical", lo, lo + w)
-    r = s.region_of(px, py)
+    r = classify((px, py), s)
     # exactly one region, and it matches the obvious half-plane arithmetic
     assert r in (Region.INSIDE, Region.INTERIOR, Region.OUTSIDE)
     if px < lo - 1e-9:
@@ -436,7 +436,7 @@ def test_classify_partition_strip(lo_x, lo_y, lo, w, px, py):
 def test_classify_partition_circle(cx, cy, r_in, w, px, py):
     a = CircularAnnulus(cx, cy, r_in, r_in + w)
     d = math.hypot(px - cx, py - cy)
-    r = a.region_of(px, py)
+    r = classify((px, py), a)
     if d < r_in - 1e-6:
         assert r is Region.INSIDE
     elif r_in + 1e-6 < d < r_in + w - 1e-6:

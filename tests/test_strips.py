@@ -20,7 +20,7 @@ from rbannulus.circles import best_annulus_at_center
 from rbannulus.oracle import oracle_rbes
 from rbannulus.rect import max_anchored_rbra_for_top_point
 from rbannulus.squares import best_annulus_on_segment, max_rbsa_c3
-from rbannulus.strips import max_rbes, rainbow_gaps
+from rbannulus.strips import max_rbes, rainbow_gaps, widest_rainbow_gap
 
 
 def test_basic_vertical():
@@ -128,6 +128,13 @@ def _brute_gaps(row, colors, k, eps):
               and full <= {c for _, c in pairs[t + 1:]})
         out.append(gap if ok else -math.inf)
     return out
+
+
+def test_widest_rainbow_gap_needs_two_values():
+    for eps in (DEFAULT_EPS, 0.0):
+        assert widest_rainbow_gap([0.0, 4.0], [1, 1], 1, eps) == 0
+        assert widest_rainbow_gap([4.0], [1], 1, eps) is None
+        assert widest_rainbow_gap([], [], 1, eps) is None
 
 
 def test_rainbow_gaps_match_definition_in_any_column_order():
