@@ -34,12 +34,14 @@ cannot win; with no floor (max_rbsa_c3) f is eps, as every width the
 scan returns exceeds eps.  A point of the band (y_top - f, y_top) or
 (y_bottom, y_bottom + f) keeps the width below f at every center whose
 window holds it.  So the table is built a block of bottom rows at a time,
-and each block keeps only the pairs with r >= f that the same decision
-keeps at f on four strip rows: the nearest points left and right of the
-top pin in the first band and of the bottom pin in the second
-(_band_neighbours).  On a subset of the strip the decision keeps a
-superset of the pairs, so the table holds every pair whose scanned width
-reaches f.  Memory then follows the pairs kept, not n**2.
+and each block keeps, in one numpy pass with no sort, only the pairs with
+r >= f whose band points leave room for a center (_room): of the nearest
+points left and right of the top pin in the first band and of the bottom
+pin in the second (_band_neighbours), gl is the largest x on the left and
+gr the smallest on the right, and a center t can reach f only when
+gl + r <= t <= gr - r, up to a float margin.  The test is O(1) per pair
+and keeps every pair whose scanned width reaches f.  Memory then follows
+the pairs kept, not n**2.
 """
 
 from __future__ import annotations
@@ -54,7 +56,8 @@ from .core import (DEFAULT_EPS, INF, PointSet, SquareAnnulus, _widest, _xy,
 from .lcorridor import max_rblc_all
 from .strips import max_rbes
 
-# strip cells (pairs times points) per chunk of pairs decided at once
+# strip cells (pairs times points) per chunk of pairs the search decides
+# at once
 _CELLS = 2 ** 13
 # (bottom, top) cells per block of the pair table, and band cells per
 # chunk of rows whose band neighbours are found at once
@@ -265,35 +268,73 @@ def _pairs(xs, ys, floor):
     # xs, ys: a frame's x and y columns in its y order; floor: a finite
     # width.  The pair table, (bottom, top, r, y0, ax, bx, lo, hi), in
     # increasing (bottom, top): the pinned pairs (_pinned) with r >= floor
-    # that the decision (_reaching) keeps at floor on four of their strip
-    # rows, the top's nearest upper-band rows and the bottom's nearest
-    # lower-band rows on either side (_band_neighbours).  A band point
-    # lies farther than r - floor from y0, so it rules out every center
-    # whose window holds it, and the nearest ones on either side of the
-    # pins leave the least room between them.  As a subset of the strip
-    # gives a superset mask, the table holds every pair whose scanned
-    # width is at least floor.  It is built a block of bottom rows at a
-    # time, each block of at most _BLOCK (bottom, top) cells, and decided
-    # a chunk of pairs at a time, so the memory follows the pairs kept,
-    # not n**2.
+    # whose band neighbours leave room for a center that reaches floor
+    # (_room).  It holds every pair whose scanned width is at least floor.
+    # It is built a block of bottom rows at a time, each block of at most
+    # _BLOCK (bottom, top) cells and tested in one pass, so the memory
+    # follows the pairs kept, not n**2.
     n = len(xs)
-    upper, lower = _band_neighbours(xs, ys, floor)
-    # eight intervals per pair, in chunks of half _CELLS: the block is
-    # alive beside each chunk
-    step, chunk = max(1, _BLOCK // n), _CELLS // 16
+    near = _band_neighbours(xs, ys, floor)
+    step = max(1, _BLOCK // n)
     blocks = []
     for start in range(0, n, step):
         block = _pinned(xs, ys, start, min(n, start + step))
-        bottom, top, r, lo, hi = block[0], block[1], block[2], block[6], block[7]
-        todo = np.flatnonzero(r >= floor)
-        keep = np.zeros(len(r), bool)
-        for c in range(0, len(todo), chunk):
-            rows = todo[c:c + chunk]
-            strip = np.vstack([upper[:, top[rows]], lower[:, bottom[rows]]]).T
-            pad = (strip < lo[rows, None]) | (strip >= hi[rows, None])
-            keep[rows] = _reaching(xs, ys, [v[rows] for v in block], floor, strip, pad)
+        block = tuple(v[block[2] >= floor] for v in block)
+        keep = _room(xs, ys, block, floor, near)
         blocks.append(tuple(v[keep] for v in block))
     return tuple(np.concatenate(col) for col in zip(*blocks))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _room(xs, ys, pairs, limit, near):
+    # xs, ys: a frame's x and y columns in its y order; pairs: rows of a
+    # pair table (_pinned's columns); limit: a finite width; near:
+    # _band_neighbours(xs, ys, limit).  Returns a boolean mask over the
+    # pairs, True on every pair whose _scan_segment returns a width >=
+    # limit, in O(1) per pair from four rows: the top's nearest rows left
+    # and right of it in its upper band, and the bottom's in its lower
+    # band.  A row is used only when it lies in the pair's strip lo:hi and
+    # is tall, fl(r - fl(|y - y0|)) < limit.  gl is the largest x of the
+    # used left rows with x < fl(ax + r), gr the smallest x of the used
+    # right rows with x > fl(bx - r), -INF and INF where there is none,
+    # and the pair is kept when
+    #   max(ax, fl(fl(gl + r) - delta)) <= min(bx, fl(fl(gr - r) + delta)),
+    # with delta as in _reaching, or when delta overflows.
+    # Why no pair whose scan reaches limit is dropped: let t in [ax, bx]
+    # be a center the scan visits with width >= limit.  As in _reaching,
+    # the window at t holds a strip point p exactly when fl(t - r) < x_p <
+    # fl(t + r), and then the width is at most fl(r - fl(|y_p - y0|)), so
+    # no tall point is in it.  As t >= ax, gl < fl(ax + r) <= fl(t + r),
+    # so gl <= fl(t - r) <= t (r >= 0).  Then gl + r <= |t| + r, and
+    # fl(gl + r) overflows only when delta does.  If gl + r <= t,
+    # fl(gl + r) <= t by monotone rounding.  Otherwise, with M =
+    # max(|ax|, |bx|) + r >= |t -+ r| and u = 2^-53, gl + r <= t + uM +
+    # 2^-1075, so |gl + r| <= (1 + u)M + 2^-1075 and fl(gl + r) <=
+    # t + (2u + u^2)M + 2^-1073, which is less than t + delta: the
+    # computed delta is at least 31uM + 2^-1061.  Either way the real
+    # fl(gl + r) - delta is at most the float t, and so is its rounding.
+    # By the mirror argument (gr > fl(bx - r) >= fl(t - r), so gr >=
+    # fl(t + r) >= t), fl(fl(gr - r) + delta) >= t; as ax <= t <= bx, the
+    # pair is kept.  Fewer rows give a smaller gl and a larger gr, so a
+    # row that is not used only keeps more pairs.
+    bottom, top, r, y0, ax, bx, lo, hi = pairs
+    delta = (np.maximum(np.abs(ax), np.abs(bx)) + r) * 2.0 ** -48 + 2.0 ** -1060
+
+    def neighbour(band, side, pins):
+        # per pair, the x of its pin's nearest row on side in band, and
+        # whether that row is used
+        row = near[band][side][pins]
+        return xs[row], (lo <= row) & (row < hi) & (r - np.abs(ys[row] - y0) < limit)
+
+    left_end, right_end = ax + r, bx - r
+    gl, gr = -INF, INF
+    for band, pins in ((0, top), (1, bottom)):
+        x, used = neighbour(band, 0, pins)
+        gl = np.maximum(gl, np.where(used & (x < left_end), x, -INF))
+        x, used = neighbour(band, 1, pins)
+        gr = np.minimum(gr, np.where(used & (x > right_end), x, INF))
+    room = np.maximum(ax, gl + r - delta) <= np.minimum(bx, gr - r + delta)
+    return room | ~np.isfinite(delta)
 
 
 def _pair_strips(lo, hi):

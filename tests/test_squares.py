@@ -20,6 +20,7 @@ from rbannulus.squares import (
     _pairs,
     _pinned,
     _reaching,
+    _room,
     _scan_segment,
     _strip,
     best_annulus_on_segment,
@@ -435,12 +436,38 @@ def test_decision_keeps_every_pair_that_reaches_the_limit():
 
 
 def _copies(ps):
-    # ps itself, moved (scaled by 10**6 and moved by (10**7, -10**7)) and
-    # scaled by 2**20 and 2**-20
+    # ps itself, moved (scaled by 10**6 and moved by (10**7, -10**7)),
+    # scaled by 2**20, 2**-20 and 2**-1000 (where 2**-48 times a pair's
+    # coordinates is subnormal), and scaled by the power of two that takes
+    # its largest |coordinate| into [2**1023, 2**1024) (where a wide
+    # pair's margin in _reaching and _room overflows)
     yield ps
     yield PointSet.build([(p.x * 1e6 + 1e7, p.y * 1e6 - 1e7, p.color) for p in ps.points], ps.k)
-    for s in (2.0 ** 20, 2.0 ** -20):
+    for s in (2.0 ** 20, 2.0 ** -20, 2.0 ** -1000):
         yield PointSet.build([(p.x * s, p.y * s, p.color) for p in ps.points], ps.k)
+    big = max(abs(v) for p in ps.points for v in (p.x, p.y))
+    if big:
+        e = 1024 - math.frexp(big)[1]
+        yield PointSet.build([(math.ldexp(p.x, e), math.ldexp(p.y, e), p.color)
+                              for p in ps.points], ps.k)
+
+
+def _room_edges():
+    # two pairs whose room is one float wide, each with a tall point in the
+    # top's upper band, left of the top pin, and a point at y0 that every
+    # window at the free end holds.  Pins (-6.19, 0) and (-5, 4.38): r =
+    # 2.19 and bx = -4, and the tall point at fl(bx - r) =
+    # -6.1899999999999995 leaves the window only at t = bx, yet fl(x + r)
+    # = -3.9999999999999996 > bx, so a room test without its margin drops
+    # the pair.  Pins (0.014, 0.28) and (0.204, 1.25): r = 0.485 and ax =
+    # -0.281, and the tall point at fl(ax + r) = 0.20399999999999996 lies
+    # outside the window at t = ax and inside it just after, so a room
+    # test that took it as the left gap drops the pair
+    for pts in ([(-6.19, 0.0, 1), (-5.0, 4.38, 1), (-6.1899999999999995, 4.37, 1),
+                 (-5.5, 2.19, 1)],
+                [(0.014, 0.28, 1), (0.204, 1.25, 1), (0.20399999999999996, 1.249, 1),
+                 (0.109, 0.765, 1)]):
+        yield PointSet.build(pts, 1)
 
 
 def _filter_instances(rng):
@@ -449,9 +476,12 @@ def _filter_instances(rng):
     # pins' x values, yet leaves the window at t = bx, so a filter that
     # tested "strictly between the pins" would drop a pair that reaches the
     # floor; and (0.105, 0.765) lies at the height y0 = 0.765 inside every
-    # window.  Then integer tie-heavy, one-decimal and signed-zero
-    # instances, each with its _copies.
+    # window.  Then the _room_edges instances and their _copies, and
+    # integer tie-heavy, one-decimal and signed-zero instances, each with
+    # its _copies.
     yield from _copies(_ulp_edge())
+    for ps in _room_edges():
+        yield from _copies(ps)
     for it in range(72):
         k = rng.randint(1, 3)
         n = rng.randint(2 * k, 10)
@@ -521,32 +551,44 @@ def test_table_drops_a_pair_whose_band_neighbours_leave_no_room():
         assert (0, 3) not in zip(table[0].tolist(), table[1].tolist()), ps.points
 
 
+def test_table_keeps_a_pair_whose_room_is_one_float_wide():
+    # each _room_edges pair reaches its width at one end of its segment,
+    # bx and then ax, where its tall point lies on the window's edge, and
+    # the table built at that width keeps the pair
+    for ps, end in zip(_room_edges(), (5, 4)):
+        xs, ys, cols = _frame(ps, False)
+        full = _pinned(xs, ys, 0, len(xs))
+        q = list(zip(full[0].tolist(), full[1].tolist())).index((0, 3))
+        r, y0, ax, bx = (float(v[q]) for v in full[2:6])
+        totals = (0,) + ps.color_count
+        w, t = _scan_segment(*_strip(cols, ys[0], ys[3]), totals, ps.k, y0, r, ax, bx, 0.0)
+        assert t == float(full[end][q]), ps.points
+        table = _pairs(xs, ys, w)
+        assert (0, 3) in zip(table[0].tolist(), table[1].tolist()), ps.points
+
+
 def test_decision_on_fewer_strip_rows_keeps_a_superset():
     # at limits of a quarter, a half and three quarters of the pairs' r,
-    # _reaching on a random subset of each pair's strip rows, and on the
-    # four band rows the table tests (each pin's nearest rows on either
-    # side in its band at the limit, padded outside the strip), keeps
-    # every pair it keeps on the whole strip; both frames.  The band rows
-    # drop enough pairs to matter.
+    # _reaching on a random subset of each pair's strip rows, and the
+    # table's room test on each pin's nearest band rows at the limit
+    # (_room), keep every pair _reaching keeps on the whole strip; both
+    # frames.  The room test drops enough pairs to matter.
     gen = np.random.default_rng(5050)
     dropped = 0
     for ps in _decision_instances(random.Random(8080)):
         for _, by_y in _frames(ps):
             xs, ys, _ = _columns(by_y)
             pairs = _pinned(xs, ys, 0, len(xs))
-            bottom, top, r, lo, hi = pairs[0], pairs[1], pairs[2], pairs[6], pairs[7]
+            r = pairs[2]
             if not len(r):
                 continue
-            strip, pad = _pair_strips(lo, hi)
+            strip, pad = _pair_strips(*pairs[6:])
             for limit in (gen.choice(r, 2)[:, None] * [0.25, 0.5, 0.75]).ravel().tolist():
                 full = _reaching(xs, ys, pairs, limit, strip, pad)
                 some = pad | (gen.random(pad.shape) < 0.5)
                 assert _reaching(xs, ys, pairs, limit, strip, some)[full].all(), \
                     (ps.points, limit)
-                upper, lower = _band_neighbours(xs, ys, limit)
-                rows = np.vstack([upper[:, top], lower[:, bottom]]).T
-                out = (rows < lo[:, None]) | (rows >= hi[:, None])
-                band = _reaching(xs, ys, pairs, limit, rows, out)
+                band = _room(xs, ys, pairs, limit, _band_neighbours(xs, ys, limit))
                 assert band[full].all(), (ps.points, limit)
                 dropped += int((~band).sum())
     assert dropped >= 500

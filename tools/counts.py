@@ -20,11 +20,11 @@ input frame, v: x and y swapped)
 
   pairs    pinned pairs (_pinned), before the table is filtered
   table    rows of the pair table (_pairs): the pinned pairs with r at
-           least the family's floor, or eps when that is larger, that the
-           color-free decision (_reaching) keeps there on each pin's
-           nearest band points; the search takes them in decreasing r
-  kept     pairs the search's own decisions keep (_reaching), summed over
-           its rounds; the table's decisions are not counted
+           least the family's floor, or eps when that is larger, whose
+           pins' nearest tall band points leave room for a centre there
+           (_room); the search takes them in decreasing r
+  kept     pairs the search's decisions keep (_reaching), summed over its
+           rounds
   scanned  pairs _scan_segment runs on
 
 circle: max_rbca, or max_rbca_on_line when --line is given; a last line
@@ -90,9 +90,7 @@ def square(counts, args):
         return block
 
     def table(*args):
-        squares._reaching = reaching  # the table's decisions are not counted
         out = pairs(*args)
-        squares._reaching = decide
         counts[-1]["table"] += len(out[0])
         return out
 
