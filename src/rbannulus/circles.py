@@ -11,11 +11,14 @@ every such center as numpy arrays, from one line-crossing kernel, adds far
 sentinels that dominate any bounded sampling of the plane, scores them in
 batches and keeps the best valid ring.
 
-Scoring has four passes.  The centers near the points are ordered in Z
-order and cut into cells, coarse to fine; a cell is skipped whole when one
-screened center and the cell's radius prove, by the 2-Lipschitz bound on
-ring widths, that no member can reach the shortlist.  A screen scores the
-centers of every surviving finest cell, and every far one, from cheap
+Scoring has four passes.  The centers are ordered, those near the points
+in Z order of their coordinates and the others in Z order of their angle
+and log distance, and cut into cells, coarse to fine; a cell is skipped
+whole when one screened center and the cell's radius prove that no member
+can reach the shortlist.  A ring's width moves by at most twice the
+distance its center moves, and far from the points by much less, since
+there every distance moves by nearly the same amount.  A screen scores
+the centers of every surviving finest cell from cheap
 sqrt(dx*dx + dy*dy) distances, with a rigorous bound on how far each score
 can be from the exact one.  The exact np.hypot scores are then computed
 only for the centers whose bound can still reach the shortlist, which is
@@ -47,13 +50,16 @@ FAR_FIELD_SCALES = (16.0, 256.0, 4096.0)
 # the batch arithmetic.
 _FINALIST_SLACK = 1e-9
 
-# distances per chunk of rows scored at once
+# values per chunk: the distances of the rows scored at once, and the
+# crossings of one block of cir22 bisector rows
 _CHUNK = 125_000
 
 # centers per cell of the pruning pass (_shortlist_rows), coarse to fine,
-# and the side of the grid the cells are ordered on (_cell_order)
+# the side of the grid the cells are ordered on (_cell_order), and how many
+# doublings of distance that grid spans beyond the near region
 _CELLS = (512, 64, 8)
 _GRID = 65535.0
+_DOUBLINGS = 16.0
 
 # Crossings multiply three coordinates, which overflows from about 2^340;
 # cir22 and cir21 centers of larger inputs come from scaled coordinates.
@@ -135,12 +141,21 @@ def cir22_candidates(pointset: PointSet):
     """Centers equidistant from one point pair and from another: the
     intersection of the two perpendicular bisectors, for every two pairs.
     Pairs may share a point (three points on one boundary circle land
-    here).  Parallel bisectors yield no center.  Each bisector is crossed
-    with all later ones at a time, so a step holds O(n^2) values."""
+    here).  Parallel bisectors yield no center.  Bisector u is crossed with
+    every later one, v > u, in row-major (u, v) order, a block of rows at
+    a time: as many rows as keep the block's crossings near _CHUNK."""
     X, Y, e = _frame(pointset)
     _, _, a, b, c = _bisectors(X, Y)
-    return _unscale(_concat([_cross(a[u], b[u], c[u], a[u + 1:], b[u + 1:], c[u + 1:])
-                             for u in range(a.size - 1)]), e)
+    m = a.size
+    parts = []
+    u = 0
+    while u < m - 1:
+        stop = min(m - 1, u + max(1, _CHUNK // (m - 1 - u)))
+        r, v = np.nonzero(np.arange(u + 1, m) > np.arange(u, stop)[:, None])
+        r, v = r + u, v + (u + 1)
+        parts.append(_cross(a[r], b[r], c[r], a[v], b[v], c[v]))
+        u = stop
+    return _unscale(_concat(parts), e)
 
 
 def cir21_candidates(pointset: PointSet):
@@ -327,11 +342,18 @@ def _spread(q):
 
 
 def _cell_order(cxs, cys, box):
-    """Indices of the centers near the points, in Z order: those inside the
-    bounding box grown by its larger side on every side, sorted by the
-    interleaved bits of their coordinates on a 2^16 by 2^16 grid over that
-    region.  Consecutive runs of the order are the cells of _shortlist_rows;
-    any order is correct there, and a spatial one lets cells be pruned."""
+    """Indices of the centers the pruning cells hold, in the order that cuts
+    them into cells: every finite center, or none when the bounding box is
+    a point or too large for the grid.  With pad the box's larger side,
+    the centers near the points, inside the box grown by pad on every side,
+    come first, sorted by the interleaved bits of their coordinates on a
+    2^16 by 2^16 grid over that region (Z order).  The others follow in Z
+    order of their angle and of log2 of their distance over pad, both about
+    the box middle, on the same grid, the log clipped to [0, _DOUBLINGS].
+    _cell_bounds prunes a far cell by its radius over its distance, which
+    cells of equal size in angle and log distance share.  Consecutive runs
+    of the order are the cells of _shortlist_rows; any order is correct
+    there, and a spatial one lets cells be pruned."""
     x0, x1, y0, y1 = box
     pad = max(x1 - x0, y1 - y0)
     lo_x, hi_x, lo_y, hi_y = x0 - pad, x1 + pad, y0 - pad, y1 + pad
@@ -340,37 +362,88 @@ def _cell_order(cxs, cys, box):
     sx, sy = _GRID / (hi_x - lo_x), _GRID / (hi_y - lo_y)
     if not (0.0 < sx < math.inf and 0.0 < sy < math.inf):
         return np.empty(0, dtype=np.intp)
-    idx = np.flatnonzero((cxs >= lo_x) & (cxs <= hi_x)
-                         & (cys >= lo_y) & (cys <= hi_y))
-    key = (_spread((cxs[idx] - lo_x) * sx)
-           | (_spread((cys[idx] - lo_y) * sy) << 1))
-    return idx[np.argsort(key)]
+    # one key per center: the near Z order below 2^32, the far one above
+    # it, and the non-finite centers last, cut off after the sort
+    finite = np.isfinite(cxs) & np.isfinite(cys)
+    near = (cxs >= lo_x) & (cxs <= hi_x) & (cys >= lo_y) & (cys <= hi_y)
+    key = np.full(len(cxs), 2 ** 64 - 1, dtype=np.uint64)
+    key[near] = (_spread((cxs[near] - lo_x) * sx)
+                 | (_spread((cys[near] - lo_y) * sy) << 1))
+    far = finite & ~near
+    with np.errstate(over="ignore"):
+        dx = cxs[far] - (x0 + 0.5 * (x1 - x0))
+        dy = cys[far] - (y0 + 0.5 * (y1 - y0))
+        angle = (np.arctan2(dy, dx) + math.pi) * (_GRID / (2.0 * math.pi))
+        depth = (np.log2(np.hypot(dx, dy)) - math.log2(pad)) * (_GRID / _DOUBLINGS)
+    key[far] = _spread(angle) | (_spread(np.clip(depth, 0.0, _GRID)) << 1)
+    key[far] += 2 ** 32
+    return np.argsort(key)[:np.count_nonzero(finite)]
 
 
-def _cell_bounds(cxs, cys, members, rep, w0, e0, eps: float):
+@np.errstate(over="ignore", invalid="ignore")
+def _lipschitz(rx, ry, rho, box):
+    """Per cell, K in [0, 2] such that moving the center from the cell's
+    representative (rx, ry) to any c with |c - (rx, ry)| <= rho shifts
+    every entry of an exact distance row by one common amount plus at most
+    K*rho/2 either way.  K is min(2, D/(g - rho)) rounded up, with D the
+    diagonal of the points' bounding box and g the distance from the
+    representative to it, and 2 where g <= rho."""
+    # Why: each distance is 1-Lipschitz in the center, so every entry moves
+    # by at most rho either way: K = 2.  Where g > rho, every center c' on
+    # the segment from c0 = (rx, ry) to c is at least g - rho from the box,
+    # so from every point.  The gradient of d_p - d_q at c' is u_p - u_q,
+    # the unit vectors from p and from q to c', and by the Dunkl-Williams
+    # inequality |u_p - u_q| <= 2|p - q| / (|c' - p| + |c' - q|), which is
+    # at most D/(g - rho).  So d_p - d_q changes by at most rho*D/(g - rho)
+    # from c0 to c, and every shift d_p(c) - d_p(c0) lies in one interval
+    # that wide.
+    # Rounding, with u = 2^-53: D, from two rounded differences and
+    # math.hypot (under one ulp), is within 3u of the diagonal, and times
+    # 1 + 2^-50, rounded, above it.  g, from rounded differences and
+    # np.hypot (two ulps), is within 5u of its value, and times 1 - 2^-50,
+    # rounded, below it.  The subtraction and the division round by u each,
+    # and times 1 + 2^-50, rounded, K is again above D/(g - rho), unless K
+    # is subnormal, where it can fall short by 2^-1074.  fmin keeps 2 where
+    # D and g - rho are both inf.
+    x0, x1, y0, y1 = box
+    D = math.hypot(x1 - x0, y1 - y0) * (1.0 + 2.0 ** -50)
+    gx = np.maximum(np.maximum(x0 - rx, rx - x1), 0.0)
+    gy = np.maximum(np.maximum(y0 - ry, ry - y1), 0.0)
+    slack = np.hypot(gx, gy) * (1.0 - 2.0 ** -50) - rho
+    K = np.full(len(rho), 2.0)
+    fits = slack > 0.0
+    K[fits] = np.fmin(2.0, (D / slack[fits]) * (1.0 + 2.0 ** -50))
+    return K
+
+
+def _cell_bounds(cxs, cys, members, rep, w0, e0, eps: float, box):
     """Per cell, an upper bound on max(w_x(c), eps) over its members c,
     w_x being the exact score of _batch_widths: members[i] are the indices
     of cell i's centers and rep[i] its representative, which _screen scored
-    as (w0[i], e0[i]).  The bound is inf where e0 is."""
-    # Why: every distance is 1-Lipschitz in the center, so moving the
-    # center from c0 to c moves every entry of an exact row by at most
-    # |c - c0| plus the np.hypot error at c and at c0 (the subtraction and
-    # the hypot, 4u*B at each, with B and u as in _screen).  By _screen's
-    # gap argument the exact score then moves by at most twice that, with
-    # -inf read as eps, plus each gap's rounding (u*B at each):
-    #   max(w_x(c), eps) <= max(w_x(c0), eps) + 2|c - c0| + 9u*(B(c) + B(c0)),
+    as (w0[i], e0[i]); box is the points' bounding box.  The bound is inf
+    where e0 is."""
+    # Why: moving the center from c0 to c shifts every entry of an exact row
+    # by one common amount plus at most K*rho/2 either way (_lipschitz), and
+    # the np.hypot error at c and at c0 (the subtraction and the hypot, 4u*B
+    # at each, with B and u as in _screen) adds to that.  A common shift
+    # moves no gap, so by _screen's gap argument the exact score moves by at
+    # most twice the rest, with -inf read as eps, plus each gap's rounding
+    # (u*B at each):
+    #   max(w_x(c), eps) <= max(w_x(c0), eps) + K*rho + 9u*(B(c) + B(c0)),
     # and B(c) <= B(c0) + sqrt(2)*|c - c0|.  rho, the largest
     # sqrt(dx*dx + dy*dy) over the coordinate differences from c0 to a
     # member, is within 3u of |c - c0|; times 1 + 2^-50 (rounded, still
     # above 1 + 6u) it is at least |c - c0|.  With _screen's bound at c0,
-    #   max(w_x(c), eps) <= max(w0, eps) + e0 + 2*rho + 18u*B0 + 13u*rho,
-    # and the three roundings of the sum below add at most
-    # u*(3*B0 + 6*rho), eps counting only where it is below the gap (a gap
-    # at c is at most B(c)).  The sum adds e0 = 64u*B0 once more and
-    # 2*rho*2^-47 (over 120u*rho after rounding), which covers both.  e0
-    # is finite only where B0 >= 2^-450, so the absolute errors of results
-    # that underflow (about 2^-537 for rho, 2^-1074 for a distance) are far
-    # below it.  Where a square overflows, rho is inf, and so is the bound.
+    #   max(w_x(c), eps) <= max(w0, eps) + e0 + K*rho + 18u*B0 + 13u*rho,
+    # and the four roundings of the sum below add at most
+    # u*(3*B0 + 8*rho), eps counting only where it is below the gap (a gap
+    # at c is at most B(c)).  The sum adds e0 = 64u*B0 once more, for the
+    # B0 terms, and rho*2^-46 = 128u*rho, for the rho terms (and a
+    # subnormal K's 2^-1074*rho), which K, as small as it may be, cannot
+    # carry.  e0 is finite only where B0 >= 2^-450, so the absolute errors
+    # of results that underflow (about 2^-537 for rho, 2^-1074 for a
+    # distance) are far below it.  Where a square overflows, rho is inf, K
+    # is 2, and so the bound is inf.
     with np.errstate(over="ignore", invalid="ignore"):
         dx = cxs[members] - cxs[rep][:, None]
         dy = cys[members] - cys[rep][:, None]
@@ -378,20 +451,21 @@ def _cell_bounds(cxs, cys, members, rep, w0, e0, eps: float):
         dy *= dy
         dx += dy
         rho = np.sqrt(dx.max(axis=1)) * (1.0 + 2.0 ** -50)
+        K = _lipschitz(cxs[rep], cys[rep], rho, box)
         return ((np.maximum(w0, eps) + 2.0 * e0)
-                + 2.0 * (rho * (1.0 + 2.0 ** -47)))
+                + (K * rho + rho * 2.0 ** -46))
 
 
 def _shortlist_rows(pointset: PointSet, cxs, cys, eps: float):
     """Indices, ascending, of every center whose exact score can reach the
     shortlist, which then needs no other center scored exactly.
 
-    The centers near the points are cut into cells (_cell_order), pruned
-    coarse to fine from one screened representative each, and the cells
-    that survive the finest level are screened whole; the other centers
-    are always screened.  Of the screened centers, those whose upper
-    bound can reach t_lo - _FINALIST_SLACK are returned, t_lo being the
-    best lower bound the screen found."""
+    The finite centers are cut into cells (_cell_order), pruned coarse to
+    fine from one screened representative each, and the cells that survive
+    the finest level are screened whole; only the centers the order cannot
+    place are screened without cells.  Of the screened centers, those whose
+    upper bound can reach t_lo - _FINALIST_SLACK are returned, t_lo being
+    the best lower bound the screen found."""
     # A center whose exact score is below fl(t_lo - _FINALIST_SLACK), which
     # is at most fl(top - _FINALIST_SLACK), is on no shortlist; a skipped
     # cell's members all are, by _cell_bounds.
@@ -412,10 +486,11 @@ def _shortlist_rows(pointset: PointSet, cxs, cys, eps: float):
         if lower.size:
             t_lo = max(t_lo, lower.max())
 
-    order = _cell_order(cxs, cys, _columns(pointset).box)
-    far = np.ones(len(cxs), dtype=bool)
-    far[order] = False
-    screen(np.flatnonzero(far))
+    box = _columns(pointset).box
+    order = _cell_order(cxs, cys, box)
+    unplaced = np.ones(len(cxs), dtype=bool)
+    unplaced[order] = False
+    screen(np.flatnonzero(unplaced))
     # cells are runs of positions in order, and ox, oy their coordinates
     m = order.size
     ox, oy = cxs[order], cys[order]
@@ -428,7 +503,7 @@ def _shortlist_rows(pointset: PointSet, cxs, cys, eps: float):
         screen(rep)
         if t_lo > -np.inf:
             members = np.minimum(first[:, None] + np.arange(size), last[:, None])
-            bound = _cell_bounds(ox, oy, members, mid, w[rep], e[rep], eps)
+            bound = _cell_bounds(ox, oy, members, mid, w[rep], e[rep], eps, box)
             cells = cells[~(bound < t_lo - _FINALIST_SLACK)]
         # the next level's cells; after the last, the surviving positions
         per = size // finer

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -283,12 +284,18 @@ def _scalar_through(px, py, q):
 # The per-candidate loops the array families replaced, kept as the
 # reference: the same operands in the same order give the same bits.
 
+def _scalar_cir22(ps):
+    _, bis = _scalar_bisectors(ps.points)
+    out = []
+    for u, v in itertools.combinations(range(len(bis)), 2):
+        out += _scalar_cross(bis[u], bis[v])
+    return out
+
+
 def _scalar_centres(ps):
     pts = ps.points
     pairs, bis = _scalar_bisectors(pts)
-    out = [(p.x, p.y) for p in pts]
-    for u, v in itertools.combinations(range(len(bis)), 2):
-        out += _scalar_cross(bis[u], bis[v])
+    out = [(p.x, p.y) for p in pts] + _scalar_cir22(ps)
     for (i, j), bij in zip(pairs, bis):
         for r in range(len(pts)):
             if r not in (i, j):
@@ -367,6 +374,37 @@ def test_centres_match_scalar_reference(monkeypatch):
     ps = PointSet.build([(rng.uniform(-40, 60), rng.uniform(-40, 60), 1)
                          for _ in range(60)], 1)
     assert sorted(_centres(far_field_candidates(ps))) == _scalar_far(ps)
+
+
+def test_cir22_blocks_keep_every_bit_and_the_order(monkeypatch):
+    # cir22_candidates crosses a block of bisector rows per _cross call,
+    # sized by its crossings; unsorted, its centres are the scalar loop's,
+    # byte for byte and in order, with one block or many and a last block
+    # cut short by the last row
+    cross = circles._cross
+    calls = []
+    monkeypatch.setattr(circles, "_cross",
+                        lambda *lines: calls.append(np.broadcast(*lines).size)
+                        or cross(*lines))
+    rng = random.Random(436)
+    blocks = []
+    for n, chunk in ((9, 100), (12, 700), (14, 50), (9, 10 ** 6)):
+        monkeypatch.setattr(circles, "_CHUNK", chunk)
+        ps = random_real_instance(rng, n, 2, digits=None)
+        ps = PointSet.build([(rng.choice((p.x, 0.0, -0.0)), p.y, p.color)
+                             for p in ps.points], 2)
+        del calls[:]
+        xs, ys = cir22_candidates(ps)
+        ref = np.array(_scalar_cir22(ps)).reshape(-1, 2)
+        assert xs.tobytes() == ref[:, 0].tobytes()
+        assert ys.tobytes() == ref[:, 1].tobytes()
+        m = n * (n - 1) // 2
+        assert sum(calls) == m * (m - 1) // 2
+        blocks.append(list(calls))
+    assert [len(b) for b in blocks] == [8, 5, 74, 1]
+    # 36 bisectors in blocks of about 100 crossings: the last block's first
+    # row has 9 later bisectors and asks for 11 rows, but 9 are left
+    assert blocks[0] == [69, 96, 87, 78, 90, 90, 75, 45]
 
 
 # ---------------------------------------------------------------------------
@@ -609,18 +647,45 @@ def _cells_of(order, size):
     return members, order[(first + last) // 2]
 
 
-def test_cell_bound_covers_every_exact_score():
+def _below_the_constant(rx, ry, rho, k, box):
+    # where k * (g - rho) < D in 60-digit decimals: D the diagonal of box,
+    # g the distance from (rx, ry) to it, both exact to those digits
+    x0, x1, y0, y1 = (Decimal(v) for v in box)
+    out = []
+    with localcontext() as ctx:
+        ctx.prec = 60
+        diag = ((x1 - x0) ** 2 + (y1 - y0) ** 2).sqrt()
+        for x, y, r, kk in zip(rx.tolist(), ry.tolist(), rho.tolist(), k.tolist()):
+            x, y = Decimal(x), Decimal(y)
+            gx = max(x0 - x, x - x1, Decimal(0))
+            gy = max(y0 - y, y - y1, Decimal(0))
+            out.append(Decimal(kk) * ((gx * gx + gy * gy).sqrt() - Decimal(r)) < diag)
+    return np.array(out, dtype=bool)
+
+
+def test_cell_bound_covers_every_exact_score(monkeypatch):
     # _cell_bounds, from the screen at one centre, is above the exact score
     # of every member: on the solver's cells of every level, on random
     # groups that mix far and near centres, and on runs of the centres in
     # x, y order, where equal centres computed apart are an ulp or so away
     # and rounding, not distance, tells their scores apart.  It holds for
     # the screen's (w, e) and for the worst screen e allows, w = w_x - e.
+    # Where a bound's constant K is below 2, K * (g - rho) is at least the
+    # box diagonal in exact arithmetic.
+    k_of = circles._lipschitz
+    constants = []
+
+    def spy(rx, ry, rho, box):
+        constants.append((rx, ry, rho, k_of(rx, ry, rho, box)))
+        return constants[-1][3]
+
+    monkeypatch.setattr(circles, "_lipschitz", spy)
     rng = random.Random(434)
-    cells = lipschitz = rounding = worst = 0
+    cells = lipschitz = rounding = worst = below_two = 0
     for ps in _cell_instances(rng, 60):
         xs, ys = _all_centres(ps)
-        order = circles._cell_order(xs, ys, circles._columns(ps).box)
+        box = circles._columns(ps).box
+        order = circles._cell_order(xs, ys, box)
         groups = [_cells_of(order, size) for size in circles._CELLS]
         shuffled = np.array(rng.sample(range(len(xs)), len(xs)))
         members, _ = _cells_of(shuffled, 8)
@@ -635,21 +700,30 @@ def test_cell_bound_covers_every_exact_score():
             for members, rep in groups:
                 top = exact[members].max(axis=1)
                 for w0 in (w[rep], worst_w[rep]):
-                    bound = circles._cell_bounds(xs, ys, members, rep, w0, e[rep], eps)
+                    bound = circles._cell_bounds(xs, ys, members, rep, w0, e[rep],
+                                                 eps, box)
                     assert np.all(top <= bound), ps.points
                 cells += len(rep)
                 # cells whose bound needs the distance term, cells whose
-                # bound needs the screen's error term, and cells where the
-                # worst screen needs more than e and the distance term
+                # bound needs the screen's error term, cells where the
+                # worst screen needs more than e and the distance term, and
+                # cells whose bound used K < 2
                 up = np.maximum(w[rep], eps)
                 lipschitz += np.count_nonzero(top > up + 2.0 * e[rep])
                 rounding += np.count_nonzero(top > up)
                 # the distance term alone: the bound at w0 = e0 = eps = 0
                 zero = np.zeros(len(rep))
-                moved = circles._cell_bounds(xs, ys, members, rep, zero, zero, 0.0)
+                moved = circles._cell_bounds(xs, ys, members, rep, zero, zero, 0.0, box)
                 up = np.maximum(worst_w[rep], eps) + e[rep]
                 worst += np.count_nonzero(top > up + moved)
+                below_two += np.count_nonzero(constants[-1][3] < 2.0)
+        rows = np.unique(np.column_stack([np.concatenate(v) for v in zip(*constants)]),
+                         axis=0)
+        rows = rows[rows[:, 3] < 2.0]
+        assert not np.any(_below_the_constant(*rows.T, box)), ps.points
+        del constants[:]
     assert cells > 10_000 and lipschitz > 1_000 and rounding > 100 and worst > 10
+    assert below_two > 10_000
 
 
 def test_pruned_pick_matches_every_row_reference(monkeypatch):
@@ -683,6 +757,31 @@ def test_pruned_pick_matches_every_row_reference(monkeypatch):
     # each search screens under half of its centres: the rest were skipped
     for centres, screened in seen.values():
         assert 0 < screened < centres / 2
+
+
+def test_line_search_prunes_the_far_centres(monkeypatch):
+    # on circle-line's instances (rings, n=160, centres on x - y = 0) most
+    # centres lie outside the near box, and cells prune them too: under 2%
+    # of the centres are screened, where screening every far centre took
+    # about 5%
+    pick, screen = circles._pick_best, circles._screen
+    rows = {"centres": 0, "screened": 0}
+
+    def picked(ps, xs, ys, eps):
+        rows["centres"] += len(xs)
+        return pick(ps, xs, ys, eps)
+
+    def screened(ps, xs, ys, eps):
+        rows["screened"] += len(xs)
+        return screen(ps, xs, ys, eps)
+
+    monkeypatch.setattr(circles, "_pick_best", picked)
+    monkeypatch.setattr(circles, "_screen", screened)
+    for seed in (100000, 100001):
+        ps = generate_instance(160, 3, "rings", seed)
+        assert max_rbca_on_line(ps, Line(1.0, -1.0, 0.0)) is not None
+    assert rows["centres"] == 2 * 50886
+    assert rows["screened"] < 0.02 * rows["centres"]
 
 
 def test_on_line_centres_scale_exactly_at_large_magnitudes(monkeypatch):
