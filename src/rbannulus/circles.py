@@ -9,18 +9,20 @@ zero), while unattained suprema run off toward infinity where ring
 widths approach empty-strip widths.  The solver therefore generates
 every such center as numpy arrays, from one line-crossing kernel, adds far
 sentinels that dominate any bounded sampling of the plane, scores them in
-batches and keeps the best valid ring.
+batches and keeps the best valid ring.  Every family returns finite centers
+only: near the top of the float range it drops those that overflow.
 
-Scoring has four passes.  The centers are ordered, those near the points
-in Z order of their coordinates and the others in Z order of their angle
-and log distance, and cut into cells, coarse to fine; a cell is skipped
-whole when one screened center and the cell's radius prove that no member
-can reach the shortlist.  A ring's width moves by at most twice the
-distance its center moves, and far from the points by much less, since
-there every distance moves by nearly the same amount.  A screen scores
-the centers of every surviving finest cell from cheap
-sqrt(dx*dx + dy*dy) distances, with a rigorous bound on how far each score
-can be from the exact one.  The exact np.hypot scores are then computed
+Scoring has four passes.  Every center is placed in a cell: the centers
+are ordered, those near the points in Z order of their coordinates and the
+others in Z order of their angle and log distance (in input order when the
+points' box is too small or too large for that grid), and cut into cells,
+coarse to fine; a cell is skipped whole when one screened center and the
+cell's radius prove that no member can reach the shortlist.  A ring's
+width moves by at most twice the distance its center moves, and far from
+the points by much less, since there every distance moves by nearly the
+same amount.  A screen scores the centers of every surviving finest cell
+from cheap sqrt(dx*dx + dy*dy) distances, with a rigorous bound on how
+far each score can be from the exact one.  The exact np.hypot scores are then computed
 only for the centers whose bound can still reach the shortlist, which is
 the same as when every center is scored exactly.  The shortlist's centers
 are re-scored one by one with math.hypot, which picks the witness.
@@ -76,16 +78,20 @@ _BIG = 2.0 ** 300
 # (tests/test_circles.py keeps that loop as the reference).
 
 
+def _finite(xs, ys):
+    """The centers (xs, ys) without those that left the float range."""
+    keep = np.isfinite(xs) & np.isfinite(ys)
+    return xs[keep], ys[keep]
+
+
 def _cross(a1, b1, c1, a2, b2, c2):
     """Crossings of the lines a1*x + b1*y = c1 and a2*x + b2*y = c2, taken
     elementwise with broadcasting.  Parallel lines (det == 0), which include
-    every degenerate line 0x + 0y = c, and non-finite crossings are dropped."""
+    every degenerate line 0x + 0y = c, divide by zero, and they and every
+    other non-finite crossing are dropped."""
     with np.errstate(all="ignore"):
         det = a1 * b2 - a2 * b1
-        x = (c1 * b2 - c2 * b1) / det
-        y = (a1 * c2 - a2 * c1) / det
-    keep = (det != 0.0) & np.isfinite(x) & np.isfinite(y)
-    return x[keep], y[keep]
+        return _finite((c1 * b2 - c2 * b1) / det, (a1 * c2 - a2 * c1) / det)
 
 
 def _frame(pointset: PointSet):
@@ -107,9 +113,7 @@ def _unscale(centers, e):
     if e == 0:
         return centers
     with np.errstate(over="ignore"):
-        xs, ys = np.ldexp(centers[0], e), np.ldexp(centers[1], e)
-    keep = np.isfinite(xs) & np.isfinite(ys)
-    return xs[keep], ys[keep]
+        return _finite(np.ldexp(centers[0], e), np.ldexp(centers[1], e))
 
 
 def _bisectors(X, Y):
@@ -188,8 +192,8 @@ def far_field_candidates(pointset: PointSet):
     normals: the direction of a point pair and its perpendicular, at each
     of FAR_FIELD_SCALES times the cloud span from the pair's first point.
     Near the top of the float range a span, a pair's distance or a
-    sentinel may overflow; those sentinels are non-finite and score as
-    none."""
+    sentinel may overflow; the sentinels that do are dropped, so every
+    center returned is finite."""
     X, Y = pointset.xs, pointset.ys
     span = max(float(X.max() - X.min()), float(Y.max() - Y.min()), 1.0)
     i, j = np.nonzero(~np.eye(X.size, dtype=bool))
@@ -204,7 +208,7 @@ def far_field_candidates(pointset: PointSet):
         back = s * span
         parts.append((X[i] - back * ux, Y[i] - back * uy))
         parts.append((X[i] + back * uy, Y[i] - back * ux))
-    return _concat(parts)
+    return _finite(*_concat(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -284,14 +288,14 @@ def _row_widths(cols: _Columns, cxs, cys, eps: float, distances):
     return out
 
 
-def _batch_widths(pointset: PointSet, cxs, cys, eps: float):
+def _batch_widths(cols: _Columns, cxs, cys, eps: float):
     """Best ring width at each center, -inf where none, from np.hypot
     distances: the exact scores the shortlist is taken from.  Finalists
     are re-scored by best_annulus_at_center."""
-    return _row_widths(_columns(pointset), cxs, cys, eps, _hypot_rows)
+    return _row_widths(cols, cxs, cys, eps, _hypot_rows)
 
 
-def _screen(pointset: PointSet, cxs, cys, eps: float):
+def _screen(cols: _Columns, cxs, cys, eps: float):
     """(w, e) per center: w the best ring width from sqrt(dx*dx + dy*dy)
     distances (-inf where none) and e a bound on how far it can be from the
     exact score w_x of _batch_widths.  Where both are finite, |w - w_x| <= e;
@@ -319,7 +323,6 @@ def _screen(pointset: PointSet, cxs, cys, eps: float):
     # That totals at most 20u*B; e = 2^-47 * B = 64u*B.  With B <= 2^510 no
     # square overflows, and with B >= 2^-450 the absolute error of a square
     # that underflows (sqrt(2^-1074) ~ 2^-537 in d) is far below e.
-    cols = _columns(pointset)
     x0, x1, y0, y1 = cols.box
     with np.errstate(over="ignore", invalid="ignore"):
         B = (np.maximum(np.abs(cxs - x0), np.abs(cxs - x1))
@@ -342,14 +345,16 @@ def _spread(q):
 
 
 def _cell_order(cxs, cys, box):
-    """Indices of the centers the pruning cells hold, in the order that cuts
-    them into cells: every finite center, or none when the bounding box is
-    a point or too large for the grid.  With pad the box's larger side,
-    the centers near the points, inside the box grown by pad on every side,
-    come first, sorted by the interleaved bits of their coordinates on a
-    2^16 by 2^16 grid over that region (Z order).  The others follow in Z
-    order of their angle and of log2 of their distance over pad, both about
-    the box middle, on the same grid, the log clipped to [0, _DOUBLINGS].
+    """A permutation of the indices of the centers, every one finite, in
+    the order that cuts them into the pruning cells; input order when the
+    bounding box cannot be gridded (a side of the grid's region below
+    rounds to zero, as for a point, or overflows).  With pad the box's
+    larger side, the centers near the points, inside the box grown by pad
+    on every side, come first, sorted by the interleaved bits of their
+    coordinates on a 2^16 by 2^16 grid over that region (Z order).  The
+    others follow in Z order of their angle and of log2 of their distance
+    over pad, both about the box middle, on the same grid, the log clipped
+    to [0, _DOUBLINGS].
     _cell_bounds prunes a far cell by its radius over its distance, which
     cells of equal size in angle and log distance share.  Consecutive runs
     of the order are the cells of _shortlist_rows; any order is correct
@@ -357,19 +362,18 @@ def _cell_order(cxs, cys, box):
     x0, x1, y0, y1 = box
     pad = max(x1 - x0, y1 - y0)
     lo_x, hi_x, lo_y, hi_y = x0 - pad, x1 + pad, y0 - pad, y1 + pad
-    if not pad > 0.0:
-        return np.empty(0, dtype=np.intp)
-    sx, sy = _GRID / (hi_x - lo_x), _GRID / (hi_y - lo_y)
+    # a side of the region that rounds to zero, or whose scale leaves the
+    # float range, has no grid
+    with np.errstate(divide="ignore", over="ignore"):
+        sx, sy = _GRID / np.array([hi_x - lo_x, hi_y - lo_y])
     if not (0.0 < sx < math.inf and 0.0 < sy < math.inf):
-        return np.empty(0, dtype=np.intp)
-    # one key per center: the near Z order below 2^32, the far one above
-    # it, and the non-finite centers last, cut off after the sort
-    finite = np.isfinite(cxs) & np.isfinite(cys)
+        return np.arange(len(cxs))
+    # one key per center: the near Z order below 2^32, the far one above it
     near = (cxs >= lo_x) & (cxs <= hi_x) & (cys >= lo_y) & (cys <= hi_y)
-    key = np.full(len(cxs), 2 ** 64 - 1, dtype=np.uint64)
+    key = np.empty(len(cxs), dtype=np.uint64)
     key[near] = (_spread((cxs[near] - lo_x) * sx)
                  | (_spread((cys[near] - lo_y) * sy) << 1))
-    far = finite & ~near
+    far = ~near
     with np.errstate(over="ignore"):
         dx = cxs[far] - (x0 + 0.5 * (x1 - x0))
         dy = cys[far] - (y0 + 0.5 * (y1 - y0))
@@ -377,7 +381,7 @@ def _cell_order(cxs, cys, box):
         depth = (np.log2(np.hypot(dx, dy)) - math.log2(pad)) * (_GRID / _DOUBLINGS)
     key[far] = _spread(angle) | (_spread(np.clip(depth, 0.0, _GRID)) << 1)
     key[far] += 2 ** 32
-    return np.argsort(key)[:np.count_nonzero(finite)]
+    return np.argsort(key)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -456,16 +460,16 @@ def _cell_bounds(cxs, cys, members, rep, w0, e0, eps: float, box):
                 + (K * rho + rho * 2.0 ** -46))
 
 
-def _shortlist_rows(pointset: PointSet, cxs, cys, eps: float):
+def _shortlist_rows(cols: _Columns, cxs, cys, eps: float):
     """Indices, ascending, of every center whose exact score can reach the
     shortlist, which then needs no other center scored exactly.
 
-    The finite centers are cut into cells (_cell_order), pruned coarse to
-    fine from one screened representative each, and the cells that survive
-    the finest level are screened whole; only the centers the order cannot
-    place are screened without cells.  Of the screened centers, those whose
-    upper bound can reach t_lo - _FINALIST_SLACK are returned, t_lo being
-    the best lower bound the screen found."""
+    Every center, all of them finite, is placed in a cell (_cell_order);
+    the cells are pruned coarse to fine from one screened representative
+    each, and those that survive the finest level are screened whole.  Of
+    the screened centers, those whose upper bound can reach
+    t_lo - _FINALIST_SLACK are returned, t_lo being the best lower bound
+    the screen found."""
     # A center whose exact score is below fl(t_lo - _FINALIST_SLACK), which
     # is at most fl(top - _FINALIST_SLACK), is on no shortlist; a skipped
     # cell's members all are, by _cell_bounds.
@@ -480,17 +484,13 @@ def _shortlist_rows(pointset: PointSet, cxs, cys, eps: float):
         if not rows.size:
             return
         seen[rows] = True
-        w[rows], e[rows] = _screen(pointset, cxs[rows], cys[rows], eps)
+        w[rows], e[rows] = _screen(cols, cxs[rows], cys[rows], eps)
         lower = w[rows] - e[rows]
         lower = lower[lower > eps]
         if lower.size:
             t_lo = max(t_lo, lower.max())
 
-    box = _columns(pointset).box
-    order = _cell_order(cxs, cys, box)
-    unplaced = np.ones(len(cxs), dtype=bool)
-    unplaced[order] = False
-    screen(np.flatnonzero(unplaced))
+    order = _cell_order(cxs, cys, cols.box)
     # cells are runs of positions in order, and ox, oy their coordinates
     m = order.size
     ox, oy = cxs[order], cys[order]
@@ -503,7 +503,7 @@ def _shortlist_rows(pointset: PointSet, cxs, cys, eps: float):
         screen(rep)
         if t_lo > -np.inf:
             members = np.minimum(first[:, None] + np.arange(size), last[:, None])
-            bound = _cell_bounds(ox, oy, members, mid, w[rep], e[rep], eps, box)
+            bound = _cell_bounds(ox, oy, members, mid, w[rep], e[rep], eps, cols.box)
             cells = cells[~(bound < t_lo - _FINALIST_SLACK)]
         # the next level's cells; after the last, the surviving positions
         per = size // finer
@@ -518,9 +518,10 @@ def _pick_best(pointset: PointSet, cxs, cys, eps: float):
     # Every center whose exact score is within _FINALIST_SLACK of the best
     # is among _shortlist_rows, so scoring those exactly with _batch_widths
     # gives the same shortlist, in the same order, as scoring every center.
-    rows = _shortlist_rows(pointset, cxs, cys, eps)
-    w = _batch_widths(pointset, cxs[rows], cys[rows], eps)
-    top = w.max()
+    cols = _columns(pointset)
+    rows = _shortlist_rows(cols, cxs, cys, eps)
+    w = _batch_widths(cols, cxs[rows], cys[rows], eps)
+    top = w.max(initial=-np.inf)
     if not np.isfinite(top):
         return None
     best = None
@@ -582,14 +583,14 @@ def max_rbca_on_line(pointset: PointSet, line: Line,
     X, Y = pointset.xs, pointset.ys
     ox, oy = line.origin
     dx, dy = line.direction
-    # near the top of the float range these may overflow, and a
-    # non-finite sentinel scores as none
+    # near the top of the float range these may overflow, and the
+    # sentinels that do are dropped
     with np.errstate(over="ignore", invalid="ignore"):
         ts = (X - ox) * dx + (Y - oy) * dy
         lo, hi = float(ts.min()), float(ts.max())
         span = max(hi - lo, 1.0)
         t = np.array([v for s in FAR_FIELD_SCALES
                       for v in (lo - s * span, hi + s * span)])
-        parts.append((ox + t * dx, oy + t * dy))
+        parts.append(_finite(ox + t * dx, oy + t * dy))
     xs, ys = _concat(parts)
     return _pick_best(pointset, xs, ys, eps)

@@ -614,21 +614,21 @@ def max_rblc(pointset: PointSet, orientation: str, eps: float = DEFAULT_EPS):
         raise ValueError("bad orientation %r" % orientation)
     sx, sy = QUADRANT_SIGNS[orientation]
     xs, ys, cs = sx * pointset.xs, sy * pointset.ys, pointset.cs
-    best = None
+    found = []
 
     hit = _sweep(_arrays_setup((xs, ys, cs), pointset.k), eps)
     if hit is not None:
         delta, ox, oy = hit
-        best = LCorridor(orientation, sx * ox, sy * oy, delta)
+        found.append(LCorridor(orientation, sx * ox, sy * oy, delta))
 
     # the second pass reflects the first across the antidiagonal,
     # (x, y) -> (-y, -x)
     hit = _sweep(_arrays_setup((-ys, -xs, cs), pointset.k), eps)
-    if hit is not None and (best is None or hit[0] > best.width):
+    if hit is not None:
         delta, ox, oy = hit
         # undo the antidiagonal reflection, then the sign flips
-        best = LCorridor(orientation, sx * -oy, sy * -ox, delta)
-    return best
+        found.append(LCorridor(orientation, sx * -oy, sy * -ox, delta))
+    return _widest(found)
 
 
 def max_rblc_all(pointset: PointSet, eps: float = DEFAULT_EPS):

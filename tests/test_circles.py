@@ -23,6 +23,7 @@ from rbannulus.circles import (
     FAR_FIELD_SCALES,
     _FINALIST_SLACK,
     _batch_widths,
+    _columns,
     _screen,
     best_annulus_at_center,
     cir21_candidates,
@@ -465,7 +466,7 @@ def test_batch_widths_match_scalar():
         ps = random_instance(rng, n, k, lo=0, hi=50)
         cxs = [rng.uniform(-80, 130) for _ in range(60)]
         cys = [rng.uniform(-80, 130) for _ in range(60)]
-        ws = _batch_widths(ps, cxs, cys, 1e-9)
+        ws = _batch_widths(_columns(ps), cxs, cys, 1e-9)
         for t in range(60):
             ann = best_annulus_at_center(ps, (cxs[t], cys[t]))
             if ann is None:
@@ -528,8 +529,8 @@ def test_screen_bounds_the_exact_score():
     for ps in _screen_instances(rng, 60):
         xs, ys = _all_centres(ps)
         for eps in (DEFAULT_EPS, 0.0):
-            w, e = _screen(ps, xs, ys, eps)
-            exact = _batch_widths(ps, xs, ys, eps)
+            w, e = _screen(_columns(ps), xs, ys, eps)
+            exact = _batch_widths(_columns(ps), xs, ys, eps)
             screened = np.isfinite(e)
             unscreened += np.count_nonzero(~screened)
             assert np.all(w[~screened] == -np.inf)
@@ -557,7 +558,7 @@ def test_screen_raises_no_warning_at_any_scale():
         xs, ys = _all_centres(ps)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            w, e = _screen(ps, xs, ys, DEFAULT_EPS)
+            w, e = _screen(_columns(ps), xs, ys, DEFAULT_EPS)
         # rows that would overflow, or whose distances would underflow
         # (the centres on the points come first), are not screened
         if scale == 1e200:
@@ -570,7 +571,7 @@ def test_screen_raises_no_warning_at_any_scale():
 
 def _pick_best_every_row(ps, cxs, cys, eps):
     # _pick_best as it was before the screen: every centre scored exactly
-    w = _batch_widths(ps, cxs, cys, eps)
+    w = _batch_widths(_columns(ps), cxs, cys, eps)
     top = w.max()
     if not np.isfinite(top):
         return None
@@ -598,8 +599,8 @@ def test_screened_pick_matches_every_row_reference(monkeypatch):
     monkeypatch.setattr(circles, "_pick_best", both)
     rows = []
     monkeypatch.setattr(circles, "_batch_widths",
-                        lambda ps, xs, ys, eps: rows.append(len(xs))
-                        or _batch_widths(ps, xs, ys, eps))
+                        lambda cols, xs, ys, eps: rows.append(len(xs))
+                        or _batch_widths(cols, xs, ys, eps))
     assert max_rbca(FAR_CIR22).center_x < 1.0
     assert max_rbca(FAR_TOP).center_x > 1e15
     rng = random.Random(433)
@@ -620,9 +621,10 @@ def test_scores_do_not_depend_on_the_chunking(monkeypatch):
     rng = random.Random(435)
     ps = random_real_instance(rng, 9, 2, digits=None)
     xs, ys = _all_centres(ps)
-    whole = [_batch_widths(ps, xs, ys, DEFAULT_EPS), _screen(ps, xs, ys, DEFAULT_EPS)]
+    cols = _columns(ps)
+    whole = [_batch_widths(cols, xs, ys, DEFAULT_EPS), _screen(cols, xs, ys, DEFAULT_EPS)]
     monkeypatch.setattr(circles, "_CHUNK", 9 * 8)
-    chunked = [_batch_widths(ps, xs, ys, DEFAULT_EPS), _screen(ps, xs, ys, DEFAULT_EPS)]
+    chunked = [_batch_widths(cols, xs, ys, DEFAULT_EPS), _screen(cols, xs, ys, DEFAULT_EPS)]
     assert len(xs) % 8 and np.isfinite(whole[0]).sum() > 100
     assert np.array_equal(whole[0], chunked[0])
     assert all(np.array_equal(a, b) for a, b in zip(whole[1], chunked[1]))
@@ -684,7 +686,8 @@ def test_cell_bound_covers_every_exact_score(monkeypatch):
     cells = lipschitz = rounding = worst = below_two = 0
     for ps in _cell_instances(rng, 60):
         xs, ys = _all_centres(ps)
-        box = circles._columns(ps).box
+        cols = _columns(ps)
+        box = cols.box
         order = circles._cell_order(xs, ys, box)
         groups = [_cells_of(order, size) for size in circles._CELLS]
         shuffled = np.array(rng.sample(range(len(xs)), len(xs)))
@@ -693,8 +696,8 @@ def test_cell_bound_covers_every_exact_score(monkeypatch):
         by_xy = np.lexsort((ys, xs))
         groups += [_cells_of(by_xy, 2), _cells_of(by_xy, 8)]
         for eps in (DEFAULT_EPS, 0.0):
-            exact = _batch_widths(ps, xs, ys, eps)
-            w, e = _screen(ps, xs, ys, eps)
+            exact = _batch_widths(cols, xs, ys, eps)
+            w, e = _screen(cols, xs, ys, eps)
             worst_w = np.where(np.isfinite(exact) & np.isfinite(e), exact - e, w)
             exact = np.maximum(exact, eps)
             for members, rep in groups:
@@ -726,6 +729,19 @@ def test_cell_bound_covers_every_exact_score(monkeypatch):
     assert below_two > 10_000
 
 
+def test_box_too_thin_for_the_grid():
+    # at x = 1e12 the points' box, grown by its larger side (4e-5), still
+    # rounds to zero width, so no grid fits it: the centres stay in input
+    # order, where the grid's scale once divided by zero
+    ps = PointSet.build([(1e12, 0.0, 1), (1e12, 1e-5, 2), (1e12, 3e-5, 1),
+                         (1e12, 4e-5, 2)], 2)
+    for ann, width in ((max_rbca(ps), 2e-5),
+                       (max_rbca_on_line(ps, Line(1.0, 0.0, 1e12)), 2e-5),
+                       (max_rbca_on_line(ps, Line(0.0, 1.0, 2e-5)), 1e-5)):
+        assert ann.width == pytest.approx(width, rel=1e-6), ann
+        assert validate_solution(ann, ps), ann
+
+
 def test_pruned_pick_matches_every_row_reference(monkeypatch):
     # on instances large enough that whole cells are skipped, the pick is
     # the every-row pick, for both searches and three distributions
@@ -743,8 +759,8 @@ def test_pruned_pick_matches_every_row_reference(monkeypatch):
 
     monkeypatch.setattr(circles, "_pick_best", both)
     monkeypatch.setattr(circles, "_screen",
-                        lambda ps, xs, ys, eps: rows.append(len(xs))
-                        or screen(ps, xs, ys, eps))
+                        lambda cols, xs, ys, eps: rows.append(len(xs))
+                        or screen(cols, xs, ys, eps))
     for dist in ("rings", "uniform", "clusters"):
         for seed, n in enumerate((20, 26)):
             search = "rbca"
@@ -771,9 +787,9 @@ def test_line_search_prunes_the_far_centres(monkeypatch):
         rows["centres"] += len(xs)
         return pick(ps, xs, ys, eps)
 
-    def screened(ps, xs, ys, eps):
+    def screened(cols, xs, ys, eps):
         rows["screened"] += len(xs)
-        return screen(ps, xs, ys, eps)
+        return screen(cols, xs, ys, eps)
 
     monkeypatch.setattr(circles, "_pick_best", picked)
     monkeypatch.setattr(circles, "_screen", screened)

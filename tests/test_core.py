@@ -480,6 +480,47 @@ def test_no_runtime_warning_near_the_float_limit(name):
             call(ps)
 
 
+@pytest.mark.parametrize("name", ["max_rbca", "max_rbca_on_line"])
+def test_every_candidate_centre_is_finite(name, monkeypatch):
+    # near the float limit far sentinels and unscaled crossings overflow;
+    # each family drops those, so the scoring takes only finite centres
+    pick = circles._pick_best
+    seen = []
+    monkeypatch.setattr(circles, "_pick_best", lambda ps, xs, ys, eps:
+                        seen.append((xs, ys)) or pick(ps, xs, ys, eps))
+    instances = list(_huge_instances())
+    instances.append(PointSet.build([(p.x * 1e300, p.y * 1e300, p.color) for p
+                                     in generate_instance(12, 3, "rings", 0).points], 3))
+    for ps in instances:
+        _SOLVERS[name](ps)
+        if name == "max_rbca":
+            seen += [getattr(circles, family)(ps) for family in _GENERATORS]
+    assert len(seen) == len(instances) * (1 + 4 * (name == "max_rbca"))
+    for xs, ys in seen:
+        assert np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))
+
+
+def test_cell_order_places_every_centre():
+    # a permutation of every centre: sorted into cells for a box the grid
+    # fits, and in input order for one it does not, which are the box of a
+    # single point and those of the instances whose padded region
+    # overflows
+    def centres_and_box(ps):
+        xs, ys = circles._concat([getattr(circles, family)(ps)
+                                  for family in _GENERATORS])
+        return xs, ys, circles._columns(ps).box
+
+    xs, ys, box = centres_and_box(generate_instance(12, 3, "rings", 0))
+    order = circles._cell_order(xs, ys, box)
+    assert np.array_equal(np.sort(order), np.arange(len(xs)))
+    assert not np.array_equal(order, np.arange(len(xs)))
+    huge = list(_huge_instances())
+    cases = [(xs, ys, (0.5, 0.5, -2.0, -2.0))]
+    cases += [centres_and_box(huge[i]) for i in (1, 4, 7, 10, 13, 16, 18)]
+    for xs, ys, box in cases:
+        assert np.array_equal(circles._cell_order(xs, ys, box), np.arange(len(xs)))
+
+
 @pytest.mark.parametrize("name", sorted(_SOLVERS))
 def test_overflowed_corridor_width_is_no_witness(name):
     # y_j - y_i overflows to inf in the antidiagonal pass of every

@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from conftest import random_instance, rotate90
+from conftest import random_instance, random_real_instance, reflect_x, rotate90
 
 from rbannulus import (
     DEFAULT_EPS,
@@ -201,14 +201,41 @@ def test_oracle_equivalence_random():
 
 
 def test_rotation_equivariance():
+    # each orientation's widest strip, and so the best over both, keeps its
+    # width exactly under a 90 degree rotation, a reflection in either axis,
+    # swapping x and y (both of which exchange the orientations), scaling
+    # by 2**20 or 2**-20 (eps scaled alike) and relabelling the colors, on
+    # integer, one-decimal and +-0.0 instances; every witness validates
     rng = random.Random(11)
-    for _ in range(60):
+    found = 0
+    for it in range(90):
         k = rng.randint(1, 4)
         n = rng.randint(2 * k, 20)
-        ps = random_instance(rng, n, k)
-        rot = rotate90(ps)
-        a = max_rbes(ps, "vertical")
-        b = max_rbes(rot, "horizontal")
-        assert (a is None) == (b is None)
-        if a is not None:
-            assert a.width == b.width
+        if it % 3 == 0:
+            ps = random_instance(rng, n, k)
+        elif it % 3 == 1:
+            ps = random_real_instance(rng, n, k, digits=1)
+        else:
+            pick = (-0.0, 0.0, 1.0, -1.0, 2.0, 0.5)
+            ps = PointSet.build([(rng.choice(pick), rng.choice(pick), p.color)
+                                 for p in random_instance(rng, n, k).points], k)
+        rows = [(p.x, p.y, p.color) for p in ps.points]
+        relabel = rng.sample(range(1, k + 1), k)
+        # (image, scale, whether the image exchanges the orientations)
+        images = [(ps, 1.0, False), (rotate90(ps), 1.0, True), (reflect_x(ps), 1.0, False)]
+        images += [(PointSet.build(image, k), 1.0, swap) for image, swap in (
+            ([(x, -y, c) for x, y, c in rows], False),
+            ([(y, x, c) for x, y, c in rows], True),
+            ([(x, y, relabel[c - 1]) for x, y, c in rows], False))]
+        images += [(PointSet.build([(x * s, y * s, c) for x, y, c in rows], k), s, False)
+                   for s in (2.0 ** 20, 2.0 ** -20)]
+        for orientation, other in (("vertical", "horizontal"), ("horizontal", "vertical")):
+            a = max_rbes(ps, orientation)
+            found += a is not None
+            for image, s, swap in images:
+                b = max_rbes(image, other if swap else orientation, DEFAULT_EPS * s)
+                assert (a is None) == (b is None), (rows, orientation, s)
+                if b is not None:
+                    assert b.width == a.width * s, (rows, orientation, s)
+                    assert validate_solution(b, image, DEFAULT_EPS * s), (rows, s)
+    assert found > 100

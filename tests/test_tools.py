@@ -38,12 +38,34 @@ def test_square_counts_narrow_from_pairs_to_scans():
         assert scanned <= table <= pairs, got.stdout
 
 
-def _load_answers_tool():
+def _load_tool(name):
     spec = importlib.util.spec_from_file_location(
-        "answers", os.path.join(ROOT, "tools", "answers.py"))
+        name, os.path.join(ROOT, "tools", name + ".py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_pair_summary_on_canned_runs():
+    # quartiles of each side, the median's relative move, and the pairs
+    # the change read better in the metric's own direction, ties for
+    # neither side; one pair gives each side's value as all three quartiles
+    end_to_end = [{"name": "solves_per_s", "better": "higher", "bound": 0.25},
+                  {"name": "solve_s_p50", "better": "lower", "bound": 0.25}]
+    parent = [(30.0, 0.04), (32.0, 0.03), (31.0, 0.05), (29.0, 0.04)]
+    change = [(33.0, 0.04), (31.0, 0.02), (31.0, 0.06), (35.0, 0.03)]
+    runs = {side: [{"solves_per_s": a, "solve_s_p50": b} for a, b in rows]
+            for side, rows in (("parent", parent), ("change", change))}
+    summary = _load_tool("pair").summary
+    rate, p50 = summary(runs, end_to_end)
+    assert rate[0] == "solves_per_s"
+    assert rate[1] == (29.75, 30.5, 31.25) and rate[2] == (31.0, 32.0, 33.5)
+    assert rate[3] == pytest.approx(32.0 / 30.5 - 1.0) and rate[4:] == (0.25, 2, 4)
+    assert p50[1] == pytest.approx((0.0375, 0.04, 0.0425))
+    assert p50[2] == pytest.approx((0.0275, 0.035, 0.045))
+    assert p50[3] == pytest.approx(-0.125) and p50[4:] == (0.25, 2, 4)
+    runs = {side: rows[:1] for side, rows in runs.items()}
+    assert summary(runs, end_to_end)[0][1:3] == ((30.0,) * 3, (33.0,) * 3)
 
 
 def test_answers_match_the_recorded_table():
@@ -57,7 +79,7 @@ def test_answers_match_the_recorded_table():
     for line in lines[1:]:
         name, n, digest = line.rsplit(None, 2)
         recorded[name] = (int(n), digest)
-    tool = _load_answers_tool()
+    tool = _load_tool("answers")
     got = tool.digests(150, 0)
     moved = [name for name in recorded if got.get(name) != recorded[name]]
     assert not moved, (

@@ -119,8 +119,8 @@ def circle(counts, args):
         counts.append(Counter(centres=len(xs), t_lo=-INF))
         return pick(ps, xs, ys, eps)
 
-    def screened(ps, xs, ys, eps, *rest):
-        w, e = screen(ps, xs, ys, eps, *rest)
+    def screened(cols, xs, ys, eps):
+        w, e = screen(cols, xs, ys, eps)
         lower = w - e
         lower = lower[lower > eps]
         counts[-1]["screened"] += len(xs)
@@ -134,9 +134,9 @@ def circle(counts, args):
         counts[-1]["pruned"] += int((bound < t_lo - circles._FINALIST_SLACK).sum())
         return bound
 
-    def exact(ps, xs, ys, eps):
+    def exact(cols, xs, ys, eps):
         counts[-1]["exact"] += len(xs)
-        return batch(ps, xs, ys, eps)
+        return batch(cols, xs, ys, eps)
 
     circles._pick_best, circles._screen = picked, screened
     circles._batch_widths, circles._cell_bounds = exact, bounded
