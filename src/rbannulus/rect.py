@@ -18,11 +18,18 @@ span holds two arms; that branch rule lives there alone.  One arm scan per
 branch, ``_scan_arms_list``, then visits the slab's gaps in x order and
 returns the first feasible placement.  ``dp_decision``, the decision
 ``max_rbra`` runs, rejects from the bands alone the decisions that cannot
-succeed, and gathers the slab for the scan only for the rest, taking the
-middle band's per-color x lists from the frame's color-grouped x order.
-The plain walk, which gathers the slab for every decision, is the tests'
-reference and lives in ``rbannulus.reference``; it runs the same band
-split.
+succeed, the bottom band's points strictly between the columns first, and
+gathers the slab for the scan only for the rest, taking the middle band's
+per-color x lists from the frame's color-grouped x order.
+
+The walk, ``_walk_fast``, first asks in plain Python whether the top band
+at the best width so far leaves a gap of twice that width around the
+anchor's column (``_top_band_admits``); a walk whose band does not can
+emit nothing and ends before any numpy.  Otherwise it fences the live
+bottom anchors against the top band in numpy at each width, and decides
+the rest one at a time.  The plain walk, which gathers the slab for every
+decision, is the tests' reference and lives in ``rbannulus.reference``; it
+runs the same band split.
 """
 
 from __future__ import annotations
@@ -255,24 +262,33 @@ def _left_arm_fits(fr: _Frame, iT, iB, lReq, m, w):
 def _decide_fast_impl(fr: _Frame, x_i, T, B, x_j, w):
     """Exact width-w decision for outer top T (anchor column x_i on it) and
     outer bottom B holding column x_j; the open bottom is B = -INF with
-    x_j = x_i.  Returns the leftmost witness (L, R) or None.  The band
-    split, with its span test, and the left-arm test of each branch come
-    first, on the frame's lists; only a branch that survives them gathers
-    the slab and runs the arm scan."""
+    x_j = x_i.  Returns the leftmost witness (L, R) or None.  A bottom-band
+    point strictly between the anchor columns, then the band split, with
+    its span test, and the left-arm test of each branch reject first, on
+    the frame's lists; only a branch that survives them gathers the slab
+    and runs the arm scan."""
     if T - B < 2.0 * w:
         return None
     Tw = T - w
     Bw = B + w
     m, M = (x_i, x_j) if x_i <= x_j else (x_j, x_i)
     k = fr.k
-    iT = _first_below(fr, T)
+    Xl, Cl = fr.Xl, fr.Cl
     iB = _first_at_most(fr, B)
-    iTw = _first_at_most(fr, Tw)
     jBw = _first_below(fr, Bw)
+    bottom = Xl[jBw:iB]
+    # in the walk the top fence has already cleared the top band, so a
+    # band point strictly between the columns, which _band_split would
+    # reject, sits in the bottom band: look there before the top band
+    if m < M:
+        for x in bottom:
+            if m < x < M:
+                return None
+    iT = _first_below(fr, T)
+    iTw = _first_at_most(fr, Tw)
     if iTw >= jBw:
         return None
-    Xl, Cl = fr.Xl, fr.Cl
-    bands = _band_split(Xl[iT:iTw] + Xl[jBw:iB], Cl[iT:iTw] + Cl[jBw:iB],
+    bands = _band_split(Xl[iT:iTw] + bottom, Cl[iT:iTw] + Cl[jBw:iB],
                         m, M, w, k)
     if bands is None:
         return None
@@ -361,15 +377,46 @@ def _start_wp_list(ws, barw, eps):
     return wp
 
 
+def _top_band_admits(fr: _Frame, T, x_i, w):
+    """False when the top band of width w, the rows below T down to T - w,
+    leaves less than 2w between its nearest points strictly left and
+    strictly right of the anchor column x_i; points on x_i count on
+    neither side.  Plain Python on the frame's lists."""
+    lo, hi = -INF, INF
+    for x in fr.Xl[_first_below(fr, T):_first_at_most(fr, T - w)]:
+        if x < x_i:
+            if x > lo:
+                lo = x
+        elif x > x_i and x < hi:
+            hi = x
+    return hi - lo >= 2.0 * w
+
+
 def _walk_fast(fr: _Frame, i, eps, bar_fn, emit):
-    T = float(fr.Y[i])
-    x_i = float(fr.X[i])
+    """The staircase for top anchor i: at each width, from the smallest
+    one the best so far leaves, fence the live bottom anchors against the
+    top band at once in numpy, then decide the rest top-down, the open
+    bottom last; a success emits its witness and moves to the next larger
+    width."""
+    T = fr.Yl[i]
+    x_i = fr.Xl[i]
+    barw = bar_fn()
+    # Every width the walk tries is at least bar.  fl(T - w) does not
+    # increase as w grows, so the top band only grows, and the gap between
+    # its nearest points left and right of x_i, and its rounded span, only
+    # shrink while 2w grows.  That span bounds the rT - lT of every bottom
+    # anchor's top fence below, and, on coinciding columns with a band
+    # point on them (which the fence lets through), _band_split's spans
+    # gt - m and M - lt as well: when it is short of 2 bar here, every
+    # decision of the walk would return None.
+    if not _top_band_admits(fr, T, x_i, eps if barw is None else barw):
+        return
     lo = int(np.searchsorted(fr.levels, T, side="left"))
     if lo == 0:
         return
     ws = (T - fr.levels[:lo])[::-1]  # ascending candidate widths
     nws = int(ws.size)
-    wp = _start_wp_list(ws, bar_fn(), eps)
+    wp = _start_wp_list(ws, barw, eps)
     if wp >= nws:
         return
     iT = _first_below(fr, T)

@@ -6,15 +6,21 @@ import pytest
 from conftest import random_instance, random_real_instance, rotate90
 
 from rbannulus import (
+    DEFAULT_EPS,
     INF,
     PointSet,
     RectAnnulus,
     max_rbra,
     validate_solution,
 )
+from rbannulus import rect
 from rbannulus.core import offset_square
+from rbannulus.instances import generate_instance
 from rbannulus.rect import (
     _band_split,
+    _make_frame,
+    _orient_arrays,
+    _walk_fast,
     anchor_ordering,
     dp_decision,
     max_anchored_rbra_for_top_point,
@@ -23,6 +29,7 @@ from rbannulus.oracle import oracle_rbra
 from rbannulus.reference import (
     MinimalRainbowInterval,
     WGap,
+    _walk_slow,
     dp_decision_reference,
     max_rbra_reference,
     minimal_rainbow_intervals,
@@ -566,6 +573,93 @@ def test_max_rbra_fast_equals_slow(kcap):
         else:
             assert fast == slow, (ps.points, slow, fast)
             assert validate_solution(fast, ps)
+
+
+def _emits(walk, fr, i, bar):
+    out = []
+    walk(fr, i, DEFAULT_EPS, lambda: bar, lambda *got: out.append(got))
+    return out
+
+
+def _assert_walks_emit_alike(ps):
+    # every frame, every top anchor, and a best so far held fixed at none,
+    # at eps and at each of the anchor's candidate widths
+    for which in range(4):
+        tx, ty = _orient_arrays(ps.xs, ps.ys, which)
+        fr = _make_frame(tx, ty, ps.cs, ps.k)
+        for i in range(fr.n):
+            T = fr.Yl[i]
+            for bar in [None, DEFAULT_EPS] + [T - y for y in fr.Yl if y < T]:
+                fast, slow = _emits(_walk_fast, fr, i, bar), _emits(_walk_slow, fr, i, bar)
+                assert repr(fast) == repr(slow), (ps.points, which, i, bar)
+
+
+# the optimum, width 3 between the outer sides x = 0 and x = 6 with its
+# bottom on (2, 2), comes from the walk of that anchor in the frame with y
+# reflected, whose width-3 top band is (0, 4) and (6, 4): a gap of exactly
+# 2w around x = 2, which the walk's entry test must let through
+_GAP_EXACTLY_2W = ([(6.0, 4.0, 1), (5.0, 0.0, 1), (0.0, 4.0, 1), (2.0, 2.0, 1),
+                    (6.0, 1.0, 1), (3.0, 5.0, 1)], 1)
+# the optimum, width 3 with outer right x = 3 and its bottom on (3, 0),
+# comes from the walk of that anchor in the frame with y reflected, whose
+# width-3 top band is (3, 1), on the anchor's own column, and (6, 1): the
+# entry test counts (3, 1) on neither side, so the gap is unbounded
+_BAND_POINT_ON_ANCHOR = ([(3.0, 4.0, 1), (3.0, 1.0, 1), (0.0, 3.0, 1),
+                          (3.0, 0.0, 1), (6.0, 1.0, 1)], 1)
+
+
+@pytest.mark.parametrize("corpus", ["integer", "one-decimal", "signed-zero"])
+def test_walk_emits_what_the_plain_walk_emits(corpus):
+    # the fast walk's entry test, top fence and bottom-first decision only
+    # drop walks and decisions that emit nothing
+    rng = random.Random(415)
+
+    def halve(v):
+        # half-integers in [-1, 1], each zero signed at random
+        return v / 2.0 if v else rng.choice((0.0, -0.0))
+
+    for _ in range(30):
+        n = rng.randint(4, 12)
+        k = rng.randint(1, min(3, n // 2))
+        if corpus == "integer":
+            ps = random_instance(rng, n, k, lo=0, hi=10)
+        elif corpus == "one-decimal":
+            ps = random_real_instance(rng, n, k, digits=1)
+        else:
+            ps = random_instance(rng, n, k, lo=-2, hi=2)
+            ps = PointSet.build([(halve(p.x), halve(p.y), p.color)
+                                 for p in ps.points], k)
+        _assert_walks_emit_alike(ps)
+
+
+@pytest.mark.parametrize("pts,k", [_GAP_EXACTLY_2W, _BAND_POINT_ON_ANCHOR])
+def test_walk_entry_test_on_its_edges(pts, k):
+    ps = PointSet.build(pts, k)
+    _assert_walks_emit_alike(ps)
+    assert repr(max_rbra(ps)) == repr(max_rbra_reference(ps))
+
+
+def test_most_walks_end_at_their_entry_test(monkeypatch):
+    # on a rect-uniform instance most top anchors' bands leave no 2w gap
+    # at the best width so far, so those walks end before any numpy
+    seen = {"walks": 0, "entered": 0}
+    walk, admits = rect._walk_fast, rect._top_band_admits
+
+    def walked(*args):
+        seen["walks"] += 1
+        return walk(*args)
+
+    def entered(*args):
+        ok = admits(*args)
+        seen["entered"] += ok
+        return ok
+
+    monkeypatch.setattr(rect, "_walk_fast", walked)
+    monkeypatch.setattr(rect, "_top_band_admits", entered)
+    ps = generate_instance(200, 3, "uniform", 100000)
+    assert repr(rect.max_rbra(ps)) == repr(max_rbra_reference(ps))
+    assert seen["walks"] == 4 * 200
+    assert seen["entered"] < 0.6 * seen["walks"], seen
 
 
 def test_max_rbra_collinear_halfplane():

@@ -12,6 +12,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     ["tools/counts.py", "square", "--n", "16", "--count", "1"],
     ["tools/counts.py", "circle", "--n", "10", "--count", "1"],
     ["tools/counts.py", "corridor", "--n", "600", "--count", "1"],
+    ["tools/counts.py", "rect", "--n", "30", "--count", "1"],
     ["tools/loc.py"],
     ["tools/answers.py", "--count", "4"],
 ])

@@ -7,13 +7,15 @@ Usage: python3 tools/counts.py square   [--n 120] [--k 3] [--dist uniform]
                                         [--count 22]
        python3 tools/counts.py corridor [--n 16000] [--k 3] [--dist uniform]
                                         [--seed 1000] [--count 3]
+       python3 tools/counts.py rect     [--n 200] [--k 3] [--dist uniform]
+                                        [--seed 1000] [--count 10]
 
 Instance i is `rbannulus gen --seed 100*seed+i`, loaded through
 format_instance and parse_instance as the CLI loads it, so each
-subcommand's defaults give a perfbench pool: square-uniform, circle-rings
-and corridor-large, and `circle --n 160 --line "x-y=0" --count 16` gives
-circle-line.  Each instance is solved once, and the script prints one row
-of counts per instance and a `total` row.
+subcommand's defaults give a perfbench pool: square-uniform, circle-rings,
+corridor-large and rect-uniform, and `circle --n 160 --line "x-y=0"
+--count 16` gives circle-line.  Each instance is solved once, and the
+script prints one row of counts per instance and a `total` row.
 
 square: max_rbsa, one row per pair family of the bounded search (h: the
 input frame, v: x and y swapped)
@@ -53,6 +55,20 @@ corridor: max_rblc_all (four orientations, two sweeps each)
   folded     of those, the queries the tree fold answered (GapTree._range);
              the rest had no universe value inside the interval
 
+rect: max_rbra (four orientations, one walk per top anchor in each)
+
+  walks      walks run (_walk_fast)
+  entered    of those, the walks whose top band leaves 2w around the
+             anchor at the best width so far (_top_band_admits); the rest
+             end before any numpy
+  decisions  width-w decisions the walks run (_decide_fast_impl)
+  bottom     of those, the decisions no shallower than 2w whose bottom
+             band holds a point strictly between the anchor columns; the
+             decision rejects them before it slices the top band
+  scans      arm scans run (_scan_arms_list), one per branch that
+             survives the band split and the left-arm test
+  emits      decisions that found a witness; the walk emits each one
+
 It counts by wrapping the solvers' private functions in this process; the
 solvers themselves keep no counter.  Standard library and numpy only.
 """
@@ -66,7 +82,7 @@ from collections import Counter
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 "..", "src"))
 
-from rbannulus import INF, circles, squares  # noqa: E402
+from rbannulus import INF, circles, rect, squares  # noqa: E402
 from rbannulus.cli import parse_line_spec  # noqa: E402
 from rbannulus.instances import (format_instance, generate_instance,  # noqa: E402
                                  parse_instance)
@@ -185,6 +201,43 @@ def corridor(counts, args):
     return solve
 
 
+def rect_(counts, args):
+    """Wrap the private functions of rect; counts[-1] is the instance
+    being solved."""
+    walk, admits = rect._walk_fast, rect._top_band_admits
+    decide, scan = rect._decide_fast_impl, rect._scan_arms_list
+
+    def walked(*args):
+        counts[-1]["walks"] += 1
+        return walk(*args)
+
+    def entered(*args):
+        ok = admits(*args)
+        counts[-1]["entered"] += ok
+        return ok
+
+    def decided(fr, x_i, T, B, x_j, w):
+        m, M = min(x_i, x_j), max(x_i, x_j)
+        bottom = fr.Xl[rect._first_below(fr, B + w):rect._first_at_most(fr, B)]
+        got = decide(fr, x_i, T, B, x_j, w)
+        counts[-1]["decisions"] += 1
+        counts[-1]["bottom"] += T - B >= 2.0 * w and any(m < x < M for x in bottom)
+        counts[-1]["emits"] += got is not None
+        return got
+
+    def scanned(*args):
+        counts[-1]["scans"] += 1
+        return scan(*args)
+
+    def solve(ps):
+        counts.append(Counter())
+        rect.max_rbra(ps)
+
+    rect._walk_fast, rect._top_band_admits = walked, entered
+    rect._decide_fast_impl, rect._scan_arms_list = decided, scanned
+    return solve
+
+
 # subcommand: wrappers; default n, dist and count; the header, whose
 # columns before the fields label each row; the labels of the rows one
 # solve prints, one per entry of counts; the row format
@@ -199,6 +252,10 @@ SHAPES = {
                  ("seed", "levels", "kept", "calls", "activated", "queries",
                   "folded"),
                  ((),), "%-8s" + " %10s" * 6),
+    "rect": (rect_, 200, "uniform", 10,
+             ("seed", "walks", "entered", "decisions", "bottom", "scans",
+              "emits"),
+             ((),), "%-8s" + " %9s" * 6),
 }
 
 
