@@ -13,19 +13,19 @@ batches and keeps the best valid ring.  Every family returns finite centers
 only: near the top of the float range it drops those that overflow.
 
 Scoring has four passes.  Every center is placed in a cell: the centers
-are ordered, those near the points in Z order of their coordinates and the
-others in Z order of their angle and log distance (in input order when the
-points' box is too small or too large for that grid), and cut into cells,
-coarse to fine; a cell is skipped whole when one screened center and the
-cell's radius prove that no member can reach the shortlist.  A ring's
-width moves by at most twice the distance its center moves, and far from
-the points by much less, since there every distance moves by nearly the
-same amount.  A screen scores the centers of every surviving finest cell
-from cheap sqrt(dx*dx + dy*dy) distances, with a rigorous bound on how
-far each score can be from the exact one.  The exact np.hypot scores are then computed
-only for the centers whose bound can still reach the shortlist, which is
-the same as when every center is scored exactly.  The shortlist's centers
-are re-scored one by one with math.hypot, which picks the witness.
+are ordered in Z order of their angle and log distance about the middle of
+the points' box (in input order when the box's larger side is 0 or
+overflows), and cut into cells, coarse to fine; a cell is skipped whole
+when one screened center and the cell's radius prove that no member can
+reach the shortlist.  A ring's width moves by at most twice the distance
+its center moves, and far from the points by much less, since there every
+distance moves by nearly the same amount.  A screen scores the centers of
+every surviving finest cell from cheap sqrt(dx*dx + dy*dy) distances, with
+a rigorous bound on how far each score can be from the exact one.  The
+exact np.hypot scores are then computed only for the centers whose bound
+can still reach the shortlist, which is the same as when every center is
+scored exactly.  The shortlist's centers are re-scored one by one with
+math.hypot, which picks the witness.
 """
 
 from __future__ import annotations
@@ -58,9 +58,11 @@ _CHUNK = 125_000
 
 # centers per cell of the pruning pass (_shortlist_rows), coarse to fine,
 # the side of the grid the cells are ordered on (_cell_order), and how many
-# doublings of distance that grid spans beyond the near region
+# doublings of distance from the box middle that grid spans below and above
+# the box's larger side
 _CELLS = (512, 64, 8)
 _GRID = 65535.0
+_INSIDE = 8.0
 _DOUBLINGS = 16.0
 
 # Crossings multiply three coordinates, which overflows from about 2^340;
@@ -346,42 +348,31 @@ def _spread(q):
 
 def _cell_order(cxs, cys, box):
     """A permutation of the indices of the centers, every one finite, in
-    the order that cuts them into the pruning cells; input order when the
-    bounding box cannot be gridded (a side of the grid's region below
-    rounds to zero, as for a point, or overflows).  With pad the box's
-    larger side, the centers near the points, inside the box grown by pad
-    on every side, come first, sorted by the interleaved bits of their
-    coordinates on a 2^16 by 2^16 grid over that region (Z order).  The
-    others follow in Z order of their angle and of log2 of their distance
-    over pad, both about the box middle, on the same grid, the log clipped
-    to [0, _DOUBLINGS].
-    _cell_bounds prunes a far cell by its radius over its distance, which
-    cells of equal size in angle and log distance share.  Consecutive runs
-    of the order are the cells of _shortlist_rows; any order is correct
-    there, and a spatial one lets cells be pruned."""
+    the order that cuts them into the pruning cells.  With pad the box's
+    larger side, the centers are sorted in Z order of their angle and of
+    log2 of their distance over pad, both about the box middle, on a 2^16
+    by 2^16 grid, the log clipped to [-_INSIDE, _DOUBLINGS].  A square of
+    that grid is a sector of one shape at every distance, its size in
+    proportion to the distance, and far from the points _cell_bounds
+    prunes a cell by its radius over its distance.  Input order is kept
+    when pad is 0 (a single point) or not finite.
+    Consecutive runs of the order are the cells of _shortlist_rows.  Any
+    order is correct there, since _cell_bounds bounds every member of
+    whatever cell it is given; a spatial order only lets more cells be
+    pruned."""
     x0, x1, y0, y1 = box
     pad = max(x1 - x0, y1 - y0)
-    lo_x, hi_x, lo_y, hi_y = x0 - pad, x1 + pad, y0 - pad, y1 + pad
-    # a side of the region that rounds to zero, or whose scale leaves the
-    # float range, has no grid
-    with np.errstate(divide="ignore", over="ignore"):
-        sx, sy = _GRID / np.array([hi_x - lo_x, hi_y - lo_y])
-    if not (0.0 < sx < math.inf and 0.0 < sy < math.inf):
+    if not 0.0 < pad < math.inf:
         return np.arange(len(cxs))
-    # one key per center: the near Z order below 2^32, the far one above it
-    near = (cxs >= lo_x) & (cxs <= hi_x) & (cys >= lo_y) & (cys <= hi_y)
-    key = np.empty(len(cxs), dtype=np.uint64)
-    key[near] = (_spread((cxs[near] - lo_x) * sx)
-                 | (_spread((cys[near] - lo_y) * sy) << 1))
-    far = ~near
-    with np.errstate(over="ignore"):
-        dx = cxs[far] - (x0 + 0.5 * (x1 - x0))
-        dy = cys[far] - (y0 + 0.5 * (y1 - y0))
+    # a difference that overflows is inf, at the outer end of the log; the
+    # middle itself is at log -inf, at the inner end
+    with np.errstate(over="ignore", divide="ignore"):
+        dx = cxs - (x0 + 0.5 * (x1 - x0))
+        dy = cys - (y0 + 0.5 * (y1 - y0))
         angle = (np.arctan2(dy, dx) + math.pi) * (_GRID / (2.0 * math.pi))
-        depth = (np.log2(np.hypot(dx, dy)) - math.log2(pad)) * (_GRID / _DOUBLINGS)
-    key[far] = _spread(angle) | (_spread(np.clip(depth, 0.0, _GRID)) << 1)
-    key[far] += 2 ** 32
-    return np.argsort(key)
+        depth = ((np.log2(np.hypot(dx, dy)) - (math.log2(pad) - _INSIDE))
+                 * (_GRID / (_INSIDE + _DOUBLINGS)))
+    return np.argsort(_spread(angle) | (_spread(np.clip(depth, 0.0, _GRID)) << 1))
 
 
 @np.errstate(over="ignore", invalid="ignore")

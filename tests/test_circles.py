@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -731,8 +732,8 @@ def test_cell_bound_covers_every_exact_score(monkeypatch):
 
 def test_box_too_thin_for_the_grid():
     # at x = 1e12 the points' box, grown by its larger side (4e-5), still
-    # rounds to zero width, so no grid fits it: the centres stay in input
-    # order, where the grid's scale once divided by zero
+    # rounds to zero width, so no grid over that region could scale to it;
+    # the cells, keyed about the box middle, and the search work there
     ps = PointSet.build([(1e12, 0.0, 1), (1e12, 1e-5, 2), (1e12, 3e-5, 1),
                          (1e12, 4e-5, 2)], 2)
     for ann, width in ((max_rbca(ps), 2e-5),
@@ -932,6 +933,92 @@ def test_max_rbca_rigid_motion():
         else:
             assert b is not None and b.width == pytest.approx(a.width, abs=1e-9)
             assert c is not None and c.width == pytest.approx(a.width, abs=1e-9)
+
+
+def _invariance_corpus():
+    # (rows, k, line, colour relabelling): integer and one-decimal
+    # coordinates in [-9, 9], n 4-10, k <= 3, lines with small integer
+    # coefficients
+    rng = random.Random(5)
+    corpus = []
+    for it in range(300):
+        k = rng.randint(1, 3)
+        n = rng.randint(max(4, 2 * k), 10)
+        colors = [c for c in range(1, k + 1) for _ in (0, 1)]
+        colors += [rng.randint(1, k) for _ in range(n - 2 * k)]
+        rng.shuffle(colors)
+        grid = 10 if it % 2 else 1
+        rows = [(rng.randint(-9 * grid, 9 * grid) / grid,
+                 rng.randint(-9 * grid, 9 * grid) / grid, c) for c in colors]
+        a = b = 0
+        while a == b == 0:
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+        corpus.append((rows, k, (float(a), float(b), float(rng.randint(-9, 9))),
+                       rng.sample(range(1, k + 1), k)))
+    return corpus
+
+
+_INVARIANCE_CORPUS = _invariance_corpus()
+# each image: a map of (x, y, colour), of the line's (a, b, c) and the
+# factor it scales widths by
+_IMAGES = {
+    "rotate90": (lambda x, y, c, rl: (-y, x, c), lambda a, b, c: (-b, a, c), 1.0),
+    "reflect_x": (lambda x, y, c, rl: (-x, y, c), lambda a, b, c: (-a, b, c), 1.0),
+    "swap_xy": (lambda x, y, c, rl: (y, x, c), lambda a, b, c: (b, a, c), 1.0),
+    "scale_up": (lambda x, y, c, rl: (x * 2.0 ** 20, y * 2.0 ** 20, c),
+                 lambda a, b, c: (a, b, c * 2.0 ** 20), 2.0 ** 20),
+    "scale_down": (lambda x, y, c, rl: (x * 2.0 ** -20, y * 2.0 ** -20, c),
+                   lambda a, b, c: (a, b, c * 2.0 ** -20), 2.0 ** -20),
+    "relabel": (lambda x, y, c, rl: (x, y, rl[c - 1]), lambda a, b, c: (a, b, c), 1.0),
+}
+_SEARCHES = {
+    "max_rbca": lambda ps, line: max_rbca(ps, 0.0),
+    "max_rbca_on_line": lambda ps, line: max_rbca_on_line(ps, Line(*line), 0.0),
+}
+
+
+def _xfail(reason):
+    return pytest.mark.xfail(strict=True, reason=reason)
+
+
+_SENTINELS = _xfail("far_field_candidates adds one perpendicular sentinel per "
+                    "ordered pair, (uy, -ux), so a mirror image gets another set")
+_KNOWN = {
+    ("max_rbca", "reflect_x"): _SENTINELS,
+    ("max_rbca", "swap_xy"): _SENTINELS,
+    ("max_rbca", "scale_up"): _xfail("_FINALIST_SLACK is absolute, so scaled "
+                                     "inputs shortlist other centres"),
+    ("max_rbca", "scale_down"): _xfail("far_field_candidates floors the span at "
+                                       "1.0, which is not scale-exact"),
+    ("max_rbca_on_line", "scale_down"): _xfail("max_rbca_on_line floors its far "
+                                               "sentinels' span at 1.0, which is "
+                                               "not scale-exact"),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _unmapped_answers(search):
+    return [_SEARCHES[search](PointSet.build(rows, k), line)
+            for rows, k, line, _ in _INVARIANCE_CORPUS]
+
+
+@pytest.mark.parametrize("search, image", [
+    pytest.param(search, image, marks=_KNOWN.get((search, image), ()))
+    for search in _SEARCHES for image in _IMAGES])
+def test_circle_invariance(search, image):
+    # a rotation by 90 degrees, a reflection, the x/y swap, scaling by
+    # 2^+-20 and relabelling the colours (the line mapped alike) keep the
+    # width exactly, times the scale; every witness validates at eps 0
+    point_map, line_map, scale = _IMAGES[image]
+    moved = []
+    for (rows, k, line, relabel), want in zip(_INVARIANCE_CORPUS, _unmapped_answers(search)):
+        ps = PointSet.build([point_map(x, y, c, relabel) for x, y, c in rows], k)
+        got = _SEARCHES[search](ps, line_map(*line))
+        assert got is None or validate_solution(got, ps, 0.0), (rows, got)
+        if (got is None) != (want is None) or (got is not None
+                                              and got.width != want.width * scale):
+            moved.append((rows, want, got))
+    assert not moved, (len(moved), moved[0])
 
 
 def test_max_rbca_degenerate():

@@ -501,23 +501,25 @@ def test_every_candidate_centre_is_finite(name, monkeypatch):
 
 
 def test_cell_order_places_every_centre():
-    # a permutation of every centre: sorted into cells for a box the grid
-    # fits, and in input order for one it does not, which are the box of a
-    # single point and those of the instances whose padded region
-    # overflows
+    # a permutation of every centre, sorted into cells whenever the box's
+    # larger side is positive and finite, as on the rings box and on the
+    # boxes of scaled instances near the float limit, where differences
+    # from the box middle overflow; in input order where that side is 0,
+    # as for a single point, or overflows, as from -1.7e308 to 1.7e308
     def centres_and_box(ps):
         xs, ys = circles._concat([getattr(circles, family)(ps)
                                   for family in _GENERATORS])
         return xs, ys, circles._columns(ps).box
 
-    xs, ys, box = centres_and_box(generate_instance(12, 3, "rings", 0))
-    order = circles._cell_order(xs, ys, box)
-    assert np.array_equal(np.sort(order), np.arange(len(xs)))
-    assert not np.array_equal(order, np.arange(len(xs)))
+    rings = centres_and_box(generate_instance(12, 3, "rings", 0))
     huge = list(_huge_instances())
-    cases = [(xs, ys, (0.5, 0.5, -2.0, -2.0))]
-    cases += [centres_and_box(huge[i]) for i in (1, 4, 7, 10, 13, 16, 18)]
-    for xs, ys, box in cases:
+    for xs, ys, box in [rings] + [centres_and_box(huge[i]) for i in (1, 4, 7, 10, 13, 16)]:
+        order = circles._cell_order(xs, ys, box)
+        assert np.array_equal(np.sort(order), np.arange(len(xs)))
+        assert not np.array_equal(order, np.arange(len(xs))), box
+    xs, ys, box = centres_and_box(huge[18])
+    assert box[:2] == (-1.7e308, 1.7e308)
+    for xs, ys, box in [(xs, ys, box), rings[:2] + ((0.5, 0.5, -2.0, -2.0),)]:
         assert np.array_equal(circles._cell_order(xs, ys, box), np.arange(len(xs)))
 
 

@@ -11,6 +11,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 @pytest.mark.parametrize("argv", [
     ["tools/counts.py", "square", "--n", "16", "--count", "1"],
     ["tools/counts.py", "circle", "--n", "10", "--count", "1"],
+    ["tools/counts.py", "circle", "--n", "12", "--line", "x-y=0", "--count", "1"],
     ["tools/counts.py", "corridor", "--n", "600", "--count", "1"],
     ["tools/counts.py", "rect", "--n", "30", "--count", "1"],
     ["tools/loc.py"],
