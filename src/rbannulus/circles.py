@@ -15,17 +15,19 @@ only: near the top of the float range it drops those that overflow.
 Scoring has four passes.  Every center is placed in a cell: the centers
 are ordered in Z order of their angle and log distance about the middle of
 the points' box (in input order when the box's larger side is 0 or
-overflows), and cut into cells, coarse to fine; a cell is skipped whole
-when one screened center and the cell's radius prove that no member can
-reach the shortlist.  A ring's width moves by at most twice the distance
-its center moves, and far from the points by much less, since there every
-distance moves by nearly the same amount.  A screen scores the centers of
-every surviving finest cell from cheap sqrt(dx*dx + dy*dy) distances, with
-a rigorous bound on how far each score can be from the exact one.  The
-exact np.hypot scores are then computed only for the centers whose bound
-can still reach the shortlist, which is the same as when every center is
-scored exactly.  The shortlist's centers are re-scored one by one with
-math.hypot, which picks the witness.
+overflows), and cut into cells, coarse to fine, down to single centers.
+One center of each surviving cell is screened, and each of the cell's
+children is skipped whole when that screen and the child's own radius
+about the screened center prove that no member can reach the shortlist.
+A ring's width moves by at most twice the distance its center moves, and
+far from the points by much less, since there every distance moves by
+nearly the same amount.  A screen scores the single centers that survive
+from cheap sqrt(dx*dx + dy*dy) distances, with a rigorous bound on how far
+each score can be from the exact one.  The exact np.hypot scores are then
+computed only for the centers whose bound can still reach the shortlist,
+which is the same as when every center is scored exactly.  The
+shortlist's centers are re-scored one by one with math.hypot, which picks
+the witness.
 """
 
 from __future__ import annotations
@@ -365,24 +367,32 @@ def _cell_order(cxs, cys, box):
     if not 0.0 < pad < math.inf:
         return np.arange(len(cxs))
     # a difference that overflows is inf, at the outer end of the log; the
-    # middle itself is at log -inf, at the inner end
+    # middle itself is at log -inf, at the inner end.  dx and dy are scaled
+    # by 2^-p, p the exponent of pad, so that their squares overflow or
+    # underflow only far outside the log's range.
+    p = math.frexp(pad)[1]
     with np.errstate(over="ignore", divide="ignore"):
         dx = cxs - (x0 + 0.5 * (x1 - x0))
         dy = cys - (y0 + 0.5 * (y1 - y0))
         angle = (np.arctan2(dy, dx) + math.pi) * (_GRID / (2.0 * math.pi))
-        depth = ((np.log2(np.hypot(dx, dy)) - (math.log2(pad) - _INSIDE))
+        np.ldexp(dx, -p, out=dx)
+        np.ldexp(dy, -p, out=dy)
+        dx *= dx
+        dy *= dy
+        dx += dy
+        depth = ((0.5 * np.log2(dx) - (math.log2(pad) - p - _INSIDE))
                  * (_GRID / (_INSIDE + _DOUBLINGS)))
     return np.argsort(_spread(angle) | (_spread(np.clip(depth, 0.0, _GRID)) << 1))
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _lipschitz(rx, ry, rho, box):
-    """Per cell, K in [0, 2] such that moving the center from the cell's
-    representative (rx, ry) to any c with |c - (rx, ry)| <= rho shifts
-    every entry of an exact distance row by one common amount plus at most
+    """K in [0, 2], broadcast over (rx, ry) and rho, such that moving the
+    center from (rx, ry) to any c with |c - (rx, ry)| <= rho shifts every
+    entry of an exact distance row by one common amount plus at most
     K*rho/2 either way.  K is min(2, D/(g - rho)) rounded up, with D the
-    diagonal of the points' bounding box and g the distance from the
-    representative to it, and 2 where g <= rho."""
+    diagonal of the points' bounding box and g the distance from (rx, ry)
+    to it, and 2 where g <= rho."""
     # Why: each distance is 1-Lipschitz in the center, so every entry moves
     # by at most rho either way: K = 2.  Where g > rho, every center c' on
     # the segment from c0 = (rx, ry) to c is at least g - rho from the box,
@@ -405,29 +415,31 @@ def _lipschitz(rx, ry, rho, box):
     gx = np.maximum(np.maximum(x0 - rx, rx - x1), 0.0)
     gy = np.maximum(np.maximum(y0 - ry, ry - y1), 0.0)
     slack = np.hypot(gx, gy) * (1.0 - 2.0 ** -50) - rho
-    K = np.full(len(rho), 2.0)
+    K = np.full(slack.shape, 2.0)
     fits = slack > 0.0
     K[fits] = np.fmin(2.0, (D / slack[fits]) * (1.0 + 2.0 ** -50))
     return K
 
 
-def _cell_bounds(cxs, cys, members, rep, w0, e0, eps: float, box):
-    """Per cell, an upper bound on max(w_x(c), eps) over its members c,
-    w_x being the exact score of _batch_widths: members[i] are the indices
-    of cell i's centers and rep[i] its representative, which _screen scored
-    as (w0[i], e0[i]); box is the points' bounding box.  The bound is inf
+def _cell_bounds(rx, ry, r2, w0, e0, eps: float, box):
+    """Per group of centers, an upper bound on max(w_x(c), eps) over its
+    members c, w_x being the exact score of _batch_widths: (rx, ry) is a
+    center _screen scored as (w0, e0), r2 the largest dx*dx + dy*dy over the
+    coordinate differences from it to a member, and box the points'
+    bounding box.  The arguments broadcast together.  The bound is inf
     where e0 is."""
-    # Why: moving the center from c0 to c shifts every entry of an exact row
-    # by one common amount plus at most K*rho/2 either way (_lipschitz), and
-    # the np.hypot error at c and at c0 (the subtraction and the hypot, 4u*B
-    # at each, with B and u as in _screen) adds to that.  A common shift
-    # moves no gap, so by _screen's gap argument the exact score moves by at
-    # most twice the rest, with -inf read as eps, plus each gap's rounding
-    # (u*B at each):
+    # Why: the argument needs of c0 = (rx, ry) only that _screen scored it
+    # and that rho covers every member; c0 need not be a member.  Moving the
+    # center from c0 to c shifts every entry of an exact row by one common
+    # amount plus at most K*rho/2 either way (_lipschitz), and the np.hypot
+    # error at c and at c0 (the subtraction and the hypot, 4u*B at each,
+    # with B and u as in _screen) adds to that.  A common shift moves no
+    # gap, so by _screen's gap argument the exact score moves by at most
+    # twice the rest, with -inf read as eps, plus each gap's rounding (u*B
+    # at each):
     #   max(w_x(c), eps) <= max(w_x(c0), eps) + K*rho + 9u*(B(c) + B(c0)),
-    # and B(c) <= B(c0) + sqrt(2)*|c - c0|.  rho, the largest
-    # sqrt(dx*dx + dy*dy) over the coordinate differences from c0 to a
-    # member, is within 3u of |c - c0|; times 1 + 2^-50 (rounded, still
+    # and B(c) <= B(c0) + sqrt(2)*|c - c0|.  rho, the square root of r2,
+    # is within 3u of the largest |c - c0|; times 1 + 2^-50 (rounded, still
     # above 1 + 6u) it is at least |c - c0|.  With _screen's bound at c0,
     #   max(w_x(c), eps) <= max(w0, eps) + e0 + K*rho + 18u*B0 + 13u*rho,
     # and the four roundings of the sum below add at most
@@ -437,16 +449,11 @@ def _cell_bounds(cxs, cys, members, rep, w0, e0, eps: float, box):
     # subnormal K's 2^-1074*rho), which K, as small as it may be, cannot
     # carry.  e0 is finite only where B0 >= 2^-450, so the absolute errors
     # of results that underflow (about 2^-537 for rho, 2^-1074 for a
-    # distance) are far below it.  Where a square overflows, rho is inf, K
-    # is 2, and so the bound is inf.
+    # distance) are far below it.  Where a square overflows, r2 and rho are
+    # inf, K is 2, and so the bound is inf.
     with np.errstate(over="ignore", invalid="ignore"):
-        dx = cxs[members] - cxs[rep][:, None]
-        dy = cys[members] - cys[rep][:, None]
-        dx *= dx
-        dy *= dy
-        dx += dy
-        rho = np.sqrt(dx.max(axis=1)) * (1.0 + 2.0 ** -50)
-        K = _lipschitz(cxs[rep], cys[rep], rho, box)
+        rho = np.sqrt(r2) * (1.0 + 2.0 ** -50)
+        K = _lipschitz(rx, ry, rho, box)
         return ((np.maximum(w0, eps) + 2.0 * e0)
                 + (K * rho + rho * 2.0 ** -46))
 
@@ -455,15 +462,17 @@ def _shortlist_rows(cols: _Columns, cxs, cys, eps: float):
     """Indices, ascending, of every center whose exact score can reach the
     shortlist, which then needs no other center scored exactly.
 
-    Every center, all of them finite, is placed in a cell (_cell_order);
-    the cells are pruned coarse to fine from one screened representative
-    each, and those that survive the finest level are screened whole.  Of
-    the screened centers, those whose upper bound can reach
+    Every center, all of them finite, is placed in a cell (_cell_order),
+    and the cells are cut coarse to fine.  A cell's representative is
+    screened, and each of the cell's children, down to single centers, is
+    bounded from it with the child's own radius; only the children that
+    survive are cut again, and only the single centers that survive are
+    screened.  Of the screened centers, those whose upper bound can reach
     t_lo - _FINALIST_SLACK are returned, t_lo being the best lower bound
     the screen found."""
     # A center whose exact score is below fl(t_lo - _FINALIST_SLACK), which
     # is at most fl(top - _FINALIST_SLACK), is on no shortlist; a skipped
-    # cell's members all are, by _cell_bounds.
+    # child's members all are, by _cell_bounds.
     w = np.full(len(cxs), -np.inf)
     e = np.full(len(cxs), np.inf)
     seen = np.zeros(len(cxs), dtype=bool)
@@ -492,13 +501,25 @@ def _shortlist_rows(cols: _Columns, cxs, cys, eps: float):
         mid = (first + last) // 2
         rep = order[mid]
         screen(rep)
-        if t_lo > -np.inf:
-            members = np.minimum(first[:, None] + np.arange(size), last[:, None])
-            bound = _cell_bounds(ox, oy, members, mid, w[rep], e[rep], eps, cols.box)
-            cells = cells[~(bound < t_lo - _FINALIST_SLACK)]
-        # the next level's cells; after the last, the surviving positions
+        # the next level's cells, per cell a row of its children; after
+        # the last level, the positions
         per = size // finer
-        cells = (cells[:, None] * per + np.arange(per)).ravel()
+        cells = cells[:, None] * per + np.arange(per)
+        if t_lo > -np.inf:
+            # a partial cell's last member stands in for the positions past
+            # m; the children made only of those are dropped below
+            members = np.minimum(first[:, None] + np.arange(size), last[:, None])
+            with np.errstate(over="ignore", invalid="ignore"):
+                dx = ox[members] - ox[mid][:, None]
+                dy = oy[members] - oy[mid][:, None]
+                dx *= dx
+                dy *= dy
+                dx += dy
+            r2 = dx.reshape(len(mid), per, finer).max(axis=2)
+            bound = _cell_bounds(ox[mid][:, None], oy[mid][:, None], r2,
+                                 w[rep][:, None], e[rep][:, None], eps, cols.box)
+            cells = cells[~(bound < t_lo - _FINALIST_SLACK)]
+        cells = cells.ravel()
         cells = cells[cells * finer < m]
     screen(order[cells])
     return np.flatnonzero(seen & (np.maximum(w, eps) + e

@@ -650,6 +650,24 @@ def _cells_of(order, size):
     return members, order[(first + last) // 2]
 
 
+def _children_of(order, size, finer):
+    # the groups the solver bounds at one level: each run of `finer`
+    # members of a cell of `size` (padded as the cell is), with the cell's
+    # middle centre, which need not be one of them
+    members, rep = _cells_of(order, size)
+    return members.reshape(-1, finer), np.repeat(rep, size // finer)
+
+
+def _bound(xs, ys, members, rep, w0, e0, eps, box):
+    # _cell_bounds from the centre rep over each row of members, with the
+    # largest squared distance formed as the solver forms it
+    with np.errstate(over="ignore", invalid="ignore"):
+        dx = xs[members] - xs[rep][:, None]
+        dy = ys[members] - ys[rep][:, None]
+        r2 = (dx * dx + dy * dy).max(axis=1)
+    return circles._cell_bounds(xs[rep], ys[rep], r2, w0, e0, eps, box)
+
+
 def _below_the_constant(rx, ry, rho, k, box):
     # where k * (g - rho) < D in 60-digit decimals: D the diagonal of box,
     # g the distance from (rx, ry) to it, both exact to those digits
@@ -668,13 +686,16 @@ def _below_the_constant(rx, ry, rho, k, box):
 
 def test_cell_bound_covers_every_exact_score(monkeypatch):
     # _cell_bounds, from the screen at one centre, is above the exact score
-    # of every member: on the solver's cells of every level, on random
-    # groups that mix far and near centres, and on runs of the centres in
-    # x, y order, where equal centres computed apart are an ulp or so away
-    # and rounding, not distance, tells their scores apart.  It holds for
-    # the screen's (w, e) and for the worst screen e allows, w = w_x - e.
-    # Where a bound's constant K is below 2, K * (g - rho) is at least the
-    # box diagonal in exact arithmetic.
+    # of every member: on the children the solver bounds at every level
+    # (the 64-centre runs of a 512-cell, the 8-centre runs of a 64-cell and
+    # the single centres of an 8-cell, each from its cell's middle centre,
+    # mostly not a member), on the whole cells, on random groups that mix
+    # far and near centres, and on runs of the centres in x, y order, where
+    # equal centres computed apart are an ulp or so away and rounding, not
+    # distance, tells their scores apart.  It holds for the screen's
+    # (w, e) and for the worst screen e allows, w = w_x - e.  Where a
+    # bound's constant K is below 2, K * (g - rho) is at least the box
+    # diagonal in exact arithmetic.
     k_of = circles._lipschitz
     constants = []
 
@@ -691,6 +712,8 @@ def test_cell_bound_covers_every_exact_score(monkeypatch):
         box = cols.box
         order = circles._cell_order(xs, ys, box)
         groups = [_cells_of(order, size) for size in circles._CELLS]
+        groups += [_children_of(order, size, finer) for size, finer
+                   in zip(circles._CELLS, circles._CELLS[1:] + (1,))]
         shuffled = np.array(rng.sample(range(len(xs)), len(xs)))
         members, _ = _cells_of(shuffled, 8)
         groups.append((members, members[:, 0]))
@@ -704,8 +727,7 @@ def test_cell_bound_covers_every_exact_score(monkeypatch):
             for members, rep in groups:
                 top = exact[members].max(axis=1)
                 for w0 in (w[rep], worst_w[rep]):
-                    bound = circles._cell_bounds(xs, ys, members, rep, w0, e[rep],
-                                                 eps, box)
+                    bound = _bound(xs, ys, members, rep, w0, e[rep], eps, box)
                     assert np.all(top <= bound), ps.points
                 cells += len(rep)
                 # cells whose bound needs the distance term, cells whose
@@ -717,7 +739,7 @@ def test_cell_bound_covers_every_exact_score(monkeypatch):
                 rounding += np.count_nonzero(top > up)
                 # the distance term alone: the bound at w0 = e0 = eps = 0
                 zero = np.zeros(len(rep))
-                moved = circles._cell_bounds(xs, ys, members, rep, zero, zero, 0.0, box)
+                moved = _bound(xs, ys, members, rep, zero, zero, 0.0, box)
                 up = np.maximum(worst_w[rep], eps) + e[rep]
                 worst += np.count_nonzero(top > up + moved)
                 below_two += np.count_nonzero(constants[-1][3] < 2.0)

@@ -34,7 +34,9 @@ gives the shares of the centres screened and scored exactly
 
   centres   candidate centres the search takes (_pick_best)
   screened  rows _screen scores, over all its calls
-  pruned    cells skipped whole: those whose _cell_bounds bound is below
+  pruned    children skipped whole, cells of the next level and, below
+            the finest cells, single centres: those whose _cell_bounds
+            bound from their cell's screened centre is below
             t_lo - _FINALIST_SLACK, t_lo being the best lower bound
             w - e > eps of the rows screened before them
   exact     rows _batch_widths scores
